@@ -1,4 +1,4 @@
-"""Bit-packed batched XNOR-popcount inference (the BNN fast path).
+"""Bit-packed batched XNOR-popcount inference (the packed BNN kernels).
 
 The scalar path (:meth:`BNNModel.scores`) evaluates one image at a time
 with int32 matmuls.  Real binary accelerators instead pack signs into
@@ -18,10 +18,10 @@ contribute to the XOR.  Every pre-activation is computed in integers, so
 differential suite in ``tests/bnn/test_batched_equivalence.py`` pins
 this for every topology shape.
 
-This module is the BNN half of the registered ``fast`` engine:
-:class:`BatchedBNNHalf` plugs the kernels into the
-:class:`~repro.engine.ExecutionEngine` assembled in
-:mod:`repro.cpu.fastpath`.  Callers normally go through
+These kernels are what the ``parallel`` engine shards across
+processes, and what the ``fast`` engine's GEMM kernel
+(:mod:`repro.bnn.vectorized`) falls back to for a layer too wide for
+float32 to stay exact.  Callers normally go through
 :meth:`BNNAccelerator.infer_batch(..., engine=...)
 <repro.bnn.accelerator.BNNAccelerator.infer_batch>` or
 :func:`predict_with_engine`, which resolve through the engine registry
@@ -177,7 +177,7 @@ def _as_sign_batch(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
 def encode_batch(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
     """Validate a sign batch against ``model`` and bit-pack its rows.
 
-    The one input-encoding step of the fast path, shared by the serial
+    The one input-encoding step of the packed path, shared by the serial
     kernels and the parallel engine's shard workers so both sides encode
     identically (same validation, same packing).
     """
@@ -209,25 +209,6 @@ def batched_hidden_forward(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
         bits = (layer.pre_activation(packed) >= 0).astype(np.uint8)
         packed = pack_bits64(bits)
     return q.bits_to_sign(bits)
-
-
-class BatchedBNNHalf:
-    """BNN half of the ``fast`` engine (mixin for ExecutionEngine).
-
-    Pure functions of the model and inputs: no session stats, no probe
-    emissions — the accounting contract lives in the accelerator timing
-    model and is engine-independent.
-    """
-
-    def scores(self, model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
-        return batched_scores(model, x_signs)
-
-    def predict(self, model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
-        return batched_predict(model, x_signs)
-
-    def hidden_forward(self, model: BNNModel,
-                       x_signs: np.ndarray) -> np.ndarray:
-        return batched_hidden_forward(model, x_signs)
 
 
 def predict_with_engine(model: BNNModel, x_signs: np.ndarray,

@@ -1,134 +1,49 @@
-"""Whole-batch vectorized BNN kernels (the ``numpy`` engine).
+"""Whole-batch GEMM BNN kernels (the ``fast`` engine's BNN half).
 
-:mod:`repro.bnn.batched` already bit-packs signs into uint64 words, but
-its inner loop still walks packed words one at a time in Python.  This
-module pushes the *entire* batch through each layer as a handful of
-ndarray operations, with two interchangeable scoring strategies (both
-bit-identical to the scalar path — the four-way differential suites pin
-scores, predictions and hidden activations against every other engine):
+:mod:`repro.bnn.batched` bit-packs signs into uint64 words, but its
+inner loop still walks packed words one at a time in Python.  This
+module pushes the *entire* batch through each layer as one float32
+matmul per layer, so BLAS does the heavy lifting.
 
-``packed``
-    The XNOR-popcount evaluated as one 3-D uint64 broadcast per layer:
-    ``packed_inputs[:, None, :] ^ words[None, :, :]`` followed by a
-    whole-array popcount (``np.bitwise_count`` when numpy provides it,
-    otherwise a 16-bit lookup table of :data:`LUT_BITS` → 65536 bytes)
-    and a sum over the word axis.  Sign/threshold are array ops.
+With ±1 weights ``W`` and sign inputs written as ``x = 2a − 1`` for
+``a ∈ {0,1}``, the pre-activation collapses to
+``W·x + b = 2·(a @ Wᵀ) − rowsum(W) + b``, and thresholding at zero
+becomes ``a @ Wᵀ ≥ (rowsum(W) − b) / 2``.  Every partial sum is an
+integer with magnitude ≤ fan_in, and float32 represents integers exactly
+up to 2**24, so the matmul is exact whenever
+``fan_in < GEMM_MAX_FAN_IN`` (the thresholds are half-integers, which
+float32 also represents exactly at these magnitudes).  A model with a
+wider layer scores through the packed kernel of
+:mod:`repro.bnn.batched` instead, which is exact at any width.
 
-``gemm``
-    The same arithmetic re-expressed as a float32 matmul so BLAS does
-    the heavy lifting.  With ±1 weights ``W`` and sign inputs written as
-    ``x = 2a − 1`` for ``a ∈ {0,1}``, the pre-activation collapses to
-    ``W·x + b = 2·(a @ Wᵀ) − rowsum(W) + b``, and thresholding at zero
-    becomes ``a @ Wᵀ ≥ (rowsum(W) − b) / 2``.  Every partial sum is an
-    integer
-    with magnitude ≤ fan_in, and float32 represents integers exactly up
-    to 2**24, so the matmul is exact whenever
-    ``fan_in < GEMM_MAX_FAN_IN`` — the ``auto`` strategy falls back to
-    ``packed`` beyond that bound (and the thresholds are half-integers,
-    which float32 also represents exactly at these magnitudes).
-
-Strategy selection: ``auto`` (default) picks ``gemm`` when exactness is
-guaranteed; ``REPRO_NUMPY_STRATEGY`` (:data:`STRATEGY_ENV_VAR`) or the
-``strategy=`` keyword forces either kernel.
-
-The registered ``numpy`` engine subclasses the ``fast`` engine, so its
-CPU half is the superblock interpreter of :mod:`repro.cpu.fastpath` and
-only the BNN scoring path differs.  See ``docs/KERNELS.md`` for the
-layout and decision tables (lint-checked by ``tools/check_docs.py``).
+Either way the result is bit-identical to the scalar path — the
+differential suites pin scores, predictions and hidden activations
+against every registered engine.  The ``fast`` engine assembled in
+:mod:`repro.cpu.fastpath` mixes :class:`VectorizedBNNHalf` into its
+superblock CPU interpreter.  See ``docs/KERNELS.md`` for the layout and
+decision tables (lint-checked by ``tools/check_docs.py``).
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.bnn import quantize as q
 from repro.bnn.batched import (
-    WORD_BITS,
     _as_sign_batch,
-    pack_bits64,
-    pack_sign_rows,
-    packed_model,
+    batched_hidden_forward,
+    batched_scores,
 )
 from repro.bnn.model import BNNModel
-from repro.cpu.fastpath import FastEngine
-from repro.engine import EngineCapabilities, register_engine
-from repro.errors import ConfigurationError
 
-#: bits per popcount lookup-table index (table size = 2**LUT_BITS bytes)
-LUT_BITS = 16
-
-#: largest fan-in for which the float32 GEMM strategy is exact: every
+#: largest fan-in for which the float32 GEMM kernel is exact: every
 #: partial sum is an integer of magnitude < 2**24 (float32's exact
 #: integer range), with headroom for the half-integer thresholds
 GEMM_MAX_FAN_IN = 1 << 23
-
-#: environment variable forcing a scoring strategy (auto | gemm | packed)
-STRATEGY_ENV_VAR = "REPRO_NUMPY_STRATEGY"
-
-#: recognised strategy names
-STRATEGIES = ("auto", "gemm", "packed")
-
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-_POPCOUNT16: Optional[np.ndarray] = None
-
-
-def _popcount16_table() -> np.ndarray:
-    """The lazily-built 2**LUT_BITS-entry uint8 popcount table."""
-    global _POPCOUNT16
-    if _POPCOUNT16 is None:
-        halves = np.arange(1 << LUT_BITS, dtype=np.uint16)
-        as_bytes = halves[:, None].view(np.uint8)
-        _POPCOUNT16 = q._POPCOUNT_TABLE[as_bytes].sum(
-            axis=-1).astype(np.uint8)
-    return _POPCOUNT16
-
-
-def popcount64_lut16(words: np.ndarray) -> np.ndarray:
-    """Per-element popcount of uint64 via four 16-bit table gathers.
-
-    The whole-array fallback when ``np.bitwise_count`` is unavailable;
-    bit-identical to :func:`repro.bnn.batched.popcount64`.
-    """
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    halves = words[..., None].view(np.uint16)
-    return _popcount16_table()[halves].sum(axis=-1, dtype=np.int64)
-
-
-def _popcount_array(words: np.ndarray) -> np.ndarray:
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words).astype(np.int64)
-    return popcount64_lut16(words)
-
-
-def resolve_strategy(strategy: Optional[str] = None,
-                     environ=None) -> str:
-    """Resolve the scoring strategy: explicit arg > env var > ``auto``."""
-    if strategy is None:
-        env = os.environ if environ is None else environ
-        strategy = env.get(STRATEGY_ENV_VAR, "").strip() or "auto"
-    if strategy not in STRATEGIES:
-        raise ConfigurationError(
-            f"unknown numpy-engine strategy {strategy!r}; "
-            f"choose one of: {', '.join(STRATEGIES)}")
-    return strategy
-
-
-def pick_strategy(max_fan_in: int, strategy: Optional[str] = None) -> str:
-    """The concrete kernel for a model whose widest layer is ``max_fan_in``.
-
-    ``auto`` resolves to ``gemm`` while the float32 matmul is provably
-    exact (``max_fan_in < GEMM_MAX_FAN_IN``), else ``packed``.
-    """
-    resolved = resolve_strategy(strategy)
-    if resolved != "auto":
-        return resolved
-    return "gemm" if max_fan_in < GEMM_MAX_FAN_IN else "packed"
 
 
 @dataclass(frozen=True)
@@ -142,11 +57,18 @@ class _GemmLayer:
 
 
 class VectorizedModel:
-    """A :class:`BNNModel` lowered for the whole-batch kernels."""
+    """A :class:`BNNModel` lowered for the whole-batch GEMM kernel.
+
+    ``exact`` is False when a layer is too wide for float32 to hold its
+    partial sums exactly; such a model gets no GEMM lowering and scores
+    through the packed kernel (which lowers, and caches, its own twin).
+    """
 
     def __init__(self, model: BNNModel):
+        self.exact = max(layer.fan_in
+                         for layer in model.layers) < GEMM_MAX_FAN_IN
         layers: List[_GemmLayer] = []
-        for layer in model.layers:
+        for layer in model.layers if self.exact else ():
             weights = layer.weights.astype(np.float32)
             sums = weights.sum(axis=1, dtype=np.float32)
             bias = layer.bias.astype(np.float32)
@@ -157,12 +79,7 @@ class VectorizedModel:
                 thresholds=(sums - bias) / np.float32(2.0),
             ))
         self.gemm_layers = layers
-        self.max_fan_in = max(layer.fan_in for layer in model.layers)
-        # the packed strategy reuses the fast engine's lowering (and its
-        # per-model cache), so both engines score from the same words
-        self.packed = packed_model(model)
 
-    # -- gemm kernels ------------------------------------------------------
     def _gemm_bits(self, x01: np.ndarray, layers: List[_GemmLayer]
                    ) -> np.ndarray:
         for layer in layers:
@@ -181,32 +98,8 @@ class VectorizedModel:
         bits = self._gemm_bits(x01, self.gemm_layers)
         return q.bits_to_sign(bits.astype(np.uint8))
 
-    # -- packed kernels ----------------------------------------------------
-    def _packed_pre(self, layer, packed_inputs: np.ndarray) -> np.ndarray:
-        """Whole-batch pre-activations as one 3-D uint64 broadcast."""
-        xor = packed_inputs[:, None, :] ^ layer.words[None, :, :]
-        mismatches = _popcount_array(xor).sum(axis=-1)
-        return layer.fan_in - 2 * mismatches + layer.bias.astype(np.int64)
 
-    def packed_scores(self, packed_inputs: np.ndarray) -> np.ndarray:
-        activation = packed_inputs
-        for layer in self.packed.layers[:-1]:
-            pre = self._packed_pre(layer, activation)
-            activation = pack_bits64((pre >= 0).astype(np.uint8))
-        return self._packed_pre(self.packed.layers[-1],
-                                activation).astype(np.int32)
-
-    def packed_hidden(self, packed_inputs: np.ndarray,
-                      batch: int) -> np.ndarray:
-        bits = np.zeros((batch, 0), dtype=np.uint8)
-        for layer in self.packed.layers:
-            bits = (self._packed_pre(layer, packed_inputs) >= 0).astype(
-                np.uint8)
-            packed_inputs = pack_bits64(bits)
-        return q.bits_to_sign(bits)
-
-
-#: lowered-model cache, weak like the fast engine's packed cache
+#: lowered-model cache, weak like the packed cache of repro.bnn.batched
 _VECTORIZED_CACHE: "weakref.WeakKeyDictionary[BNNModel, VectorizedModel]" = \
     weakref.WeakKeyDictionary()
 
@@ -220,41 +113,42 @@ def vectorized_model(model: BNNModel) -> VectorizedModel:
     return lowered
 
 
-def _as_unit_batch(x: np.ndarray) -> np.ndarray:
+def _as_unit_batch(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
     """Validated sign rows → float32 {0,1} rows for the GEMM kernel."""
-    return (x > 0).astype(np.float32)
+    return (_as_sign_batch(model, x_signs) > 0).astype(np.float32)
 
 
-def vectorized_scores(model: BNNModel, x_signs: np.ndarray,
-                      strategy: Optional[str] = None) -> np.ndarray:
+def vectorized_scores(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
     """Integer class scores ``(batch, n_classes)``, bit-identical to the
     scalar path and to :func:`repro.bnn.batched.batched_scores`."""
-    x = _as_sign_batch(model, x_signs)
     lowered = vectorized_model(model)
-    if pick_strategy(lowered.max_fan_in, strategy) == "gemm":
-        return lowered.gemm_scores(_as_unit_batch(x))
-    return lowered.packed_scores(pack_sign_rows(x))
+    if not lowered.exact:
+        return batched_scores(model, x_signs)
+    return lowered.gemm_scores(_as_unit_batch(model, x_signs))
 
 
-def vectorized_predict(model: BNNModel, x_signs: np.ndarray,
-                       strategy: Optional[str] = None) -> np.ndarray:
-    """Vectorized argmax classification through the whole-batch kernels."""
-    return np.argmax(vectorized_scores(model, x_signs, strategy), axis=1)
+def vectorized_predict(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
+    """Vectorized argmax classification through the whole-batch kernel."""
+    return np.argmax(vectorized_scores(model, x_signs), axis=1)
 
 
-def vectorized_hidden_forward(model: BNNModel, x_signs: np.ndarray,
-                              strategy: Optional[str] = None) -> np.ndarray:
+def vectorized_hidden_forward(model: BNNModel,
+                              x_signs: np.ndarray) -> np.ndarray:
     """Sign activations after *every* layer, bit-identical to
     :meth:`BNNModel.hidden_forward_batch`."""
-    x = _as_sign_batch(model, x_signs)
     lowered = vectorized_model(model)
-    if pick_strategy(lowered.max_fan_in, strategy) == "gemm":
-        return lowered.gemm_hidden(_as_unit_batch(x))
-    return lowered.packed_hidden(pack_sign_rows(x), x.shape[0])
+    if not lowered.exact:
+        return batched_hidden_forward(model, x_signs)
+    return lowered.gemm_hidden(_as_unit_batch(model, x_signs))
 
 
 class VectorizedBNNHalf:
-    """BNN half of the ``numpy`` engine (mixin for ExecutionEngine)."""
+    """BNN half of the ``fast`` engine (mixin for ExecutionEngine).
+
+    Pure functions of the model and inputs: no session stats, no probe
+    emissions — the accounting contract lives in the accelerator timing
+    model and is engine-independent.
+    """
 
     def scores(self, model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
         return vectorized_scores(model, x_signs)
@@ -265,16 +159,3 @@ class VectorizedBNNHalf:
     def hidden_forward(self, model: BNNModel,
                        x_signs: np.ndarray) -> np.ndarray:
         return vectorized_hidden_forward(model, x_signs)
-
-
-@register_engine
-class NumpyEngine(VectorizedBNNHalf, FastEngine):
-    """The ``numpy`` engine: whole-batch ndarray BNN kernels on top of
-    the fast engine's superblock CPU interpreter."""
-
-    name = "numpy"
-    description = ("whole-batch vectorized BNN kernels (float32 GEMM or "
-                   "3-D packed XNOR-popcount) over the fast CPU interpreter")
-    capabilities = EngineCapabilities(
-        timing_accurate=False, functional=True, batched=True, sharded=False,
-        phase_attribution=True)

@@ -43,11 +43,24 @@ def _parse_base(text: str) -> int:
     return int(text, 0)
 
 
+class _EngineChoices(tuple):
+    """``--engine`` choices: the registered names, which argparse lists.
+
+    Membership also admits a retired name, so that the registry rejects
+    it (exit 2, naming its replacement) instead of argparse.
+    """
+
+    def __contains__(self, name) -> bool:
+        from repro.engine import RETIRED_ENGINES
+
+        return tuple.__contains__(self, name) or name in RETIRED_ENGINES
+
+
 def engine_choices() -> tuple:
     """Registered engine names for ``--engine`` (sorted, registry-fed)."""
     from repro.engine import engine_names
 
-    return engine_names()
+    return _EngineChoices(engine_names())
 
 
 def profile_choices() -> tuple:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, List, Optional, Tuple
 
-from repro.bnn.batched import BatchedBNNHalf
+from repro.bnn.vectorized import VectorizedBNNHalf
 from repro.cpu.env import CoreEnv, ExecStats, RunResult
 from repro.cpu.functional import DEFAULT_MAX_STEPS
 from repro.cpu.memory import DataMemory, FlatMemory
@@ -485,17 +485,18 @@ def run_fastpath(
 
 
 @register_engine
-class FastEngine(BatchedBNNHalf, ExecutionEngine):
-    """The ``fast`` engine: :class:`FastCPU` + bit-packed BNN kernels.
+class FastEngine(VectorizedBNNHalf, ExecutionEngine):
+    """The ``fast`` engine: :class:`FastCPU` + whole-batch GEMM BNN kernels.
 
     CPU half registered here; BNN half provided by
-    :class:`~repro.bnn.batched.BatchedBNNHalf`.  Instruction-accurate
+    :class:`~repro.bnn.vectorized.VectorizedBNNHalf`.  Instruction-accurate
     with single-cycle timing — the pipeline stays the timing oracle.
     """
 
     name = "fast"
-    description = ("basic-block interpreter (single-cycle timing) and "
-                   "bit-packed whole-batch XNOR-popcount BNN kernels")
+    description = ("superblock interpreter (single-cycle timing) and "
+                   "whole-batch float32 GEMM BNN kernels (packed "
+                   "XNOR-popcount beyond the exactness bound)")
     capabilities = EngineCapabilities(
         timing_accurate=False, functional=True, batched=True, sharded=False,
         phase_attribution=True)

@@ -28,6 +28,7 @@ from repro.engine.protocol import (
 )
 from repro.engine.registry import (
     PROVIDER_MODULES,
+    RETIRED_ENGINES,
     engine_names,
     engine_table,
     ensure_known,
@@ -42,6 +43,7 @@ __all__ = [
     "EngineCapabilities",
     "ExecutionEngine",
     "PROVIDER_MODULES",
+    "RETIRED_ENGINES",
     "engine_names",
     "engine_table",
     "ensure_known",

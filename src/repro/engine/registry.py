@@ -16,7 +16,7 @@ import time would cycle through ``repro.sim``), so importing
 from __future__ import annotations
 
 import importlib
-from typing import Any, Dict, List, Optional, Tuple, Type, Union
+from typing import Any, Dict, List, Tuple, Type, Union
 
 from repro.engine.protocol import EngineCapabilities, ExecutionEngine
 from repro.errors import ConfigurationError
@@ -28,8 +28,11 @@ PROVIDER_MODULES = (
     "repro.engine.accurate",
     "repro.cpu.fastpath",
     "repro.bnn.parallel",
-    "repro.bnn.vectorized",
 )
+
+#: retired engine names -> the registered engine that absorbed them; a
+#: lookup of one fails like any unknown name but names its replacement
+RETIRED_ENGINES = {"numpy": "fast"}
 
 _REGISTRY: Dict[str, ExecutionEngine] = {}
 _providers_loaded = False
@@ -89,14 +92,18 @@ def get_engine(name: str) -> ExecutionEngine:
     """The registered engine called ``name``.
 
     Raises :class:`~repro.errors.ConfigurationError` naming the
-    registered engines, sorted, when ``name`` is unknown.
+    registered engines, sorted, when ``name`` is unknown — and the
+    replacement first when ``name`` is in :data:`RETIRED_ENGINES`.
     """
     _load_providers()
     try:
         return _REGISTRY[name]
     except KeyError:
+        replacement = RETIRED_ENGINES.get(name)
+        retired = (f"; it was folded into {replacement!r}, use that"
+                   if replacement else "")
         raise ConfigurationError(
-            f"unknown engine {name!r}; registered engines: "
+            f"unknown engine {name!r}{retired}; registered engines: "
             f"{', '.join(sorted(_REGISTRY))}") from None
 
 

@@ -92,7 +92,10 @@ async def drive(server, rows, offsets: List[float]) -> List[Any]:
 
     The schedule is anchored to the loop clock at entry, so a slow batch
     delays nothing: every submission fires at its pre-computed offset
-    (open loop), and the call returns once all futures resolved.
+    (open loop), and the call returns once all futures resolved.  One
+    dispatcher starts each ``submit`` when it is due, so submissions
+    keep schedule order even when the loop runs late (request ``k``
+    carries ``rows[k]``).
     """
     if len(rows) < len(offsets):
         raise ConfigurationError(
@@ -100,15 +103,13 @@ async def drive(server, rows, offsets: List[float]) -> List[Any]:
             "rows")
     loop = asyncio.get_running_loop()
     start = loop.time()
-
-    async def one(index: int, offset: float):
+    submits = []
+    for index, offset in enumerate(offsets):
         delay = start + offset - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
-        return await server.submit(rows[index])
-
-    return list(await asyncio.gather(
-        *(one(index, offset) for index, offset in enumerate(offsets))))
+        submits.append(asyncio.ensure_future(server.submit(rows[index])))
+    return list(await asyncio.gather(*submits))
 
 
 def serve_scenario(scenario: Scenario, engine: Optional[str] = None,

@@ -48,6 +48,7 @@ def build_slo_report(server, offsets: List[float]) -> Dict[str, Any]:
             "completed": recorder.completed,
             "shed": recorder.shed,
             "timeout": recorder.timeouts,
+            "error": recorder.errors,
         },
         "latency_ms": recorder.latency.summary_ms()
         if recorder.latency.count else None,
@@ -95,14 +96,15 @@ def validate_slo_report(doc: Mapping[str, Any]) -> Dict[str, Any]:
         if key not in doc:
             raise ValueError(f"SLO report missing {key!r}")
     requests = doc["requests"]
-    for key in ("submitted", "completed", "shed", "timeout"):
+    outcomes = ("completed", "shed", "timeout", "error")
+    for key in ("submitted",) + outcomes:
         if not isinstance(requests.get(key), int) or requests[key] < 0:
             raise ValueError(f"SLO report requests.{key} must be a "
                              "non-negative integer")
-    accounted = requests["completed"] + requests["shed"] + requests["timeout"]
+    accounted = sum(requests[key] for key in outcomes)
     if accounted != requests["submitted"]:
         raise ValueError(
-            f"SLO report loses requests: completed+shed+timeout="
+            f"SLO report loses requests: completed+shed+timeout+error="
             f"{accounted} but submitted={requests['submitted']}")
     latency = doc.get("latency_ms")
     if requests["completed"] and latency is None:
@@ -162,6 +164,7 @@ def render_slo_report(doc: Mapping[str, Any]) -> str:
         f"| completed | {requests['completed']} |",
         f"| shed | {requests['shed']} |",
         f"| timeout | {requests['timeout']} |",
+        f"| error | {requests['error']} |",
         "",
     ]
     latency = doc.get("latency_ms")

@@ -2,10 +2,14 @@
 
 :class:`NCPUServer` accepts classification requests (one sign-domain
 input row each), coalesces them into dynamic batches — the first arrival
-opens a ``batch_window_s`` window, the batch closes when the window
-expires or ``max_batch`` rows arrived — and dispatches each batch to the
-configured execution engine through the accelerator's engine-dispatched
-batch path, off the event loop so arrivals keep flowing during compute.
+opens a ``batch_window_s`` window, rows already queued join at once, and
+the batch closes when the window expires or ``max_batch`` rows arrived —
+and dispatches each batch to the configured execution engine through the
+accelerator's engine-dispatched batch path.  The batch runs inline on
+the event loop: a 32-row batch scores in about 0.1 ms, far less than a
+thread-pool hop costs, so arrivals wait out the compute instead of a
+hand-off.  An engine fault resolves its batch's requests with the
+``error`` status (logged once per fault) and the batcher keeps serving.
 
 Observability is the point: every request carries the full lifecycle
 timestamp chain (submit → enqueue → batch-assemble → dispatch →
@@ -21,6 +25,7 @@ request instead of a run).
 from __future__ import annotations
 
 import asyncio
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -38,10 +43,13 @@ from repro.obs import (
 from repro.scenario.schema import Scenario, ServeSpec
 from repro.serve.slo import SLORecorder
 
+logger = logging.getLogger(__name__)
+
 #: request outcomes
 OK = "ok"
 SHED = "shed"
 TIMEOUT = "timeout"
+ERROR = "error"
 
 #: queue sentinel that tells the batcher to drain and exit
 _CLOSE = object()
@@ -260,35 +268,52 @@ class NCPUServer:
             if first is _CLOSE:
                 break
             batch = [first]
-            deadline = asyncio.get_running_loop().time() \
-                + self.policy.batch_window_s
-            while len(batch) < self.policy.max_batch:
-                remaining = deadline - asyncio.get_running_loop().time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(),
-                                                  timeout=remaining)
-                except asyncio.TimeoutError:
-                    break
-                if item is _CLOSE:
-                    closing = True
-                    break
-                batch.append(item)
-            await self._dispatch(batch)
+            if self.policy.batch_window_s > 0:
+                closing = self._take_queued(batch)
+                # the window opened when the first row arrived, which may
+                # be before the batcher got to it
+                window_s = self.policy.batch_window_s \
+                    - (self._now() - first.request.t_enqueue)
+                if not closing and window_s > 0 \
+                        and len(batch) < self.policy.max_batch:
+                    try:
+                        closing = await asyncio.wait_for(self._fill(batch),
+                                                         window_s)
+                    except asyncio.TimeoutError:
+                        pass
+            self._dispatch(batch)
         # drain anything still queued after the close sentinel
-        tail: List[_Pending] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is not _CLOSE:
-                tail.append(item)
-        for start in range(0, len(tail), self.policy.max_batch):
-            await self._dispatch(tail[start:start + self.policy.max_batch])
+        while not self._queue.empty():
+            tail: List[_Pending] = []
+            self._take_queued(tail)
+            if tail:
+                self._dispatch(tail)
 
-    async def _dispatch(self, batch: List[_Pending]) -> None:
+    def _take_queued(self, batch: List[_Pending]) -> bool:
+        """Move already-queued rows into ``batch``, up to ``max_batch``,
+        without suspending.  Returns True when the close sentinel came
+        out of the queue (the batch then dispatches as it is)."""
+        while len(batch) < self.policy.max_batch and not self._queue.empty():
+            item = self._queue.get_nowait()
+            if item is _CLOSE:
+                return True
+            batch.append(item)
+        return False
+
+    async def _fill(self, batch: List[_Pending]) -> bool:
+        """Add arriving rows to ``batch`` until it holds ``max_batch``.
+
+        Runs under the batch's one window deadline.  Returns True when
+        the close sentinel arrived, like :meth:`_take_queued`.
+        """
+        while len(batch) < self.policy.max_batch:
+            item = await self._queue.get()
+            if item is _CLOSE:
+                return True
+            batch.append(item)
+        return False
+
+    def _dispatch(self, batch: List[_Pending]) -> None:
         import numpy as np
 
         t_assembled = self._now()
@@ -304,13 +329,19 @@ class NCPUServer:
             return
         batch_index = self._n_batches
         self._n_batches += 1
-        matrix = np.stack([pending.row for pending in live])
-        t_dispatch = self._now()
-        loop = asyncio.get_running_loop()
-        predictions, timing = await loop.run_in_executor(
-            None, lambda: self.accelerator.infer_batch(
+        try:
+            matrix = np.stack([pending.row for pending in live])
+            t_dispatch = self._now()
+            predictions, timing = self.accelerator.infer_batch(
                 self.model, matrix, stream_weights=self.stream_weights,
-                engine=self.engine))
+                engine=self.engine)
+        except Exception:
+            logger.exception("engine %r failed on batch %d (%d rows); "
+                             "its requests resolve with status %r",
+                             self.engine.name, batch_index, len(live),
+                             ERROR)
+            self._resolve_error(live, batch_index)
+            return
         t_infer_done = self._now()
         self.sim_cycles += int(timing.total_cycles)
         self.sim_macs += int(timing.macs)
@@ -347,6 +378,22 @@ class NCPUServer:
             "infer_done_s": t_infer_done,
             "queue_depth": self._queue.qsize(),
             "cycles": int(timing.total_cycles)})
+
+    def _resolve_error(self, live: List[_Pending], batch_index: int) -> None:
+        """Resolve a faulted batch's requests with the ``error`` status;
+        their lifecycle stops at assembly, the rest is ``overhead``."""
+        for pending in live:
+            request = pending.request
+            request.status = ERROR
+            request.batch_index = batch_index
+            request.batch_size = len(live)
+            request.t_respond = self._now()
+            request.finalize_phases()
+            self._n_resolved += 1
+            self.recorder.record_error()
+            self.session.stats.incr("serve.requests.error")
+            if not pending.future.done():
+                pending.future.set_result(request)
 
     def _resolve_timeout(self, pending: _Pending, age_s: float) -> None:
         request = pending.request

@@ -199,7 +199,8 @@ class SLORecorder:
     One latency histogram for end-to-end request latency, one per obs
     phase, a per-batch size list (batches are few, so storing their
     sizes is cheap and keeps the OpenMetrics histogram exact), counters
-    for admission-control outcomes and queue/inflight peaks.
+    for request outcomes (shed, timeout, engine error) and queue/inflight
+    peaks.
     """
 
     def __init__(self, lo_s: float = DEFAULT_LO_S, hi_s: float = DEFAULT_HI_S,
@@ -213,6 +214,7 @@ class SLORecorder:
         self.completed = 0
         self.shed = 0
         self.timeouts = 0
+        self.errors = 0
         self.queue_depth_peak = 0
         self.queue_depth_sum = 0
         self.queue_depth_samples = 0
@@ -239,6 +241,9 @@ class SLORecorder:
 
     def record_timeout(self) -> None:
         self.timeouts += 1
+
+    def record_error(self) -> None:
+        self.errors += 1
 
     def record_batch(self, size: int) -> None:
         self.batch_sizes.append(int(size))

@@ -223,11 +223,11 @@ class TestEngineAccounting:
         return list(predictions), timing.total_cycles, counters
 
     def test_every_registered_engine_accounting_identical(self):
-        """Auto-discovered four-way (accurate/fast/numpy/parallel today):
-        timing, predictions and ``bnn.*`` counters must be identical
-        under every registered engine, including any added later."""
+        """Auto-discovered (accurate/fast/parallel today): timing,
+        predictions and ``bnn.*`` counters must be identical under every
+        registered engine, including any added later."""
         names = engine_names()
-        assert {"accurate", "fast", "parallel", "numpy"} <= set(names)
+        assert {"accurate", "fast", "parallel"} <= set(names)
         oracle = self._run("accurate")
         for name in names:
             assert self._run(name) == oracle, name

@@ -1,11 +1,12 @@
-"""Differential equivalence of the ``numpy`` (vectorized) engine.
+"""Differential equivalence of the ``fast`` engine's whole-batch kernels.
 
-The whole-batch ndarray kernels must be *bit-identical* to the scalar
-path and to every other registered engine — for both scoring strategies
-(float32 GEMM and 3-D packed XNOR-popcount), both popcount backends
-(``np.bitwise_count`` and the 16-bit LUT), and across odd topologies.
-The four-way engine sweep auto-discovers engines from the registry, so
-future backends are covered by construction.
+The float32 GEMM kernel must be *bit-identical* to the scalar path and
+to every other registered engine, and so must the packed XNOR-popcount
+kernel the ``fast`` engine falls back to beyond the GEMM exactness
+bound — with either popcount backend (``np.bitwise_count`` and the
+8-bit table) and across odd topologies.  The engine sweep
+auto-discovers engines from the registry, so future backends are
+covered by construction.
 """
 
 import numpy as np
@@ -13,26 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.bnn.batched as batched
 import repro.bnn.vectorized as vec
 from repro.bnn import BNNModel, binarize_sign
+from repro.bnn import quantize as q
 from repro.bnn.batched import (
     batched_hidden_forward,
     batched_scores,
     popcount64,
 )
 from repro.bnn.vectorized import (
-    GEMM_MAX_FAN_IN,
-    LUT_BITS,
-    STRATEGY_ENV_VAR,
-    NumpyEngine,
-    pick_strategy,
-    popcount64_lut16,
-    resolve_strategy,
+    VectorizedBNNHalf,
     vectorized_hidden_forward,
     vectorized_model,
     vectorized_predict,
     vectorized_scores,
 )
+from repro.cpu.fastpath import FastEngine
 from repro.engine import engine_names, get_engine
 from repro.errors import ConfigurationError
 from repro.sim import use_session
@@ -51,51 +49,66 @@ def _scalar_scores(model, x):
     return np.stack([model.scores(row) for row in x])
 
 
+@pytest.fixture
+def kernel(request, monkeypatch):
+    """``gemm`` scores through the float32 GEMM; ``packed`` lowers the
+    exactness bound below every fan-in, so the same entry points take
+    the packed fallback."""
+    if request.param == "packed":
+        monkeypatch.setattr(vec, "GEMM_MAX_FAN_IN", 1)
+    return request.param
+
+
 class TestPopcountLUT:
-    def test_matches_bitwise_count_semantics(self):
+    """The 8-bit table ``popcount64`` falls back to without
+    ``np.bitwise_count`` (the packed kernel's old-numpy backend)."""
+
+    def test_matches_bitwise_count_semantics(self, monkeypatch):
         rng = np.random.default_rng(0)
         words = rng.integers(0, 2**64, size=(13, 4), dtype=np.uint64)
-        np.testing.assert_array_equal(popcount64_lut16(words),
-                                      popcount64(words))
+        expected = popcount64(words)
+        monkeypatch.setattr(batched, "_HAS_BITWISE_COUNT", False)
+        np.testing.assert_array_equal(popcount64(words), expected)
 
-    def test_extremes(self):
+    def test_extremes(self, monkeypatch):
+        monkeypatch.setattr(batched, "_HAS_BITWISE_COUNT", False)
         words = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
-        assert popcount64_lut16(words).tolist() == [0, 1, 1, 64]
+        assert popcount64(words).tolist() == [0, 1, 1, 64]
 
     def test_table_shape(self):
-        table = vec._popcount16_table()
-        assert table.shape == (1 << LUT_BITS,)
-        assert table.dtype == np.uint8
-        assert table[0] == 0 and table[-1] == LUT_BITS
+        table = q._POPCOUNT_TABLE
+        assert table.shape == (256,)
+        assert table[0] == 0 and table[-1] == 8
 
 
 class TestStrategySelection:
-    def test_explicit_argument_wins(self):
-        assert resolve_strategy("packed") == "packed"
+    """GEMM while every ``fan_in < GEMM_MAX_FAN_IN``, packed at the bound;
+    the packed twin is lowered only when the fallback needs it."""
 
-    def test_env_var_respected(self):
-        assert resolve_strategy(None, {STRATEGY_ENV_VAR: "packed"}) == \
-            "packed"
+    def test_auto_prefers_gemm_within_exact_range(self, monkeypatch):
+        monkeypatch.setattr(vec, "GEMM_MAX_FAN_IN", 61)
+        model = make_model((60, 40, 10))
+        lowered = vectorized_model(model)
+        assert lowered.exact and len(lowered.gemm_layers) == 2
+        x = make_inputs(model, 5)
+        np.testing.assert_array_equal(vectorized_scores(model, x),
+                                      _scalar_scores(model, x))
+        assert model not in batched._PACKED_CACHE
 
-    def test_default_is_auto(self):
-        assert resolve_strategy(None, {}) == "auto"
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_strategy("turbo")
-
-    def test_auto_prefers_gemm_within_exact_range(self):
-        assert pick_strategy(GEMM_MAX_FAN_IN - 1, "auto") == "gemm"
-
-    def test_auto_falls_back_to_packed_beyond_exact_range(self):
-        assert pick_strategy(GEMM_MAX_FAN_IN, "auto") == "packed"
-
-    def test_forced_strategy_ignores_fan_in(self):
-        assert pick_strategy(GEMM_MAX_FAN_IN, "gemm") == "gemm"
+    def test_auto_falls_back_to_packed_beyond_exact_range(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(vec, "GEMM_MAX_FAN_IN", 60)
+        model = make_model((60, 40, 10))
+        lowered = vectorized_model(model)
+        assert not lowered.exact and lowered.gemm_layers == []
+        x = make_inputs(model, 5)
+        np.testing.assert_array_equal(vectorized_scores(model, x),
+                                      _scalar_scores(model, x))
+        assert model in batched._PACKED_CACHE
 
 
 class TestBitIdenticalScores:
-    @pytest.mark.parametrize("strategy", ["gemm", "packed"])
+    @pytest.mark.parametrize("kernel", ["gemm", "packed"], indirect=True)
     @pytest.mark.parametrize("topology", [
         [100, 100, 100, 10],   # the chip's canonical network
         [64, 64, 4],           # exact word multiples
@@ -104,19 +117,20 @@ class TestBitIdenticalScores:
         [1, 1, 1],             # degenerate
         [130, 2],              # single layer, multi-word
     ])
-    def test_scores_bit_identical(self, topology, strategy):
+    def test_scores_bit_identical(self, topology, kernel):
         model = make_model(topology, seed=42)
         x = make_inputs(model, 23, seed=2)
-        got = vectorized_scores(model, x, strategy=strategy)
+        got = vectorized_scores(model, x)
+        assert vectorized_model(model).exact == (kernel == "gemm")
         assert got.dtype == np.int32
         np.testing.assert_array_equal(got, batched_scores(model, x))
         np.testing.assert_array_equal(got, _scalar_scores(model, x))
 
-    @pytest.mark.parametrize("strategy", ["gemm", "packed"])
-    def test_hidden_forward_bit_identical(self, strategy):
+    @pytest.mark.parametrize("kernel", ["gemm", "packed"], indirect=True)
+    def test_hidden_forward_bit_identical(self, kernel):
         model = make_model((60, 40, 30, 10))
         x = make_inputs(model, 11)
-        got = vectorized_hidden_forward(model, x, strategy=strategy)
+        got = vectorized_hidden_forward(model, x)
         np.testing.assert_array_equal(got, model.hidden_forward_batch(x))
         np.testing.assert_array_equal(got, batched_hidden_forward(model, x))
 
@@ -127,19 +141,12 @@ class TestBitIdenticalScores:
                                       model.predict_batch(x))
 
     def test_lut_backend_bit_identical(self, monkeypatch):
-        monkeypatch.setattr(vec, "_HAS_BITWISE_COUNT", False)
+        monkeypatch.setattr(vec, "GEMM_MAX_FAN_IN", 1)
+        monkeypatch.setattr(batched, "_HAS_BITWISE_COUNT", False)
         model = make_model((65, 33, 5), seed=9)
         x = make_inputs(model, 17, seed=3)
-        np.testing.assert_array_equal(
-            vectorized_scores(model, x, strategy="packed"),
-            batched_scores(model, x))
-
-    def test_env_var_drives_default_strategy(self, monkeypatch):
-        monkeypatch.setenv(STRATEGY_ENV_VAR, "packed")
-        model = make_model()
-        x = make_inputs(model, 9)
         np.testing.assert_array_equal(vectorized_scores(model, x),
-                                      batched_scores(model, x))
+                                      _scalar_scores(model, x))
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -148,12 +155,10 @@ class TestBitIdenticalScores:
                                    max_size=5))
         batch = data.draw(st.integers(1, 8))
         seed = data.draw(st.integers(0, 2**16))
-        strategy = data.draw(st.sampled_from(["gemm", "packed"]))
         model = make_model(sizes, seed=seed)
         x = make_inputs(model, batch, seed=seed + 1)
-        np.testing.assert_array_equal(
-            vectorized_scores(model, x, strategy=strategy),
-            _scalar_scores(model, x))
+        np.testing.assert_array_equal(vectorized_scores(model, x),
+                                      _scalar_scores(model, x))
 
 
 class TestLoweringCache:
@@ -181,18 +186,18 @@ class TestInputValidation:
 
 
 class TestRegisteredEngine:
-    def test_numpy_engine_registered_with_capabilities(self):
-        assert "numpy" in engine_names()
-        engine = get_engine("numpy")
-        assert isinstance(engine, NumpyEngine)
+    def test_fast_engine_has_gemm_half(self):
+        engine = get_engine("fast")
+        assert isinstance(engine, FastEngine)
+        assert isinstance(engine, VectorizedBNNHalf)
         caps = engine.capabilities
         assert caps.functional and caps.batched
         assert caps.phase_attribution and not caps.timing_accurate
 
     def test_all_registered_engines_bit_identical(self):
-        """The four-way (and beyond) sweep: every registered engine must
-        produce the oracle's scores, predictions and hidden activations
-        bit for bit — auto-discovered, so new engines join for free."""
+        """The registry sweep: every registered engine must produce the
+        oracle's scores, predictions and hidden activations bit for bit
+        — auto-discovered, so new engines join for free."""
         model = make_model((100, 100, 100, 10), seed=5)
         x = make_inputs(model, 29, seed=6)
         oracle = get_engine("accurate")
@@ -200,7 +205,7 @@ class TestRegisteredEngine:
         predictions = oracle.predict(model, x)
         hidden = oracle.hidden_forward(model, x)
         names = engine_names()
-        assert {"accurate", "fast", "parallel", "numpy"} <= set(names)
+        assert {"accurate", "fast", "parallel"} <= set(names)
         for name in names:
             engine = get_engine(name)
             np.testing.assert_array_equal(
@@ -210,14 +215,14 @@ class TestRegisteredEngine:
             np.testing.assert_array_equal(
                 engine.hidden_forward(model, x), hidden, err_msg=name)
 
-    def test_session_engine_numpy_end_to_end(self):
+    def test_session_engine_fast_end_to_end(self):
         from repro.bnn import BNNAccelerator
 
         model = make_model()
         x = make_inputs(model, 12)
-        with use_session(cache_enabled=False, engine="numpy"):
-            numpy_pred, numpy_timing = BNNAccelerator().infer_batch(model, x)
+        with use_session(cache_enabled=False, engine="fast"):
+            fast_pred, fast_timing = BNNAccelerator().infer_batch(model, x)
         with use_session(cache_enabled=False, engine="accurate"):
             ref_pred, ref_timing = BNNAccelerator().infer_batch(model, x)
-        np.testing.assert_array_equal(numpy_pred, ref_pred)
-        assert numpy_timing == ref_timing
+        np.testing.assert_array_equal(fast_pred, ref_pred)
+        assert fast_timing == ref_timing

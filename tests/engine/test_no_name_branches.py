@@ -56,7 +56,7 @@ class TestNoEngineNameBranches:
         assert _engine_name_comparisons('engine=="parallel"')
 
     def test_detector_catches_membership_tests(self):
-        assert _engine_name_comparisons('if engine in ("fast", "numpy"):')
+        assert _engine_name_comparisons('if engine in ("fast", "parallel"):')
         assert _engine_name_comparisons("if engine in ['accurate']:")
         assert _engine_name_comparisons('name in {"parallel", "fast"}')
 

@@ -68,3 +68,32 @@ class TestSummarizeOffsets:
         assert summary["mean_rate_rps"] == pytest.approx(2 / 0.3)
         assert summary["min_gap_s"] == pytest.approx(0.1)
         assert summary["max_gap_s"] == pytest.approx(0.2)
+
+
+class TestDrive:
+    def test_request_k_carries_row_k_when_the_loop_runs_late(self):
+        """Row 1 is already due when row 0 is not (a loop that fell
+        behind looks the same); submissions must still keep schedule
+        order, so results[k] is the request for rows[k]."""
+        import asyncio
+
+        from repro.scenario import Scenario, ServeSpec, WorkloadSpec
+        from repro.serve import NCPUServer, drive
+        from repro.sim import use_session
+
+        scenario = Scenario(
+            name="drive-order",
+            workload=WorkloadSpec(kind="bnn", name="random",
+                                  layer_sizes=(24, 16, 10)),
+            batch_size=8, serve=ServeSpec(requests=2)).with_engine(
+                name="fast")
+
+        async def main(session):
+            server = NCPUServer(scenario, session=session)
+            async with server:
+                return await drive(server, [[1.0] * 24, [-1.0] * 24],
+                                   [0.002, 0.0])
+
+        with use_session(cache_enabled=False) as session:
+            results = asyncio.run(main(session))
+        assert [request.index for request in results] == [0, 1]

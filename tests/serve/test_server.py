@@ -266,3 +266,158 @@ class TestServeTracing:
                 uninstall_tracer(session)
         summary = validate_chrome_trace(chrome_trace(tracer))
         assert "serve.admission" in summary["tracks"]
+
+
+def _run_server(scenario, policy, body):
+    """Run ``body(server)`` against a started server on a fresh loop;
+    returns ``(server, body's result)``."""
+
+    async def main(session):
+        server = NCPUServer(scenario, policy=policy, session=session)
+        async with server:
+            result = await body(server)
+        return server, result
+
+    with use_session(cache_enabled=False) as session:
+        return asyncio.run(main(session))
+
+
+def _submit_all(server, count):
+    return asyncio.gather(*(server.submit([1.0] * 24)
+                            for _ in range(count)))
+
+
+class TestBatchWindow:
+    def test_engine_predict_runs_on_event_loop_thread(self, monkeypatch):
+        import threading
+
+        threads = []
+
+        async def body(server):
+            engine_type = type(server.engine)
+            original = engine_type.predict
+
+            def recording_predict(engine, model, rows):
+                threads.append(threading.get_ident())
+                return original(engine, model, rows)
+
+            monkeypatch.setattr(engine_type, "predict", recording_predict)
+            await _submit_all(server, 3)
+            return threading.get_ident()
+
+        _, loop_thread = _run_server(small_scenario("fast"),
+                                     ServePolicy(batch_window_s=0.001), body)
+        assert threads and set(threads) == {loop_thread}
+
+    def test_full_batch_dispatches_without_waiting_out_the_window(self):
+        server, results = _run_server(
+            small_scenario("fast"),
+            ServePolicy(batch_window_s=60.0, max_batch=8),
+            lambda server: asyncio.wait_for(_submit_all(server, 8), 5.0))
+        assert server.recorder.batch_sizes == [8]
+        assert {request.batch_index for request in results} == {0}
+
+    def test_partial_batch_dispatches_after_one_window(self):
+        window_s = 0.05
+
+        server, results = _run_server(
+            small_scenario("fast"),
+            ServePolicy(batch_window_s=window_s, max_batch=8),
+            lambda server: _submit_all(server, 3))
+        assert server.recorder.batch_sizes == [3]
+        for request in results:
+            assert request.status == "ok"
+            assert request.t_assembled - request.t_enqueue \
+                >= window_s - 1e-3
+            assert request.t_assembled - request.t_enqueue < 1.0
+
+    def test_window_counts_from_the_first_rows_arrival(self, monkeypatch):
+        """A row that queued while the batcher was busy has used up its
+        window by the time the batcher reaches it, so it dispatches at
+        once instead of waiting a second full window."""
+        import time
+
+        from repro.bnn import BNNAccelerator
+
+        original = BNNAccelerator.infer_batch
+        calls = []
+
+        def slow_first_batch(accelerator, *args, **kwargs):
+            if not calls:
+                time.sleep(0.3)  # blocks the loop, like a long batch
+            calls.append(1)
+            return original(accelerator, *args, **kwargs)
+
+        monkeypatch.setattr(BNNAccelerator, "infer_batch", slow_first_batch)
+        server, results = _run_server(
+            small_scenario("fast"),
+            ServePolicy(batch_window_s=0.2, max_batch=2, timeout_s=5.0),
+            lambda server: _submit_all(server, 3))
+        assert server.recorder.batch_sizes == [2, 1]
+        last = results[2]
+        assert last.t_assembled - last.t_enqueue >= 0.3
+        assert last.t_assembled - last.t_enqueue < 0.45
+
+    def test_zero_window_gives_one_row_batches(self):
+        server, results = _run_server(
+            small_scenario("fast"),
+            ServePolicy(batch_window_s=0.0, max_batch=8),
+            lambda server: _submit_all(server, 5))
+        assert server.recorder.batch_sizes == [1] * 5
+        assert all(request.status == "ok" for request in results)
+
+
+class TestEngineFault:
+    def test_fault_resolves_batch_with_error_and_keeps_serving(
+            self, monkeypatch, caplog):
+        import logging
+
+        from repro.bnn import BNNAccelerator
+
+        original = BNNAccelerator.infer_batch
+        faults = []
+
+        def faulty_infer_batch(accelerator, *args, **kwargs):
+            if not faults:
+                faults.append(1)
+                raise RuntimeError("injected engine fault")
+            return original(accelerator, *args, **kwargs)
+
+        monkeypatch.setattr(BNNAccelerator, "infer_batch",
+                            faulty_infer_batch)
+        # a prior CLI invocation may have claimed the "repro" logger with
+        # propagate=False; caplog needs propagation
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        scenario = small_scenario("fast")
+
+        async def main(session):
+            server = NCPUServer(scenario, policy=ServePolicy(
+                batch_window_s=0.005, max_batch=8), session=session)
+            await server.start()
+            failed = await asyncio.wait_for(_submit_all(server, 4), 1.0)
+            after = await asyncio.wait_for(server.submit([1.0] * 24), 1.0)
+            await asyncio.wait_for(server.stop(), 1.0)
+            return server, failed, after
+
+        with caplog.at_level(logging.ERROR, logger="repro.serve"):
+            with use_session(cache_enabled=False) as session:
+                server, failed, after = asyncio.run(main(session))
+        assert [request.status for request in failed] == ["error"] * 4
+        assert all(request.prediction is None for request in failed)
+        for request in failed:
+            assert sum(request.phases_s.values()) == \
+                pytest.approx(request.latency_s, abs=1e-6)
+        assert after.status == "ok"
+        faults_logged = [record for record in caplog.records
+                         if record.exc_info is not None]
+        assert len(faults_logged) == 1
+        assert "injected engine fault" in caplog.text
+        recorder = server.recorder
+        assert recorder.errors == 4
+        assert recorder.completed == 1
+        report = build_slo_report(server, [0.0] * 5)
+        assert report["requests"]["error"] == 4
+        assert validate_slo_report(report)["requests"] == 5
+        assert "| error | 4 |" in render_slo_report(report)
+        assert session.stats.as_dict()["counters"].get(
+            "serve.requests.error") == 4

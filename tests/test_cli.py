@@ -116,6 +116,36 @@ class TestRunEngine:
         assert main(["run", source_file, "--engine", "parallel"]) == 0
         assert "cycles=4 " in capsys.readouterr().out
 
+    def test_retired_numpy_engine_flag_names_fast(self, source_file,
+                                                  capsys):
+        # argparse lets a retired name through so the registry rejects it
+        assert main(["run", source_file, "--engine", "numpy"]) == 2
+        message = capsys.readouterr().err
+        assert "'numpy'" in message and "folded into 'fast'" in message
+
+    def test_retired_numpy_engine_env_var_names_fast(self, capsys,
+                                                     monkeypatch):
+        from repro.errors import ConfigurationError
+        from repro.sim import SimConfig
+
+        monkeypatch.setenv("REPRO_ENGINE", "numpy")
+        with pytest.raises(ConfigurationError,
+                           match="REPRO_ENGINE: .*folded into 'fast'"):
+            SimConfig.from_env()
+        assert main(["bench", "--list"]) == 2
+        assert "folded into 'fast'" in capsys.readouterr().err
+
+    def test_retired_numpy_engine_in_scenario_names_fast(self, tmp_path,
+                                                         capsys):
+        import json
+
+        path = tmp_path / "numpy_engine.json"
+        path.write_text(json.dumps({"engine": {"name": "numpy"}}))
+        assert main(["scenario", "validate", str(path)]) == 2
+        message = capsys.readouterr().err
+        assert "scenario.engine.name: unknown engine 'numpy'" in message
+        assert "folded into 'fast'" in message
+
     def test_unknown_engine_env_var_names_registered(self, source_file,
                                                      capsys, monkeypatch):
         from repro.errors import ConfigurationError
@@ -544,7 +574,7 @@ class TestFuzzCli:
     def test_fuzz_rejects_unknown_engine(self, capsys):
         assert main(["fuzz", "--count", "1", "--engines", "warp"]) == 2
         message = capsys.readouterr().err
-        assert "warp" in message and "numpy" in message
+        assert "warp" in message and "fast" in message
 
     def test_fuzz_comma_separated_engines(self, capsys):
         assert main(["fuzz", "--count", "2", "--seed", "0", "--kind",

@@ -324,12 +324,12 @@ class TestKernelHandbookCheck:
     def test_stale_decision_table_reported(self, check_docs, tmp_path,
                                            monkeypatch):
         real = (REPO_ROOT / "docs" / "KERNELS.md").read_text()
-        stale = real.replace("| `numpy` |", "| `cuda` |", 1)
+        stale = real.replace("| `fast` |", "| `cuda` |", 1)
         target = tmp_path / "KERNELS.md"
         target.write_text(stale)
         monkeypatch.setattr(check_docs, "KERNELS_MD", target)
         problems = check_docs.check_kernel_handbook()
-        assert any("`numpy`" in p and "missing from" in p for p in problems)
+        assert any("`fast`" in p and "missing from" in p for p in problems)
         assert any("`cuda`" in p and "not registered" in p for p in problems)
 
     def test_constant_row_parser(self, check_docs):
