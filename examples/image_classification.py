@@ -8,8 +8,8 @@ the digit — all data staying local, which is the paper's whole point.
 The script then compares the two-core NCPU SoC against the conventional
 CPU + accelerator baseline on a batch of frames (paper Fig 16/17: 43 %
 end-to-end speedup), and finally classifies a large evaluation set through
-both functional engines — the accurate int32-matmul path and the batched
-bit-packed fast path — to show they agree bit-for-bit while the fast
+both functional engines — the accurate int32-matmul path and the fast
+engine's whole-batch GEMM — to show they agree bit-for-bit while the fast
 engine delivers an order of magnitude more host throughput.
 
 Run:  python examples/image_classification.py     (~30 s: trains the BNN)

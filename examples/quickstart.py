@@ -4,8 +4,9 @@
 2. train a small binary neural network and run it on the accelerator model,
 3. put both on one reconfigurable NCPU core and switch modes with the
    custom ``trans_bnn`` instruction,
-4. classify a whole batch through the bit-packed fast engine and compare
-   host throughput against the accurate engine (identical predictions).
+4. classify a whole batch through the fast engine's GEMM kernel and
+   compare host throughput against the accurate engine (identical
+   predictions).
 
 Run:  python examples/quickstart.py
 """

@@ -7,17 +7,6 @@ from repro.bnn.accelerator import (
     InferenceResult,
     LAYER_OVERHEAD_CYCLES,
 )
-from repro.bnn.batched import (
-    PackedLayer,
-    PackedModel,
-    batched_predict,
-    batched_scores,
-    pack_bits64,
-    pack_sign_rows,
-    packed_model,
-    popcount64,
-    predict_with_engine,
-)
 from repro.bnn.datasets import (
     Dataset,
     MotionDataset,
@@ -56,15 +45,6 @@ __all__ = [
     "synthetic_motion",
     "BNNLayer",
     "BNNModel",
-    "PackedLayer",
-    "PackedModel",
-    "batched_predict",
-    "batched_scores",
-    "pack_bits64",
-    "pack_sign_rows",
-    "packed_model",
-    "popcount64",
-    "predict_with_engine",
     "binarize_sign",
     "bits_to_sign",
     "pack_bits",

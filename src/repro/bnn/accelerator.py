@@ -194,7 +194,7 @@ class BNNAccelerator:
 
         ``engine`` selects the functional kernel through the
         :mod:`repro.engine` registry — any registered name (``accurate``,
-        ``fast``, ``parallel``, ...) or engine object; ``None`` follows
+        ``fast``, ...) or engine object; ``None`` follows
         the session's ``SimConfig.engine``.  Every engine classifies
         identically, and the timing/probe accounting (``bnn.batch``,
         cycle/MAC counters) is engine-independent — the fast engines

@@ -131,15 +131,30 @@ class BNNModel:
     def predict(self, x_sign: np.ndarray) -> int:
         return int(np.argmax(self.scores(x_sign)))
 
-    def predict_batch(self, x_signs: np.ndarray) -> np.ndarray:
-        """Vectorized prediction; ``x_signs`` is (n_samples, input_size)."""
-        activation = np.asarray(x_signs, dtype=np.int32).T  # (features, samples)
-        for layer in self.layers[:-1]:
+    @staticmethod
+    def _signs_after(layers: Sequence[BNNLayer],
+                     activation: np.ndarray) -> np.ndarray:
+        """Threshold a (features, samples) int32 batch through ``layers``."""
+        for layer in layers:
             pre = layer.weights.astype(np.int32) @ activation + layer.bias[:, None]
             activation = np.where(pre >= 0, 1, -1).astype(np.int32)
-        scores = self.layers[-1].weights.astype(np.int32) @ activation \
-            + self.layers[-1].bias[:, None]
-        return np.argmax(scores, axis=0)
+        return activation
+
+    def scores_batch(self, x_signs: np.ndarray) -> np.ndarray:
+        """Integer class scores ``(n_samples, n_classes)`` of a sign batch.
+
+        Exact int32 matmuls, like :meth:`scores` row by row: every partial
+        sum stays inside int32 while each fan-in is below 2**31.
+        """
+        activation = np.asarray(x_signs, dtype=np.int32).T  # (features, samples)
+        activation = self._signs_after(self.layers[:-1], activation)
+        last = self.layers[-1]
+        scores = last.weights.astype(np.int32) @ activation + last.bias[:, None]
+        return scores.T
+
+    def predict_batch(self, x_signs: np.ndarray) -> np.ndarray:
+        """Vectorized prediction; ``x_signs`` is (n_samples, input_size)."""
+        return np.argmax(self.scores_batch(x_signs), axis=1)
 
     def accuracy(self, x_signs: np.ndarray, labels: np.ndarray) -> float:
         predictions = self.predict_batch(x_signs)
@@ -154,10 +169,7 @@ class BNNModel:
         consumes binary activations, not integer scores.
         """
         activation = np.asarray(x_signs, dtype=np.int32).T
-        for layer in self.layers:
-            pre = layer.weights.astype(np.int32) @ activation + layer.bias[:, None]
-            activation = np.where(pre >= 0, 1, -1).astype(np.int32)
-        return activation.T.astype(np.int8)
+        return self._signs_after(self.layers, activation).T.astype(np.int8)
 
     # -- restructuring helpers -------------------------------------------
     def split(self, front_layers: int) -> Tuple["BNNModel", "BNNModel"]:

@@ -1,9 +1,8 @@
 """Whole-batch GEMM BNN kernels (the ``fast`` engine's BNN half).
 
-:mod:`repro.bnn.batched` bit-packs signs into uint64 words, but its
-inner loop still walks packed words one at a time in Python.  This
-module pushes the *entire* batch through each layer as one float32
-matmul per layer, so BLAS does the heavy lifting.
+The scalar path (:meth:`BNNModel.scores`) evaluates one image at a time
+with int32 matmuls.  This module pushes the *entire* batch through each
+layer as one float32 matmul per layer, so BLAS does the heavy lifting.
 
 With ±1 weights ``W`` and sign inputs written as ``x = 2a − 1`` for
 ``a ∈ {0,1}``, the pre-activation collapses to
@@ -13,14 +12,15 @@ integer with magnitude ≤ fan_in, and float32 represents integers exactly
 up to 2**24, so the matmul is exact whenever
 ``fan_in < GEMM_MAX_FAN_IN`` (the thresholds are half-integers, which
 float32 also represents exactly at these magnitudes).  A model with a
-wider layer scores through the packed kernel of
-:mod:`repro.bnn.batched` instead, which is exact at any width.
+wider layer scores through the oracle's whole-batch int32 matmul
+(:meth:`BNNModel.scores_batch`, :meth:`BNNModel.hidden_forward_batch`)
+instead, which stays exact while every fan-in is below 2**31.
 
 Either way the result is bit-identical to the scalar path — the
 differential suites pin scores, predictions and hidden activations
 against every registered engine.  The ``fast`` engine assembled in
 :mod:`repro.cpu.fastpath` mixes :class:`VectorizedBNNHalf` into its
-superblock CPU interpreter.  See ``docs/KERNELS.md`` for the layout and
+superblock CPU interpreter.  See ``docs/KERNELS.md`` for the kernel and
 decision tables (lint-checked by ``tools/check_docs.py``).
 """
 
@@ -33,12 +33,8 @@ from typing import List
 import numpy as np
 
 from repro.bnn import quantize as q
-from repro.bnn.batched import (
-    _as_sign_batch,
-    batched_hidden_forward,
-    batched_scores,
-)
 from repro.bnn.model import BNNModel
+from repro.errors import ConfigurationError
 
 #: largest fan-in for which the float32 GEMM kernel is exact: every
 #: partial sum is an integer of magnitude < 2**24 (float32's exact
@@ -61,7 +57,7 @@ class VectorizedModel:
 
     ``exact`` is False when a layer is too wide for float32 to hold its
     partial sums exactly; such a model gets no GEMM lowering and scores
-    through the packed kernel (which lowers, and caches, its own twin).
+    through the model's own int32 batch matmul.
     """
 
     def __init__(self, model: BNNModel):
@@ -99,7 +95,9 @@ class VectorizedModel:
         return q.bits_to_sign(bits.astype(np.uint8))
 
 
-#: lowered-model cache, weak like the packed cache of repro.bnn.batched
+#: lowered-model cache: lowering is O(weights) and models are immutable
+#: in practice, so one lowering per live model instance is kept (weakly
+#: — dropping the model drops its lowering)
 _VECTORIZED_CACHE: "weakref.WeakKeyDictionary[BNNModel, VectorizedModel]" = \
     weakref.WeakKeyDictionary()
 
@@ -113,18 +111,25 @@ def vectorized_model(model: BNNModel) -> VectorizedModel:
     return lowered
 
 
-def _as_unit_batch(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
-    """Validated sign rows → float32 {0,1} rows for the GEMM kernel."""
-    return (_as_sign_batch(model, x_signs) > 0).astype(np.float32)
+def _as_sign_batch(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
+    """Validate a ``(batch, input_size)`` sign batch against ``model``."""
+    x = q.check_sign_domain(np.atleast_2d(np.asarray(x_signs)))
+    if x.ndim != 2:
+        raise ConfigurationError("batched input must be (batch, input_size)")
+    if x.shape[1] != model.input_size:
+        raise ConfigurationError(
+            f"input size {x.shape[1]} != model input {model.input_size}")
+    return x
 
 
 def vectorized_scores(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
     """Integer class scores ``(batch, n_classes)``, bit-identical to the
-    scalar path and to :func:`repro.bnn.batched.batched_scores`."""
+    scalar path (``np.stack([model.scores(x) for x in x_signs])``)."""
+    x = _as_sign_batch(model, x_signs)
     lowered = vectorized_model(model)
     if not lowered.exact:
-        return batched_scores(model, x_signs)
-    return lowered.gemm_scores(_as_unit_batch(model, x_signs))
+        return model.scores_batch(x)
+    return lowered.gemm_scores((x > 0).astype(np.float32))
 
 
 def vectorized_predict(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
@@ -136,10 +141,11 @@ def vectorized_hidden_forward(model: BNNModel,
                               x_signs: np.ndarray) -> np.ndarray:
     """Sign activations after *every* layer, bit-identical to
     :meth:`BNNModel.hidden_forward_batch`."""
+    x = _as_sign_batch(model, x_signs)
     lowered = vectorized_model(model)
     if not lowered.exact:
-        return batched_hidden_forward(model, x_signs)
-    return lowered.gemm_hidden(_as_unit_batch(model, x_signs))
+        return model.hidden_forward_batch(x)
+    return lowered.gemm_hidden((x > 0).astype(np.float32))
 
 
 class VectorizedBNNHalf:

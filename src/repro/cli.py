@@ -1068,12 +1068,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "PATH")
     att.add_argument("--trace", metavar="PATH",
                      help="write a Chrome/Perfetto trace of the attributed "
-                          "runs (obs.* phase tracks + bnn.parallel.* "
-                          "shard lanes)")
+                          "runs (obs.* phase tracks)")
     att.add_argument("--metrics-out", metavar="PATH",
-                     help="write OpenMetrics gauges/histograms of the "
-                          "attribution (per-phase cycles, wall seconds, "
-                          "fractions, shard samples)")
+                     help="write OpenMetrics gauges of the attribution "
+                          "(per-phase cycles, wall seconds, fractions)")
     att.add_argument("--metrics-json", metavar="PATH",
                      help="write the same metrics as a stable-ordered "
                           "JSON document")

@@ -205,8 +205,8 @@ class NCPUCore:
 
         x_signs = self._read_packed_inputs(n_inputs, input_bits)
         # engine-aware: the resolved engine's BNN half does the math (the
-        # fast/parallel engines swap in bit-packed batched kernels);
-        # predictions are identical either way, only host speed changes
+        # fast engine swaps in its whole-batch GEMM kernel); predictions
+        # are identical either way, only host speed changes
         predictions = self.engine.predict(model, x_signs)
         timing = self.accelerator.batch_timing(
             model, n_inputs,

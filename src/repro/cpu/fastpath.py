@@ -495,10 +495,10 @@ class FastEngine(VectorizedBNNHalf, ExecutionEngine):
 
     name = "fast"
     description = ("superblock interpreter (single-cycle timing) and "
-                   "whole-batch float32 GEMM BNN kernels (packed "
-                   "XNOR-popcount beyond the exactness bound)")
+                   "whole-batch float32 GEMM BNN kernels (exact int32 "
+                   "matmul beyond the exactness bound)")
     capabilities = EngineCapabilities(
-        timing_accurate=False, functional=True, batched=True, sharded=False,
+        timing_accurate=False, functional=True, batched=True,
         phase_attribution=True)
 
     def create_cpu(self, program: Program,

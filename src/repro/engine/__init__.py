@@ -8,11 +8,8 @@ engines:
 
 * ``accurate`` — scalar golden-model BNN path + cycle-accurate pipeline
   (:mod:`repro.engine.accurate`); the timing oracle.
-* ``fast`` — basic-block interpreter (:mod:`repro.cpu.fastpath`) +
-  bit-packed whole-batch XNOR-popcount kernels
-  (:mod:`repro.bnn.batched`).
-* ``parallel`` — the fast engine with whole-batch inference sharded
-  across host processes (:mod:`repro.bnn.parallel`).
+* ``fast`` — superblock interpreter (:mod:`repro.cpu.fastpath`) +
+  whole-batch float32 GEMM BNN kernels (:mod:`repro.bnn.vectorized`).
 
 All engines are bit-identical on architectural results; only how fast
 the *simulation* runs on the host (and whether cycle counts are

@@ -25,7 +25,7 @@ class AccurateEngine(ExecutionEngine):
     description = ("cycle-accurate 5-stage pipeline (or functional ISS) "
                    "and scalar int32-matmul BNN inference")
     capabilities = EngineCapabilities(
-        timing_accurate=True, functional=True, batched=False, sharded=False,
+        timing_accurate=True, functional=True, batched=False,
         phase_attribution=True)
 
     # -- CPU half ---------------------------------------------------------

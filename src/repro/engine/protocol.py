@@ -20,8 +20,7 @@ An *execution engine* is one named backend that can run RV32I programs
   engine-independent; an engine's ``scores``/``predict``/
   ``hidden_forward`` compute pure functions of the model and inputs.
   Engines *may* emit probe events describing their own host-side
-  execution (the ``parallel`` engine's ``bnn.parallel.*`` shard
-  attribution) — events are observability, not accounting.
+  execution — events are observability, not accounting.
 
 Concrete engines subclass :class:`ExecutionEngine` and register with
 :func:`~repro.engine.registry.register_engine`; callers resolve them
@@ -63,10 +62,8 @@ class EngineCapabilities:
     * ``functional`` — architectural results are exact.  Every
       registered engine must set this: it is the registry's admission
       contract, and the differential suites enforce it.
-    * ``batched`` — BNN inference flows through whole-batch bit-packed
-      XNOR-popcount kernels instead of the scalar int32 matmul.
-    * ``sharded`` — batched inference additionally fans out across host
-      processes (with a serial fallback for small batches).
+    * ``batched`` — BNN inference flows through whole-batch kernels
+      (one GEMM per layer) instead of the per-row scalar int32 matmul.
     * ``phase_attribution`` — the engine's runs can be split into the
       six-phase ``repro.obs`` vocabulary with exact sum-to-total cycle
       accounting (``repro attribute`` refuses engines without it).
@@ -75,7 +72,6 @@ class EngineCapabilities:
     timing_accurate: bool
     functional: bool
     batched: bool
-    sharded: bool = False
     phase_attribution: bool = False
 
     def as_dict(self) -> Dict[str, bool]:

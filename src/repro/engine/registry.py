@@ -27,12 +27,11 @@ from repro.errors import ConfigurationError
 PROVIDER_MODULES = (
     "repro.engine.accurate",
     "repro.cpu.fastpath",
-    "repro.bnn.parallel",
 )
 
 #: retired engine names -> the registered engine that absorbed them; a
 #: lookup of one fails like any unknown name but names its replacement
-RETIRED_ENGINES = {"numpy": "fast"}
+RETIRED_ENGINES = {"numpy": "fast", "parallel": "fast"}
 
 _REGISTRY: Dict[str, ExecutionEngine] = {}
 _providers_loaded = False

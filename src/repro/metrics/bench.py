@@ -242,90 +242,64 @@ def _bench_bnn_infer(quick: bool) -> Dict[str, float]:
 
 
 #: model reused across repeats so the batched benches measure steady-state
-#: throughput (weights bit-packed once, like a deployed classifier)
+#: throughput (weights lowered once, like a deployed classifier)
 _BATCHED_MODEL = None
 
 
-def _register_batch_infer_bench(name: str, engine: str, *, n_quick: int,
-                                n_full: int, help: str) -> None:
-    """Register a whole-batch inference bench for one registered engine.
+def _batched_model(scenario: Scenario):
+    global _BATCHED_MODEL
+    if _BATCHED_MODEL is None:
+        from repro.scenario.materialize import build_model
 
-    All batch benches share the scenario's model and input recipe, so
-    their numbers are directly comparable across engines (fast vs
-    parallel).
-    """
-    scenario = _bnn_scenario(name, engine, n_full)
+        _BATCHED_MODEL = build_model(scenario)
+    return _BATCHED_MODEL
 
-    @bench(name, work_key="inferences", unit="inferences/s", help=help,
-           scenario=scenario)
-    def _bench(quick: bool) -> Dict[str, float]:
-        from repro.bnn import BNNAccelerator
-        from repro.scenario.materialize import build_inputs, build_model
 
-        global _BATCHED_MODEL
-        if _BATCHED_MODEL is None:
-            _BATCHED_MODEL = build_model(scenario)
-        accelerator = BNNAccelerator()
-        n = n_quick if quick else scenario.batch_size
+@bench("bnn.batched.infer", work_key="inferences", unit="inferences/s",
+       help="whole-batch inference throughput (--engine fast), timing "
+            "accounting included",
+       scenario=_bnn_scenario("bnn.batched.infer", "fast", 2000))
+def _bench_batched_infer(quick: bool) -> Dict[str, float]:
+    from repro.bnn import BNNAccelerator
+    from repro.scenario.materialize import build_inputs
+
+    scenario = _REGISTRY["bnn.batched.infer"].scenario
+    n = 200 if quick else scenario.batch_size
+    inputs = build_inputs(scenario, batch_size=n)
+    _, timing = BNNAccelerator().infer_batch(_batched_model(scenario), inputs,
+                                             engine=scenario.engine.name)
+    return {"inferences": n, "simulated_cycles": timing.total_cycles}
+
+
+#: prebuilt (engine, model, inputs) per batch size, so the kernel bench
+#: times *only* the scoring kernel
+_KERNEL_BENCH_STATE: Dict[int, Any] = {}
+
+
+@bench("bnn.fast.infer", work_key="inferences", unit="inferences/s",
+       help="whole-batch GEMM scoring kernel alone (--engine fast): "
+            "prebuilt model + inputs, no accelerator timing model",
+       scenario=_bnn_scenario("bnn.fast.infer", "fast", 2000))
+def _bench_fast_kernel(quick: bool) -> Dict[str, float]:
+    """Unlike ``bnn.batched.infer``, the model and inputs are built (and
+    the engine's lowering cache warmed) *outside* the timed region, and
+    no accelerator timing model runs: the measured call is exactly one
+    ``engine.scores`` over the scenario's batch."""
+    from repro.engine import get_engine
+    from repro.scenario.materialize import build_inputs
+
+    scenario = _REGISTRY["bnn.fast.infer"].scenario
+    n = 200 if quick else scenario.batch_size
+    state = _KERNEL_BENCH_STATE.get(n)
+    if state is None:
+        engine = get_engine(scenario.engine.name)
+        model = _batched_model(scenario)
         inputs = build_inputs(scenario, batch_size=n)
-        _, timing = accelerator.infer_batch(_BATCHED_MODEL, inputs,
-                                            engine=scenario.engine.name)
-        return {"inferences": n, "simulated_cycles": timing.total_cycles}
-
-
-_register_batch_infer_bench(
-    "bnn.batched.infer", "fast", n_quick=200, n_full=2000,
-    help="whole-batch inference throughput (--engine fast), timing "
-         "accounting included")
-_register_batch_infer_bench(
-    "bnn.parallel.infer", "parallel", n_quick=200, n_full=4000,
-    help="process-sharded whole-batch inference throughput (--engine "
-         "parallel; serial fallback below the sharding threshold)")
-
-
-#: prebuilt (engine, model, inputs) per kernel bench + batch size, so the
-#: kernel benches time *only* the scoring kernels on identical data
-_KERNEL_BENCH_STATE: Dict[Any, Any] = {}
-
-
-def _register_kernel_scores_bench(name: str, engine: str, *, n_quick: int,
-                                  n_full: int, help: str) -> None:
-    """Register a scoring-kernel bench for one registered engine.
-
-    Unlike :func:`_register_batch_infer_bench`, the model and inputs are
-    built (and the engine's packed/lowered caches warmed) *outside* the
-    timed region, and no accelerator timing model runs — the measured
-    call is exactly one ``engine.scores`` over the scenario's batch, so
-    kernel benches are directly comparable across engines.
-    """
-    scenario = _bnn_scenario(name, engine, n_full)
-
-    @bench(name, work_key="inferences", unit="inferences/s", help=help,
-           scenario=scenario)
-    def _bench(quick: bool) -> Dict[str, float]:
-        from repro.engine import get_engine
-        from repro.scenario.materialize import build_inputs, build_model
-
-        n = n_quick if quick else scenario.batch_size
-        state = _KERNEL_BENCH_STATE.get((name, n))
-        if state is None:
-            global _BATCHED_MODEL
-            if _BATCHED_MODEL is None:
-                _BATCHED_MODEL = build_model(scenario)
-            engine_obj = get_engine(scenario.engine.name)
-            inputs = build_inputs(scenario, batch_size=n)
-            engine_obj.scores(_BATCHED_MODEL, inputs)  # warm lowering caches
-            state = (engine_obj, _BATCHED_MODEL, inputs)
-            _KERNEL_BENCH_STATE[(name, n)] = state
-        engine_obj, model, inputs = state
-        engine_obj.scores(model, inputs)
-        return {"inferences": n}
-
-
-_register_kernel_scores_bench(
-    "bnn.fast.infer", "fast", n_quick=200, n_full=2000,
-    help="whole-batch GEMM scoring kernel alone (--engine fast): "
-         "prebuilt model + inputs, no accelerator timing model")
+        engine.scores(model, inputs)  # warm the lowering cache
+        state = _KERNEL_BENCH_STATE[n] = (engine, model, inputs)
+    engine, model, inputs = state
+    engine.scores(model, inputs)
+    return {"inferences": n}
 
 
 #: the serve bench's scenario: the paper-shaped classifier offered at a

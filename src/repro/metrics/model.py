@@ -275,10 +275,7 @@ class MetricsCollection:
         """Fold one :class:`repro.obs.RunAttribution` into the collection.
 
         Per phase: cycle and wall-second gauges plus a cycle-fraction
-        gauge, all labelled by scenario/engine/kind/phase.  Per-shard
-        wall samples of the parallel engine become histograms so fan-out
-        variance is scrape-visible, and ``repro_obs_serial_fallback``
-        records whether the sharded path actually ran.
+        gauge, all labelled by scenario/engine/kind/phase.
         """
         from repro.obs import PHASES
 
@@ -291,11 +288,6 @@ class MetricsCollection:
         self.gauge("repro_obs_total_wall_seconds", attribution.total_wall_s,
                    labels=labels, unit="seconds",
                    help="total host wall time of the attributed run")
-        self.gauge("repro_obs_serial_fallback",
-                   1.0 if attribution.serial_fallback else 0.0,
-                   labels=labels,
-                   help="1 when the parallel engine took its serial "
-                        "fallback during the run")
         cycle_fractions = attribution.cycle_fractions()
         for phase in PHASES:
             phase_labels = dict(labels, phase=phase)
@@ -310,15 +302,6 @@ class MetricsCollection:
             self.gauge("repro_obs_phase_cycle_fraction",
                        cycle_fractions[phase], labels=phase_labels,
                        help="this phase's share of total simulated cycles")
-        if attribution.workers:
-            for piece in ("serialize_s", "queue_wait_s", "compute_s"):
-                self.histogram(
-                    f"repro_obs_shard_{piece[:-2]}_seconds",
-                    [float(sample.get(piece, 0.0))
-                     for sample in attribution.workers],
-                    labels=labels, unit="seconds",
-                    help=f"per-shard {piece[:-2]} wall time of the "
-                         "parallel engine")
 
 
 class MetricsRecorder:

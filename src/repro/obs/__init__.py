@@ -17,7 +17,6 @@ from repro.obs.attribution import (
     ATTRIBUTION_SCHEMA,
     PHASE_EVENT,
     RunAttribution,
-    ShardCollector,
     attribute_chained,
     attribute_scenario,
     attribution_document,
@@ -59,7 +58,6 @@ __all__ = [
     "OVERHEAD",
     "PhaseRecorder",
     "RunAttribution",
-    "ShardCollector",
     "attribute_chained",
     "attribute_scenario",
     "attribution_document",

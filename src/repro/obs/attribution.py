@@ -24,10 +24,7 @@ profiler's exact-attribution discipline):
   cycles across cores.
 
 The wall side comes from a :class:`~repro.obs.phases.PhaseRecorder`
-around the real harness regions.  When the ``parallel`` engine shards
-the batch, its ``bnn.parallel.shard``/``merge``/``fallback`` probe
-events are captured into per-worker samples and the
-``serial_fallback`` flag — same vocabulary, one level deeper.
+around the real harness regions.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from repro.obs.phases import (
 )
 
 #: schema tag of the ``repro attribute`` JSON document
-ATTRIBUTION_SCHEMA = "repro-attribution/1"
+ATTRIBUTION_SCHEMA = "repro-attribution/2"
 
 #: probe event published once per phase after an attributed run
 PHASE_EVENT = "obs.phase"
@@ -150,10 +147,6 @@ class RunAttribution:
     wall_s: Dict[str, float]
     #: device profile the run was attributed under (ncpu-65nm by default)
     profile: str = "ncpu-65nm"
-    #: per-shard wall samples of the parallel engine (empty otherwise)
-    workers: List[Dict[str, float]] = field(default_factory=list)
-    #: True when the parallel engine took its serial fallback
-    serial_fallback: bool = False
     detail: Dict[str, Any] = field(default_factory=dict)
 
     def check(self) -> None:
@@ -182,44 +175,8 @@ class RunAttribution:
                        for phase in PHASES},
             "cycle_fractions": self.cycle_fractions(),
             "wall_fractions": self.wall_fractions(),
-            "workers": [dict(sample) for sample in self.workers],
-            "serial_fallback": bool(self.serial_fallback),
             "detail": dict(self.detail),
         }
-
-
-class ShardCollector:
-    """Captures the parallel engine's shard/fallback probes for one run."""
-
-    EVENTS = ("bnn.parallel.shard", "bnn.parallel.merge",
-              "bnn.parallel.fallback")
-
-    def __init__(self, registry):
-        self.registry = registry
-        self.shards: List[Dict[str, float]] = []
-        self.merge: Optional[Dict[str, float]] = None
-        self.fallback = False
-
-    def __enter__(self) -> "ShardCollector":
-        for event in self.EVENTS:
-            self.registry.subscribe(event, self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        for event in self.EVENTS:
-            self.registry.unsubscribe(event, self)
-
-    def __call__(self, event: str, payload: Mapping[str, Any]) -> None:
-        if event == "bnn.parallel.shard":
-            self.shards.append({key: payload[key] for key in
-                                ("shard", "rows", "transport",
-                                 "serialize_s", "queue_wait_s",
-                                 "compute_s")
-                                if key in payload})
-        elif event == "bnn.parallel.merge":
-            self.merge = dict(payload)
-        elif event == "bnn.parallel.fallback":
-            self.fallback = True
 
 
 # -- runners --------------------------------------------------------------
@@ -272,7 +229,7 @@ def attribute_scenario(scenario, engine=None) -> RunAttribution:
     session = get_session()
     recorder = PhaseRecorder()
     detail: Dict[str, Any] = {}
-    with ShardCollector(session.stats) as collector, recorder.run():
+    with recorder.run():
         with recorder.measure(INIT):
             resolved = _resolve_attributing_engine(engine, scenario)
         if scenario.workload.kind == "cpu":
@@ -312,8 +269,7 @@ def attribute_scenario(scenario, engine=None) -> RunAttribution:
         engine=resolved.name, profile=scenario.device.profile,
         total_cycles=total_cycles,
         total_wall_s=recorder.total_wall_s, cycles=cycles,
-        wall_s=recorder.wall_phases(), workers=collector.shards,
-        serial_fallback=collector.fallback, detail=detail)
+        wall_s=recorder.wall_phases(), detail=detail)
     return _publish(session, attribution)
 
 
@@ -338,7 +294,7 @@ def attribute_chained(scenario, engine=None,
             "scenario")
     session = get_session()
     recorder = PhaseRecorder()
-    with ShardCollector(session.stats) as collector, recorder.run():
+    with recorder.run():
         with recorder.measure(INIT):
             resolved = _resolve_attributing_engine(engine, scenario)
             model = build_model(scenario)
@@ -374,9 +330,7 @@ def attribute_chained(scenario, engine=None,
         scenario=scenario.name, kind="chained", engine=resolved.name,
         profile=scenario.device.profile,
         total_cycles=int(makespan), total_wall_s=recorder.total_wall_s,
-        cycles=cycles, wall_s=recorder.wall_phases(),
-        workers=collector.shards, serial_fallback=collector.fallback,
-        detail=detail)
+        cycles=cycles, wall_s=recorder.wall_phases(), detail=detail)
     return _publish(session, attribution)
 
 
@@ -416,36 +370,19 @@ def render_attribution(attributions: Sequence[RunAttribution]) -> str:
         lines.append(
             f"| **total** | {attribution.total_cycles} | 100.0% "
             f"| {_format_seconds(attribution.total_wall_s)} | 100.0% |")
-        if attribution.workers:
-            lines.append("")
-            lines.append(f"{len(attribution.workers)} parallel shards "
-                         "(serialize / queue-wait / compute, seconds):")
-            for sample in attribution.workers:
-                lines.append(
-                    f"- shard {int(sample.get('shard', 0))}: "
-                    f"{int(sample.get('rows', 0))} rows, "
-                    f"{_format_seconds(sample.get('serialize_s', 0.0))} / "
-                    f"{_format_seconds(sample.get('queue_wait_s', 0.0))} / "
-                    f"{_format_seconds(sample.get('compute_s', 0.0))}")
-        if attribution.serial_fallback:
-            lines.append("")
-            lines.append("serial fallback: the batch ran on the serial "
-                         "kernels (below the sharding threshold)")
         lines.append("")
     if len(attributions) > 1:
         lines.append("### A/B summary")
         lines.append("")
         lines.append("| engine | total cycles | total wall s "
-                     "| inference cycles % | inference wall % "
-                     "| serial_fallback |")
-        lines.append("|---|---|---|---|---|---|")
+                     "| inference cycles % | inference wall % |")
+        lines.append("|---|---|---|---|---|")
         for attribution in attributions:
             lines.append(
                 f"| `{attribution.engine}` | {attribution.total_cycles} "
                 f"| {_format_seconds(attribution.total_wall_s)} "
                 f"| {attribution.cycle_fractions()[INFERENCE] * 100:.1f}% "
-                f"| {attribution.wall_fractions()[INFERENCE] * 100:.1f}% "
-                f"| {'yes' if attribution.serial_fallback else 'no'} |")
+                f"| {attribution.wall_fractions()[INFERENCE] * 100:.1f}% |")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 
@@ -453,8 +390,7 @@ def render_attribution(attributions: Sequence[RunAttribution]) -> str:
 def validate_attribution_dict(data: Mapping[str, Any]) -> None:
     """Schema + invariant check of one serialized attribution entry."""
     for key in ("scenario", "kind", "engine", "total_cycles",
-                "total_wall_s", "cycles", "wall_s", "cycle_fractions",
-                "serial_fallback"):
+                "total_wall_s", "cycles", "wall_s", "cycle_fractions"):
         if key not in data:
             raise ObservabilityError(f"attribution entry missing {key!r}")
     check_cycle_attribution(data["cycles"], data["total_cycles"],

@@ -48,8 +48,8 @@ def default_engines() -> Tuple[str, ...]:
 
 
 #: fuzzer draw bounds — small enough that a 25-scenario run stays in
-#: seconds, wide enough to hit odd shapes (non-multiple-of-64 widths
-#: stress the bit-packed kernels' tail masking).  Hidden/output widths
+#: seconds, wide enough to hit odd shapes (widths like 1, 17 and 65
+#: stress the kernels' edge cases).  Hidden/output widths
 #: respect the accelerator array's 100-neuron fan-out limit; the input
 #: width (fan-in of layer 1) is architecturally unbounded.
 INPUT_WIDTH_CHOICES = (1, 3, 17, 33, 64, 65, 100, 127, 200)

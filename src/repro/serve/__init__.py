@@ -12,7 +12,7 @@ Observability is first-class rather than bolted on:
 * every request's lifecycle (enqueue → batch-assemble → dispatch →
   engine-infer → respond) is published as ``serve.*`` probe events, so
   an installed :class:`~repro.trace.Tracer` renders per-request
-  Perfetto lanes next to the engine's shard tracks;
+  Perfetto lanes next to the batcher and queue-depth tracks;
 * :mod:`repro.serve.slo` estimates p50/p95/p99 latency with fixed-bucket
   log-scale streaming histograms (no per-request allocation) and folds
   queue-depth / inflight / shed / timeout telemetry into the standard

@@ -10,6 +10,9 @@ the event loop: a 32-row batch scores in about 0.1 ms, far less than a
 thread-pool hop costs, so arrivals wait out the compute instead of a
 hand-off.  An engine fault resolves its batch's requests with the
 ``error`` status (logged once per fault) and the batcher keeps serving.
+If the batcher itself stops — cancelled or crashed — every request it
+left queued or half-assembled resolves with ``error`` too, and later
+submits raise instead of queueing behind a batcher that is gone.
 
 Observability is the point: every request carries the full lifecycle
 timestamp chain (submit → enqueue → batch-assemble → dispatch →
@@ -184,6 +187,8 @@ class NCPUServer:
         self.sim_macs = 0
         self._queue: Optional[asyncio.Queue] = None
         self._batcher: Optional[asyncio.Task] = None
+        #: the batch the batcher is assembling (requests already dequeued)
+        self._assembling: List[_Pending] = []
         self._t0 = 0.0
         self._t_stop: Optional[float] = None
         self._n_submitted = 0
@@ -198,14 +203,19 @@ class NCPUServer:
         self._t0 = time.perf_counter()
         self._t_stop = None
         self._batcher = asyncio.ensure_future(self._batch_loop())
+        self._batcher.add_done_callback(self._batcher_done)
         return self
 
     async def stop(self) -> None:
-        """Drain queued work, dispatch the final batch, stop the batcher."""
+        """Drain queued work, dispatch the final batch, stop the batcher.
+
+        Returns once the batcher is done, however it ended.
+        """
         if self._batcher is None:
             return
-        await self._queue.put(_CLOSE)
-        await self._batcher
+        if not self._batcher.done():
+            self._queue.put_nowait(_CLOSE)
+        await asyncio.wait((self._batcher,))
         self._batcher = None
         self._t_stop = time.perf_counter()
 
@@ -237,6 +247,9 @@ class NCPUServer:
         """
         if self._batcher is None:
             raise RuntimeError("server is not running (use 'async with')")
+        if self._batcher.done():
+            raise RuntimeError("server batcher has stopped; no request "
+                               "can be served")
         request = Request(index=self._n_submitted, t_submit=self._now())
         self._n_submitted += 1
         self.requests.append(request)
@@ -267,7 +280,7 @@ class NCPUServer:
             first = await self._queue.get()
             if first is _CLOSE:
                 break
-            batch = [first]
+            batch = self._assembling = [first]
             if self.policy.batch_window_s > 0:
                 closing = self._take_queued(batch)
                 # the window opened when the first row arrived, which may
@@ -288,6 +301,27 @@ class NCPUServer:
             self._take_queued(tail)
             if tail:
                 self._dispatch(tail)
+
+    def _batcher_done(self, task: asyncio.Task) -> None:
+        """Resolve what the batcher left behind with ``error``.
+
+        A batcher that drained its queue and closed leaves nothing; one
+        that was cancelled or crashed leaves its half-assembled batch and
+        the queue, whose submitters would otherwise wait forever.
+        """
+        stranded = [pending for pending in self._assembling
+                    if not pending.future.done()]
+        while not self._queue.empty():
+            item = self._queue.get_nowait()
+            if item is not _CLOSE:
+                stranded.append(item)
+        crash = None if task.cancelled() else task.exception()
+        if stranded or crash is not None:
+            logger.error("batcher %s with %d requests unserved; they "
+                         "resolve with status %r",
+                         "cancelled" if crash is None else "crashed",
+                         len(stranded), ERROR, exc_info=crash)
+            self._resolve_error(stranded)
 
     def _take_queued(self, batch: List[_Pending]) -> bool:
         """Move already-queued rows into ``batch``, up to ``max_batch``,
@@ -379,14 +413,18 @@ class NCPUServer:
             "queue_depth": self._queue.qsize(),
             "cycles": int(timing.total_cycles)})
 
-    def _resolve_error(self, live: List[_Pending], batch_index: int) -> None:
-        """Resolve a faulted batch's requests with the ``error`` status;
-        their lifecycle stops at assembly, the rest is ``overhead``."""
+    def _resolve_error(self, live: List[_Pending],
+                       batch_index: Optional[int] = None) -> None:
+        """Resolve requests with the ``error`` status — a faulted batch's,
+        or (no ``batch_index``) those a stopped batcher never dispatched.
+        Their lifecycle stops at assembly or before; the rest is
+        ``overhead``."""
         for pending in live:
             request = pending.request
             request.status = ERROR
-            request.batch_index = batch_index
-            request.batch_size = len(live)
+            if batch_index is not None:
+                request.batch_index = batch_index
+                request.batch_size = len(live)
             request.t_respond = self._now()
             request.finalize_phases()
             self._n_resolved += 1

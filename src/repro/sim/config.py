@@ -93,10 +93,10 @@ class SimConfig:
     configuration and feed the deterministic :attr:`hash`;
     ``cache_dir``/``cache_enabled`` only say where artifacts are stored
     and are deliberately excluded from it.  ``engine`` names a backend
-    registered in :mod:`repro.engine` (``accurate``, ``fast``,
-    ``parallel``, ...); every engine produces identical architectural
-    results (the equivalence suites pin this), so the engine — and the
-    scenario's engine spec — are excluded from the hash too.  ``profile``
+    registered in :mod:`repro.engine` (``accurate``, ``fast``, ...);
+    every engine produces identical architectural results (the
+    equivalence suites pin this), so the engine — and the scenario's
+    engine spec — are excluded from the hash too.  ``profile``
     names a device profile registered in :mod:`repro.power.profiles`; it
     is what :func:`repro.power.resolve_profile` falls back to when a
     power-layer call names no profile.  Unlike the engine it *does*

@@ -46,8 +46,6 @@ CPU_TRACK = "cpu.pipeline"
 BNN_TRACK = "bnn"
 #: default track of the DMA engine
 DMA_TRACK = "dma"
-#: track of the parallel engine's per-shard wall-time spans
-PARALLEL_TRACK = "bnn.parallel"
 #: track prefix of the serve layer's lanes (batcher, admission, queue)
 SERVE_TRACK = "serve"
 #: per-request serve lanes rotate over this many tracks, so a long load
@@ -279,24 +277,6 @@ class ProbeBridge:
                      else CPU_TRACK)
             tracer.instant(event, track=track, ts=payload.get("cycles"),
                            cat="cpu", **dict(payload))
-        elif event == "bnn.parallel.shard":
-            # wall seconds -> microsecond ticks on a per-shard lane, so
-            # Perfetto shows serialize / queue-wait / compute end to end
-            track = f"{PARALLEL_TRACK}.shard{payload.get('shard', 0)}"
-            for piece in ("serialize", "queue_wait", "compute"):
-                tracer.lay(piece, track=track,
-                           dur=float(payload.get(f"{piece}_s", 0.0)) * 1e6,
-                           cat="parallel", rows=payload.get("rows", 0))
-        elif event == "bnn.parallel.merge":
-            tracer.lay("merge", track=PARALLEL_TRACK,
-                       dur=float(payload.get("merge_s", 0.0)) * 1e6,
-                       cat="parallel", shards=payload.get("shards", 0),
-                       rows=payload.get("rows", 0))
-        elif event == "bnn.parallel.fallback":
-            tracer.instant(event, track=PARALLEL_TRACK,
-                           ts=tracer.cursor(PARALLEL_TRACK), cat="parallel",
-                           rows=payload.get("rows", 0),
-                           reason=payload.get("reason", ""))
         elif event == "obs.phase":
             track = f"obs.{payload.get('engine', 'run')}"
             tracer.lay(payload.get("phase", "phase"), track=track,
@@ -307,8 +287,8 @@ class ProbeBridge:
         elif event == "serve.request":
             self._serve_request_spans(payload)
         elif event == "serve.batch":
-            # wall seconds -> microsecond ticks, same convention as the
-            # parallel shard lanes, so serve and engine tracks line up
+            # wall seconds -> microsecond ticks, like the per-request
+            # lanes, so the batch span lines up with its requests
             start = float(payload.get("assembled_s", 0.0)) * 1e6
             end = float(payload.get("infer_done_s", start)) * 1e6
             tracer.complete(f"batch x{payload.get('size', 0)}",

@@ -1,9 +1,12 @@
-"""Differential equivalence: batched bit-packed BNN kernels vs. scalar path.
+"""Differential equivalence: whole-batch BNN scoring vs. the scalar path.
 
-The ``--engine fast`` contract is *bit-identical logits*, not approximate
-agreement: for every topology and batch, :func:`repro.bnn.batched.
-batched_scores` must equal the int32 matmul scores of the scalar path
-exactly, and the probe/timing accounting must not depend on the engine.
+Two paths score a whole batch at once: the ``fast`` engine's float32
+GEMM, reached through the :mod:`repro.engine` registry, and the oracle's
+int32 batch matmul :meth:`BNNModel.scores_batch`, which backs
+``predict_batch`` and the ``fast`` engine's exactness fallback.  The
+contract is *bit-identical logits*, not approximate agreement: for every
+topology and batch both must equal the per-row scalar scores exactly,
+and the probe/timing accounting must not depend on the engine.
 """
 
 import numpy as np
@@ -12,15 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bnn import BNNAccelerator, BNNModel
-from repro.bnn.batched import (
-    PackedModel,
-    batched_predict,
-    batched_scores,
-    pack_bits64,
-    packed_model,
-    popcount64,
-    predict_with_engine,
-)
+from repro.engine import get_engine, resolve_engine
 from repro.errors import ConfigurationError
 from repro.sim import use_session
 
@@ -35,61 +30,46 @@ def _scalar_scores(model, x):
     return np.stack([model.scores(row) for row in x])
 
 
-class TestPackedPrimitives:
-    def test_popcount64_matches_python_bin(self):
-        rng = np.random.default_rng(0)
-        words = rng.integers(0, 2**64, size=100, dtype=np.uint64)
-        expected = [bin(int(w)).count("1") for w in words]
-        assert popcount64(words).tolist() == expected
-
-    def test_popcount64_extremes(self):
-        words = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
-        assert popcount64(words).tolist() == [0, 1, 1, 64]
-
-    def test_pack_bits64_little_endian_layout(self):
-        bits = np.zeros(70, dtype=np.uint8)
-        bits[0] = 1   # bit 0 of word 0
-        bits[65] = 1  # bit 1 of word 1
-        packed = pack_bits64(bits)
-        assert packed.shape == (2,)
-        assert packed[0] == 1 and packed[1] == 2
-
-    def test_pack_bits64_pads_with_zeros(self):
-        packed = pack_bits64(np.ones(3, dtype=np.uint8))
-        assert packed.shape == (1,) and packed[0] == 0b111
+def _assert_batch_paths_match_scalar(model, x):
+    expected = _scalar_scores(model, x)
+    for batched in (get_engine("fast").scores(model, x),
+                    model.scores_batch(x)):
+        assert batched.dtype == np.int32
+        np.testing.assert_array_equal(batched, expected)
 
 
 class TestBitIdenticalScores:
     @pytest.mark.parametrize("topology", [
         [100, 100, 100, 10],   # the chip's canonical network
         [784, 100, 100, 10],   # MNIST-sized input
-        [64, 64, 4],           # exact word multiples
-        [65, 64, 3],           # one bit past a word boundary
+        [64, 64, 4],           # powers of two
+        [65, 64, 3],           # one past a power of two
         [33, 7, 5],            # nothing aligns
         [1, 1, 1],             # degenerate
-        [130, 2],              # single layer, multi-word
+        [130, 2],              # single layer
     ])
     def test_scores_bit_identical(self, topology):
         rng = np.random.default_rng(42)
         model = BNNModel.random(topology, rng)
         x = _random_inputs(rng, 23, topology[0])
-        batched = batched_scores(model, x)
-        assert batched.dtype == np.int32
-        assert np.array_equal(batched, _scalar_scores(model, x))
+        _assert_batch_paths_match_scalar(model, x)
 
     def test_predictions_match_predict_batch(self):
         rng = np.random.default_rng(7)
         model = BNNModel.random([100, 100, 100, 10], rng)
         x = _random_inputs(rng, 50, 100)
-        assert np.array_equal(batched_predict(model, x),
-                              model.predict_batch(x))
+        np.testing.assert_array_equal(get_engine("fast").predict(model, x),
+                                      model.predict_batch(x))
+        np.testing.assert_array_equal(
+            model.predict_batch(x),
+            np.array([model.predict(row) for row in x]))
 
     def test_single_row_input_promoted(self):
         rng = np.random.default_rng(3)
         model = BNNModel.random([40, 10], rng)
         row = _random_inputs(rng, 1, 40)[0]
-        assert np.array_equal(batched_scores(model, row)[0],
-                              model.scores(row))
+        np.testing.assert_array_equal(get_engine("fast").scores(model, row)[0],
+                                      model.scores(row))
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -101,37 +81,21 @@ class TestBitIdenticalScores:
         rng = np.random.default_rng(seed)
         model = BNNModel.random(sizes, rng)
         x = _random_inputs(rng, batch, sizes[0])
-        assert np.array_equal(batched_scores(model, x),
-                              _scalar_scores(model, x))
-
-
-class TestPackedModelCache:
-    def test_lowering_is_cached_per_model(self):
-        model = BNNModel.random([30, 10], np.random.default_rng(0))
-        assert packed_model(model) is packed_model(model)
-
-    def test_distinct_models_get_distinct_lowerings(self):
-        m1 = BNNModel.random([30, 10], np.random.default_rng(0))
-        m2 = BNNModel.random([30, 10], np.random.default_rng(0))
-        assert packed_model(m1) is not packed_model(m2)
-
-    def test_packed_model_requires_layers(self):
-        with pytest.raises(ConfigurationError):
-            PackedModel([])
+        _assert_batch_paths_match_scalar(model, x)
 
 
 class TestInputValidation:
     def test_wrong_input_size_rejected(self):
         model = BNNModel.random([30, 10], np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
-            batched_scores(model, np.ones((4, 29), dtype=np.int8))
+            get_engine("fast").scores(model, np.ones((4, 29), dtype=np.int8))
 
     def test_non_sign_values_rejected(self):
         model = BNNModel.random([30, 10], np.random.default_rng(0))
         bad = np.ones((2, 30), dtype=np.int8)
         bad[0, 0] = 0
         with pytest.raises(ConfigurationError):
-            batched_scores(model, bad)
+            get_engine("fast").scores(model, bad)
 
 
 class TestEngineSelection:
@@ -139,25 +103,27 @@ class TestEngineSelection:
         rng = np.random.default_rng(11)
         model = BNNModel.random([100, 100, 10], rng)
         x = _random_inputs(rng, 16, 100)
-        assert np.array_equal(
-            predict_with_engine(model, x, engine="fast"),
-            predict_with_engine(model, x, engine="accurate"))
+        np.testing.assert_array_equal(
+            resolve_engine("fast").predict(model, x),
+            resolve_engine("accurate").predict(model, x))
 
     def test_default_engine_follows_session(self):
         rng = np.random.default_rng(11)
         model = BNNModel.random([50, 10], rng)
         x = _random_inputs(rng, 4, 50)
         with use_session(cache_enabled=False, engine="fast"):
-            fast = predict_with_engine(model, x)
+            fast_engine = resolve_engine()
+            fast = fast_engine.predict(model, x)
         with use_session(cache_enabled=False, engine="accurate"):
-            accurate = predict_with_engine(model, x)
-        assert np.array_equal(fast, accurate)
+            accurate_engine = resolve_engine()
+            accurate = accurate_engine.predict(model, x)
+        assert fast_engine is get_engine("fast")
+        assert accurate_engine is get_engine("accurate")
+        np.testing.assert_array_equal(fast, accurate)
 
     def test_unknown_engine_rejected(self):
-        model = BNNModel.random([50, 10], np.random.default_rng(0))
-        x = _random_inputs(np.random.default_rng(1), 2, 50)
         with pytest.raises(ConfigurationError):
-            predict_with_engine(model, x, engine="warp")
+            resolve_engine("warp")
 
 
 class TestAcceleratorAccounting:
@@ -179,7 +145,7 @@ class TestAcceleratorAccounting:
     def test_identical_predictions_timing_probes_counters(self):
         fast = self._run("fast")
         accurate = self._run("accurate")
-        assert np.array_equal(fast[0], accurate[0])
+        np.testing.assert_array_equal(fast[0], accurate[0])
         assert fast[1] == accurate[1]
         assert fast[2] == accurate[2]
         assert fast[3] == accurate[3]

@@ -1,12 +1,10 @@
 """Differential equivalence of the ``fast`` engine's whole-batch kernels.
 
 The float32 GEMM kernel must be *bit-identical* to the scalar path and
-to every other registered engine, and so must the packed XNOR-popcount
-kernel the ``fast`` engine falls back to beyond the GEMM exactness
-bound — with either popcount backend (``np.bitwise_count`` and the
-8-bit table) and across odd topologies.  The engine sweep
-auto-discovers engines from the registry, so future backends are
-covered by construction.
+to every other registered engine, and so must the whole-batch int32
+matmul the ``fast`` engine falls back to beyond the GEMM exactness
+bound, across odd topologies.  The engine sweep auto-discovers engines
+from the registry, so future backends are covered by construction.
 """
 
 import numpy as np
@@ -14,15 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.bnn.batched as batched
 import repro.bnn.vectorized as vec
 from repro.bnn import BNNModel, binarize_sign
 from repro.bnn import quantize as q
-from repro.bnn.batched import (
-    batched_hidden_forward,
-    batched_scores,
-    popcount64,
-)
 from repro.bnn.vectorized import (
     VectorizedBNNHalf,
     vectorized_hidden_forward,
@@ -51,29 +43,16 @@ def _scalar_scores(model, x):
 
 @pytest.fixture
 def kernel(request, monkeypatch):
-    """``gemm`` scores through the float32 GEMM; ``packed`` lowers the
+    """``gemm`` scores through the float32 GEMM; ``int32`` lowers the
     exactness bound below every fan-in, so the same entry points take
-    the packed fallback."""
-    if request.param == "packed":
+    the int32 matmul fallback."""
+    if request.param == "int32":
         monkeypatch.setattr(vec, "GEMM_MAX_FAN_IN", 1)
     return request.param
 
 
 class TestPopcountLUT:
-    """The 8-bit table ``popcount64`` falls back to without
-    ``np.bitwise_count`` (the packed kernel's old-numpy backend)."""
-
-    def test_matches_bitwise_count_semantics(self, monkeypatch):
-        rng = np.random.default_rng(0)
-        words = rng.integers(0, 2**64, size=(13, 4), dtype=np.uint64)
-        expected = popcount64(words)
-        monkeypatch.setattr(batched, "_HAS_BITWISE_COUNT", False)
-        np.testing.assert_array_equal(popcount64(words), expected)
-
-    def test_extremes(self, monkeypatch):
-        monkeypatch.setattr(batched, "_HAS_BITWISE_COUNT", False)
-        words = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
-        assert popcount64(words).tolist() == [0, 1, 1, 64]
+    """The 8-bit table behind ``quantize.popcount32``."""
 
     def test_table_shape(self):
         table = q._POPCOUNT_TABLE
@@ -82,8 +61,8 @@ class TestPopcountLUT:
 
 
 class TestStrategySelection:
-    """GEMM while every ``fan_in < GEMM_MAX_FAN_IN``, packed at the bound;
-    the packed twin is lowered only when the fallback needs it."""
+    """GEMM while every ``fan_in < GEMM_MAX_FAN_IN``, the int32 matmul at
+    the bound."""
 
     def test_auto_prefers_gemm_within_exact_range(self, monkeypatch):
         monkeypatch.setattr(vec, "GEMM_MAX_FAN_IN", 61)
@@ -93,10 +72,9 @@ class TestStrategySelection:
         x = make_inputs(model, 5)
         np.testing.assert_array_equal(vectorized_scores(model, x),
                                       _scalar_scores(model, x))
-        assert model not in batched._PACKED_CACHE
 
-    def test_auto_falls_back_to_packed_beyond_exact_range(self,
-                                                          monkeypatch):
+    def test_auto_falls_back_to_int32_beyond_exact_range(self,
+                                                         monkeypatch):
         monkeypatch.setattr(vec, "GEMM_MAX_FAN_IN", 60)
         model = make_model((60, 40, 10))
         lowered = vectorized_model(model)
@@ -104,18 +82,32 @@ class TestStrategySelection:
         x = make_inputs(model, 5)
         np.testing.assert_array_equal(vectorized_scores(model, x),
                                       _scalar_scores(model, x))
-        assert model in batched._PACKED_CACHE
+
+    def test_real_bound_wide_layer_takes_the_int32_fallback(self):
+        """No monkeypatching: one layer 2**23 (the bound) wide."""
+        model = BNNModel.random([2**23, 1], np.random.default_rng(0))
+        bits = np.random.default_rng(1).integers(0, 2, size=(2, 2**23),
+                                                 dtype=np.int8)
+        x = 2 * bits - 1
+        engine = get_engine("fast")
+        scores = engine.scores(model, x)
+        hidden = engine.hidden_forward(model, x)
+        assert not vectorized_model(model).exact
+        np.testing.assert_array_equal(scores, _scalar_scores(model, x))
+        np.testing.assert_array_equal(
+            hidden, np.stack([model.layers[0].forward(row) for row in x]))
 
 
 class TestBitIdenticalScores:
-    @pytest.mark.parametrize("kernel", ["gemm", "packed"], indirect=True)
+    @pytest.mark.parametrize("kernel", ["gemm", "int32"], indirect=True)
     @pytest.mark.parametrize("topology", [
         [100, 100, 100, 10],   # the chip's canonical network
-        [64, 64, 4],           # exact word multiples
-        [65, 64, 3],           # one bit past a word boundary
+        [64, 64, 4],           # powers of two
+        [65, 64, 3],           # one past a power of two
         [33, 7, 5],            # nothing aligns
         [1, 1, 1],             # degenerate
-        [130, 2],              # single layer, multi-word
+        [130, 2],              # single layer
+        [784, 100, 100, 10],   # MNIST-sized input
     ])
     def test_scores_bit_identical(self, topology, kernel):
         model = make_model(topology, seed=42)
@@ -123,16 +115,26 @@ class TestBitIdenticalScores:
         got = vectorized_scores(model, x)
         assert vectorized_model(model).exact == (kernel == "gemm")
         assert got.dtype == np.int32
-        np.testing.assert_array_equal(got, batched_scores(model, x))
         np.testing.assert_array_equal(got, _scalar_scores(model, x))
 
-    @pytest.mark.parametrize("kernel", ["gemm", "packed"], indirect=True)
+    @pytest.mark.parametrize("kernel", ["gemm", "int32"], indirect=True)
     def test_hidden_forward_bit_identical(self, kernel):
         model = make_model((60, 40, 30, 10))
         x = make_inputs(model, 11)
         got = vectorized_hidden_forward(model, x)
+        assert vectorized_model(model).exact == (kernel == "gemm")
         np.testing.assert_array_equal(got, model.hidden_forward_batch(x))
-        np.testing.assert_array_equal(got, batched_hidden_forward(model, x))
+        expected = x
+        for layer in model.layers:
+            expected = np.stack([layer.forward(row) for row in expected])
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("kernel", ["gemm", "int32"], indirect=True)
+    def test_single_row_input_promoted(self, kernel):
+        model = make_model((40, 10), seed=3)
+        row = make_inputs(model, 1, seed=4)[0]
+        np.testing.assert_array_equal(vectorized_scores(model, row)[0],
+                                      model.scores(row))
 
     def test_predict_matches(self):
         model = make_model()
@@ -140,25 +142,24 @@ class TestBitIdenticalScores:
         np.testing.assert_array_equal(vectorized_predict(model, x),
                                       model.predict_batch(x))
 
-    def test_lut_backend_bit_identical(self, monkeypatch):
-        monkeypatch.setattr(vec, "GEMM_MAX_FAN_IN", 1)
-        monkeypatch.setattr(batched, "_HAS_BITWISE_COUNT", False)
-        model = make_model((65, 33, 5), seed=9)
-        x = make_inputs(model, 17, seed=3)
-        np.testing.assert_array_equal(vectorized_scores(model, x),
-                                      _scalar_scores(model, x))
-
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_random_topologies_bit_identical(self, data):
         sizes = data.draw(st.lists(st.integers(1, 130), min_size=2,
                                    max_size=5))
         batch = data.draw(st.integers(1, 8))
         seed = data.draw(st.integers(0, 2**16))
+        bound = data.draw(st.sampled_from([vec.GEMM_MAX_FAN_IN, 1]))
         model = make_model(sizes, seed=seed)
         x = make_inputs(model, batch, seed=seed + 1)
-        np.testing.assert_array_equal(vectorized_scores(model, x),
-                                      _scalar_scores(model, x))
+        with pytest.MonkeyPatch.context() as patch:
+            # bound 1 sends every layer to the int32 fallback
+            patch.setattr(vec, "GEMM_MAX_FAN_IN", bound)
+            np.testing.assert_array_equal(vectorized_scores(model, x),
+                                          _scalar_scores(model, x))
+            np.testing.assert_array_equal(
+                vectorized_hidden_forward(model, x),
+                model.hidden_forward_batch(x))
 
 
 class TestLoweringCache:
@@ -205,7 +206,7 @@ class TestRegisteredEngine:
         predictions = oracle.predict(model, x)
         hidden = oracle.hidden_forward(model, x)
         names = engine_names()
-        assert {"accurate", "fast", "parallel"} <= set(names)
+        assert {"accurate", "fast"} <= set(names)
         for name in names:
             engine = get_engine(name)
             np.testing.assert_array_equal(

@@ -53,15 +53,15 @@ class TestNoEngineNameBranches:
     def test_detector_catches_both_orders(self):
         assert _engine_name_comparisons("if engine == 'fast':")
         assert _engine_name_comparisons('if "accurate" != engine:')
-        assert _engine_name_comparisons('engine=="parallel"')
+        assert _engine_name_comparisons('engine=="fast"')
 
     def test_detector_catches_membership_tests(self):
-        assert _engine_name_comparisons('if engine in ("fast", "parallel"):')
+        assert _engine_name_comparisons('if engine in ("fast", "accurate"):')
         assert _engine_name_comparisons("if engine in ['accurate']:")
-        assert _engine_name_comparisons('name in {"parallel", "fast"}')
+        assert _engine_name_comparisons('name in {"accurate", "fast"}')
 
     def test_detector_allows_registry_lookups(self):
         assert not _engine_name_comparisons('get_engine("fast")')
-        assert not _engine_name_comparisons("resolve_engine('parallel')")
+        assert not _engine_name_comparisons("resolve_engine('accurate')")
         assert not _engine_name_comparisons('engine: str = "accurate"')
         assert not _engine_name_comparisons('choices=sorted(engine_names())')

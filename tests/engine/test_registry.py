@@ -29,7 +29,7 @@ PROGRAM = """
 
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert set(engine_names()) >= {"accurate", "fast", "parallel"}
+        assert engine_names() == ("accurate", "fast")
 
     def test_names_sorted(self):
         names = engine_names()
@@ -62,7 +62,7 @@ class TestRegistry:
         class Nameless(ExecutionEngine):
             capabilities = EngineCapabilities(
                 timing_accurate=False, functional=True,
-                batched=False, sharded=False)
+                batched=False)
 
         with pytest.raises(ConfigurationError):
             register_engine(Nameless)
@@ -79,7 +79,7 @@ class TestRegistry:
             name = "sloppy"
             capabilities = EngineCapabilities(
                 timing_accurate=False, functional=False,
-                batched=False, sharded=False)
+                batched=False)
 
         with pytest.raises(ConfigurationError, match="functional"):
             register_engine(Sloppy)
@@ -89,7 +89,7 @@ class TestRegistry:
             name = "accurate"
             capabilities = EngineCapabilities(
                 timing_accurate=False, functional=True,
-                batched=False, sharded=False)
+                batched=False)
 
         with pytest.raises(ConfigurationError, match="twice"):
             register_engine(Impostor)
@@ -103,7 +103,7 @@ class TestRegistry:
 
 class TestResolution:
     def test_name_resolves(self):
-        assert resolve_engine("parallel").name == "parallel"
+        assert resolve_engine("fast").name == "fast"
 
     def test_engine_object_passes_through(self):
         engine = get_engine("fast")
@@ -121,16 +121,15 @@ class TestCapabilities:
         assert get_engine("accurate").capabilities.timing_accurate
         assert not get_engine("fast").capabilities.timing_accurate
         assert get_engine("fast").capabilities.batched
-        assert get_engine("parallel").capabilities.sharded
-        assert not get_engine("fast").capabilities.sharded
+        assert not get_engine("accurate").capabilities.batched
 
     def test_builtin_engines_attribute_phases(self):
-        for name in ("accurate", "fast", "parallel"):
+        for name in ("accurate", "fast"):
             assert get_engine(name).capabilities.phase_attribution
 
     def test_phase_attribution_defaults_off(self):
         caps = EngineCapabilities(timing_accurate=False, functional=True,
-                                  batched=False, sharded=False)
+                                  batched=False)
         assert caps.phase_attribution is False
 
     def test_every_registered_engine_is_functional(self):
@@ -138,9 +137,9 @@ class TestCapabilities:
             assert get_engine(name).capabilities.functional
 
     def test_as_dict_keys(self):
-        caps = get_engine("parallel").capabilities.as_dict()
+        caps = get_engine("fast").capabilities.as_dict()
         assert set(caps) == {"timing_accurate", "functional", "batched",
-                             "sharded", "phase_attribution"}
+                             "phase_attribution"}
         assert all(isinstance(value, bool) for value in caps.values())
 
 
@@ -151,7 +150,7 @@ class TestEngineTable:
         for entry in table:
             assert entry["description"]
             assert set(entry["capabilities"]) == {
-                "timing_accurate", "functional", "batched", "sharded",
+                "timing_accurate", "functional", "batched",
                 "phase_attribution"}
 
 
@@ -181,7 +180,7 @@ class TestProtocols:
             name = "cpu-only"
             capabilities = EngineCapabilities(
                 timing_accurate=False, functional=True,
-                batched=False, sharded=False)
+                batched=False)
 
         engine = CpuOnly()
         with pytest.raises(SimulationError, match="CPU execution half"):
@@ -194,7 +193,7 @@ class TestProtocols:
             name = "rigged"
             capabilities = EngineCapabilities(
                 timing_accurate=False, functional=True,
-                batched=False, sharded=False)
+                batched=False)
 
             def scores(self, model, x_signs):
                 return np.array([[0, 5, 1], [9, 2, 3]])

@@ -18,7 +18,7 @@ from repro.metrics.bench import BenchSpec, bench_filename, select
 REQUIRED = ("cpu.pipeline.dhrystone", "cpu.pipeline.hotspot",
             "cpu.functional.dhrystone", "cpu.fastpath.dhrystone",
             "bnn.accelerator.infer", "bnn.batched.infer",
-            "bnn.parallel.infer", "dma.transfer",
+            "bnn.fast.infer", "dma.transfer",
             "runner.experiment.cold", "runner.experiment.warm")
 
 

@@ -199,8 +199,6 @@ class TestPhaseAttributionExport:
         run_labels = {"scenario": "om-bnn", "engine": "fast", "kind": "bnn"}
         assert collection.get("repro_obs_total_cycles", run_labels).value \
             == attribution.total_cycles
-        assert collection.get("repro_obs_serial_fallback",
-                              run_labels).value in (0.0, 1.0)
         for phase in PHASES:
             labels = dict(run_labels, phase=phase)
             assert collection.get("repro_obs_phase_cycles", labels).value \
@@ -215,28 +213,10 @@ class TestPhaseAttributionExport:
 
     def test_no_shard_histograms_without_workers(self):
         attribution = self.run_attribution()
-        assert attribution.workers == []
+        assert "workers" not in attribution.as_dict()
         collection = MetricsCollection(make_manifest())
         collection.add_phase_attribution(attribution)
         names = {series.name for series in collection.series()}
+        assert "repro_obs_serial_fallback" not in names
         assert not any(name.startswith("repro_obs_shard_")
                        for name in names)
-
-    def test_shard_histograms_for_sharded_runs(self, monkeypatch):
-        from repro.bnn.parallel import (
-            PARALLEL_WORKERS_ENV_VAR,
-            shutdown_pool,
-        )
-
-        monkeypatch.setenv(PARALLEL_WORKERS_ENV_VAR, "2")
-        try:
-            attribution = self.run_attribution(
-                engine="parallel", name="om-sharded", batch_size=512)
-            collection = MetricsCollection(make_manifest())
-            collection.add_phase_attribution(attribution)
-        finally:
-            shutdown_pool()
-        assert attribution.workers
-        names = {series.name for series in collection.series()}
-        for piece in ("serialize", "queue_wait", "compute"):
-            assert f"repro_obs_shard_{piece}_seconds" in names

@@ -28,7 +28,7 @@ from repro.obs import (
 from repro.scenario import Scenario, WorkloadSpec
 from repro.sim import use_session
 
-ENGINES = sorted(set(engine_names()) & {"accurate", "fast", "parallel"})
+ENGINES = sorted(set(engine_names()) & {"accurate", "fast"})
 
 
 def bnn_scenario(**overrides):
@@ -155,19 +155,12 @@ class TestAttributeScenarioContracts:
             name = "bare"
             capabilities = EngineCapabilities(
                 timing_accurate=False, functional=True,
-                batched=False, sharded=False)
+                batched=False)
 
         with use_session(cache_enabled=False):
             with pytest.raises(ObservabilityError,
                                match="phase_attribution"):
                 attribute_scenario(bnn_scenario(), engine=Bare())
-
-    def test_parallel_small_batch_flags_serial_fallback(self):
-        with use_session(cache_enabled=False):
-            attribution = attribute_scenario(bnn_scenario(batch_size=8),
-                                             engine="parallel")
-        assert attribution.serial_fallback
-        assert attribution.workers == []
 
     def test_chained_rejects_cpu_scenarios(self):
         with use_session(cache_enabled=False):
@@ -208,10 +201,13 @@ class TestSerialization:
         with use_session(cache_enabled=False):
             runs = [attribute_scenario(scenario, engine="fast")]
         document = attribution_document(runs, scenario)
-        assert document["schema"] == ATTRIBUTION_SCHEMA
+        assert document["schema"] == ATTRIBUTION_SCHEMA == \
+            "repro-attribution/2"
         assert document["scenario"] == scenario.to_dict()
         for entry in document["runs"]:
             validate_attribution_dict(entry)
+            assert "workers" not in entry
+            assert "serial_fallback" not in entry
 
     def test_render_lists_phases_and_ab_summary(self):
         with use_session(cache_enabled=False):

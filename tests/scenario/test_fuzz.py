@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import engine_names
 from repro.scenario.fuzz import (
     HIDDEN_WIDTH_CHOICES,
     DifferentialResult,
@@ -47,13 +48,11 @@ class TestFuzzerDeterminism:
                            for w in scenario.workload.layer_sizes[1:])
 
     def test_engines_default_to_registry(self):
-        from repro.engine import engine_names
-
         assert ScenarioFuzzer().engines == engine_names()
 
 
 class TestDifferential:
-    def test_bnn_scenario_three_way_agreement(self):
+    def test_bnn_scenario_all_engines_agree(self):
         scenario = Scenario(
             name="diff-bnn",
             workload=WorkloadSpec(kind="bnn", layer_sizes=(65, 33, 4),
@@ -61,9 +60,9 @@ class TestDifferential:
             seed=11, batch_size=9)
         result = run_differential(scenario)
         assert result.ok, [str(m) for m in result.mismatches]
-        assert len(result.engines) >= 3
+        assert result.engines == engine_names()
 
-    def test_cpu_scenario_three_way_agreement(self):
+    def test_cpu_scenario_all_engines_agree(self):
         scenario = Scenario(
             name="diff-cpu",
             workload=WorkloadSpec(kind="cpu", name="dhrystone",

@@ -21,7 +21,7 @@ def full_scenario() -> Scenario:
         name="everything",
         workload=WorkloadSpec(kind="bnn", name="synthetic",
                               layer_sizes=(784, 64, 33, 10), iterations=3),
-        engine=EngineSpec(name="parallel", prefer_functional=True),
+        engine=EngineSpec(name="fast", prefer_functional=True),
         seed=1234,
         batch_size=48,
         batch_policy="stream",
@@ -231,7 +231,7 @@ class TestDerivedViews:
 
     def test_with_engine_overrides_functional_flag(self):
         scenario = full_scenario().with_engine(prefer_functional=False)
-        assert scenario.engine.name == "parallel"  # preserved
+        assert scenario.engine.name == "fast"  # preserved
         assert not scenario.engine.prefer_functional
 
     def test_with_overrides_revalidates(self):
@@ -267,7 +267,7 @@ class TestSimConfigIntegration:
 
         config = SimConfig.from_scenario(full_scenario(), environ={})
         assert config.seed == 1234
-        assert config.engine == "parallel"
+        assert config.engine == "fast"
         assert config.scenario == full_scenario()
 
     def test_hash_stable_without_scenario(self):
@@ -285,7 +285,7 @@ class TestSimConfigIntegration:
         hashes = {
             SimConfig.from_scenario(base.with_engine(name=name),
                                     environ={}).hash
-            for name in ("accurate", "fast", "parallel")}
+            for name in ("accurate", "fast")}
         assert len(hashes) == 1
 
     def test_effective_scenario_defaults_when_unset(self):
@@ -312,5 +312,5 @@ class TestSimConfigIntegration:
         path.write_text(full_scenario().to_json())
         session = SimSession.from_scenario(str(path),
                                            cache_enabled=False)
-        assert session.config.engine == "parallel"
+        assert session.config.engine == "fast"
         assert session.config.scenario == full_scenario()

@@ -39,7 +39,7 @@ def run_serve(scenario, session=None, with_server=False):
 
 
 class TestServeEndToEnd:
-    @pytest.mark.parametrize("engine", ["fast", "parallel"])
+    @pytest.mark.parametrize("engine", ["accurate", "fast"])
     def test_full_session_meets_report_schema(self, engine):
         scenario = small_scenario(engine)
         with use_session(cache_enabled=False) as session:
@@ -82,14 +82,14 @@ class TestServeEndToEnd:
 
     def test_engines_agree_under_identical_schedules(self):
         predictions = {}
-        for engine in ("fast", "parallel"):
+        for engine in ("accurate", "fast"):
             scenario = small_scenario(engine)
             with use_session(cache_enabled=False) as session:
                 _, server = run_serve(scenario, session=session,
                                       with_server=True)
             predictions[engine] = [request.prediction
                                    for request in server.requests]
-        assert predictions["fast"] == predictions["parallel"]
+        assert predictions["fast"] == predictions["accurate"]
 
     def test_rejects_cpu_scenarios(self):
         scenario = Scenario(
@@ -421,3 +421,43 @@ class TestEngineFault:
         assert "| error | 4 |" in render_slo_report(report)
         assert session.stats.as_dict()["counters"].get(
             "serve.requests.error") == 4
+
+    def test_cancelled_batcher_fails_queued_requests_and_stops(
+            self, monkeypatch, caplog):
+        """Cancelling the batcher mid-window must not strand anything:
+        the half-assembled and queued requests resolve with ``error``,
+        a later submit raises, and ``stop()`` returns."""
+        import logging
+
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        scenario = small_scenario("fast")
+
+        async def main(session):
+            server = NCPUServer(scenario, policy=ServePolicy(
+                batch_window_s=5.0, max_batch=8), session=session)
+            await server.start()
+            pending = asyncio.ensure_future(_submit_all(server, 3))
+            await asyncio.sleep(0.05)  # the batcher is inside the window
+            server._batcher.cancel()
+            stranded = await asyncio.wait_for(pending, 1.0)
+            with pytest.raises(RuntimeError, match="batcher has stopped"):
+                await asyncio.wait_for(server.submit([1.0] * 24), 1.0)
+            await asyncio.wait_for(server.stop(), 1.0)
+            return server, stranded
+
+        with caplog.at_level(logging.ERROR, logger="repro.serve"):
+            with use_session(cache_enabled=False) as session:
+                server, stranded = asyncio.run(main(session))
+        assert [request.status for request in stranded] == ["error"] * 3
+        for request in stranded:
+            assert request.prediction is None
+            assert sum(request.phases_s.values()) == \
+                pytest.approx(request.latency_s, abs=1e-6)
+        assert "batcher cancelled with 3 requests unserved" in caplog.text
+        assert server.recorder.errors == 3
+        assert server.recorder.completed == 0
+        assert session.stats.as_dict()["counters"].get(
+            "serve.requests.error") == 3
+        report = build_slo_report(server, [0.0] * 3)
+        assert report["requests"]["error"] == 3
+        assert validate_slo_report(report)["requests"] == 3

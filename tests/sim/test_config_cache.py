@@ -108,8 +108,8 @@ class TestSimConfig:
     def test_engine_round_trips_through_env(self):
         from repro.sim import ENGINE_ENV_VAR
 
-        config = SimConfig.from_env({ENGINE_ENV_VAR: "parallel"})
-        assert config.engine == "parallel"
+        config = SimConfig.from_env({ENGINE_ENV_VAR: "fast"})
+        assert config.engine == "fast"
         assert SimConfig.from_env({}).engine == "accurate"
 
     def test_unknown_engine_rejected_with_registered_names(self):

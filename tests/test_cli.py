@@ -109,41 +109,40 @@ class TestRunEngine:
         from repro.cli import engine_choices
         from repro.engine import engine_names
 
-        assert engine_choices() == engine_names()
-        assert "parallel" in engine_choices()
+        assert engine_choices() == engine_names() == ("accurate", "fast")
 
-    def test_parallel_engine_runs_programs(self, source_file, capsys):
-        assert main(["run", source_file, "--engine", "parallel"]) == 0
-        assert "cycles=4 " in capsys.readouterr().out
-
-    def test_retired_numpy_engine_flag_names_fast(self, source_file,
-                                                  capsys):
+    @pytest.mark.parametrize("retired", ["numpy", "parallel"])
+    def test_retired_engine_flag_names_fast(self, source_file, capsys,
+                                            retired):
         # argparse lets a retired name through so the registry rejects it
-        assert main(["run", source_file, "--engine", "numpy"]) == 2
+        assert main(["run", source_file, "--engine", retired]) == 2
         message = capsys.readouterr().err
-        assert "'numpy'" in message and "folded into 'fast'" in message
+        assert f"'{retired}'" in message and "folded into 'fast'" in message
 
-    def test_retired_numpy_engine_env_var_names_fast(self, capsys,
-                                                     monkeypatch):
+    @pytest.mark.parametrize("retired", ["numpy", "parallel"])
+    def test_retired_engine_env_var_names_fast(self, capsys, monkeypatch,
+                                               retired):
         from repro.errors import ConfigurationError
         from repro.sim import SimConfig
 
-        monkeypatch.setenv("REPRO_ENGINE", "numpy")
+        monkeypatch.setenv("REPRO_ENGINE", retired)
         with pytest.raises(ConfigurationError,
                            match="REPRO_ENGINE: .*folded into 'fast'"):
             SimConfig.from_env()
         assert main(["bench", "--list"]) == 2
         assert "folded into 'fast'" in capsys.readouterr().err
 
-    def test_retired_numpy_engine_in_scenario_names_fast(self, tmp_path,
-                                                         capsys):
+    @pytest.mark.parametrize("retired", ["numpy", "parallel"])
+    def test_retired_engine_in_scenario_names_fast(self, tmp_path, capsys,
+                                                   retired):
         import json
 
-        path = tmp_path / "numpy_engine.json"
-        path.write_text(json.dumps({"engine": {"name": "numpy"}}))
+        path = tmp_path / f"{retired}_engine.json"
+        path.write_text(json.dumps({"engine": {"name": retired}}))
         assert main(["scenario", "validate", str(path)]) == 2
         message = capsys.readouterr().err
-        assert "scenario.engine.name: unknown engine 'numpy'" in message
+        assert f"scenario.engine.name: unknown engine '{retired}'" \
+            in message
         assert "folded into 'fast'" in message
 
     def test_unknown_engine_env_var_names_registered(self, source_file,
@@ -157,7 +156,7 @@ class TestRunEngine:
         message = str(excinfo.value)
         assert "REPRO_ENGINE" in message
         assert "warp" in message
-        assert "accurate" in message and "parallel" in message
+        assert "accurate" in message and "fast" in message
 
     def test_experiments_accept_engine_flag(self, capsys, monkeypatch):
         import os
@@ -266,15 +265,15 @@ class TestInfoAndExperiments:
         assert engines["registered"] == engine_table()
         by_name = {e["name"]: e for e in engines["registered"]}
         assert by_name["accurate"]["capabilities"]["timing_accurate"]
-        assert by_name["parallel"]["capabilities"]["sharded"]
-        for name in ("accurate", "fast", "parallel"):
+        assert by_name["fast"]["capabilities"]["batched"]
+        for name in ("accurate", "fast"):
             assert by_name[name]["capabilities"]["phase_attribution"]
 
     def test_info_text_lists_engines(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "execution engines" in out
-        for name in ("accurate", "fast", "parallel"):
+        for name in ("accurate", "fast"):
             assert name in out
 
 
@@ -476,8 +475,8 @@ class TestRunScenario:
                                                      bnn_scenario_file,
                                                      capsys):
         assert main(["run", "--scenario", bnn_scenario_file,
-                     "--engine", "parallel"]) == 0
-        assert "engine=parallel" in capsys.readouterr().out
+                     "--engine", "accurate"]) == 0
+        assert "engine=accurate" in capsys.readouterr().out
 
     def test_run_scenario_installs_session_config(self, bnn_scenario_file):
         from repro.sim import get_session
@@ -615,16 +614,16 @@ class TestAttributeCli:
 
         assert main(["attribute", "--scenario", bnn_scenario_file,
                      "--engine", "accurate", "--engine", "fast",
-                     "--engine", "parallel", "--chained", "--json"]) == 0
+                     "--chained", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["schema"] == ATTRIBUTION_SCHEMA
         assert document["scenario"]["name"] == "cli-bnn"
-        # 3 engines x (plain + chained)
-        assert len(document["runs"]) == 6
+        # 2 engines x (plain + chained)
+        assert len(document["runs"]) == 4
         for entry in document["runs"]:
             validate_attribution_dict(entry)
         kinds = {(e["engine"], e["kind"]) for e in document["runs"]}
-        assert ("parallel", "chained") in kinds
+        assert ("fast", "chained") in kinds
         # same workload -> identical cycle totals across engines, per kind
         for kind in ("bnn", "chained"):
             totals = {e["total_cycles"] for e in document["runs"]

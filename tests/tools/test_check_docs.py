@@ -138,16 +138,17 @@ class TestEngineTableCheck:
     def test_parser_reads_names_and_flags(self, check_docs):
         rows = check_docs.documented_engine_table(
             "### Engine registry\n\n"
-            "| engine | timing_accurate | functional | batched | sharded |\n"
+            "| engine | timing_accurate | functional | batched "
+            "| phase_attribution |\n"
             "|---|---|---|---|---|\n"
-            "| `accurate` | yes | yes | no | no |\n"
-            "| `fast` | no | yes | yes | no |\n\n"
+            "| `accurate` | yes | yes | no | yes |\n"
+            "| `fast` | no | yes | yes | yes |\n\n"
             "prose after the table | with a stray pipe\n")
         assert set(rows) == {"accurate", "fast"}
         assert rows["accurate"] == {"timing_accurate": True,
                                     "functional": True,
                                     "batched": False,
-                                    "sharded": False}
+                                    "phase_attribution": True}
         assert rows["fast"]["batched"] is True
 
     def test_missing_table_reported(self, check_docs, tmp_path, monkeypatch):
@@ -161,16 +162,15 @@ class TestEngineTableCheck:
         stale = tmp_path / "ARCHITECTURE.md"
         stale.write_text(
             "### Engine registry\n\n"
-            "| engine | timing_accurate | functional | batched | sharded |\n"
+            "| engine | timing_accurate | functional | batched "
+            "| phase_attribution |\n"
             "|---|---|---|---|---|\n"
-            "| `accurate` | no | yes | no | no |\n"
+            "| `accurate` | no | yes | no | yes |\n"
             "| `warp` | no | yes | yes | yes |\n")
         monkeypatch.setattr(check_docs, "ARCHITECTURE", stale)
         problems = check_docs.check_engine_table()
-        # fast + parallel registered but undocumented
+        # fast registered but undocumented
         assert any("`fast`" in p and "missing from" in p for p in problems)
-        assert any("`parallel`" in p and "missing from" in p
-                   for p in problems)
         # warp documented but not registered
         assert any("`warp`" in p and "not registered" in p for p in problems)
         # accurate documented with a wrong flag
@@ -299,21 +299,21 @@ class TestKernelHandbookCheck:
                                        monkeypatch):
         real = (REPO_ROOT / "docs" / "KERNELS.md").read_text()
         stale = real.replace(
-            "| `repro.bnn.batched.WORD_BITS` | 64 |",
-            "| `repro.bnn.batched.WORD_BITS` | 32 |", 1)
+            "| `repro.cpu.fastpath.MAX_SUPERBLOCK_BODY` | 4096 |",
+            "| `repro.cpu.fastpath.MAX_SUPERBLOCK_BODY` | 32 |", 1)
         target = tmp_path / "KERNELS.md"
         target.write_text(stale)
         monkeypatch.setattr(check_docs, "KERNELS_MD", target)
         problems = check_docs.check_kernel_handbook()
-        assert any("WORD_BITS" in p and "says 32" in p and "source says 64"
-                   in p for p in problems)
+        assert any("MAX_SUPERBLOCK_BODY" in p and "says 32" in p
+                   and "source says 4096" in p for p in problems)
 
     def test_unknown_constant_reported(self, check_docs, tmp_path,
                                        monkeypatch):
         real = (REPO_ROOT / "docs" / "KERNELS.md").read_text()
         stale = real.replace(
-            "`repro.bnn.batched.WORD_BITS`",
-            "`repro.bnn.batched.WARP_BITS`", 1)
+            "`repro.cpu.fastpath.MAX_SUPERBLOCK_BODY`",
+            "`repro.cpu.fastpath.WARP_BITS`", 1)
         target = tmp_path / "KERNELS.md"
         target.write_text(stale)
         monkeypatch.setattr(check_docs, "KERNELS_MD", target)
@@ -336,10 +336,10 @@ class TestKernelHandbookCheck:
         rows = check_docs.documented_kernel_constants(
             "## Kernel layout constants\n\n"
             "| constant | value | meaning |\n|---|---|---|\n"
-            "| `repro.bnn.batched.WORD_BITS` | 64 | bits |\n"
+            "| `repro.bnn.vectorized.GEMM_MAX_FAN_IN` | 8388608 | bound |\n"
             "| `repro.cpu.fastpath.MAX_SUPERBLOCK_BODY` | 4096 | cap |\n\n"
             "prose | stray pipe\n"
             "| `repro.fake.NOT_IN_TABLE` | 1 | nope |\n")
         assert rows == [
-            ("repro.bnn.batched", "WORD_BITS", 64),
+            ("repro.bnn.vectorized", "GEMM_MAX_FAN_IN", 8388608),
             ("repro.cpu.fastpath", "MAX_SUPERBLOCK_BODY", 4096)]

@@ -267,7 +267,7 @@ def check_probe_table() -> List[str]:
 ENGINE_TABLE_ANCHOR = "### Engine registry"
 
 #: capability columns of the docs table, in order
-ENGINE_FLAG_COLUMNS = ("timing_accurate", "functional", "batched", "sharded",
+ENGINE_FLAG_COLUMNS = ("timing_accurate", "functional", "batched",
                        "phase_attribution")
 
 _ENGINE_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_-]+)`\s*\|(.+)\|\s*$")
