@@ -7,7 +7,6 @@ Usage::
     python -m repro run prog.s [--functional] [--engine NAME]
     python -m repro run --scenario examples/scenarios/dhrystone.json
     python -m repro experiments [PATTERN ...] [--engine NAME] [--profile NAME]
-    python -m repro bench [PATTERN ...] [--quick] [--profile NAME]
     python -m repro scenario validate FILE [FILE ...]
     python -m repro scenario show FILE
     python -m repro fuzz [--count N] [--seed S]
@@ -411,40 +410,26 @@ def cmd_info(args: argparse.Namespace) -> int:
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
 
-    from repro.bnn import BNNAccelerator
-    from repro.power import (
-        DEFAULT_PROFILE,
-        area_saving,
-        bnn_profile,
-        bnn_tops_per_watt,
-        cpu_profile,
-        frequency_model,
-        heterogeneous_area,
-        ncpu_area,
-    )
-
-    # spec block pinned to the paper chip (see chip_specs)
-    freq = frequency_model(DEFAULT_PROFILE)
-    bnn = bnn_profile(DEFAULT_PROFILE)
-    cpu = cpu_profile(DEFAULT_PROFILE)
-    print("NCPU reproduction — modelled chip specifications (65 nm)")
-    print(f"  nominal frequency  : {freq.f_mhz(1.0):.0f} MHz at 1.0 V")
-    print(f"  low-power point    : {freq.f_mhz(0.4):.0f} MHz at 0.4 V")
-    print(f"  BNN power          : {bnn.total_power_w(1.0) * 1e3:.0f} mW "
-          f"(1 V), {bnn.total_power_w(0.4) * 1e3:.1f} mW (0.4 V)")
-    print(f"  CPU power          : {cpu.total_power_w(1.0) * 1e3:.0f} mW "
-          f"(1 V), {cpu.total_power_w(0.4) * 1e3:.1f} mW (0.4 V)")
-    print(f"  BNN efficiency     : "
-          f"{bnn_tops_per_watt(1.0, device=DEFAULT_PROFILE):.2f} TOPS/W "
-          f"(1 V), {bnn_tops_per_watt(0.4, device=DEFAULT_PROFILE):.2f} "
+    specs = chip_specs()
+    print(f"NCPU reproduction — modelled chip specifications "
+          f"({specs['technology_nm']} nm)")
+    print(f"  nominal frequency  : {specs['frequency_mhz_at_1v']:.0f} MHz "
+          f"at 1.0 V")
+    print(f"  low-power point    : {specs['frequency_mhz_at_0v4']:.0f} MHz "
+          f"at 0.4 V")
+    print(f"  BNN power          : {specs['bnn_power_mw_at_1v']:.0f} mW "
+          f"(1 V), {specs['bnn_power_mw_at_0v4']:.1f} mW (0.4 V)")
+    print(f"  CPU power          : {specs['cpu_power_mw_at_1v']:.0f} mW "
+          f"(1 V), {specs['cpu_power_mw_at_0v4']:.1f} mW (0.4 V)")
+    print(f"  BNN efficiency     : {specs['bnn_tops_per_watt_at_1v']:.2f} "
+          f"TOPS/W (1 V), {specs['bnn_tops_per_watt_at_0v4']:.2f} "
           f"TOPS/W (0.4 V peak)")
-    print(f"  NCPU core area     : {ncpu_area(100).total_mm2:.3f} mm^2")
-    print(f"  CPU+BNN baseline   : {heterogeneous_area(100).total_mm2:.3f} mm^2")
-    print(f"  area saving        : {area_saving(100):.1%}")
-    accelerator = BNNAccelerator()
-    print(f"  accelerator array  : {accelerator.config.n_physical_layers} layers x "
-          f"{accelerator.config.neurons_per_layer} neurons "
-          f"({accelerator.peak_ops_per_cycle()} MACs/cycle)")
+    print(f"  NCPU core area     : {specs['ncpu_core_area_mm2']:.3f} mm^2")
+    print(f"  CPU+BNN baseline   : {specs['cpu_plus_bnn_area_mm2']:.3f} mm^2")
+    print(f"  area saving        : {specs['area_saving_fraction']:.1%}")
+    print(f"  accelerator array  : {specs['accelerator_physical_layers']} "
+          f"layers x {specs['accelerator_neurons_per_layer']} neurons "
+          f"({specs['accelerator_peak_macs_per_cycle']} MACs/cycle)")
     active = get_session().config.engine
     print("execution engines (active marked *):")
     for entry in engine_table():
@@ -467,57 +452,6 @@ def cmd_info(args: argparse.Namespace) -> int:
               f"{low:g}-{high:g} V, {entry['f_nominal_mhz']:g} MHz, "
               f"{entry['accel_ops_per_cycle']} MACs/cycle")
         print(f"    {'':>16}  [{flags}]")
-    _ = args
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.metrics import (
-        all_benchmarks,
-        run_benchmarks,
-        write_bench_file,
-    )
-    from repro.metrics.bench import select as select_benchmarks
-    from repro.sim import SimConfig
-
-    # fail fast: surface a bad REPRO_ENGINE (with the registered-engine
-    # list) before any benchmark assembles its kernel
-    SimConfig.from_env()
-    scenario = _load_cli_scenario(args)
-    if args.list:
-        for name, spec in sorted(all_benchmarks().items()):
-            print(f"{name}: {spec.help} [{spec.unit}]")
-        return 0
-    if args.patterns and not select_benchmarks(args.patterns):
-        logger.error("no benchmarks match %r", " ".join(args.patterns))
-        return 1
-    doc = run_benchmarks(args.patterns or None, repeats=args.repeats,
-                         warmup=args.warmup, quick=args.quick,
-                         with_experiments=not args.no_experiments,
-                         scenario=scenario,
-                         profile=args.device_profile)
-    if not args.no_write:
-        path = write_bench_file(doc, args.out_dir)
-        logger.info("bench: trajectory -> %s", path)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    rows = [("benchmark", "median", "min", "iqr", "throughput")]
-    for name, result in sorted(doc["benchmarks"].items()):
-        wall = result["wall_s"]
-        rows.append((name, f"{wall['median']:.4f}s", f"{wall['min']:.4f}s",
-                     f"{wall['iqr']:.4f}s",
-                     f"{result['throughput']['median']:.0f} "
-                     f"{result['throughput']['unit']}"))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    for row in rows:
-        print("  ".join(cell.ljust(width)
-                        for cell, width in zip(row, widths)).rstrip())
-    if doc["experiments"]:
-        print(f"(+ {len(doc['experiments'])} paper-anchor experiment "
-              f"metrics recorded)")
     return 0
 
 
@@ -898,41 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "ncpu-65nm); changes physical results — paper "
                           "anchors only hold on the default")
     exp.set_defaults(func=cmd_experiments)
-
-    benchp = sub.add_parser("bench",
-                            help="run the registered micro-benchmarks and "
-                                 "write a BENCH_<timestamp>.json")
-    benchp.add_argument("patterns", nargs="*",
-                        help="substring filters, e.g. cpu dma")
-    benchp.add_argument("--list", action="store_true",
-                        help="list the registered benchmarks and exit")
-    benchp.add_argument("--quick", action="store_true",
-                        help="smoke mode: small workloads, <=2 repeats, "
-                             "no warmup")
-    benchp.add_argument("--repeats", type=int, default=5,
-                        help="timed repeats per benchmark (default 5)")
-    benchp.add_argument("--warmup", type=int, default=1,
-                        help="untimed warmup runs per benchmark (default 1)")
-    benchp.add_argument("--out-dir", default=".",
-                        help="directory for the BENCH trajectory file "
-                             "(default: repo root / cwd)")
-    benchp.add_argument("--no-write", action="store_true",
-                        help="measure only; do not write a BENCH file")
-    benchp.add_argument("--no-experiments", action="store_true",
-                        help="skip the paper-anchor experiment metrics")
-    benchp.add_argument("--scenario", metavar="FILE",
-                        help="scenario JSON configuring the bench session "
-                             "(engine, seed); recorded in the BENCH "
-                             "document")
-    benchp.add_argument("--profile", "--device-profile", choices=profiles,
-                        metavar="NAME", dest="device_profile",
-                        help="device profile for the measurement sessions "
-                             "and anchor experiments (recorded in the "
-                             "BENCH document; baseline.json expectations "
-                             "only hold on the default)")
-    benchp.add_argument("--json", action="store_true",
-                        help="print the BENCH document on stdout")
-    benchp.set_defaults(func=cmd_bench)
 
     scen = sub.add_parser("scenario",
                           help="validate or canonicalize scenario JSON "

@@ -2,7 +2,7 @@
 
 Backends register themselves with the :func:`register_engine` class
 decorator; everything else — ``SimConfig`` validation, ``--engine``
-choices, core construction, benchmarks — resolves engines through
+choices, core construction, the fuzzer — resolves engines through
 :func:`get_engine` / :func:`resolve_engine` and never mentions a backend
 by name in a branch.  Adding a backend therefore means writing one
 decorated :class:`~repro.engine.protocol.ExecutionEngine` subclass in a

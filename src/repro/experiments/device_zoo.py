@@ -15,9 +15,9 @@ the MAC phase at its accelerator-mode power, everything at the
 profile's nominal operating point.
 
 All numbers are closed-form model evaluations — deterministic and
-cheap — so the experiment is an anchor in ``repro bench`` and its
-``experiment:device_zoo:*`` metrics are gated in
-``benchmarks/baseline.json``.
+cheap — so every metric is pinned in EXPERIMENTS.md (checked by
+``tools/generate_experiments_md.py --check``) and the default
+profile's row to exact floats in the tests.
 """
 
 from __future__ import annotations

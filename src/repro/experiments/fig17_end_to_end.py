@@ -112,7 +112,7 @@ def run() -> ExperimentResult:
                    paper=paper_degradation * 100, unit="%")
         # where the dual-NCPU end-to-end cycles go, in the shared obs
         # phase vocabulary (engine-independent scheduler output, so these
-        # fractions gate like any other deterministic anchor)
+        # fractions are pinned like any other deterministic anchor)
         fractions = phase_fractions(
             timeline_phase_cycles(comparison.ncpu_dual))
         for phase in PHASES:

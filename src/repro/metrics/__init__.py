@@ -1,4 +1,4 @@
-"""``repro.metrics`` — cross-run metrics, benchmarks, and the regression gate.
+"""``repro.metrics`` — cross-run metrics and their exporters.
 
 Layered on :class:`~repro.sim.StatsRegistry` snapshots (never on the
 simulator hot path):
@@ -8,24 +8,9 @@ simulator hot path):
   SHA, python/platform, cache traffic) attached to every collection;
 * :mod:`repro.metrics.export` — OpenMetrics text exposition and a
   stable-ordered JSON document (``repro run --metrics-out`` /
-  ``repro experiments --metrics-dir``);
-* :mod:`repro.metrics.bench` — registered micro-benchmarks with warmup +
-  repeats, written as root-level ``BENCH_<timestamp>.json`` trajectory
-  files (``repro bench``);
-* :mod:`repro.metrics.gate` — compares BENCH documents against
-  ``benchmarks/baseline.json`` (``tools/check_regression.py``).
+  ``repro experiments --metrics-dir``).
 """
 
-from repro.metrics.bench import (
-    BENCH_PREFIX,
-    BENCH_SCHEMA,
-    all_benchmarks,
-    anchor_experiment_metrics,
-    latest_bench_file,
-    run_benchmark,
-    run_benchmarks,
-    write_bench_file,
-)
 from repro.metrics.export import (
     JSON_SCHEMA,
     to_json,
@@ -35,17 +20,6 @@ from repro.metrics.export import (
     validate_openmetrics_file,
     write_json,
     write_openmetrics,
-)
-from repro.metrics.gate import (
-    BASELINE_SCHEMA,
-    Delta,
-    baseline_from_bench,
-    compare,
-    extract_metrics,
-    load_baseline,
-    regressions,
-    render_delta_table,
-    validate_bench_doc,
 )
 from repro.metrics.model import (
     COUNTER,
@@ -61,11 +35,7 @@ from repro.metrics.model import (
 )
 
 __all__ = [
-    "BASELINE_SCHEMA",
-    "BENCH_PREFIX",
-    "BENCH_SCHEMA",
     "COUNTER",
-    "Delta",
     "GAUGE",
     "HISTOGRAM",
     "JSON_SCHEMA",
@@ -73,27 +43,14 @@ __all__ = [
     "MetricsCollection",
     "MetricsRecorder",
     "RunManifest",
-    "all_benchmarks",
-    "anchor_experiment_metrics",
-    "baseline_from_bench",
-    "compare",
-    "extract_metrics",
-    "latest_bench_file",
-    "load_baseline",
     "quantile",
-    "regressions",
-    "render_delta_table",
-    "run_benchmark",
-    "run_benchmarks",
     "sanitize_metric_name",
     "summarize",
     "to_json",
     "to_json_document",
     "to_openmetrics",
-    "validate_bench_doc",
     "validate_openmetrics",
     "validate_openmetrics_file",
-    "write_bench_file",
     "write_json",
     "write_openmetrics",
 ]

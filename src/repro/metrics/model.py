@@ -8,8 +8,8 @@ the simulator hot path is never touched, so disabled metrics cost nothing.
 Every collection carries a :class:`RunManifest` identifying what produced
 the numbers: config hash, seed, package version, git SHA, python/platform
 and artifact-cache traffic.  Exporters stamp the manifest onto every
-series as labels, which is what makes BENCH trajectory files and
-OpenMetrics scrapes comparable across PRs.
+series as labels, which is what makes metric files and OpenMetrics
+scrapes comparable across runs and commits.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def quantile(values: Sequence[float], q: float) -> float:
 
 
 def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """min/median/IQR summary of a sample (the bench reporting contract)."""
+    """min/median/IQR summary of a sample (a histogram series' summary)."""
     return {
         "count": len(values),
         "sum": float(sum(values)),

@@ -162,7 +162,7 @@ class RunAttribution:
         return phase_fractions(self.wall_s)
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (what BENCH files and ``--json`` carry)."""
+        """JSON-ready form (what ``repro attribute --json`` carries)."""
         return {
             "scenario": self.scenario,
             "kind": self.kind,

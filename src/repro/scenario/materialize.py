@@ -4,9 +4,9 @@ The schema deliberately stays declarative — pure data, importable
 everywhere.  This module is the one place that knows how to *realize* a
 scenario: assemble its CPU kernel, build its (seeded) random BNN model
 and input batch, and execute the whole thing on the engine it names.
-The CLI (``repro run --scenario``), the benchmark registry and the
-differential fuzzer all share these builders, so a scenario means the
-same concrete workload everywhere it is consumed.
+The CLI (``repro run --scenario``), phase attribution, the serve layer
+and the differential fuzzer all share these builders, so a scenario
+means the same concrete workload everywhere it is consumed.
 """
 
 from __future__ import annotations
@@ -21,6 +21,35 @@ from repro.scenario.schema import Scenario
 INPUT_SEED_OFFSET = 1
 
 
+def hotspot_asm(passes: int) -> str:
+    """The schema's ``hotspot`` CPU program: the hazard-heavy kernel of
+    ``examples/hotspot.s`` (load-use stalls, taken-branch flushes) inside
+    an outer loop of ``passes`` iterations."""
+    return f"""
+    addi a6, x0, {passes}       # outer-loop passes
+outer:
+    addi a0, x0, 0          # sum
+    addi a1, x0, 256        # data pointer
+    addi a5, x0, 16         # store 16 words first
+fill:
+    sw   a5, 0(a1)
+    addi a1, a1, 4
+    addi a5, a5, -1
+    bne  a5, x0, fill
+    addi a1, x0, 256        # rewind
+    addi a5, x0, 16
+sum:
+    lw   a2, 0(a1)          # load-use hazard: a2 consumed next cycle
+    add  a0, a0, a2
+    addi a1, a1, 4
+    addi a5, a5, -1
+    bne  a5, x0, sum        # taken 15 times -> control flushes
+    addi a6, a6, -1
+    bne  a6, x0, outer
+    halt
+"""
+
+
 def build_source(scenario: Scenario) -> str:
     """The assembly source of a ``cpu``-kind scenario's kernel."""
     workload = scenario.workload
@@ -33,8 +62,6 @@ def build_source(scenario: Scenario) -> str:
 
         return dhrystone_asm(iterations=workload.iterations)
     if workload.name == "hotspot":
-        from repro.metrics.bench import hotspot_asm
-
         return hotspot_asm(passes=workload.iterations)
     raise ConfigurationError(  # pragma: no cover - schema validates names
         f"scenario.workload.name: unknown CPU program {workload.name!r}")

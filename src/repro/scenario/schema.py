@@ -5,7 +5,7 @@ a run — the workload (a CPU kernel or a BNN classification task), the
 execution engine, the RNG seed, the batch size/policy, the device
 operating point and the repeat count — as one frozen dataclass tree that
 round-trips canonically through JSON.  Every layer that runs the
-simulator (``repro run``/``bench``/``experiments``, the fuzzer, the
+simulator (``repro run``/``experiments``/``serve``, the fuzzer, the
 session config) consumes the same object, so adding a scenario dimension
 means adding one field here instead of touching every call site.
 

@@ -15,11 +15,10 @@ Observability is first-class rather than bolted on:
   Perfetto lanes next to the batcher and queue-depth tracks;
 * :mod:`repro.serve.slo` estimates p50/p95/p99 latency with fixed-bucket
   log-scale streaming histograms (no per-request allocation) and folds
-  queue-depth / inflight / shed / timeout telemetry into the standard
-  ``repro.metrics`` OpenMetrics/JSON path;
+  queue-depth / inflight / shed / timeout / error telemetry into the
+  standard ``repro.metrics`` OpenMetrics/JSON path;
 * :mod:`repro.serve.report` emits the manifest-stamped ``repro-serve/1``
-  SLO document (attainment vs target) that ``repro serve`` prints and
-  the regression gate consumes.
+  SLO document (attainment vs target) that ``repro serve`` prints.
 """
 
 from repro.serve.loadgen import (

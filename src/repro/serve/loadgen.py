@@ -14,9 +14,9 @@ closed-loop driver self-throttles and hides it).  Three processes:
 
 Everything derives from ``random.Random(seed)``, so a (process, rate,
 count, seed, burst_factor) tuple replays the identical schedule on any
-host.  :func:`serve_scenario` is the one-stop entry the CLI, the bench
-registry and the tests share: build the scenario's seeded inputs, start
-a server, drive the schedule, and return the SLO report document.
+host.  :func:`serve_scenario` is the one-stop entry the CLI and the
+tests share: build the scenario's seeded inputs, start a server, drive
+the schedule, and return the SLO report document.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@
 ``repro-serve/1`` document — manifest-stamped like every other exported
 artifact, so a report is attributable to a config hash, engine, seed and
 git SHA.  :func:`validate_slo_report` is the schema check the CI smoke
-step and the gate round-trip rely on (quantile monotonicity, request
-count conservation, attainment in [0, 1]); :func:`render_slo_report`
-prints the human-readable summary table.
+step and the tests rely on (quantile monotonicity, request count
+conservation, attainment in [0, 1]); :func:`render_slo_report` prints
+the human-readable summary table.
 """
 
 from __future__ import annotations

@@ -261,7 +261,6 @@ class NCPUServer:
             request.finalize_phases()
             self._n_resolved += 1
             self.recorder.record_shed()
-            self.session.stats.incr("serve.requests.shed")
             self.session.stats.emit("serve.shed", {
                 "request": request.index, "t_s": request.t_respond,
                 "queue_depth": depth})
@@ -269,7 +268,6 @@ class NCPUServer:
         future = asyncio.get_running_loop().create_future()
         request.t_enqueue = self._now()
         self._queue.put_nowait(_Pending(request, row, future))
-        self.session.stats.incr("serve.requests.submitted")
         await future
         return request
 
@@ -380,8 +378,6 @@ class NCPUServer:
         self.sim_cycles += int(timing.total_cycles)
         self.sim_macs += int(timing.macs)
         self.recorder.record_batch(len(live))
-        self.session.stats.incr("serve.batches")
-        self.session.stats.incr("serve.batch_rows", len(live))
         for position, pending in enumerate(live):
             request = pending.request
             request.t_dispatch = t_dispatch
@@ -394,7 +390,6 @@ class NCPUServer:
             self._n_resolved += 1
             self.recorder.record_completion(request.latency_s,
                                             request.phases_s)
-            self.session.stats.incr("serve.requests.completed")
             self.session.stats.emit("serve.request", {
                 "request": request.index, "status": request.status,
                 "batch": batch_index, "batch_size": len(live),
@@ -429,7 +424,6 @@ class NCPUServer:
             request.finalize_phases()
             self._n_resolved += 1
             self.recorder.record_error()
-            self.session.stats.incr("serve.requests.error")
             if not pending.future.done():
                 pending.future.set_result(request)
 
@@ -440,7 +434,6 @@ class NCPUServer:
         request.finalize_phases()
         self._n_resolved += 1
         self.recorder.record_timeout()
-        self.session.stats.incr("serve.requests.timeout")
         self.session.stats.emit("serve.timeout", {
             "request": request.index, "t_s": request.t_respond,
             "age_s": age_s})

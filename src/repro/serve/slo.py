@@ -47,6 +47,8 @@ SERVE_METRIC_HELP: Dict[str, str] = {
                         "control",
     "repro_serve_timeouts": "requests dropped after exceeding the "
                             "request timeout",
+    "repro_serve_errors": "requests failed by an engine fault or a "
+                          "stopped batcher",
     "repro_serve_batches": "dynamic batches dispatched to the engine",
     "repro_serve_latency_seconds": "end-to-end request latency quantile "
                                    "(streaming histogram estimate)",
@@ -286,6 +288,7 @@ def add_serve_metrics(collection, recorder: SLORecorder, *,
     put_counter("repro_serve_completed", recorder.completed)
     put_counter("repro_serve_shed", recorder.shed)
     put_counter("repro_serve_timeouts", recorder.timeouts)
+    put_counter("repro_serve_errors", recorder.errors)
     put_counter("repro_serve_batches", len(recorder.batch_sizes))
     put_counter("repro_serve_trace_dropped_records", max(0, trace_dropped))
     if recorder.latency.count:

@@ -132,7 +132,7 @@ class SimConfig:
         ``REPRO_ENGINE``.
 
         The engine name is validated here, against the live registry,
-        before anything else is constructed — so ``repro run``/``bench``
+        before anything else is constructed — so ``repro run``/``experiments``
         with a bad ``REPRO_ENGINE`` fail fast with the registered-engine
         list instead of deep inside program assembly.
         """

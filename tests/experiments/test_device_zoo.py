@@ -27,8 +27,7 @@ class TestBreakdown:
                 device_zoo.WORKLOAD_MACS / profile.accel_ops_per_cycle)
 
     def test_golden_ncpu_values(self):
-        """The default profile's zoo row is exact-gated in
-        benchmarks/baseline.json — pin it here too."""
+        """The default profile's zoo row, pinned to exact floats."""
         entry = device_zoo.profile_breakdown("ncpu-65nm")
         assert entry["energy_uj"] == 9.174921874999999
         assert entry["latency_ms"] == 0.059453125

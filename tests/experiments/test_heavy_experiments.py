@@ -127,6 +127,18 @@ class TestFig19:
 class TestFig17PhaseFractions:
     """The dual-NCPU phase split is engine-independent scheduler output."""
 
+    #: the dual-NCPU phase split, % of end-to-end cycles
+    PINNED = {
+        "image": {"init": 0.07993605115907274, "memory_io": 0.0,
+                  "preprocess": 75.9392486011191,
+                  "inference": 23.980815347721823, "postprocess": 0.0,
+                  "overhead": 0.0},
+        "motion": {"init": 0.07993605115907274, "memory_io": 0.0,
+                   "preprocess": 67.94564348521183,
+                   "inference": 31.974420463629095, "postprocess": 0.0,
+                   "overhead": 0.0},
+    }
+
     @pytest.fixture(scope="class")
     def fast_result(self):
         import os
@@ -156,19 +168,12 @@ class TestFig17PhaseFractions:
             assert total == pytest.approx(100.0)
 
     def test_fractions_stable_against_gated_baseline(self, fast_result):
-        """REPRO_ENGINE=fast must reproduce the committed phase split."""
-        import json
-        from pathlib import Path
-
+        """REPRO_ENGINE=fast must reproduce the pinned phase split."""
         from repro.obs import PHASES
 
-        baseline = json.loads(
-            (Path(__file__).resolve().parents[2] / "benchmarks" /
-             "baseline.json").read_text())["metrics"]
-        for case in ("image", "motion"):
+        for case, pinned in self.PINNED.items():
             for phase in PHASES:
                 name = f"{case} ncpu2 phase fraction {phase}"
-                pinned = baseline[f"experiment:fig17:{name}"]["value"]
                 measured = fast_result.metric(name).measured
-                assert measured == pytest.approx(pinned, rel=1e-3,
+                assert measured == pytest.approx(pinned[phase], rel=1e-3,
                                                  abs=1e-9), name

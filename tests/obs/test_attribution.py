@@ -25,7 +25,7 @@ from repro.obs import (
     timeline_phase_cycles,
     validate_attribution_dict,
 )
-from repro.scenario import Scenario, WorkloadSpec
+from repro.scenario import EngineSpec, Scenario, WorkloadSpec
 from repro.sim import use_session
 
 ENGINES = sorted(set(engine_names()) & {"accurate", "fast"})
@@ -128,6 +128,54 @@ class TestAttributeScenario:
         attribution.check()
         assert attribution.kind == "chained"
         assert attribution.cycles[MEMORY_IO] > 0  # the DMA hop
+
+
+def pinned_cpu(program, iterations, prefer_functional=False):
+    return Scenario(name=f"pinned-{program}",
+                    workload=WorkloadSpec(kind="cpu", name=program,
+                                          layer_sizes=(),
+                                          iterations=iterations),
+                    engine=EngineSpec(prefer_functional=prefer_functional))
+
+
+#: the 100-100-100-10 classifier of the fabricated chip's array
+PINNED_BNN = Scenario(name="pinned-bnn",
+                      workload=WorkloadSpec(kind="bnn", name="random",
+                                            layer_sizes=(100, 100, 100, 10)),
+                      seed=0, batch_size=200)
+
+#: the functional ISS and the fast interpreter both count one cycle per
+#: instruction, so their Dhrystone split is the same
+DHRYSTONE_ISA = {MEMORY_IO: 5145, INFERENCE: 15059}
+
+
+class TestPinnedPhaseCycles:
+    """Integer phase cycles of fixed scenarios, pinned exactly: a change
+    to a timing model, a workload kernel or an attributor moves them."""
+
+    @pytest.mark.parametrize("scenario, engine, expected", [
+        pytest.param(pinned_cpu("dhrystone", 40), "accurate",
+                     {INIT: 4, MEMORY_IO: 5145, INFERENCE: 15059,
+                      OVERHEAD: 7232}, id="dhrystone-pipeline"),
+        pytest.param(pinned_cpu("dhrystone", 40, prefer_functional=True),
+                     "accurate", DHRYSTONE_ISA, id="dhrystone-functional"),
+        pytest.param(pinned_cpu("dhrystone", 40), "fast", DHRYSTONE_ISA,
+                     id="dhrystone-fast"),
+        pytest.param(pinned_cpu("hotspot", 50), "accurate",
+                     {INIT: 4, MEMORY_IO: 1600, INFERENCE: 5952,
+                      OVERHEAD: 3898}, id="hotspot-pipeline"),
+        pytest.param(PINNED_BNN, "accurate", {INIT: 208, INFERENCE: 20800},
+                     id="bnn-accurate"),
+        pytest.param(PINNED_BNN, "fast", {INIT: 208, INFERENCE: 20800},
+                     id="bnn-fast"),
+    ])
+    def test_phase_cycles_reproduce_exactly(self, scenario, engine,
+                                            expected):
+        with use_session(cache_enabled=False):
+            attribution = attribute_scenario(scenario, engine=engine)
+        assert attribution.cycles == {phase: expected.get(phase, 0)
+                                      for phase in PHASES}
+        assert attribution.total_cycles == sum(expected.values())
 
 
 class TestAttributeScenarioContracts:

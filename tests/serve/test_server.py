@@ -135,8 +135,6 @@ class TestAdmissionControl:
         assert all(request.status == "shed" for request in results)
         assert server.recorder.shed == 5
         assert server.recorder.completed == 0
-        assert session.stats.as_dict()["counters"].get(
-            "serve.requests.shed") == 5
 
     def test_expired_requests_time_out_at_assembly(self):
         scenario = small_scenario("fast")
@@ -419,8 +417,6 @@ class TestEngineFault:
         assert report["requests"]["error"] == 4
         assert validate_slo_report(report)["requests"] == 5
         assert "| error | 4 |" in render_slo_report(report)
-        assert session.stats.as_dict()["counters"].get(
-            "serve.requests.error") == 4
 
     def test_cancelled_batcher_fails_queued_requests_and_stops(
             self, monkeypatch, caplog):
@@ -456,8 +452,6 @@ class TestEngineFault:
         assert "batcher cancelled with 3 requests unserved" in caplog.text
         assert server.recorder.errors == 3
         assert server.recorder.completed == 0
-        assert session.stats.as_dict()["counters"].get(
-            "serve.requests.error") == 3
         report = build_slo_report(server, [0.0] * 3)
         assert report["requests"]["error"] == 3
         assert validate_slo_report(report)["requests"] == 3

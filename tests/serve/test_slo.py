@@ -203,6 +203,13 @@ class TestAddServeMetrics:
         phases = by_name["repro_serve_phase_seconds"]
         assert {labels["phase"] for labels, _ in phases} == set(PHASES)
 
+    def test_errors_family_counts_recorded_errors(self):
+        recorder = TestSLORecorder().filled()
+        recorder.record_error()
+        series = self.collection(recorder).get("repro_serve_errors",
+                                               labels={"engine": "fast"})
+        assert series is not None and series.value == 1.0
+
     def test_trace_dropped_clamped_non_negative(self):
         collection = self.collection(trace_dropped=-5)
         series = collection.get("repro_serve_trace_dropped_records",

@@ -129,7 +129,7 @@ class TestRunEngine:
         with pytest.raises(ConfigurationError,
                            match="REPRO_ENGINE: .*folded into 'fast'"):
             SimConfig.from_env()
-        assert main(["bench", "--list"]) == 2
+        assert main(["experiments", "fig07", "--json"]) == 2
         assert "folded into 'fast'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("retired", ["numpy", "parallel"])
@@ -337,42 +337,6 @@ class TestRunMetrics:
         assert labels and labels[0]["experiment"] == "fig09"
 
 
-class TestBenchCli:
-    def test_bench_list(self, capsys):
-        assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert "cpu.pipeline.dhrystone" in out
-        assert "runner.experiment.warm" in out
-
-    def test_bench_quick_writes_bench_file(self, tmp_path, capsys):
-        import json
-
-        from repro.metrics import validate_bench_doc
-
-        assert main(["bench", "dma", "--quick", "--no-experiments",
-                     "--repeats", "1", "--out-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "dma.transfer" in out
-        bench_files = list(tmp_path.glob("BENCH_*.json"))
-        assert len(bench_files) == 1
-        doc = json.loads(bench_files[0].read_text())
-        assert validate_bench_doc(doc)["benchmarks"] == 1
-
-    def test_bench_json_no_write(self, tmp_path, capsys):
-        import json
-
-        assert main(["bench", "dma", "--quick", "--no-experiments",
-                     "--repeats", "1", "--no-write", "--json",
-                     "--out-dir", str(tmp_path)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == "repro-bench/1"
-        assert not list(tmp_path.glob("BENCH_*.json"))
-
-    def test_bench_unknown_pattern_fails(self, capsys):
-        assert main(["bench", "no-such-benchmark"]) == 1
-        assert "no benchmarks match" in capsys.readouterr().err
-
-
 @pytest.fixture
 def bnn_scenario_file(tmp_path):
     import json
@@ -521,29 +485,9 @@ class TestRunScenario:
         finally:
             os.environ.pop("REPRO_ENGINE", None)
 
-    def test_bench_scenario_flag(self, cpu_scenario_file, capsys):
-        import json
-
-        assert main(["bench", "dma", "--quick", "--no-experiments",
-                     "--repeats", "1", "--no-write", "--json",
-                     "--scenario", cpu_scenario_file]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["scenario"]["name"] == "cli-cpu"
-
-    def test_bench_benchmarks_carry_their_scenarios(self, capsys):
-        import json
-
-        assert main(["bench", "cpu.fastpath", "--quick",
-                     "--no-experiments", "--repeats", "1", "--no-write",
-                     "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        recorded = doc["benchmarks"]["cpu.fastpath.dhrystone"]["scenario"]
-        assert recorded["workload"]["name"] == "dhrystone"
-        assert recorded["engine"]["name"] == "fast"
-
-    def test_bench_bad_engine_env_fails_fast(self, capsys, monkeypatch):
+    def test_bad_engine_env_fails_fast(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "warp")
-        assert main(["bench", "--list"]) == 2
+        assert main(["experiments", "fig07", "--json"]) == 2
         message = capsys.readouterr().err
         assert "REPRO_ENGINE" in message and "warp" in message
 
@@ -669,6 +613,34 @@ class TestAttributeCli:
         with pytest.raises(SystemExit):
             main(["attribute", "--scenario", bnn_scenario_file,
                   "--engine", "warp"])
+
+
+class TestServeCli:
+    @pytest.fixture(autouse=True)
+    def _fresh_session(self):
+        from repro.sim import reset_session
+
+        reset_session()
+        yield
+        reset_session()
+
+    def test_metrics_out_counts_batches_once_and_errors(self, tmp_path,
+                                                         capsys):
+        import json
+
+        from repro.metrics import validate_openmetrics_file
+
+        om = tmp_path / "serve.om"
+        assert main(["serve", "--engine", "fast", "--requests", "40",
+                     "--json", "--metrics-out", str(om)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        samples = {}
+        for _, name, _, value in validate_openmetrics_file(om)["parsed"]:
+            samples.setdefault(name, []).append(value)
+        assert samples["repro_serve_batches_total"] == \
+            [report["batches"]["count"]]
+        assert samples["repro_serve_errors_total"] == [0]
+        assert samples["repro_serve_requests_total"] == [40]
 
 
 class TestDeviceProfileCli:

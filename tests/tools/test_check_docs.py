@@ -54,8 +54,8 @@ class TestLinkCheck:
 class TestCommandExtraction:
     def test_prompt_prefix_and_operators(self, check_docs):
         argv = check_docs.extract_repro_argv(
-            "$ repro bench --quick | tee log.txt")
-        assert argv == [["bench", "--quick"]]
+            "$ repro experiments --json | tee log.txt")
+        assert argv == [["experiments", "--json"]]
 
     def test_python_dash_m_form_with_env_prefix(self, check_docs):
         argv = check_docs.extract_repro_argv(
@@ -68,8 +68,8 @@ class TestCommandExtraction:
 
     def test_continuation_lines_joined(self, check_docs):
         merged = check_docs.join_continuations(
-            ["repro bench \\", "  --quick"])
-        assert merged == [(0, "repro bench --quick")]
+            ["repro experiments \\", "  --json"])
+        assert merged == [(0, "repro experiments --json")]
 
     def test_only_shell_fences_scanned(self, check_docs):
         text = ("```python\nrepro = 1\n```\n"
