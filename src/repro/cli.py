@@ -23,7 +23,9 @@ Progress chatter goes through the ``repro`` logger to stderr (``-v`` /
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.errors import ReproError
@@ -88,6 +90,103 @@ def cmd_dis(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Capture:
+    """The files ``--trace``, ``--metrics-out`` and ``--out`` ask for.
+
+    ``with _Capture(args, session) as capture:`` around a command's work
+    creates the directory of every requested file, then installs only
+    what the flags ask for: a tracer for ``--trace`` or ``--profile``, a
+    metrics recorder for ``--metrics-out``.  Both are detached on exit
+    and their captures stay readable for :meth:`write`.
+    """
+
+    def __init__(self, args: argparse.Namespace, session):
+        self.args = args
+        self.session = session
+        self.tracer = None
+        self.recorder = None
+        #: the recorded metrics collection (None without --metrics-out)
+        self.metrics = None
+
+    def __enter__(self) -> "_Capture":
+        args = self.args
+        paths = [*(args.trace or ()), *(args.metrics_out or ())]
+        if getattr(args, "out", None):
+            paths.append(args.out)
+        for path in paths:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        if args.trace or getattr(args, "profile", False):
+            from repro.trace import install_tracer
+
+            # unbounded: the profiler's attribution must be exact, and a
+            # wrapped ring buffer would lose serve request lanes
+            self.tracer = install_tracer(self.session, capacity=None)
+        if args.metrics_out:
+            from repro.metrics import MetricsRecorder
+
+            # snapshot-diff based: nothing touches the simulator hot path
+            self.recorder = MetricsRecorder(self.session).__enter__()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.recorder is not None:
+            self.recorder.__exit__(*exc)
+            self.metrics = self.recorder.collection
+        if self.tracer is not None:
+            from repro.trace import uninstall_tracer
+
+            # detach so repeated in-process calls don't stack bridges
+            uninstall_tracer(self.session)
+
+    def write(self, document=None) -> None:
+        """Write every requested file, each in the format its name picks.
+
+        A ``.jsonl`` trace gets the JSONL event stream, any other trace
+        Perfetto JSON; a ``.json`` metrics file gets the
+        ``repro-metrics/1`` document, any other OpenMetrics text; ``--out``
+        gets ``document`` as JSON.
+        """
+        args = self.args
+        for path in args.trace or ():
+            from repro.trace import write_chrome_trace, write_jsonl
+
+            if Path(path).suffix == ".jsonl":
+                count = write_jsonl(self.tracer, path)
+            else:
+                payload = write_chrome_trace(self.tracer, path)
+                count = payload["otherData"]["n_events"]
+            logger.info("trace: %d events -> %s", count, path)
+        for path in args.metrics_out or ():
+            from repro.metrics import write_json, write_openmetrics
+
+            if Path(path).suffix == ".json":
+                write_json(self.metrics, path)
+            else:
+                write_openmetrics(self.metrics, path)
+            logger.info("metrics: %d series -> %s", len(self.metrics), path)
+        if getattr(args, "out", None):
+            with open(args.out, "w") as handle:
+                json.dump(document, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            logger.info("%s -> %s", document["schema"], args.out)
+
+
+def _add_capture_flags(parser: argparse.ArgumentParser, trace: str,
+                       metrics: str) -> None:
+    """``--trace`` and ``--metrics-out``; the file name picks the format."""
+    parser.add_argument("--trace", action="append", metavar="PATH",
+                        help=f"write a trace of {trace} to PATH "
+                             "(repeatable): a .jsonl name gets the raw "
+                             "event stream as JSONL, any other name "
+                             "Chrome/Perfetto trace-event JSON (load in "
+                             "ui.perfetto.dev)")
+    parser.add_argument("--metrics-out", action="append", metavar="PATH",
+                        help=f"write {metrics} to PATH (repeatable): a "
+                             ".json name gets the stable-ordered "
+                             "repro-metrics/1 JSON document, any other "
+                             "name OpenMetrics text")
+
+
 def _load_cli_scenario(args: argparse.Namespace):
     """Load ``--scenario FILE`` with CLI flags folded over file fields.
 
@@ -112,7 +211,6 @@ def _load_cli_scenario(args: argparse.Namespace):
 
 def cmd_run(args: argparse.Namespace) -> int:
     import dataclasses
-    import json
 
     from repro.engine import resolve_engine
     from repro.errors import ConfigurationError
@@ -169,36 +267,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     prefer_functional = args.functional or (
         scenario is not None and scenario.engine.prefer_functional)
 
-    tracer = None
-    if args.trace or args.trace_jsonl or args.profile:
-        from repro.trace import install_tracer
-
-        # unbounded + unsampled so the profiler's attribution is exact
-        tracer = install_tracer(get_session(), capacity=None)
-
-    recorder = None
-    if args.metrics_out or args.metrics_json:
-        from repro.metrics import MetricsRecorder
-
-        # snapshot-diff based: nothing touches the simulator hot path
-        recorder = MetricsRecorder(get_session())
-        recorder.__enter__()
-
-    try:
+    with _Capture(args, session) as capture:
         # the engine owns CPU construction and the step/cycle limit
         # semantics (fast engines count retired instructions, the
         # accurate pipeline counts cycles)
         cpu, result = engine.run_program(program, limit=args.max_cycles,
                                          prefer_functional=prefer_functional)
-    finally:
-        if recorder is not None:
-            recorder.__exit__(None, None, None)
-        if tracer is not None:
-            from repro.trace import uninstall_tracer
-
-            # detach so repeated in-process calls don't stack bridges;
-            # the captured events stay readable for the exports below
-            uninstall_tracer(get_session())
     exit_code = 0 if result.stop_reason in ("halt", "trans_bnn") else 1
 
     # with --stats-json, stdout carries exactly one parseable JSON document;
@@ -215,36 +289,11 @@ def cmd_run(args: argparse.Namespace) -> int:
                             for i in range(index, index + 4))
             print(row, file=out)
 
-    if tracer is not None:
-        from repro.trace import (
-            build_report,
-            render_report,
-            write_chrome_trace,
-            write_jsonl,
-        )
+    capture.write()
+    if args.profile:
+        from repro.trace import build_report, render_report
 
-        if args.trace:
-            payload = write_chrome_trace(tracer, args.trace)
-            logger.info("trace: %d events -> %s",
-                        payload["otherData"]["n_events"], args.trace)
-        if args.trace_jsonl:
-            count = write_jsonl(tracer, args.trace_jsonl)
-            logger.info("trace: %d events -> %s", count, args.trace_jsonl)
-        if args.profile:
-            print(render_report(build_report(tracer)), file=out)
-
-    if recorder is not None:
-        from repro.metrics import write_json, write_openmetrics
-
-        collection = recorder.collection
-        if args.metrics_out:
-            write_openmetrics(collection, args.metrics_out)
-            logger.info("metrics: %d series -> %s", len(collection),
-                        args.metrics_out)
-        if args.metrics_json:
-            write_json(collection, args.metrics_json)
-            logger.info("metrics: %d series -> %s", len(collection),
-                        args.metrics_json)
+        print(render_report(build_report(capture.tracer)), file=out)
 
     if args.stats_json:
         # printed before the non-zero exit path, stop reason included, so
@@ -382,8 +431,6 @@ def chip_specs() -> dict:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    import json
-
     from repro.engine import engine_table
     from repro.power import profile_table
     from repro.sim import get_session
@@ -456,8 +503,6 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_attribute(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs import (
         attribute_chained,
         attribute_scenario,
@@ -473,60 +518,19 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     set_session(SimSession.from_scenario(scenario))
     session = get_session()
 
-    tracer = None
-    if args.trace:
-        from repro.trace import install_tracer
-
-        tracer = install_tracer(session, capacity=None)
-    recorder = None
-    if args.metrics_out or args.metrics_json:
-        from repro.metrics import MetricsRecorder
-
-        recorder = MetricsRecorder(session)
-        recorder.__enter__()
-
     # --engine repeats for A/B; default is the scenario's own engine
     engines = args.engine or [scenario.engine.name]
     runs = []
-    try:
+    with _Capture(args, session) as capture:
         for name in engines:
             runs.append(attribute_scenario(scenario, engine=name))
             if args.chained:
                 runs.append(attribute_chained(scenario, engine=name))
-    finally:
-        if recorder is not None:
-            recorder.__exit__(None, None, None)
-        if tracer is not None:
-            from repro.trace import uninstall_tracer
-
-            uninstall_tracer(session)
-
-    document = attribution_document(runs, scenario)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        logger.info("attribution: %d runs -> %s", len(runs), args.out)
-    if tracer is not None and args.trace:
-        from repro.trace import write_chrome_trace
-
-        payload = write_chrome_trace(tracer, args.trace)
-        logger.info("trace: %d events -> %s",
-                    payload["otherData"]["n_events"], args.trace)
-    if recorder is not None:
-        collection = recorder.collection
+    if capture.metrics is not None:
         for attribution in runs:
-            collection.add_phase_attribution(attribution)
-        from repro.metrics import write_json, write_openmetrics
-
-        if args.metrics_out:
-            write_openmetrics(collection, args.metrics_out)
-            logger.info("metrics: %d series -> %s", len(collection),
-                        args.metrics_out)
-        if args.metrics_json:
-            write_json(collection, args.metrics_json)
-            logger.info("metrics: %d series -> %s", len(collection),
-                        args.metrics_json)
+            capture.metrics.add_phase_attribution(attribution)
+    document = attribution_document(runs, scenario)
+    capture.write(document)
     if args.json:
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
@@ -552,8 +556,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    import json
-
     from repro.scenario.fuzz import fuzz
     from repro.scenario.materialize import scenario_signature
 
@@ -607,14 +609,11 @@ def _serve_scenario_from_args(args: argparse.Namespace):
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    import json
-
     from repro.serve import (
         add_serve_metrics,
         render_slo_report,
         serve_scenario,
         validate_slo_report,
-        write_slo_report,
     )
     from repro.sim import SimSession, get_session, set_session
 
@@ -622,64 +621,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
     set_session(SimSession.from_scenario(scenario))
     session = get_session()
 
-    tracer = None
-    if args.trace or args.trace_jsonl:
-        from repro.trace import install_tracer
-
-        # unbounded: a wrapped ring buffer would silently lose request
-        # lanes (the dropped count would say so, but keep them all)
-        tracer = install_tracer(session, capacity=None)
-    recorder = None
-    if args.metrics_out or args.metrics_json:
-        from repro.metrics import MetricsRecorder
-
-        recorder = MetricsRecorder(session)
-        recorder.__enter__()
-
-    try:
+    with _Capture(args, session) as capture:
         report, server = serve_scenario(scenario, session=session,
                                         with_server=True)
-    finally:
-        if recorder is not None:
-            recorder.__exit__(None, None, None)
-        if tracer is not None:
-            from repro.trace import uninstall_tracer
-
-            uninstall_tracer(session)
-
     validate_slo_report(report)
-    spec = scenario.serve
-    if args.out:
-        write_slo_report(report, args.out)
-        logger.info("serve: SLO report -> %s", args.out)
-    if tracer is not None:
-        from repro.trace import write_chrome_trace, write_jsonl
-
-        if args.trace:
-            payload = write_chrome_trace(tracer, args.trace)
-            logger.info("trace: %d events -> %s",
-                        payload["otherData"]["n_events"], args.trace)
-        if args.trace_jsonl:
-            count = write_jsonl(tracer, args.trace_jsonl)
-            logger.info("trace: %d events -> %s", count, args.trace_jsonl)
-    if recorder is not None:
-        from repro.metrics import write_json, write_openmetrics
-
-        collection = recorder.collection
+    if capture.metrics is not None:
+        spec = scenario.serve
+        tracer = capture.tracer
         add_serve_metrics(
-            collection, server.recorder,
+            capture.metrics, server.recorder,
             budget_s=spec.latency_budget_ms / 1e3, wall_s=server.wall_s,
             labels={"engine": server.engine.name,
                     "arrival": spec.arrival},
             trace_dropped=tracer.dropped if tracer is not None else 0)
-        if args.metrics_out:
-            write_openmetrics(collection, args.metrics_out)
-            logger.info("metrics: %d series -> %s", len(collection),
-                        args.metrics_out)
-        if args.metrics_json:
-            write_json(collection, args.metrics_json)
-            logger.info("metrics: %d series -> %s", len(collection),
-                        args.metrics_json)
+    capture.write(report)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -693,8 +648,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
-    import json
-
     from repro.serve import arrival_offsets, summarize_offsets
 
     offsets = arrival_offsets(args.arrival, args.rate, args.requests,
@@ -776,21 +729,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stats-json", action="store_true",
                      help="print one JSON document (stop reason + stats "
                           "registry) on stdout; summary moves to stderr")
-    run.add_argument("--trace", metavar="PATH",
-                     help="write a Chrome/Perfetto trace-event JSON "
-                          "(load in ui.perfetto.dev)")
-    run.add_argument("--trace-jsonl", metavar="PATH",
-                     help="write the raw event stream as JSONL")
+    _add_capture_flags(run, trace="the run",
+                       metrics="the run's metrics (stats-registry deltas "
+                               "+ wall time, manifest-labelled)")
     run.add_argument("--profile", action="store_true",
                      help="print hot-spot / stall-attribution / layer "
                           "profile (pipelined runs)")
-    run.add_argument("--metrics-out", metavar="PATH",
-                     help="write OpenMetrics text exposition of the run "
-                          "(stats-registry deltas + wall time, manifest-"
-                          "labelled)")
-    run.add_argument("--metrics-json", metavar="PATH",
-                     help="write the same metrics as a stable-ordered "
-                          "JSON document")
     run.add_argument("--max-cycles", type=int, default=10_000_000)
     run.set_defaults(func=cmd_run)
 
@@ -905,19 +849,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--json", action="store_true",
                        help="print the SLO report JSON on stdout instead "
                             "of markdown")
-    serve.add_argument("--trace", metavar="PATH",
-                       help="write a Chrome/Perfetto trace with "
-                            "per-request lifecycle lanes (serve.reqNN), "
-                            "batch spans and queue-depth counters")
-    serve.add_argument("--trace-jsonl", metavar="PATH",
-                       help="write the raw event stream as JSONL")
-    serve.add_argument("--metrics-out", metavar="PATH",
-                       help="write OpenMetrics text exposition: latency "
-                            "quantiles, per-phase quantiles, admission "
-                            "counters, queue gauges")
-    serve.add_argument("--metrics-json", metavar="PATH",
-                       help="write the same metrics as a stable-ordered "
-                            "JSON document")
+    _add_capture_flags(serve,
+                       trace="per-request lifecycle lanes (serve.reqNN), "
+                             "batch spans and queue-depth counters",
+                       metrics="latency quantiles, per-phase quantiles, "
+                               "admission counters and queue gauges")
     serve.set_defaults(func=cmd_serve)
 
     load = sub.add_parser("loadgen",
@@ -965,15 +901,10 @@ def build_parser() -> argparse.ArgumentParser:
     att.add_argument("--out", metavar="PATH",
                      help="also write the attribution JSON document to "
                           "PATH")
-    att.add_argument("--trace", metavar="PATH",
-                     help="write a Chrome/Perfetto trace of the attributed "
-                          "runs (obs.* phase tracks)")
-    att.add_argument("--metrics-out", metavar="PATH",
-                     help="write OpenMetrics gauges of the attribution "
-                          "(per-phase cycles, wall seconds, fractions)")
-    att.add_argument("--metrics-json", metavar="PATH",
-                     help="write the same metrics as a stable-ordered "
-                          "JSON document")
+    _add_capture_flags(att, trace="the attributed runs (obs.* phase "
+                                  "tracks)",
+                       metrics="gauges of the attribution (per-phase "
+                               "cycles, wall seconds, fractions)")
     att.set_defaults(func=cmd_attribute)
 
     info = sub.add_parser("info", help="print the modelled chip specs")

@@ -324,8 +324,7 @@ class PipelinedCPU:
         """
         before = self.stats.scalars()
         session = get_session()
-        tracer = session.tracer
-        self._tracer = tracer if tracer is not None and tracer.active else None
+        self._tracer = session.tracer
         while self._stop_reason is None and self.stats.cycles < max_cycles:
             self._cycle()
         reason = self._stop_reason or "max_cycles"

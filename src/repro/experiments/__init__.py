@@ -1,8 +1,8 @@
 """Per-table/figure reproductions of the paper's evaluation.
 
-Each module exposes ``run() -> ExperimentResult``; see
-:mod:`repro.experiments.runner` for the run-all entry point and DESIGN.md
-for the experiment index.
+Each module exposes ``run() -> ExperimentResult``; ``python -m repro
+experiments`` runs them through :mod:`repro.experiments.runner`, and
+DESIGN.md has the experiment index.
 """
 
 from repro.experiments.common import ExperimentResult, Metric

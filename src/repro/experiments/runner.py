@@ -1,11 +1,7 @@
 """Run table/figure reproductions: registry-driven, cache-aware, parallel.
 
-Usage::
-
-    python -m repro.experiments.runner                 # all experiments
-    python -m repro.experiments.runner fig13 t1        # substring filtering
-    python -m repro.experiments.runner --json          # machine-readable
-    python -m repro.experiments.runner -j 4 --markdown # parallel + markdown
+The command line is ``python -m repro experiments`` (:mod:`repro.cli`);
+this module is the library behind it.
 
 Experiments self-register through :mod:`repro.experiments.registry`;
 completed :class:`ExperimentResult`\\ s are memoized in the session's
@@ -15,19 +11,18 @@ edits invalidate automatically) and re-runs come back instantly.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import all_experiments, get_spec
-from repro.logutil import configure_logging, get_logger
-from repro.sim import SimConfig, SimSession, get_session, set_session
+from repro.logutil import get_logger
+from repro.sim import get_session
 
 logger = get_logger("experiments")
 
@@ -42,11 +37,6 @@ RUN_META_ATTR = "run_meta"
 def run_meta(result: ExperimentResult) -> Optional[Dict]:
     """The per-run metadata attached by :func:`run_experiment` (or None)."""
     return getattr(result, RUN_META_ATTR, None)
-
-
-def experiments() -> Dict[str, Callable[[], ExperimentResult]]:
-    """Name -> runner mapping (compatibility with the old module dict)."""
-    return {name: spec.func for name, spec in all_experiments().items()}
 
 
 def select(patterns: Optional[List[str]] = None) -> List[str]:
@@ -211,7 +201,7 @@ def render_markdown(results: List[ExperimentResult],
                     include_run_summary: bool = True) -> str:
     lines = ["# EXPERIMENTS — paper vs measured", ""]
     lines += [
-        "Regenerate with `python -m repro.experiments.runner` (text) or see",
+        "Regenerate with `python -m repro experiments --markdown` or see",
         "`benchmarks/` for the per-experiment pytest-benchmark targets.",
         "",
     ]
@@ -243,59 +233,6 @@ def render_json(results: List[ExperimentResult],
     return json.dumps(entries, indent=indent)
 
 
-def render_text(results: List[ExperimentResult]) -> str:
-    return "\n\n".join(result.to_table() for result in results)
-
-
-# -- CLI ----------------------------------------------------------------
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner",
-        description="reproduce the paper's tables and figures",
-    )
-    parser.add_argument("patterns", nargs="*",
-                        help="substring filters, e.g. fig13 table2")
-    parser.add_argument("-v", "--verbose", action="count", default=0,
-                        help="progress chatter on stderr (-v info, "
-                             "-vv debug)")
-    parser.add_argument("-j", "--jobs", type=int, default=1,
-                        help="run experiments in N parallel processes")
-    parser.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON results")
-    parser.add_argument("--markdown", action="store_true",
-                        help="emit EXPERIMENTS.md-style markdown")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not update the artifact cache")
-    parser.add_argument("--cache-dir",
-                        help="artifact cache root (default ~/.cache/repro, "
-                             "or $REPRO_CACHE_DIR)")
-    parser.add_argument("--trace-dir", metavar="DIR",
-                        help="trace each executed experiment into "
-                             "DIR/<name>.trace.json (Perfetto format)")
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    configure_logging(verbosity=args.verbose)
-    if args.cache_dir:
-        set_session(SimSession(SimConfig(cache_dir=args.cache_dir)))
-    if not select(args.patterns or None):
-        print(f"no experiments match {' '.join(args.patterns)!r}; known: "
-              f"{', '.join(all_experiments())}", file=sys.stderr)
-        return 1
-    results = run_selected(args.patterns or None,
-                           use_cache=not args.no_cache, jobs=args.jobs,
-                           trace_dir=args.trace_dir)
-    if args.json:
-        print(render_json(results))
-    elif args.markdown:
-        print(render_markdown(results))
-    else:
-        print(render_text(results))
-        print()
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit("repro.experiments.runner has no command line of its own; "
+             "run `python -m repro experiments` instead")

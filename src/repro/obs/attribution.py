@@ -192,7 +192,7 @@ def _resolve_attributing_engine(engine, scenario):
 
 
 def _publish(session, attribution: RunAttribution) -> RunAttribution:
-    """Invariant-check, then surface the attribution on the session."""
+    """Invariant-check, then publish the attribution's phase events."""
     attribution.check()
     stats = session.stats
     stats.incr("obs.runs")
@@ -205,7 +205,6 @@ def _publish(session, attribution: RunAttribution) -> RunAttribution:
                    phase=phase, cycles=attribution.cycles[phase],
                    wall_s=attribution.wall_s[phase],
                    total_cycles=attribution.total_cycles)
-    session.last_attribution = attribution
     return attribution
 
 

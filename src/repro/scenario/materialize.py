@@ -103,8 +103,7 @@ def build_inputs(scenario: Scenario,
 
 
 def run_scenario(scenario: Scenario,
-                 engine: Optional[str] = None,
-                 attribute: bool = False) -> Dict[str, Any]:
+                 engine: Optional[str] = None) -> Dict[str, Any]:
     """Execute one scenario end-to-end; returns a JSON-ready summary.
 
     ``engine`` overrides the scenario's engine spec (the CLI threads
@@ -112,11 +111,6 @@ def run_scenario(scenario: Scenario,
     the engine's ``run_program``; BNN scenarios classify the input batch
     through the accelerator's engine-dispatched batch path, so cycle/MAC
     accounting comes from the engine-independent timing model.
-
-    ``attribute=True`` additionally splits the run's simulated cycles
-    into the six ``repro.obs`` phases (``summary["phase_cycles"]``,
-    exact sum-to-total) — derived from the stats/timing the run already
-    produced, so the workload is not executed twice.
     """
     from repro.engine import resolve_engine
 
@@ -133,10 +127,6 @@ def run_scenario(scenario: Scenario,
         summary["stop_reason"] = result.stop_reason
         summary["cycles"] = result.stats.cycles
         summary["instructions"] = result.stats.instructions
-        if attribute:
-            from repro.obs import cpu_phase_cycles
-
-            summary["phase_cycles"] = cpu_phase_cycles(result.stats)
         return summary
     from repro.bnn import BNNAccelerator
 
@@ -150,10 +140,6 @@ def run_scenario(scenario: Scenario,
     summary["predictions"] = [int(p) for p in predictions]
     summary["total_cycles"] = int(timing.total_cycles)
     summary["macs"] = int(timing.macs)
-    if attribute:
-        from repro.obs import bnn_phase_cycles
-
-        summary["phase_cycles"] = bnn_phase_cycles(timing)
     return summary
 
 

@@ -32,7 +32,6 @@ from repro.serve.report import (
     build_slo_report,
     render_slo_report,
     validate_slo_report,
-    write_slo_report,
 )
 from repro.serve.server import NCPUServer, Request, ServePolicy
 from repro.serve.slo import (
@@ -60,5 +59,4 @@ __all__ = [
     "serve_scenario",
     "summarize_offsets",
     "validate_slo_report",
-    "write_slo_report",
 ]

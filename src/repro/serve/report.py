@@ -11,8 +11,6 @@ the human-readable summary table.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any, Dict, List, Mapping
 
 from repro.obs import PHASES
@@ -198,12 +196,3 @@ def render_slo_report(doc: Mapping[str, Any]) -> str:
         "",
     ]
     return "\n".join(lines)
-
-
-def write_slo_report(doc: Mapping[str, Any], path) -> Path:
-    """Write the JSON document to ``path``; returns the path."""
-    target = Path(path)
-    with open(target, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return target

@@ -74,8 +74,12 @@ class StatsRegistry:
         return probe
 
     def unsubscribe(self, event: str, probe: ProbeFn) -> None:
-        if probe in self._probes.get(event, []):
-            self._probes[event].remove(probe)
+        probes = self._probes.get(event, [])
+        if probe in probes:
+            probes.remove(probe)
+        if not probes:
+            # an empty list would defeat emit's "no probes" early return
+            self._probes.pop(event, None)
 
     def emit(self, event: str, payload: Optional[Mapping[str, Any]] = None,
              **fields: Any) -> None:

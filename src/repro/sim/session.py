@@ -32,9 +32,6 @@ class SimSession:
         #: the session's active :class:`repro.trace.Tracer` (None when
         #: tracing is off; installed by :func:`repro.trace.install_tracer`)
         self.tracer = None
-        #: the most recent :class:`repro.obs.RunAttribution` published in
-        #: this session (None until an attributed run completes)
-        self.last_attribution = None
 
     @classmethod
     def from_scenario(cls, scenario, **config_overrides) -> "SimSession":

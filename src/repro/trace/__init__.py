@@ -2,8 +2,8 @@
 
 Layered on the session :class:`~repro.sim.StatsRegistry` probe channel:
 
-* :class:`Tracer` — spans/instants/counters with cycle timestamps, a
-  bounded ring buffer, and optional sampling (:mod:`repro.trace.tracer`);
+* :class:`Tracer` — spans/instants/counters with cycle timestamps in a
+  bounded ring buffer (:mod:`repro.trace.tracer`);
 * exporters — Chrome/Perfetto trace-event JSON and JSONL
   (:mod:`repro.trace.export`);
 * profilers — per-PC hot spots with exact stall attribution, per-layer
@@ -22,7 +22,6 @@ Quick start::
 from repro.trace.export import (
     chrome_trace,
     iter_chrome_events,
-    read_jsonl,
     validate_chrome_trace,
     validate_chrome_trace_file,
     write_chrome_trace,
@@ -86,7 +85,6 @@ __all__ = [
     "cpu_profile",
     "install_tracer",
     "iter_chrome_events",
-    "read_jsonl",
     "render_bnn_profile",
     "render_report",
     "render_utilization",

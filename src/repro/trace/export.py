@@ -7,9 +7,9 @@ one named thread; the pipeline's per-cycle occupancy records are expanded
 into five per-stage lanes with consecutive same-PC cycles merged into one
 span, so an instruction parked in a stage reads as a single block.
 
-Timestamps are simulated cycles rendered as microseconds (1 cycle == 1 us
-by default), which keeps Perfetto's time axis readable; ``otherData``
-records the convention.
+Timestamps are simulated cycles rendered as microseconds (1 cycle == 1 us),
+which keeps Perfetto's time axis readable; ``otherData`` records the
+convention.
 
 :func:`validate_chrome_trace` is the exporter's schema check — used by the
 golden-file test and the CI smoke step, with no external schema library.
@@ -60,13 +60,9 @@ def _merge_stage_runs(cycle_events: List[TraceEvent],
     return spans
 
 
-def chrome_trace(source, expand_cycles: bool = True,
-                 cycles_per_us: float = 1.0) -> Dict[str, Any]:
+def chrome_trace(source) -> Dict[str, Any]:
     """Render events (or a Tracer) as a Chrome trace-event JSON object."""
-    if cycles_per_us <= 0:
-        raise ValueError("cycles_per_us must be positive")
     events = list(events_of(source))
-    scale = 1.0 / cycles_per_us
 
     tids: Dict[str, int] = {}
 
@@ -78,19 +74,19 @@ def chrome_trace(source, expand_cycles: bool = True,
     body: List[Dict[str, Any]] = []
     cycle_groups: Dict[str, List[TraceEvent]] = defaultdict(list)
     for event in events:
-        if expand_cycles and event.name == CYCLE_EVENT:
+        if event.name == CYCLE_EVENT:
             cycle_groups[event.track].append(event)
             continue
         entry: Dict[str, Any] = {
             "name": event.name,
             "cat": event.cat or "sim",
             "ph": event.ph,
-            "ts": event.ts * scale,
+            "ts": float(event.ts),
             "pid": TRACE_PID,
             "tid": tid_for(event.track),
         }
         if event.ph == "X":
-            entry["dur"] = event.dur * scale
+            entry["dur"] = float(event.dur)
         if event.ph == "i":
             entry["s"] = "t"  # thread-scoped instant
         if event.args:
@@ -106,8 +102,8 @@ def chrome_trace(source, expand_cycles: bool = True,
                     "name": f"{span['pc']:#x}",
                     "cat": "cpu",
                     "ph": "X",
-                    "ts": span["start"] * scale,
-                    "dur": span["dur"] * scale,
+                    "ts": float(span["start"]),
+                    "dur": float(span["dur"]),
                     "pid": TRACE_PID,
                     "tid": tid_for(lane),
                 })
@@ -125,16 +121,15 @@ def chrome_trace(source, expand_cycles: bool = True,
 
     other_data: Dict[str, Any] = {
         "generator": GENERATOR,
-        "time_unit": f"cycles ({cycles_per_us:g} cycle(s) == 1 us)",
+        "time_unit": "cycles (1 cycle(s) == 1 us)",
         "n_events": len(body),
         "tracks": [t for t, _ in sorted(tids.items(),
                                         key=lambda kv: kv[1])],
     }
-    # completeness metadata: a trace whose ring buffer wrapped (or whose
-    # sampler skipped cycles) must say so, or profiles silently lie
+    # completeness metadata: a trace whose ring buffer wrapped must say
+    # so, or profiles silently lie
     if isinstance(source, Tracer):
         other_data["dropped_records"] = source.dropped
-        other_data["sampled_out"] = source.sampled_out
     return {
         "traceEvents": metadata + body,
         "displayTimeUnit": "ms",
@@ -142,11 +137,9 @@ def chrome_trace(source, expand_cycles: bool = True,
     }
 
 
-def write_chrome_trace(source, path, expand_cycles: bool = True,
-                       cycles_per_us: float = 1.0) -> Dict[str, Any]:
+def write_chrome_trace(source, path) -> Dict[str, Any]:
     """Write the Chrome trace JSON to ``path``; returns the payload."""
-    payload = chrome_trace(source, expand_cycles=expand_cycles,
-                           cycles_per_us=cycles_per_us)
+    payload = chrome_trace(source)
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
         handle.write("\n")
@@ -161,22 +154,6 @@ def write_jsonl(source, path) -> int:
             handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
             count += 1
     return count
-
-
-def read_jsonl(path) -> List[TraceEvent]:
-    """Load a JSONL event log back into :class:`TraceEvent` records."""
-    events: List[TraceEvent] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            events.append(TraceEvent(
-                name=raw["name"], ph=raw["ph"], ts=raw["ts"],
-                track=raw["track"], dur=raw.get("dur", 0.0),
-                cat=raw.get("cat", ""), args=raw.get("args", {})))
-    return events
 
 
 # -- schema validation ---------------------------------------------------

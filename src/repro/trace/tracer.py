@@ -6,7 +6,7 @@ into it two ways:
 
 * **direct call sites** for high-rate data — the pipelined CPU records one
   occupancy event per cycle plus stall/flush instants with their hazard
-  cause (it looks the tracer up once per run, so the disabled path costs a
+  cause (it looks the tracer up once per run, so an untraced run costs a
   single attribute load per cycle);
 * the **probe bridge** — a ``"*"`` subscriber on the session
   :class:`~repro.sim.StatsRegistry` that converts the registry's existing
@@ -16,8 +16,9 @@ into it two ways:
 
 Install with :func:`install_tracer` / :func:`uninstall_tracer` or the
 :func:`tracing` context manager; the active tracer lives on the current
-:class:`~repro.sim.SimSession` as ``session.tracer``.  Nothing subscribes
-to the registry until a tracer is installed, so the untraced fast path
+:class:`~repro.sim.SimSession` as ``session.tracer``.  Tracing is off
+exactly when no tracer is installed: nothing subscribes to the registry
+until then, and uninstalling unsubscribes again, so the untraced fast path
 (``StatsRegistry.emit`` returning on "no probes") is preserved.
 """
 
@@ -102,32 +103,19 @@ class _Span:
 
 
 class Tracer:
-    """Bounded, optionally sampling collector of :class:`TraceEvent`\\ s."""
+    """Bounded collector of :class:`TraceEvent`\\ s."""
 
-    def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY,
-                 sample_every: int = 1, enabled: bool = True,
-                 clock: Optional[Callable[[], float]] = None):
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
+    def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY):
         self.capacity = capacity
-        self.sample_every = sample_every
-        self.enabled = enabled
-        self.clock = clock
         self.dropped = 0  # events evicted from the ring buffer
-        self.sampled_out = 0  # cycle records skipped by sampling
         #: stats registry mirroring drops as ``trace.dropped_records``
         #: (attached by :func:`install_tracer`; optional for bare tracers)
         self.stats = None
         self._events: deque = deque(maxlen=capacity)
         self._cursors: Dict[str, float] = {}
-        self._cycle_seen = 0
         self._warned_dropped = False
 
     # -- state ----------------------------------------------------------
-    @property
-    def active(self) -> bool:
-        return self.enabled
-
     @property
     def events(self) -> List[TraceEvent]:
         return list(self._events)
@@ -139,15 +127,7 @@ class Tracer:
         self._events.clear()
         self._cursors.clear()
         self.dropped = 0
-        self.sampled_out = 0
-        self._cycle_seen = 0
         self._warned_dropped = False
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
 
     def _append(self, event: TraceEvent) -> None:
         if self.capacity is not None and len(self._events) == self.capacity:
@@ -159,33 +139,27 @@ class Tracer:
                 logger.warning(
                     "trace ring buffer full (capacity %d): evicting oldest "
                     "records; raise capacity (capacity=None for unbounded) "
-                    "or sample_every to keep the whole run", self.capacity)
+                    "to keep the whole run", self.capacity)
         self._events.append(event)
 
     # -- emission -------------------------------------------------------
     def complete(self, name: str, track: str, start: float, dur: float,
                  cat: str = "", **args: Any) -> None:
         """A span: ``name`` occupied ``track`` for cycles [start, start+dur)."""
-        if not self.enabled:
-            return
         self._append(TraceEvent(name=name, ph="X", ts=start, dur=dur,
                                 track=track, cat=cat, args=args))
 
     def instant(self, name: str, track: str, ts: Optional[float] = None,
                 cat: str = "", **args: Any) -> None:
-        """A zero-duration marker at cycle ``ts`` (tracer clock if None)."""
-        if not self.enabled:
-            return
+        """A zero-duration marker at cycle ``ts`` (track cursor if None)."""
         if ts is None:
-            ts = self.clock() if self.clock is not None else self.cursor(track)
+            ts = self.cursor(track)
         self._append(TraceEvent(name=name, ph="i", ts=ts, track=track,
                                 cat=cat, args=args))
 
     def counter(self, name: str, track: str, ts: float, value: float,
                 cat: str = "") -> None:
         """A counter sample (renders as a value track in Perfetto)."""
-        if not self.enabled:
-            return
         self._append(TraceEvent(name=name, ph="C", ts=ts, track=track,
                                 cat=cat, args={"value": value}))
 
@@ -194,14 +168,10 @@ class Tracer:
              clock: Optional[Callable[[], float]] = None, **args: Any):
         """Context manager recording a span around the body.
 
-        ``clock`` (or the tracer's default clock) supplies the begin/end
-        timestamps; without one, the track cursor is used and advanced by
-        zero — pass explicit timing via :meth:`complete` instead.
+        ``clock`` supplies the begin/end timestamps; without one, the
+        track cursor is used and advanced by zero — pass explicit timing
+        via :meth:`complete` instead.
         """
-        if not self.enabled:
-            yield None
-            return
-        clock = clock if clock is not None else self.clock
         handle = _Span(dict(args))
         start = clock() if clock is not None else self.cursor(track)
         try:
@@ -220,26 +190,19 @@ class Tracer:
             **args: Any) -> float:
         """Lay a span at the track cursor and advance it; returns the start."""
         start = self.cursor(track)
-        if self.enabled:
-            self.complete(name, track=track, start=start, dur=dur,
-                          cat=cat, **args)
+        self.complete(name, track=track, start=start, dur=dur, cat=cat,
+                      **args)
         self._cursors[track] = start + dur
         return start
 
     # -- pipeline fast path ----------------------------------------------
     def cpu_cycle(self, cycle: int, track: str = CPU_TRACK,
                   **stages: Optional[int]) -> None:
-        """One per-cycle stage-occupancy record (subject to sampling).
+        """One per-cycle stage-occupancy record.
 
         ``stages`` maps stage names (``IF``..``WB``) to the occupying PC
         (None = bubble) plus optional extras such as ``wb_name``.
         """
-        if not self.enabled:
-            return
-        self._cycle_seen += 1
-        if self.sample_every > 1 and (self._cycle_seen - 1) % self.sample_every:
-            self.sampled_out += 1
-            return
         self._append(TraceEvent(name=CYCLE_EVENT, ph="X", ts=cycle - 1,
                                 dur=1, track=track, cat="cpu", args=stages))
 
@@ -252,8 +215,6 @@ class ProbeBridge:
 
     def __call__(self, event: str, payload: Mapping[str, Any]) -> None:
         tracer = self.tracer
-        if not tracer.enabled:
-            return
         if event == "timeline.segment":
             start = payload["start"]
             tracer.complete(payload.get("label") or payload["kind"],
@@ -354,11 +315,12 @@ class ProbeBridge:
 
 
 # -- session wiring -----------------------------------------------------
-def install_tracer(session=None, **tracer_kwargs: Any) -> Tracer:
+def install_tracer(session=None,
+                   capacity: Optional[int] = DEFAULT_CAPACITY) -> Tracer:
     """Create a tracer, attach it to the session, subscribe the bridge."""
     session = session if session is not None else get_session()
     uninstall_tracer(session)
-    tracer = Tracer(**tracer_kwargs)
+    tracer = Tracer(capacity)
     # mirror ring-buffer evictions into the session stats, so dropped
     # records are as visible as any other counter (metrics diffs pick up
     # ``trace.dropped_records`` with no extra wiring)
@@ -384,10 +346,10 @@ def uninstall_tracer(session=None) -> Optional[Tracer]:
 
 
 @contextmanager
-def tracing(session=None, **tracer_kwargs: Any):
+def tracing(session=None, capacity: Optional[int] = DEFAULT_CAPACITY):
     """``with tracing() as tracer:`` — install for the block, then detach."""
     session = session if session is not None else get_session()
-    tracer = install_tracer(session, **tracer_kwargs)
+    tracer = install_tracer(session, capacity)
     try:
         yield tracer
     finally:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import registry, runner
 from repro.experiments.common import ExperimentResult
 from repro.sim import SimConfig, SimSession, set_session
@@ -27,11 +28,6 @@ def session(tmp_path):
 class TestRegistry:
     def test_all_experiments_complete(self):
         assert list(registry.all_experiments()) == ALL_NAMES
-
-    def test_experiments_compat_mapping(self):
-        mapping = runner.experiments()
-        assert set(mapping) == set(ALL_NAMES)
-        assert all(callable(func) for func in mapping.values())
 
     def test_get_spec_unknown_name(self):
         with pytest.raises(KeyError, match="no experiment named"):
@@ -202,16 +198,16 @@ class TestReporters:
         results = runner.run_selected(["fig07"])
         markdown = runner.render_markdown(results)
         assert "| metric | paper | measured | deviation |" in markdown
-        assert "Fig 7" in runner.render_text(results)
+        assert "Fig 7" in results[0].to_table()
 
     def test_cli_no_match_is_an_error(self, session, capsys):
-        assert runner.main(["zzz",
-                            "--cache-dir", str(session.cache.root)]) == 1
+        assert main(["experiments", "zzz",
+                     "--cache-dir", str(session.cache.root)]) == 1
         assert "no experiments match" in capsys.readouterr().err
 
     def test_cli_json_mode(self, session, capsys):
-        assert runner.main(["fig07", "--json",
-                            "--cache-dir", str(session.cache.root)]) == 0
+        assert main(["experiments", "fig07", "--json",
+                     "--cache-dir", str(session.cache.root)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["experiment_id"] == "Fig 7"
 

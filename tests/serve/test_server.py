@@ -17,7 +17,6 @@ from repro.serve import (
     render_slo_report,
     serve_scenario,
     validate_slo_report,
-    write_slo_report,
 )
 from repro.sim import use_session
 
@@ -183,13 +182,21 @@ class TestSLOReport:
         with use_session(cache_enabled=False) as session:
             return run_serve(scenario, session=session)
 
-    def test_render_and_write_roundtrip(self, tmp_path):
-        report = self.report()
-        text = render_slo_report(report)
+    def test_render_and_write_roundtrip(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.sim import reset_session
+
+        target = tmp_path / "slo.json"
+        try:
+            assert main(["serve", "--engine", "fast", "--requests", "24",
+                         "--out", str(target)]) == 0
+        finally:
+            reset_session()
+        text = capsys.readouterr().out
         assert "SLO" in text and "| p50 |" in text
-        target = write_slo_report(report, tmp_path / "slo.json")
         loaded = json.loads(target.read_text())
         assert validate_slo_report(loaded)["requests"] == 24
+        assert render_slo_report(loaded) == text
 
     def test_validate_rejects_lost_requests(self):
         report = self.report()

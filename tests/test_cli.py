@@ -200,6 +200,8 @@ class TestRunStatsJson:
 
 class TestRunTrace:
     def test_trace_and_profile(self, source_file, tmp_path, capsys):
+        import json
+
         from repro.trace import validate_chrome_trace_file
 
         trace = tmp_path / "run.trace.json"
@@ -208,11 +210,14 @@ class TestRunTrace:
         # feature, so the test must not follow REPRO_ENGINE
         assert main(["run", source_file, "--engine", "accurate",
                      "--trace", str(trace),
-                     "--trace-jsonl", str(jsonl), "--profile"]) == 0
+                     "--trace", str(jsonl), "--profile"]) == 0
         out = capsys.readouterr().out
         summary = validate_chrome_trace_file(trace)
         assert "cpu.pipeline" in summary["tracks"]
-        assert jsonl.read_text().strip()
+        # the .jsonl name picks the raw event stream: one event per line
+        events = [json.loads(line)
+                  for line in jsonl.read_text().splitlines()]
+        assert events and all("ph" in event for event in events)
         assert "hot spots" in out
         assert "cycles attributed" in out
 
@@ -224,6 +229,14 @@ class TestRunTrace:
         session = get_session()
         assert session.tracer is None
         assert not session.stats._probes.get("*")
+
+    def test_artifacts_in_missing_directories(self, source_file, tmp_path,
+                                              capsys):
+        trace = tmp_path / "new" / "a" / "t.json"
+        metrics = tmp_path / "new" / "b" / "m.om"
+        assert main(["run", source_file, "--trace", str(trace),
+                     "--metrics-out", str(metrics)]) == 0
+        assert trace.is_file() and metrics.is_file()
 
 
 class TestInfoAndExperiments:
@@ -309,11 +322,12 @@ class TestRunMetrics:
                   if name == "repro_cpu_pipeline_cycles_total"]
         assert cycles == [float(reported)]
 
-    def test_metrics_json_document(self, source_file, tmp_path, capsys):
+    def test_metrics_out_json_document(self, source_file, tmp_path,
+                                       capsys):
         import json
 
         out = tmp_path / "run.metrics.json"
-        assert main(["run", source_file, "--metrics-json", str(out)]) == 0
+        assert main(["run", source_file, "--metrics-out", str(out)]) == 0
         capsys.readouterr()
         payload = json.loads(out.read_text())
         assert payload["schema"] == "repro-metrics/1"
@@ -614,6 +628,17 @@ class TestAttributeCli:
             main(["attribute", "--scenario", bnn_scenario_file,
                   "--engine", "warp"])
 
+    def test_out_in_missing_directory(self, bnn_scenario_file, tmp_path,
+                                      capsys):
+        import json
+
+        from repro.obs import ATTRIBUTION_SCHEMA
+
+        out = tmp_path / "new" / "dir" / "a.json"
+        assert main(["attribute", "--scenario", bnn_scenario_file,
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["schema"] == ATTRIBUTION_SCHEMA
+
 
 class TestServeCli:
     @pytest.fixture(autouse=True)
@@ -641,6 +666,17 @@ class TestServeCli:
             [report["batches"]["count"]]
         assert samples["repro_serve_errors_total"] == [0]
         assert samples["repro_serve_requests_total"] == [40]
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        import json
+
+        from repro.serve import validate_slo_report
+
+        out = tmp_path / "new" / "dir" / "slo.json"
+        assert main(["serve", "--engine", "fast", "--requests", "16",
+                     "--out", str(out)]) == 0
+        assert validate_slo_report(
+            json.loads(out.read_text()))["requests"] == 16
 
 
 class TestDeviceProfileCli:

@@ -1,5 +1,5 @@
-"""Tracer core: ring buffer, sampling, spans, cursors, session wiring,
-and the probe bridge that converts registry events into trace records."""
+"""Tracer core: ring buffer, spans, cursors, session wiring, and the
+probe bridge that converts registry events into trace records."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.core.events import Timeline
 from repro.sim import use_session
 from repro.trace import (
     BNN_TRACK,
-    CYCLE_EVENT,
     DMA_TRACK,
     Tracer,
     install_tracer,
@@ -41,45 +40,24 @@ class TestRingBuffer:
         assert tracer.cursor("t") == 0
 
 
-class TestSampling:
-    def test_cycle_records_sampled(self):
-        tracer = Tracer(sample_every=3)
-        for cycle in range(1, 10):
-            tracer.cpu_cycle(cycle, WB=cycle)
-        kept = [e for e in tracer.events if e.name == CYCLE_EVENT]
-        assert len(kept) == 3  # cycles 1, 4, 7
-        assert tracer.sampled_out == 6
-
-    def test_other_events_never_sampled(self):
-        tracer = Tracer(sample_every=10)
-        for index in range(5):
-            tracer.instant("e", track="t", ts=index)
-        assert len(tracer) == 5
-
-    def test_invalid_sample_rate_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(sample_every=0)
-
-
 class TestDisabled:
     def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.instant("a", track="t", ts=0)
-        tracer.complete("b", track="t", start=0, dur=1)
-        tracer.cpu_cycle(1, WB=0)
-        with tracer.span("c", track="t") as span:
-            assert span is None
-        assert len(tracer) == 0
-        assert not tracer.active
-        tracer.enable()
-        assert tracer.active
+        """Tracing is off once the tracer is uninstalled: probe events no
+        longer reach it, and no subscriber list is left behind."""
+        with use_session() as session:
+            tracer = install_tracer(session)
+            uninstall_tracer(session)
+            Timeline().add("core0", "cpu", 0, 10)
+            assert len(tracer) == 0
+            assert not session.stats._probes
 
 
 class TestSpans:
     def test_span_uses_clock_and_set(self):
         ticks = iter([10.0, 25.0])
-        tracer = Tracer(clock=lambda: next(ticks))
-        with tracer.span("bnn.layer", track="bnn", core=0) as span:
+        tracer = Tracer()
+        with tracer.span("bnn.layer", track="bnn", core=0,
+                         clock=lambda: next(ticks)) as span:
             span.set(batch=4)
         (event,) = tracer.events
         assert event.name == "bnn.layer"
@@ -90,9 +68,9 @@ class TestSpans:
 
     def test_span_records_even_when_body_raises(self):
         ticks = iter([1.0, 2.0])
-        tracer = Tracer(clock=lambda: next(ticks))
+        tracer = Tracer()
         with pytest.raises(RuntimeError):
-            with tracer.span("s", track="t"):
+            with tracer.span("s", track="t", clock=lambda: next(ticks)):
                 raise RuntimeError("boom")
         assert len(tracer) == 1
 
@@ -250,4 +228,3 @@ class TestDroppedRecordsStat:
             tracer.instant(f"e{index}", track="t", ts=index)
         payload = chrome_trace(tracer)
         assert payload["otherData"]["dropped_records"] == 3
-        assert payload["otherData"]["sampled_out"] == 0
