@@ -169,71 +169,6 @@ def synthetic_motion(
                          n_classes=_MOTION_CLASSES)
 
 
-#: keyword-spotting stand-in: classes of 1-D "audio" bursts
-_KEYWORD_CLASSES = 4
-
-
-def synthetic_keywords(
-    n_samples: int = 2000,
-    length: int = 256,
-    noise_sigma: float = 0.3,
-    seed: int = 0,
-) -> "AudioDataset":
-    """Generate the voice-detection stand-in (paper section III cites BNN
-    voice/keyword detection chips as a target application).
-
-    Each keyword class has a characteristic temporal envelope (attack /
-    sustain / decay position) and a dominant oscillation frequency; class 0
-    is background (noise only).  Windows are mono, ``length`` samples.
-    """
-    rng = np.random.default_rng(seed)
-    class_rng = np.random.default_rng(777)
-    freqs = class_rng.uniform(4, 24, size=_KEYWORD_CLASSES)
-    centers = class_rng.uniform(0.25, 0.75, size=_KEYWORD_CLASSES)
-    widths = class_rng.uniform(0.08, 0.2, size=_KEYWORD_CLASSES)
-
-    t = np.linspace(0, 1, length, endpoint=False)
-    signals = np.empty((n_samples, length))
-    labels = rng.integers(0, _KEYWORD_CLASSES, size=n_samples)
-    for index, label in enumerate(labels):
-        noise = rng.normal(0, noise_sigma, size=length)
-        if label == 0:
-            signals[index] = noise
-            continue
-        envelope = np.exp(-0.5 * ((t - centers[label]) / widths[label]) ** 2)
-        phase = rng.uniform(0, 2 * np.pi)
-        tone = np.sin(2 * np.pi * freqs[label] * t + phase)
-        signals[index] = envelope * tone * rng.uniform(0.8, 1.3) + noise
-    return AudioDataset(signals=signals, labels=labels.astype(np.int64),
-                        n_classes=_KEYWORD_CLASSES)
-
-
-@dataclass
-class AudioDataset:
-    """Raw 1-D audio-like windows (pre feature extraction)."""
-
-    signals: np.ndarray  # (n_samples, length)
-    labels: np.ndarray
-    n_classes: int
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    @property
-    def length(self) -> int:
-        return self.signals.shape[1]
-
-    def to_feature_dataset(self, extractor) -> Dataset:
-        """Run ``extractor(signal) -> feature vector`` over every sample."""
-        features = np.array([extractor(signal) for signal in self.signals])
-        lo = features.min(axis=0, keepdims=True)
-        hi = features.max(axis=0, keepdims=True)
-        span = np.where(hi - lo == 0, 1.0, hi - lo)
-        normalized = (features - lo) / span
-        return Dataset(images=normalized, labels=self.labels,
-                       n_classes=self.n_classes, name="synthetic-keywords")
-
-
 @dataclass
 class MotionDataset:
     """Raw multi-channel motion traces (pre feature extraction)."""

@@ -26,6 +26,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.bnn.model import BNNModel
+from repro.bnn.training import Adam, check_training_data
 from repro.errors import ConfigurationError, TrainingError
 
 
@@ -65,13 +66,12 @@ class FloatMLP:
     def train(self, x: np.ndarray, labels: np.ndarray, epochs: int = 15,
               batch_size: int = 64, learning_rate: float = 1e-3,
               seed: int = 1) -> List[float]:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(labels)
+        x, y = check_training_data(x, labels, self.sizes[0], self.sizes[-1],
+                                   batch_size)
         rng = np.random.default_rng(seed)
-        params = self.weights + self.biases
-        m = [np.zeros_like(p) for p in params]
-        v = [np.zeros_like(p) for p in params]
-        step = 0
+        # the literal moment weights this model was tuned with (see Adam)
+        optimizer = Adam(self.weights + self.biases, lr=learning_rate,
+                         grad_weights=(0.1, 0.001))
         losses = []
         for _ in range(epochs):
             order = rng.permutation(len(x))
@@ -97,15 +97,7 @@ class FloatMLP:
                     if index > 0:
                         grad = (grad @ self.weights[index]) \
                             * (pres[index - 1] > 0)
-                grads = grads_w + grads_b
-                step += 1
-                c1 = 1 - 0.9 ** step
-                c2 = 1 - 0.999 ** step
-                for i, (p, g) in enumerate(zip(params, grads)):
-                    m[i] = 0.9 * m[i] + 0.1 * g
-                    v[i] = 0.999 * v[i] + 0.001 * g ** 2
-                    p -= learning_rate * (m[i] / c1) / (np.sqrt(v[i] / c2)
-                                                        + 1e-8)
+                optimizer.step(grads_w + grads_b)
             epoch_loss /= len(x)
             if not np.isfinite(epoch_loss):
                 raise TrainingError("float MLP diverged")

@@ -18,7 +18,7 @@ accelerator and software kernels execute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,26 +34,104 @@ class TrainingHistory:
     train_accuracy: List[float] = field(default_factory=list)
 
 
-class _Adam:
-    """Minimal Adam optimizer for a list of parameter arrays."""
+#: Adam's moment decay rates and denominator guard (Kingma & Ba defaults)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: List[np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+
+class Adam:
+    """Adam over a fixed list of float arrays, updated in place.
+
+    Each step is the textbook update, in its textbook operation order::
+
+        m = beta1 * m + w1 * g
+        v = beta2 * v + w2 * g ** 2
+        p -= lr * (m / c1) / (sqrt(v / c2) + eps)     # c = 1 - beta ** t
+
+    but every intermediate goes to scratch allocated once.  Each in-place
+    operation rounds to the same IEEE result as the expression it
+    replaces, so the parameters match the allocating form bit for bit.
+    ``grad_weights`` is ``(w1, w2)``, ``(1 - beta1, 1 - beta2)`` unless a
+    caller passes the literals it was tuned with: ``0.1`` differs from
+    ``1 - 0.9`` in the last bit, and the weights trained on either differ.
+    """
+
+    def __init__(self, params: Sequence[np.ndarray], lr: float,
+                 grad_weights: Tuple[float, float] = (1 - BETA1, 1 - BETA2)):
+        self.params = list(params)
+        self.lr = lr
+        self.grad_weights = grad_weights
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p))
+                         for p in self.params]
         self.t = 0
 
-    def step(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
+    def step(self, grads: Sequence[np.ndarray]) -> None:
         self.t += 1
-        correction1 = 1 - self.beta1 ** self.t
-        correction2 = 1 - self.beta2 ** self.t
-        for index, (param, grad) in enumerate(zip(params, grads)):
-            self.m[index] = self.beta1 * self.m[index] + (1 - self.beta1) * grad
-            self.v[index] = self.beta2 * self.v[index] + (1 - self.beta2) * grad ** 2
-            m_hat = self.m[index] / correction1
-            v_hat = self.v[index] / correction2
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        correction1 = 1 - BETA1 ** self.t
+        correction2 = 1 - BETA2 ** self.t
+        w1, w2 = self.grad_weights
+        for param, grad, m, v, (update, denom) in zip(
+                self.params, grads, self.m, self.v, self._scratch):
+            m *= BETA1
+            m += np.multiply(grad, w1, out=update)
+            v *= BETA2
+            np.multiply(grad, grad, out=update)
+            update *= w2
+            v += update
+            np.divide(m, correction1, out=update)
+            update *= self.lr
+            np.divide(v, correction2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += EPS
+            update /= denom
+            param -= update
+
+
+def binarize(values: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.where(values >= 0, 1.0, -1.0)`` as a compare and a scale.
+
+    The comparison writes 1.0/0.0 straight into the float result, which
+    ``* 2 - 1`` maps onto +1/-1: sign(+-0.0) is +1 and NaN gives -1,
+    as with ``np.where``.
+    """
+    out = np.greater_equal(values, 0.0,
+                           out=np.empty_like(values) if out is None else out)
+    out *= 2.0
+    out -= 1.0
+    return out
+
+
+def check_training_data(x: np.ndarray, labels: np.ndarray, input_size: int,
+                        n_classes: int,
+                        batch_size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate a classifier's training set before any arithmetic runs.
+
+    ``x`` must be 2-D with ``input_size`` columns and at least one row;
+    ``labels`` 1-D integers in ``[0, n_classes)``, one per row; and
+    ``batch_size`` at least 1.  Raises :class:`ConfigurationError` naming
+    the bad field; returns ``(x as float64, labels)``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(labels)
+    if x.ndim != 2 or x.shape[1] != input_size:
+        raise ConfigurationError(
+            f"x: shape {x.shape} does not match input size {input_size}")
+    if len(x) == 0:
+        raise ConfigurationError("x: no training rows")
+    if y.shape != (len(x),):
+        raise ConfigurationError(
+            f"labels: shape {y.shape}, need one label per row of x "
+            f"({len(x)},)")
+    if not np.issubdtype(y.dtype, np.integer):
+        raise ConfigurationError(f"labels: dtype {y.dtype} is not integer")
+    if y.min() < 0 or y.max() >= n_classes:
+        raise ConfigurationError(
+            f"labels: out of range for the output layer [0, {n_classes})")
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size: must be >= 1, got {batch_size}")
+    return x, y
 
 
 class BNNTrainer:
@@ -74,26 +152,25 @@ class BNNTrainer:
             for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:])
         ]
         self.bias = [np.zeros(fan_out) for fan_out in layer_sizes[1:]]
-        self._optimizer = _Adam(self.shadow + self.bias, lr=learning_rate)
+        self._optimizer = Adam(self.shadow + self.bias, lr=learning_rate)
         #: per-layer STE pass-through half-width (pre-activation scale)
         self._ste_clip = [np.sqrt(fan_in) for fan_in in layer_sizes[:-1]]
+        #: the binarized shadow weights, written once per step by the
+        #: forward pass and read again by the backward pass
+        self._w_bin = [np.empty_like(shadow) for shadow in self.shadow]
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _sign(values: np.ndarray) -> np.ndarray:
-        return np.where(values >= 0, 1.0, -1.0)
-
     def _forward(self, x: np.ndarray):
         """Forward pass; returns (activations, pre_activations)."""
         activations = [x]
         pres = []
         current = x
         last = len(self.shadow) - 1
-        for index, (shadow, bias) in enumerate(zip(self.shadow, self.bias)):
-            w_bin = self._sign(shadow)
-            pre = current @ w_bin.T + bias
+        for index, (shadow, w_bin, bias) in enumerate(
+                zip(self.shadow, self._w_bin, self.bias)):
+            pre = current @ binarize(shadow, out=w_bin).T + bias
             pres.append(pre)
-            current = pre if index == last else self._sign(pre)
+            current = pre if index == last else binarize(pre)
             activations.append(current)
         return activations, pres
 
@@ -107,17 +184,8 @@ class BNNTrainer:
         verbose: bool = False,
     ) -> TrainingHistory:
         """Run Adam over ``(x_signs, labels)``; inputs are in {-1,+1}."""
-        x = np.asarray(x_signs, dtype=np.float64)
-        y = np.asarray(labels)
-        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
-            raise ConfigurationError(
-                f"input shape {x.shape} does not match input size "
-                f"{self.layer_sizes[0]}"
-            )
-        n_classes = self.layer_sizes[-1]
-        if y.min() < 0 or y.max() >= n_classes:
-            raise ConfigurationError("labels out of range for the output layer")
-
+        x, y = check_training_data(x_signs, labels, self.layer_sizes[0],
+                                   self.layer_sizes[-1], batch_size)
         rng = np.random.default_rng(seed)
         history = TrainingHistory()
         scale = 1.0 / np.sqrt(self.layer_sizes[-2])
@@ -147,14 +215,13 @@ class BNNTrainer:
                 grads_w: List[np.ndarray] = [None] * len(self.shadow)
                 grads_b: List[np.ndarray] = [None] * len(self.bias)
                 for index in reversed(range(len(self.shadow))):
-                    w_bin = self._sign(self.shadow[index])
                     grads_w[index] = grad.T @ activations[index]
                     grads_b[index] = grad.sum(axis=0)
                     if index > 0:
-                        grad_in = grad @ w_bin
-                        clip = self._ste_clip[index]
-                        grad = grad_in * (np.abs(pres[index - 1]) <= clip)
-                self._optimizer.step(self.shadow + self.bias, grads_w + grads_b)
+                        grad = grad @ self._w_bin[index]
+                        grad *= (np.abs(pres[index - 1])
+                                 <= self._ste_clip[index])
+                self._optimizer.step(grads_w + grads_b)
                 for index in range(len(self.shadow)):
                     np.clip(self.shadow[index], -1.0, 1.0,
                             out=self.shadow[index])
@@ -174,7 +241,7 @@ class BNNTrainer:
         layers = []
         for shadow, bias in zip(self.shadow, self.bias):
             layers.append(BNNLayer(
-                weights=self._sign(shadow).astype(np.int8),
+                weights=binarize(shadow).astype(np.int8),
                 bias=np.round(bias).astype(np.int32),
             ))
         return BNNModel(layers)

@@ -201,8 +201,8 @@ def render_markdown(results: List[ExperimentResult],
                     include_run_summary: bool = True) -> str:
     lines = ["# EXPERIMENTS — paper vs measured", ""]
     lines += [
-        "Regenerate with `python -m repro experiments --markdown` or see",
-        "`benchmarks/` for the per-experiment pytest-benchmark targets.",
+        "Regenerate with `python -m repro experiments --markdown`, or one",
+        "experiment with `python -m repro experiments <id>`.",
         "",
     ]
     for result in results:

@@ -15,7 +15,7 @@ and SUB simultaneously collapses to near-random (Fig 19a).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Optional
 
 import numpy as np
 
@@ -24,76 +24,114 @@ from repro.errors import ConfigurationError
 EPS = 1e-7
 
 
+def _clip30(values: np.ndarray) -> np.ndarray:
+    """``np.clip(values, -30, 30)`` without its Python wrappers;
+    bit-identical, NaN and -0.0 included."""
+    return np.minimum(np.maximum(values, -30.0), 30.0)
+
+
 def _sigmoid(values: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(values, -30, 30)))
+    return 1.0 / (1.0 + np.exp(-_clip30(values)))
 
 
 class NALUCell:
-    """One NALU layer: ``in_dim -> out_dim``."""
+    """One NALU layer: ``in_dim -> out_dim``.
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
+    The three parameter matrices ``w_hat``, ``m_hat`` and ``g`` are views
+    into one flat vector, ``params``, and their gradients into a second,
+    ``grads``, in the same order.  A cell allocates both unless the caller
+    passes views of its own (how :class:`NALUNetwork` packs two cells into
+    one buffer).
+    """
+
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
+                 params: Optional[np.ndarray] = None,
+                 grads: Optional[np.ndarray] = None):
         if in_dim <= 0 or out_dim <= 0:
             raise ConfigurationError("NALU dimensions must be positive")
         self.in_dim = in_dim
         self.out_dim = out_dim
+        size = 3 * out_dim * in_dim
+        self.params = np.empty(size) if params is None else params
+        self.grads = np.empty(size) if grads is None else grads
+        shape = (3, out_dim, in_dim)
+        self.w_hat, self.m_hat, self.g = self.params.reshape(shape)
+        self.grad_w_hat, self.grad_m_hat, self.grad_g = \
+            self.grads.reshape(shape)
         scale = 1.0 / np.sqrt(in_dim)
-        self.w_hat = rng.uniform(-scale, scale, size=(out_dim, in_dim))
-        self.m_hat = rng.uniform(-scale, scale, size=(out_dim, in_dim))
-        self.g = rng.uniform(-scale, scale, size=(out_dim, in_dim))
+        for param in (self.w_hat, self.m_hat, self.g):
+            param[...] = rng.uniform(-scale, scale, size=(out_dim, in_dim))
 
     # -- forward ----------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Batch forward; ``x`` is (batch, in_dim)."""
-        cache = {}
-        w = np.tanh(self.w_hat) * _sigmoid(self.m_hat)
-        add = x @ w.T
-        log_x = np.log(np.abs(x) + EPS)
-        mul = np.exp(np.clip(log_x @ w.T, -30, 30))
-        gate = _sigmoid(x @ self.g.T)
-        out = gate * add + (1.0 - gate) * mul
-        cache.update(x=x, w=w, add=add, mul=mul, gate=gate, log_x=log_x)
-        self._cache = cache
-        return out
-
-    # -- backward (returns grad wrt x; accumulates parameter grads) -------
-    def backward(self, grad_out: np.ndarray):
-        c = self._cache
-        x, w, add, mul, gate, log_x = (c["x"], c["w"], c["add"], c["mul"],
-                                       c["gate"], c["log_x"])
-        grad_add = grad_out * gate
-        grad_mul = grad_out * (1.0 - gate)
-        grad_gate = grad_out * (add - mul) * gate * (1.0 - gate)
-
-        # gate weights
-        self.grad_g = grad_gate.T @ x
-        # W receives contributions from both paths
-        grad_w = grad_add.T @ x + (grad_mul * mul).T @ log_x
         tanh_w = np.tanh(self.w_hat)
         sig_m = _sigmoid(self.m_hat)
-        self.grad_w_hat = grad_w * (1.0 - tanh_w ** 2) * sig_m
-        self.grad_m_hat = grad_w * tanh_w * sig_m * (1.0 - sig_m)
+        w = tanh_w * sig_m
+        add = x @ w.T
+        abs_x = np.abs(x) + EPS
+        log_x = np.log(abs_x)
+        mul = np.exp(_clip30(log_x @ w.T))
+        gate = _sigmoid(x @ self.g.T)
+        not_gate = 1.0 - gate
+        out = gate * add + not_gate * mul
+        self._cache = (x, abs_x, log_x, tanh_w, sig_m, w, add, mul, gate,
+                       not_gate)
+        return out
+
+    # -- backward (writes the parameter grads) ---------------------------
+    def backward(self, grad_out: np.ndarray,
+                 input_grad: bool = True) -> Optional[np.ndarray]:
+        """Write the parameter gradients into :attr:`grads`; return the
+        gradient wrt the input, or ``None`` when ``input_grad`` is false
+        (an input that is data, not a layer, needs none)."""
+        (x, abs_x, log_x, tanh_w, sig_m, w, add, mul, gate,
+         not_gate) = self._cache
+        grad_add = grad_out * gate
+        # the mul path's gradient at its exponent (d exp(z) / dz = mul)
+        grad_exp = grad_out * not_gate * mul
+        grad_gate = grad_out * (add - mul) * gate * not_gate
+
+        # gate weights
+        np.matmul(grad_gate.T, x, out=self.grad_g)
+        # W receives contributions from both paths
+        grad_w = grad_add.T @ x + grad_exp.T @ log_x
+        np.multiply(grad_w * (1.0 - tanh_w ** 2), sig_m, out=self.grad_w_hat)
+        np.multiply(grad_w * tanh_w * sig_m, 1.0 - sig_m,
+                    out=self.grad_m_hat)
+        if not input_grad:
+            return None
 
         # input gradient (through add, mul and gate paths)
         grad_x = grad_add @ w
-        grad_log = (grad_mul * mul) @ w
-        grad_x += grad_log * (np.sign(x) / (np.abs(x) + EPS))
+        grad_x += (grad_exp @ w) * (np.sign(x) / abs_x)
         grad_x += grad_gate @ self.g
         return grad_x
 
-    def params(self) -> List[np.ndarray]:
-        return [self.w_hat, self.m_hat, self.g]
-
-    def grads(self) -> List[np.ndarray]:
-        return [self.grad_w_hat, self.grad_m_hat, self.grad_g]
-
 
 class NALUNetwork:
-    """A two-layer NALU stack (the paper's configuration)."""
+    """A two-layer NALU stack (the paper's configuration).
+
+    Every parameter lives in one flat vector, ``params``, and every
+    gradient in ``grads``: each of the six matrices holds at most a few
+    elements, so clipping and the optimizer step run once per step over
+    the whole network instead of once per matrix.
+    """
 
     def __init__(self, in_dim: int, hidden: int, out_dim: int, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.layers = [NALUCell(in_dim, hidden, rng),
-                       NALUCell(hidden, out_dim, rng)]
+        dims = [(in_dim, hidden), (hidden, out_dim)]
+        # max(): a non-positive width is NALUCell's error to report
+        sizes = [3 * max(fan_in * fan_out, 0) for fan_in, fan_out in dims]
+        self.params = np.empty(sum(sizes))
+        self.grads = np.empty(sum(sizes))
+        self.layers = []
+        offset = 0
+        for (fan_in, fan_out), size in zip(dims, sizes):
+            span = slice(offset, offset + size)
+            self.layers.append(NALUCell(fan_in, fan_out, rng,
+                                        self.params[span], self.grads[span]))
+            offset += size
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=np.float64)
@@ -102,12 +140,8 @@ class NALUNetwork:
         return out
 
     def backward(self, grad_out: np.ndarray) -> None:
+        """Write every parameter gradient into :attr:`grads`."""
         grad = grad_out
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-
-    def params(self) -> List[np.ndarray]:
-        return [p for layer in self.layers for p in layer.params()]
-
-    def grads(self) -> List[np.ndarray]:
-        return [g for layer in self.layers for g in layer.grads()]
+        self.layers[0].backward(grad, input_grad=False)

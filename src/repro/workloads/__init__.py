@@ -4,8 +4,6 @@
   normalization (image classification use case, Fig 15a),
 * :mod:`repro.workloads.motion_features` — mean / histogram / MAV feature
   extraction (motion detection use case, Fig 15b),
-* :mod:`repro.workloads.audio_features` — frame energy / zero-crossing
-  features (keyword-detection use case, paper section III's voice target),
 * :mod:`repro.workloads.bnn_kernels` — software BNN inference on the CPU
   (Table 1's standalone-CPU baseline),
 * :mod:`repro.workloads.dhrystone` — Dhrystone-like benchmark (Table 2),
@@ -14,7 +12,6 @@
 """
 
 from repro.workloads import (  # noqa: F401
-    audio_features,
     bnn_kernels,
     dhrystone,
     image_pipeline,
@@ -24,7 +21,6 @@ from repro.workloads import (  # noqa: F401
 )
 
 __all__ = [
-    "audio_features",
     "bnn_kernels",
     "dhrystone",
     "image_pipeline",

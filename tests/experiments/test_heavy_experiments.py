@@ -97,7 +97,7 @@ class TestFig17:
 
 class TestFig18:
     def test_small_width_subset(self):
-        # widths 50/100 keep the test fast; the full sweep runs in benchmarks
+        # widths 50/100 keep the test fast; EXPERIMENTS.md pins the full sweep
         result = fig18_accelerator_size.run(widths=(50, 100))
         saving_50 = result.metric("area saving at 50 neurons")
         saving_100 = result.metric("area saving at 100 neurons")

@@ -109,6 +109,14 @@ class TestTraining:
         r = results["add"]
         assert 0 <= r.normalized_error_vs_init <= 1.5
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("batch_size", {"batch_size": 0}),
+        ("steps", {"steps": -1}),
+    ])
+    def test_bad_schedule_rejected(self, field, kwargs):
+        with pytest.raises(ConfigurationError, match=f"^{field}:"):
+            train_task("add", **kwargs)
+
 
 class TestCost:
     def test_anchored_ratios(self):
