@@ -216,6 +216,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
     from repro.sim import SimSession, get_session, set_session
 
+    if args.max_cycles < 0:
+        raise ConfigurationError(
+            f"--max-cycles: must be >= 0, got {args.max_cycles}")
     scenario = _load_cli_scenario(args)
     if scenario is not None:
         # the scenario becomes the session config: its seed/engine apply

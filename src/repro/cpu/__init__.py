@@ -5,7 +5,7 @@ from repro.cpu.fastpath import FastCPU, run_fastpath
 from repro.cpu.functional import FunctionalCPU, run_functional
 from repro.cpu.memory import DataMemory, FlatMemory
 from repro.cpu.pipeline import PipelinedCPU, run_pipelined
-from repro.cpu.semantics import ExecOutcome, execute
+from repro.cpu.semantics import compile_ex
 from repro.cpu.state import RegisterFile
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     "DataMemory",
     "FlatMemory",
     "RegisterFile",
-    "ExecOutcome",
-    "execute",
+    "compile_ex",
 ]

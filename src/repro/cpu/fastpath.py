@@ -44,7 +44,7 @@ from repro.cpu.functional import DEFAULT_MAX_STEPS
 from repro.cpu.memory import DataMemory, FlatMemory
 from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS
 from repro.cpu.state import RegisterFile
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.engine import EngineCapabilities, ExecutionEngine, register_engine
 from repro.isa.instructions import DecodedInstr, decode
 from repro.isa.program import Program
@@ -398,6 +398,8 @@ class FastCPU:
         Mirrors the run's :class:`ExecStats` growth into the session
         :class:`~repro.sim.StatsRegistry` under ``cpu.fastpath.*``.
         """
+        if max_steps < 0:
+            raise ConfigurationError(f"max_steps: must be >= 0, got {max_steps}")
         before = self.stats.scalars()
         stats = self.stats
         regs = self.regs._regs

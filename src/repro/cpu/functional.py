@@ -7,13 +7,13 @@ cycle-accurate pipeline in :mod:`repro.cpu.pipeline` is validated against it
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.cpu.env import CoreEnv, ExecStats, RunResult
 from repro.cpu.memory import DataMemory, FlatMemory
-from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS, execute
+from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS, ExFn, compile_ex
 from repro.cpu.state import RegisterFile
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.isa.instructions import DecodedInstr, decode
 from repro.isa.program import Program
 from repro.sim import get_session
@@ -40,7 +40,8 @@ class FunctionalCPU:
         self._decode_cache = {}
 
     # ------------------------------------------------------------------
-    def _fetch(self, pc: int) -> DecodedInstr:
+    def _fetch(self, pc: int) -> Tuple[DecodedInstr, ExFn]:
+        """The instruction at ``pc`` and its compiled EX closure."""
         cached = self._decode_cache.get(pc)
         if cached is not None:
             return cached
@@ -49,31 +50,31 @@ class FunctionalCPU:
         except IndexError as exc:
             raise SimulationError(str(exc)) from exc
         instr = decode(word)
-        self._decode_cache[pc] = instr
-        return instr
+        cached = self._decode_cache[pc] = (instr, compile_ex(instr))
+        return cached
 
     def step(self) -> Optional[str]:
         """Execute one instruction; return a stop reason or ``None``."""
         pc = self.pc
-        instr = self._fetch(pc)
+        instr, ex = self._fetch(pc)
         name = instr.name
 
-        rs1_val = self.regs.read(instr.rs1)
-        rs2_val = self.regs.read(instr.rs2)
-        outcome = execute(instr, rs1_val, rs2_val, pc)
+        regs = self.regs._regs
+        rs2_val = regs[instr.rs2]
+        alu, target = ex(regs[instr.rs1], rs2_val, pc)
 
         stop: Optional[str] = None
         if name in MEM_SIZES:
             size = MEM_SIZES[name]
-            target = self.env.l2_memory() if name.endswith("_l2") else self.memory
+            memory = self.env.l2_memory() if name.endswith("_l2") else self.memory
             if instr.spec.is_load:
-                value = target.load(outcome.alu, size, signed=name in SIGNED_LOADS)
+                value = memory.load(alu, size, signed=name in SIGNED_LOADS)
                 self.regs.write(instr.rd, value)
                 self.stats.mem_reads += 1
                 if name.endswith("_l2"):
                     self.env.l2_reads += 1
             else:
-                target.store(outcome.alu, rs2_val, size)
+                memory.store(alu, rs2_val, size)
                 self.stats.mem_writes += 1
                 if name.endswith("_l2"):
                     self.env.l2_writes += 1
@@ -85,11 +86,11 @@ class FunctionalCPU:
         elif name == "trigger_bnn":
             self.env.record("trigger_bnn", self.stats.cycles, pc, instr.imm)
         elif name == "mv_neu":
-            self.env.write_transition_neuron(instr.rd, outcome.alu)
+            self.env.write_transition_neuron(instr.rd, alu)
         elif instr.spec.writes_rd:
-            self.regs.write(instr.rd, outcome.alu)
+            self.regs.write(instr.rd, alu)
 
-        self.pc = outcome.target if outcome.taken else pc + 4
+        self.pc = pc + 4 if target is None else target
         self.stats.instructions += 1
         self.stats.cycles += 1  # single-cycle model
         self.stats.instr_counts[name] += 1
@@ -101,6 +102,8 @@ class FunctionalCPU:
         Mirrors the run's :class:`ExecStats` growth into the session
         :class:`~repro.sim.StatsRegistry` under ``cpu.functional.*``.
         """
+        if max_steps < 0:
+            raise ConfigurationError(f"max_steps: must be >= 0, got {max_steps}")
         before = self.stats.scalars()
         stop = None
         for _ in range(max_steps):

@@ -16,49 +16,51 @@ exactly; only the cycle accounting differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.cpu.env import CoreEnv, ExecStats, RunResult
 from repro.cpu.memory import DataMemory, FlatMemory
-from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS, execute
+from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS, compile_ex
 from repro.cpu.state import RegisterFile
-from repro.cpu.trace import PipelineTrace
-from repro.errors import SimulationError
+from repro.cpu.trace import STAGES, PipelineTrace
+from repro.errors import ConfigurationError, SimulationError
 from repro.isa.instructions import DecodedInstr, decode
 from repro.isa.program import Program
 from repro.sim import get_session
 
 DEFAULT_MAX_CYCLES = 100_000_000
 
-STAGES = ("IF", "ID", "EX", "MEM", "WB")
+_MASK = 0xFFFFFFFF
 
 
-@dataclass
-class _IFID:
-    pc: int
-    word: int
+class _Op:
+    """One instruction word, decoded once into what the stages read.
 
+    ``rd`` is the register written at WB and ``rs1``/``rs2`` the registers
+    EX reads, each 0 when unused (x0 never matches a hazard or forwarding
+    source); ``srcs`` is their non-zero set for the ID hazard check.
+    ``wb`` names the custom instructions that act at WB instead of writing
+    a register, and ``drains`` stops fetch behind a halt or mode switch.
+    """
 
-@dataclass
-class _IDEX:
-    pc: int
-    instr: DecodedInstr
+    __slots__ = ("instr", "name", "rd", "rs1", "rs2", "srcs", "size", "signed", "l2",
+                 "is_load", "wb", "drains", "ex")
 
-
-@dataclass
-class _EXMEM:
-    pc: int
-    instr: DecodedInstr
-    alu: int
-    store_val: int
-
-
-@dataclass
-class _MEMWB:
-    pc: int
-    instr: DecodedInstr
-    value: int
+    def __init__(self, instr: DecodedInstr):
+        spec = instr.spec
+        name = self.name = spec.name
+        self.instr = instr
+        self.rd = instr.rd if spec.writes_rd else 0
+        self.rs1 = instr.rs1 if spec.reads_rs1 else 0
+        self.rs2 = instr.rs2 if spec.reads_rs2 else 0
+        self.srcs = frozenset(reg for reg in (self.rs1, self.rs2) if reg)
+        self.size = MEM_SIZES.get(name, 0)
+        self.signed = name in SIGNED_LOADS
+        self.l2 = name.endswith("_l2")
+        self.is_load = spec.is_load
+        self.wb = name if name in ("mv_neu", "trigger_bnn", "ebreak", "trans_bnn") else None
+        self.drains = name in ("ebreak", "trans_bnn")
+        self.ex = compile_ex(instr)
 
 
 class PipelinedCPU:
@@ -86,257 +88,218 @@ class PipelinedCPU:
         self.trace = trace
         self.stats = ExecStats()
 
-        self.if_id: Optional[_IFID] = None
-        self.id_ex: Optional[_IDEX] = None
-        self.ex_mem: Optional[_EXMEM] = None
-        self.mem_wb: Optional[_MEMWB] = None
+        # latches, None = bubble: IF/ID (pc, word), ID/EX (pc, op),
+        # EX/MEM (pc, op, alu, store value), MEM/WB (pc, op, value)
+        self.if_id = self.id_ex = self.ex_mem = self.mem_wb = None
 
         self._fetch_enabled = True
         self._stop_reason: Optional[str] = None
         self._resume_pc = 0
-        self._decode_cache = {}
-        #: session tracer, resolved once per run(); None keeps the
-        #: untraced per-cycle cost to a single attribute load + None check
-        self._tracer = None
+        #: instruction word -> _Op, filled at ID so that an undecodable
+        #: word fetched into a squashed slot never raises
+        self._ops = {}
 
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _decode(self, word: int) -> DecodedInstr:
-        cached = self._decode_cache.get(word)
-        if cached is None:
-            cached = decode(word)
-            self._decode_cache[word] = cached
-        return cached
-
-    def _forwarded(self, reg: int) -> int:
-        """Operand value for EX with EX/MEM and MEM/WB forwarding."""
-        if reg == 0:
-            return 0
-        if not self.forwarding:
-            # ablated network: the interlock guarantees the register file
-            # already holds the architectural value
-            return self.regs.read(reg)
-        fwd = self.ex_mem
-        if fwd is not None and fwd.instr.spec.writes_rd and fwd.instr.rd == reg:
-            if fwd.instr.spec.is_load:
-                raise SimulationError(
-                    "load-use hazard reached EX; interlock failed"
-                )  # pragma: no cover - guarded by the interlock
-            return fwd.alu
-        fwd_wb = self.mem_wb
-        if fwd_wb is not None and fwd_wb.instr.spec.writes_rd and fwd_wb.instr.rd == reg:
-            return fwd_wb.value
-        return self.regs.read(reg)
-
-    def _consumer_sources(self):
-        if self.if_id is None:
-            return None
-        consumer = self._decode(self.if_id.word)
-        sources = set()
-        if consumer.spec.reads_rs1 and consumer.rs1:
-            sources.add(consumer.rs1)
-        if consumer.spec.reads_rs2 and consumer.rs2:
-            sources.add(consumer.rs2)
-        return sources
-
-    def _raw_hazard(self, new_ex_mem: Optional[_EXMEM],
-                    new_mem_wb: Optional[_MEMWB]) -> bool:
-        """True when the instruction in IF/ID must hold in decode.
-
-        With forwarding, only the load-use case stalls (one bubble: the
-        load's data forwards from MEM/WB).  Without forwarding (ablation),
-        results are visible only through the register file, so the consumer
-        waits until every in-flight producer has written back — two bubbles
-        for a back-to-back dependency in this EX-read design.
-        """
-        sources = self._consumer_sources()
-        if not sources:
-            return False
-        if self.forwarding:
-            producing = new_ex_mem
-            return (producing is not None and producing.instr.spec.is_load
-                    and producing.instr.rd in sources)
-        for latch in (new_ex_mem, new_mem_wb):
-            if (latch is not None and latch.instr.spec.writes_rd
-                    and latch.instr.rd in sources):
-                return True
-        return False
-
-    # ------------------------------------------------------------------
-    # one clock cycle
-    # ------------------------------------------------------------------
-    def _cycle(self) -> None:
-        self.stats.cycles += 1
-
-        if self.trace is not None:
-            fetch_pc = self.pc if self._fetch_enabled else None
-            self.trace.capture(self.stats.cycles, {
-                "IF": fetch_pc,
-                "ID": self.if_id.pc if self.if_id else None,
-                "EX": self.id_ex.pc if self.id_ex else None,
-                "MEM": self.ex_mem.pc if self.ex_mem else None,
-                "WB": self.mem_wb.pc if self.mem_wb else None,
-            })
-
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.cpu_cycle(
-                self.stats.cycles,
-                IF=self.pc if self._fetch_enabled else None,
-                ID=self.if_id.pc if self.if_id else None,
-                EX=self.id_ex.pc if self.id_ex else None,
-                MEM=self.ex_mem.pc if self.ex_mem else None,
-                WB=self.mem_wb.pc if self.mem_wb else None,
-                wb_name=self.mem_wb.instr.name if self.mem_wb else None,
-            )
-
-        # ---- WB -------------------------------------------------------
-        wb = self.mem_wb
-        if wb is not None:
-            self.stats.stage_busy["WB"] += 1
-            instr = wb.instr
-            name = instr.name
-            if instr.spec.writes_rd:
-                self.regs.write(instr.rd, wb.value)
-            elif name == "mv_neu":
-                self.env.write_transition_neuron(instr.rd, wb.value)
-            elif name == "trigger_bnn":
-                self.env.record("trigger_bnn", self.stats.cycles, wb.pc, instr.imm)
-            self.stats.instructions += 1
-            self.stats.instr_counts[name] += 1
-            if name == "ebreak":
-                self._stop_reason = "halt"
-                self._resume_pc = wb.pc + 4
-                return
-            if name == "trans_bnn":
-                self.env.record("trans_bnn", self.stats.cycles, wb.pc, instr.imm)
-                self._stop_reason = "trans_bnn"
-                self._resume_pc = wb.pc + 4
-                return
-
-        # ---- MEM ------------------------------------------------------
-        new_mem_wb: Optional[_MEMWB] = None
-        mem = self.ex_mem
-        if mem is not None:
-            self.stats.stage_busy["MEM"] += 1
-            instr = mem.instr
-            name = instr.name
-            value = mem.alu
-            if name in MEM_SIZES:
-                size = MEM_SIZES[name]
-                target = self.env.l2_memory() if name.endswith("_l2") else self.memory
-                if instr.spec.is_load:
-                    value = target.load(mem.alu, size, signed=name in SIGNED_LOADS)
-                    self.stats.mem_reads += 1
-                    if name.endswith("_l2"):
-                        self.env.l2_reads += 1
-                else:
-                    target.store(mem.alu, mem.store_val, size)
-                    self.stats.mem_writes += 1
-                    if name.endswith("_l2"):
-                        self.env.l2_writes += 1
-            new_mem_wb = _MEMWB(pc=mem.pc, instr=instr, value=value)
-
-        # ---- EX -------------------------------------------------------
-        new_ex_mem: Optional[_EXMEM] = None
-        redirect: Optional[int] = None
-        ex = self.id_ex
-        if ex is not None:
-            self.stats.stage_busy["EX"] += 1
-            instr = ex.instr
-            rs1_val = self._forwarded(instr.rs1) if instr.spec.reads_rs1 else 0
-            rs2_val = self._forwarded(instr.rs2) if instr.spec.reads_rs2 else 0
-            outcome = execute(instr, rs1_val, rs2_val, ex.pc)
-            alu = outcome.alu
-            if instr.name == "mv_neu":
-                alu = rs1_val
-            new_ex_mem = _EXMEM(pc=ex.pc, instr=instr, alu=alu, store_val=rs2_val)
-            if outcome.taken:
-                redirect = outcome.target
-
-        # latches EX and MEM produced this cycle become visible next cycle
-        self.ex_mem = new_ex_mem
-        self.mem_wb = new_mem_wb
-
-        if redirect is not None:
-            # Squash the two younger slots (IF/ID and this cycle's fetch)
-            # and steer the PC to the branch target: a 2-cycle penalty.
-            self.stats.flushes += 2
-            if tracer is not None:
-                tracer.instant("cpu.flush", track="cpu.pipeline",
-                               ts=self.stats.cycles, cat="cpu",
-                               cause="control", pc=ex.pc if ex else None,
-                               target=redirect, squashed=2)
-            self.if_id = None
-            self.id_ex = None
-            self.pc = redirect
-            self._fetch_enabled = True
-            return
-
-        # ---- ID -------------------------------------------------------
-        if self._raw_hazard(new_ex_mem, new_mem_wb):
-            self.stats.stalls += 1
-            if tracer is not None:
-                tracer.instant("cpu.stall", track="cpu.pipeline",
-                               ts=self.stats.cycles, cat="cpu",
-                               cause=("load_use" if self.forwarding
-                                      else "raw_interlock"),
-                               pc=self.if_id.pc if self.if_id else None)
-            self.id_ex = None  # bubble into EX; IF/ID and PC hold
-            return
-
-        if self.if_id is not None:
-            self.stats.stage_busy["ID"] += 1
-            instr = self._decode(self.if_id.word)
-            self.id_ex = _IDEX(pc=self.if_id.pc, instr=instr)
-            self.if_id = None
-            if instr.name in ("ebreak", "trans_bnn"):
-                self._fetch_enabled = False
-        else:
-            self.id_ex = None
-
-        # ---- IF -------------------------------------------------------
-        if self._fetch_enabled:
-            try:
-                word = self.program.word_at(self.pc)
-            except IndexError as exc:
-                # Speculative fetch past the program end is fine while an
-                # older in-flight control transfer may still redirect the PC;
-                # it is an error only once the pipeline has fully drained.
-                if (self.if_id is None and self.id_ex is None
-                        and self.ex_mem is None and self.mem_wb is None):
-                    raise SimulationError(
-                        f"instruction fetch outside program: {exc}"
-                    ) from exc
-                return
-            self.stats.stage_busy["IF"] += 1
-            self.if_id = _IFID(pc=self.pc, word=word)
-            self.pc += 4
-
-    # ------------------------------------------------------------------
     def run(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> RunResult:
         """Run until halt / mode switch / cycle limit.
+
+        Each cycle runs WB, MEM, EX, the EX redirect, the ID hazard check,
+        ID and IF in that order, on latches and counters held in locals that
+        the ``finally`` writes back: a fault or the cycle limit leaves the
+        exact state a later ``run()`` resumes from.
 
         Completed runs mirror their :class:`ExecStats` growth into the
         session :class:`~repro.sim.StatsRegistry` under ``cpu.pipeline.*``
         and emit a ``cpu.run`` probe event.
         """
-        before = self.stats.scalars()
+        if max_cycles < 0:
+            raise ConfigurationError(f"max_cycles: must be >= 0, got {max_cycles}")
+        stats = self.stats
+        before = stats.scalars()
         session = get_session()
-        self._tracer = session.tracer
-        while self._stop_reason is None and self.stats.cycles < max_cycles:
-            self._cycle()
-        reason = self._stop_reason or "max_cycles"
-        pc = self._resume_pc if self._stop_reason else self.pc
-        delta = self.stats.delta(before)
+        # resolved once per run; untraced, a cycle pays two None checks
+        tracer = session.tracer
+        trace = self.trace
+        env, memory, regs, ops = self.env, self.memory, self.regs._regs, self._ops
+        program = self.program
+        words, base, n_words = program.words, program.base, len(program.words)
+        forwarding = self.forwarding
+
+        if_id, id_ex, ex_mem, mem_wb = self.if_id, self.id_ex, self.ex_mem, self.mem_wb
+        pc, fetching, stop = self.pc, self._fetch_enabled, self._stop_reason
+        cycles, instructions, stalls, flushes = (stats.cycles, stats.instructions,
+                                                 stats.stalls, stats.flushes)
+        mem_reads, mem_writes = stats.mem_reads, stats.mem_writes
+        busy_if = busy_id = busy_ex = busy_mem = busy_wb = 0
+        retired = {}
+        try:
+            while stop is None and cycles < max_cycles:
+                cycles += 1
+                if trace is not None or tracer is not None:
+                    stages = {"IF": pc if fetching else None,
+                              "ID": if_id[0] if if_id is not None else None,
+                              "EX": id_ex[0] if id_ex is not None else None,
+                              "MEM": ex_mem[0] if ex_mem is not None else None,
+                              "WB": mem_wb[0] if mem_wb is not None else None}
+                    if trace is not None:
+                        trace.capture(cycles, stages)
+                    if tracer is not None:
+                        tracer.cpu_cycle(cycles, **stages,
+                                         wb_name=mem_wb[1].name if mem_wb is not None else None)
+
+                # ---- WB ---------------------------------------------------
+                # wb_rd / mem_rd: the forwarding sources EX sees this cycle
+                wb_rd = 0
+                if mem_wb is not None:
+                    wb_pc, op, wb_value = mem_wb
+                    busy_wb += 1
+                    if op.rd:
+                        regs[op.rd] = wb_value & _MASK
+                        if forwarding:
+                            wb_rd = op.rd
+                    elif op.wb == "mv_neu":
+                        env.write_transition_neuron(op.instr.rd, wb_value)
+                    elif op.wb == "trigger_bnn":
+                        env.record("trigger_bnn", cycles, wb_pc, op.instr.imm)
+                    instructions += 1
+                    retired[op.name] = retired.get(op.name, 0) + 1
+                    if op.drains:
+                        if op.wb == "trans_bnn":
+                            env.record("trans_bnn", cycles, wb_pc, op.instr.imm)
+                        stop = "halt" if op.wb == "ebreak" else op.wb
+                        self._resume_pc = wb_pc + 4
+                        break
+
+                # ---- MEM --------------------------------------------------
+                mem_op = new_mem_wb = None
+                mem_rd = 0
+                if ex_mem is not None:
+                    mem_pc, mem_op, mem_value, store_value = ex_mem
+                    busy_mem += 1
+                    size = mem_op.size
+                    if size:
+                        target = env.l2_memory() if mem_op.l2 else memory
+                        if mem_op.is_load:
+                            mem_value = target.load(mem_value, size, signed=mem_op.signed)
+                            mem_reads += 1
+                            if mem_op.l2:
+                                env.l2_reads += 1
+                        else:
+                            target.store(mem_value, store_value, size)
+                            mem_writes += 1
+                            if mem_op.l2:
+                                env.l2_writes += 1
+                    if forwarding:
+                        mem_rd = mem_op.rd
+                    new_mem_wb = (mem_pc, mem_op, mem_value)
+
+                # ---- EX ---------------------------------------------------
+                # operands forward from EX/MEM first, then MEM/WB, else come
+                # from the register file (which WB already wrote this cycle)
+                ex_op = redirect = None
+                if id_ex is not None:
+                    ex_pc, ex_op = id_ex
+                    busy_ex += 1
+                    if mem_rd in ex_op.srcs and mem_op.is_load:
+                        raise SimulationError("load-use hazard reached EX; interlock failed")
+                    reg = ex_op.rs1
+                    rs1_val = (0 if not reg else mem_value if reg == mem_rd
+                               else wb_value if reg == wb_rd else regs[reg])
+                    reg = ex_op.rs2
+                    rs2_val = (0 if not reg else mem_value if reg == mem_rd
+                               else wb_value if reg == wb_rd else regs[reg])
+                    alu, redirect = ex_op.ex(rs1_val, rs2_val, ex_pc)
+                    ex_mem = (ex_pc, ex_op, alu, rs2_val)
+                else:
+                    ex_mem = None
+                # latches EX and MEM produced this cycle are visible next cycle
+                mem_wb = new_mem_wb
+
+                if redirect is not None:
+                    # Squash the two younger slots (IF/ID and this cycle's
+                    # fetch) and steer the PC to the target: a 2-cycle penalty.
+                    flushes += 2
+                    if tracer is not None:
+                        tracer.instant("cpu.flush", track="cpu.pipeline", ts=cycles, cat="cpu",
+                                       cause="control", pc=ex_pc, target=redirect, squashed=2)
+                    if_id = id_ex = None
+                    pc = redirect
+                    fetching = True
+                    continue
+
+                # ---- ID ---------------------------------------------------
+                if if_id is not None:
+                    id_pc, word = if_id
+                    op = ops.get(word)
+                    if op is None:
+                        op = ops[word] = _Op(decode(word))
+                    # With forwarding only a load in EX/MEM stalls (its data
+                    # forwards from MEM/WB next cycle).  Without it, results
+                    # reach EX only through the register file, so the consumer
+                    # waits for every in-flight producer to write back: two
+                    # bubbles for a back-to-back dependency.
+                    srcs = op.srcs
+                    if forwarding:
+                        hazard = ex_op is not None and ex_op.is_load and ex_op.rd in srcs
+                    else:
+                        hazard = ((ex_op is not None and ex_op.rd in srcs)
+                                  or (mem_op is not None and mem_op.rd in srcs))
+                    if hazard:
+                        stalls += 1
+                        if tracer is not None:
+                            tracer.instant("cpu.stall", track="cpu.pipeline", ts=cycles, cat="cpu",
+                                           cause="load_use" if forwarding else "raw_interlock",
+                                           pc=id_pc)
+                        id_ex = None  # bubble into EX; IF/ID and PC hold
+                        continue
+                    busy_id += 1
+                    id_ex = (id_pc, op)
+                    if_id = None
+                    if op.drains:
+                        fetching = False
+                else:
+                    id_ex = None
+
+                # ---- IF ---------------------------------------------------
+                if fetching:
+                    index = (pc - base) >> 2
+                    if pc & 3 or not 0 <= index < n_words:
+                        # Speculative fetch past the program end is fine while
+                        # an older in-flight control transfer may still
+                        # redirect the PC; it is an error only once the
+                        # pipeline has fully drained.
+                        if id_ex is None and ex_mem is None and mem_wb is None:
+                            try:
+                                program.word_at(pc)
+                            except IndexError as exc:
+                                raise SimulationError(
+                                    f"instruction fetch outside program: {exc}") from exc
+                        continue
+                    busy_if += 1
+                    if_id = (pc, words[index])
+                    pc += 4
+        finally:
+            self.if_id, self.id_ex, self.ex_mem, self.mem_wb = if_id, id_ex, ex_mem, mem_wb
+            self.pc, self._fetch_enabled, self._stop_reason = pc, fetching, stop
+            stats.cycles, stats.instructions = cycles, instructions
+            stats.stalls, stats.flushes = stalls, flushes
+            stats.mem_reads, stats.mem_writes = mem_reads, mem_writes
+            # a stage first fills after the one before it, so adding the
+            # counts in pipeline order keeps the Counter's key order
+            for stage, count in zip(STAGES, (busy_if, busy_id, busy_ex, busy_mem, busy_wb)):
+                if count:
+                    stats.stage_busy[stage] += count
+            for name, count in retired.items():
+                stats.instr_counts[name] += count
+
+        reason = stop or "max_cycles"
+        delta = stats.delta(before)
         registry = session.stats
         scope = registry.scope("cpu.pipeline")
         scope.incr("runs")
         scope.incr_many(delta)
-        registry.emit("cpu.run", simulator="pipeline", stop_reason=reason,
-                      **delta)
-        return RunResult(stats=self.stats, stop_reason=reason, pc=pc, env=self.env)
+        registry.emit("cpu.run", simulator="pipeline", stop_reason=reason, **delta)
+        return RunResult(stats=stats, stop_reason=reason,
+                         pc=self._resume_pc if stop else pc, env=self.env)
 
 
 def run_pipelined(

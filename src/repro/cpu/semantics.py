@@ -2,15 +2,16 @@
 
 Keeping the EX-stage math in one place guarantees the cycle-accurate pipeline
 and the golden-model ISS can never disagree about *what* an instruction does,
-only about *when* it happens.
+only about *when* it happens.  :func:`compile_ex` turns each decoded
+instruction into one closure once; both simulators cache it beside their
+decode and call it per execution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.isa.encoding import to_signed32, to_unsigned32
 from repro.isa.instructions import DecodedInstr
 
 #: bytes moved by each load/store mnemonic
@@ -20,94 +21,97 @@ MEM_SIZES = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "lw_l2": 4,
 #: loads that sign-extend their result
 SIGNED_LOADS = frozenset({"lb", "lh"})
 
+_MASK = 0xFFFFFFFF
+_SIGN = 0x80000000
 
-@dataclass(frozen=True)
-class ExecOutcome:
-    """Result of the EX stage for one instruction.
+#: ``fn(rs1_val, rs2_val, pc) -> (alu, redirect target or None)``: ``alu``
+#: is the rd write value for ALU ops, the effective address for memory ops
+#: and the link value (pc+4) for jumps
+ExFn = Callable[[int, int, int], Tuple[int, Optional[int]]]
 
-    Attributes:
-        alu: the ALU output — the rd write value for ALU ops, the effective
-            address for memory ops, the link value (pc+4) for jumps.
-        taken: whether a control transfer redirects the PC.
-        target: the redirect target when ``taken``.
+
+def compile_ex(instr: DecodedInstr) -> ExFn:
+    """Compile the EX-stage outcome of ``instr`` into one closure.
+
+    Operands may arrive raw: the pipeline forwards ``lb``/``lh`` results
+    sign-extended, so every closure reduces its operands modulo 2**32
+    itself (``x & _MASK ^ _SIGN`` orders values as signed 32-bit ints).
     """
-
-    alu: int
-    taken: bool = False
-    target: int = 0
-
-
-def execute(instr: DecodedInstr, rs1_val: int, rs2_val: int, pc: int) -> ExecOutcome:
-    """Compute the EX-stage outcome of ``instr`` given its operand values."""
     name = instr.name
-    a = to_unsigned32(rs1_val)
-    b = to_unsigned32(rs2_val)
-    sa = to_signed32(a)
-    sb = to_signed32(b)
     imm = instr.imm
+    uimm = imm & _MASK
+    shamt = imm & 0x1F
 
-    if name == "lui":
-        return ExecOutcome(to_unsigned32(imm))
+    if name in ("lui", "ebreak", "trans_bnn", "trigger_bnn"):
+        constant = (uimm, None)
+        return lambda a, b, pc: constant
     if name == "auipc":
-        return ExecOutcome(to_unsigned32(pc + imm))
+        return lambda a, b, pc: ((pc + imm) & _MASK, None)
     if name == "jal":
-        return ExecOutcome(to_unsigned32(pc + 4), taken=True,
-                           target=to_unsigned32(pc + imm))
+        return lambda a, b, pc: ((pc + 4) & _MASK, (pc + imm) & _MASK)
     if name == "jalr":
-        return ExecOutcome(to_unsigned32(pc + 4), taken=True,
-                           target=to_unsigned32(a + imm) & ~1)
+        return lambda a, b, pc: ((pc + 4) & _MASK, (a + imm) & 0xFFFFFFFE)
 
-    if instr.spec.is_branch:
-        taken = {
-            "beq": a == b,
-            "bne": a != b,
-            "blt": sa < sb,
-            "bge": sa >= sb,
-            "bltu": a < b,
-            "bgeu": a >= b,
-        }[name]
-        return ExecOutcome(0, taken=taken, target=to_unsigned32(pc + imm))
+    if name == "beq":
+        return lambda a, b, pc: (0, (pc + imm) & _MASK if not (a - b) & _MASK else None)
+    if name == "bne":
+        return lambda a, b, pc: (0, (pc + imm) & _MASK if (a - b) & _MASK else None)
+    if name == "blt":
+        return lambda a, b, pc: (
+            0, (pc + imm) & _MASK if (a & _MASK ^ _SIGN) < (b & _MASK ^ _SIGN) else None)
+    if name == "bge":
+        return lambda a, b, pc: (
+            0, (pc + imm) & _MASK if (a & _MASK ^ _SIGN) >= (b & _MASK ^ _SIGN) else None)
+    if name == "bltu":
+        return lambda a, b, pc: (0, (pc + imm) & _MASK if (a & _MASK) < (b & _MASK) else None)
+    if name == "bgeu":
+        return lambda a, b, pc: (0, (pc + imm) & _MASK if (a & _MASK) >= (b & _MASK) else None)
 
-    if name in MEM_SIZES:
-        return ExecOutcome(to_unsigned32(a + imm))
-
-    if name in ("addi", "add"):
-        rhs = imm if name == "addi" else b
-        return ExecOutcome(to_unsigned32(a + rhs))
+    if name in MEM_SIZES or name == "addi":
+        return lambda a, b, pc: ((a + imm) & _MASK, None)
+    if name == "add":
+        return lambda a, b, pc: ((a + b) & _MASK, None)
     if name == "sub":
-        return ExecOutcome(to_unsigned32(a - b))
-    if name in ("andi", "and"):
-        rhs = to_unsigned32(imm) if name == "andi" else b
-        return ExecOutcome(a & rhs)
-    if name in ("ori", "or"):
-        rhs = to_unsigned32(imm) if name == "ori" else b
-        return ExecOutcome(a | rhs)
-    if name in ("xori", "xor"):
-        rhs = to_unsigned32(imm) if name == "xori" else b
-        return ExecOutcome(a ^ rhs)
-    if name in ("slti", "slt"):
-        rhs = imm if name == "slti" else sb
-        return ExecOutcome(1 if sa < rhs else 0)
-    if name in ("sltiu", "sltu"):
-        rhs = to_unsigned32(imm) if name == "sltiu" else b
-        return ExecOutcome(1 if a < rhs else 0)
-    if name in ("slli", "sll"):
-        shamt = (imm if name == "slli" else b) & 0x1F
-        return ExecOutcome(to_unsigned32(a << shamt))
-    if name in ("srli", "srl"):
-        shamt = (imm if name == "srli" else b) & 0x1F
-        return ExecOutcome(a >> shamt)
-    if name in ("srai", "sra"):
-        shamt = (imm if name == "srai" else b) & 0x1F
-        return ExecOutcome(to_unsigned32(sa >> shamt))
+        return lambda a, b, pc: ((a - b) & _MASK, None)
+    if name == "andi":
+        return lambda a, b, pc: (a & uimm, None)
+    if name == "and":
+        return lambda a, b, pc: (a & b & _MASK, None)
+    if name == "ori":
+        return lambda a, b, pc: ((a | uimm) & _MASK, None)
+    if name == "or":
+        return lambda a, b, pc: ((a | b) & _MASK, None)
+    if name == "xori":
+        return lambda a, b, pc: ((a ^ uimm) & _MASK, None)
+    if name == "xor":
+        return lambda a, b, pc: ((a ^ b) & _MASK, None)
+    if name == "slti":
+        bound = imm + _SIGN
+        return lambda a, b, pc: (1 if (a & _MASK ^ _SIGN) < bound else 0, None)
+    if name == "slt":
+        return lambda a, b, pc: (1 if (a & _MASK ^ _SIGN) < (b & _MASK ^ _SIGN) else 0, None)
+    if name == "sltiu":
+        return lambda a, b, pc: (1 if (a & _MASK) < uimm else 0, None)
+    if name == "sltu":
+        return lambda a, b, pc: (1 if (a & _MASK) < (b & _MASK) else 0, None)
+    if name == "slli":
+        return lambda a, b, pc: ((a << shamt) & _MASK, None)
+    if name == "sll":
+        return lambda a, b, pc: ((a << (b & 0x1F)) & _MASK, None)
+    if name == "srli":
+        return lambda a, b, pc: ((a & _MASK) >> shamt, None)
+    if name == "srl":
+        return lambda a, b, pc: ((a & _MASK) >> (b & 0x1F), None)
+    if name == "srai":
+        return lambda a, b, pc: ((((a & _MASK ^ _SIGN) - _SIGN) >> shamt) & _MASK, None)
+    if name == "sra":
+        return lambda a, b, pc: (
+            (((a & _MASK ^ _SIGN) - _SIGN) >> (b & 0x1F)) & _MASK, None)
     if name == "mul":
-        return ExecOutcome(to_unsigned32(sa * sb))
-
-    if name in ("ebreak", "trans_bnn", "trigger_bnn"):
-        return ExecOutcome(to_unsigned32(imm))
+        return lambda a, b, pc: ((a * b) & _MASK, None)
     if name == "mv_neu":
         # The register payload travels on the ALU output into the transition
         # neuron addressed by the rd field (paper Fig 5c).
-        return ExecOutcome(a)
+        return lambda a, b, pc: (a & _MASK, None)
 
     raise SimulationError(f"no semantics for instruction {name!r}")

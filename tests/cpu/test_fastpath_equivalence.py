@@ -20,7 +20,7 @@ from repro.cpu import (
     PipelinedCPU,
     run_fastpath,
 )
-from repro.errors import DecodingError, SimulationError
+from repro.errors import ConfigurationError, DecodingError, SimulationError
 from repro.isa import assemble
 from repro.isa.program import Program
 from repro.sim import use_session
@@ -145,6 +145,17 @@ class TestStepLimits:
         _, f_result, _, q_result = _run_pair(program, max_steps=0)
         assert f_result.stop_reason == q_result.stop_reason == "max_cycles"
         assert q_result.stats.instructions == 0
+
+    def test_negative_steps_rejected_before_running(self):
+        # a negative limit once sliced the block body from its end and
+        # retired five of these ten instructions
+        program = assemble("addi a0, a0, 1\n" * 10 + "loop: j loop")
+        fast = FastCPU(program, memory=FlatMemory())
+        with pytest.raises(ConfigurationError, match="^max_steps:"):
+            fast.run(max_steps=-5)
+        assert fast.stats.instructions == 0
+        assert fast.regs.read(10) == 0
+        assert fast.pc == 0
 
     def test_resumes_after_limit(self):
         program = assemble(self.SOURCE)

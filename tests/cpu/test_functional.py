@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpu import CoreEnv, FlatMemory, FunctionalCPU, run_functional
+from repro.errors import ConfigurationError
 from repro.isa import assemble
 
 
@@ -280,6 +281,12 @@ class TestRunControl:
         result = FunctionalCPU(prog).run(max_steps=100)
         assert result.stop_reason == "max_cycles"
         assert result.stats.instructions == 100
+
+    def test_negative_max_steps_rejected(self):
+        cpu = FunctionalCPU(assemble("li a0, 1\nloop: j loop"))
+        with pytest.raises(ConfigurationError, match="^max_steps:"):
+            cpu.run(max_steps=-5)
+        assert cpu.stats.instructions == 0
 
     def test_instr_counts(self):
         _, result = run("li a0, 2\nli a1, 3\nadd a2, a0, a1\nebreak")

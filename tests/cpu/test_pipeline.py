@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu import CoreEnv, FlatMemory, PipelinedCPU, run_pipelined
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.isa import assemble
 
 
@@ -248,3 +248,9 @@ class TestErrors:
         result = PipelinedCPU(prog).run(max_cycles=50)
         assert result.stop_reason == "max_cycles"
         assert result.stats.cycles == 50
+
+    def test_negative_max_cycles_rejected(self):
+        cpu = PipelinedCPU(assemble("li a0, 1\nloop: j loop"))
+        with pytest.raises(ConfigurationError, match="^max_cycles:"):
+            cpu.run(max_cycles=-5)
+        assert cpu.stats.cycles == 0

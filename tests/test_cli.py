@@ -72,6 +72,16 @@ class TestRun:
         path.write_text("loop: j loop")
         assert main(["run", str(path), "--max-cycles", "100"]) == 1
 
+    @pytest.mark.parametrize("engine", ["accurate", "fast"])
+    def test_run_negative_max_cycles_exits_2(self, tmp_path, capsys, engine):
+        path = tmp_path / "count.s"
+        path.write_text("addi a0, a0, 1\n" * 10 + "loop: j loop")
+        assert main(["run", str(path), "--max-cycles", "-5",
+                     "--engine", engine]) == 2
+        captured = capsys.readouterr()
+        assert "--max-cycles" in captured.err
+        assert "stop:" not in captured.out
+
 
 class TestRunEngine:
     def test_fast_engine_matches_functional_output(self, source_file, capsys):
