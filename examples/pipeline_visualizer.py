@@ -9,18 +9,17 @@ Run:  python examples/pipeline_visualizer.py
 """
 
 from repro.cpu import PipelinedCPU
-from repro.cpu.trace import PipelineTrace, render_diagram
 from repro.isa import assemble
+from repro.trace import render_pipeline_diagram, tracing
 
 
 def show(title, source, **kwargs):
-    trace = PipelineTrace()
-    cpu = PipelinedCPU(assemble(source), trace=trace, **kwargs)
-    result = cpu.run()
+    with tracing() as tracer:
+        result = PipelinedCPU(assemble(source), **kwargs).run()
     print(f"== {title} "
           f"({result.stats.instructions} instr, {result.stats.cycles} cycles, "
           f"{result.stats.stalls} stalls, {result.stats.flushes} flush slots)")
-    print(render_diagram(trace, count=14))
+    print(render_pipeline_diagram(tracer))
     print()
 
 

@@ -22,11 +22,11 @@ from repro.cpu.env import CoreEnv, ExecStats, RunResult
 from repro.cpu.memory import DataMemory, FlatMemory
 from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS, compile_ex
 from repro.cpu.state import RegisterFile
-from repro.cpu.trace import STAGES, PipelineTrace
 from repro.errors import ConfigurationError, SimulationError
 from repro.isa.instructions import DecodedInstr, decode
 from repro.isa.program import Program
 from repro.sim import get_session
+from repro.trace.tracer import CPU_TRACK, FLUSH_EVENT, STAGES, STALL_EVENT
 
 DEFAULT_MAX_CYCLES = 100_000_000
 
@@ -73,7 +73,6 @@ class PipelinedCPU:
         env: Optional[CoreEnv] = None,
         pc: Optional[int] = None,
         forwarding: bool = True,
-        trace: Optional["PipelineTrace"] = None,
     ):
         """``forwarding=False`` ablates the operand-forwarding network: every
         RAW hazard then resolves through the register file by stalling in ID
@@ -85,7 +84,6 @@ class PipelinedCPU:
         self.regs = RegisterFile()
         self.pc = program.base if pc is None else pc
         self.forwarding = forwarding
-        self.trace = trace
         self.stats = ExecStats()
 
         # latches, None = bubble: IF/ID (pc, word), ID/EX (pc, op),
@@ -107,6 +105,11 @@ class PipelinedCPU:
         the ``finally`` writes back: a fault or the cycle limit leaves the
         exact state a later ``run()`` resumes from.
 
+        With a tracer installed, each cycle's stage occupancy and each stall
+        and flush are recorded on the ``cpu.pipeline`` track from its cursor:
+        a run starts where the track's last run ended, and a resumed run
+        continues its own stamps.
+
         Completed runs mirror their :class:`ExecStats` growth into the
         session :class:`~repro.sim.StatsRegistry` under ``cpu.pipeline.*``
         and emit a ``cpu.run`` probe event.
@@ -116,9 +119,8 @@ class PipelinedCPU:
         stats = self.stats
         before = stats.scalars()
         session = get_session()
-        # resolved once per run; untraced, a cycle pays two None checks
+        # resolved once per run; untraced, a cycle pays one None check
         tracer = session.tracer
-        trace = self.trace
         env, memory, regs, ops = self.env, self.memory, self.regs._regs, self._ops
         program = self.program
         words, base, n_words = program.words, program.base, len(program.words)
@@ -131,20 +133,19 @@ class PipelinedCPU:
         mem_reads, mem_writes = stats.mem_reads, stats.mem_writes
         busy_if = busy_id = busy_ex = busy_mem = busy_wb = 0
         retired = {}
+        # trace stamp of this CPU's cycle 0 (the cursor holds whole cycles)
+        origin = int(tracer.cursor(CPU_TRACK)) - cycles if tracer is not None else 0
         try:
             while stop is None and cycles < max_cycles:
                 cycles += 1
-                if trace is not None or tracer is not None:
-                    stages = {"IF": pc if fetching else None,
-                              "ID": if_id[0] if if_id is not None else None,
-                              "EX": id_ex[0] if id_ex is not None else None,
-                              "MEM": ex_mem[0] if ex_mem is not None else None,
-                              "WB": mem_wb[0] if mem_wb is not None else None}
-                    if trace is not None:
-                        trace.capture(cycles, stages)
-                    if tracer is not None:
-                        tracer.cpu_cycle(cycles, **stages,
-                                         wb_name=mem_wb[1].name if mem_wb is not None else None)
+                if tracer is not None:
+                    tracer.cpu_cycle(origin + cycles,
+                                     IF=pc if fetching else None,
+                                     ID=if_id[0] if if_id is not None else None,
+                                     EX=id_ex[0] if id_ex is not None else None,
+                                     MEM=ex_mem[0] if ex_mem is not None else None,
+                                     WB=mem_wb[0] if mem_wb is not None else None,
+                                     wb_name=mem_wb[1].name if mem_wb is not None else None)
 
                 # ---- WB ---------------------------------------------------
                 # wb_rd / mem_rd: the forwarding sources EX sees this cycle
@@ -219,7 +220,7 @@ class PipelinedCPU:
                     # fetch) and steer the PC to the target: a 2-cycle penalty.
                     flushes += 2
                     if tracer is not None:
-                        tracer.instant("cpu.flush", track="cpu.pipeline", ts=cycles, cat="cpu",
+                        tracer.instant(FLUSH_EVENT, track=CPU_TRACK, ts=origin + cycles, cat="cpu",
                                        cause="control", pc=ex_pc, target=redirect, squashed=2)
                     if_id = id_ex = None
                     pc = redirect
@@ -246,9 +247,9 @@ class PipelinedCPU:
                     if hazard:
                         stalls += 1
                         if tracer is not None:
-                            tracer.instant("cpu.stall", track="cpu.pipeline", ts=cycles, cat="cpu",
-                                           cause="load_use" if forwarding else "raw_interlock",
-                                           pc=id_pc)
+                            tracer.instant(STALL_EVENT, track=CPU_TRACK, ts=origin + cycles,
+                                           cat="cpu", pc=id_pc,
+                                           cause="load_use" if forwarding else "raw_interlock")
                         id_ex = None  # bubble into EX; IF/ID and PC hold
                         continue
                     busy_id += 1
@@ -278,6 +279,8 @@ class PipelinedCPU:
                     if_id = (pc, words[index])
                     pc += 4
         finally:
+            if tracer is not None:
+                tracer.advance(CPU_TRACK, cycles - stats.cycles)
             self.if_id, self.id_ex, self.ex_mem, self.mem_wb = if_id, id_ex, ex_mem, mem_wb
             self.pc, self._fetch_enabled, self._stop_reason = pc, fetching, stop
             stats.cycles, stats.instructions = cycles, instructions

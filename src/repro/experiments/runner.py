@@ -73,9 +73,7 @@ def run_experiment(name: str, use_cache: bool = True,
         path = Path(trace_dir)
         path.mkdir(parents=True, exist_ok=True)
         with tracing(session) as tracer:
-            with tracer.span(f"experiment.{name}", track="runner",
-                             clock=lambda: (time.perf_counter() - start)
-                             * 1e6):
+            with tracer.span(f"experiment.{name}", track="runner"):
                 built = spec.func()
         target = path / f"{name}.trace.json"
         write_chrome_trace(tracer, target)

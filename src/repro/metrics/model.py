@@ -15,6 +15,7 @@ scrapes comparable across runs and commits.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import platform as platform_module
 import re
 import subprocess
@@ -49,8 +50,13 @@ def sanitize_metric_name(name: str, prefix: str = METRIC_PREFIX) -> str:
     return cleaned
 
 
+@functools.lru_cache(maxsize=None)
 def _git_sha(root: Optional[Path] = None) -> str:
-    """Current git commit (short), or ``"unknown"`` outside a checkout."""
+    """Current git commit (short), or ``"unknown"`` outside a checkout.
+
+    Looked up once per process: the ``git`` subprocess costs milliseconds,
+    which every recorded block would otherwise pay on exit.
+    """
     if root is None:
         root = Path(__file__).resolve().parents[3]
     try:

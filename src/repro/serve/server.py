@@ -16,13 +16,15 @@ submits raise instead of queueing behind a batcher that is gone.
 
 Observability is the point: every request carries the full lifecycle
 timestamp chain (submit → enqueue → batch-assemble → dispatch →
-engine-infer → respond), published as ``serve.request`` /
-``serve.batch`` / ``serve.shed`` / ``serve.timeout`` probe events on the
-session :class:`~repro.sim.StatsRegistry` — so an installed tracer shows
-per-request Perfetto lanes with zero extra code here — and folded into
-the :class:`~repro.serve.slo.SLORecorder` as six-phase wall buckets that
-sum to the request latency (the ``repro.obs`` vocabulary, applied to a
-request instead of a run).
+engine-infer → respond, :attr:`Request.SEGMENTS`), folded into the
+:class:`~repro.serve.slo.SLORecorder` as six-phase wall buckets that sum
+to the request latency (the ``repro.obs`` vocabulary, applied to a
+request instead of a run).  The session
+:class:`~repro.sim.StatsRegistry` gets one ``serve.batch`` probe event per
+batch, carrying its requests, plus one ``serve.shed`` / ``serve.timeout``
+per request turned away — so an installed tracer draws per-request
+Perfetto lanes with zero extra code here, and a completed request costs
+no probe event of its own.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import asyncio
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs import (
@@ -95,6 +97,16 @@ class Request:
     unreached stages stay at 0.0 (a shed request never assembles).
     """
 
+    #: the lifecycle in order: (segment, start stamp, end stamp, obs phase);
+    #: the segments partition ``[t_submit, t_respond]``
+    SEGMENTS: ClassVar[Tuple[Tuple[str, str, str, str], ...]] = (
+        ("enqueue", "t_submit", "t_enqueue", INIT),
+        ("batch_assemble", "t_enqueue", "t_assembled", PREPROCESS),
+        ("dispatch", "t_assembled", "t_dispatch", MEMORY_IO),
+        ("engine_infer", "t_dispatch", "t_infer_done", INFERENCE),
+        ("respond", "t_infer_done", "t_respond", POSTPROCESS),
+    )
+
     index: int
     status: str = OK
     prediction: Optional[int] = None
@@ -112,26 +124,24 @@ class Request:
     def latency_s(self) -> float:
         return self.t_respond - self.t_submit
 
+    def lifecycle(self) -> List[Tuple[str, float, float, str]]:
+        """Each of :attr:`SEGMENTS` as ``(segment, start_s, end_s, phase)``."""
+        return [(name, getattr(self, start), getattr(self, end), phase)
+                for name, start, end, phase in self.SEGMENTS]
+
     def finalize_phases(self) -> Dict[str, float]:
         """Split the request's latency into the six obs phases.
 
-        The lifecycle segments partition ``[t_submit, t_respond]``:
-        the stamp chain is walked in order and attribution stops at the
-        first unreached stage (its stamp still 0.0), so a truncated
+        The lifecycle segments are walked in order and attribution stops
+        at the first unreached stage (its stamp still 0.0), so a truncated
         lifecycle — shed at admission, timed out at assembly — puts its
         unattributable tail in ``overhead`` and the buckets always sum
         to the latency (clamped >= 0 against clock jitter).
         """
-        chain = (
-            (INIT, self.t_enqueue),
-            (PREPROCESS, self.t_assembled),
-            (MEMORY_IO, self.t_dispatch),
-            (INFERENCE, self.t_infer_done),
-            (POSTPROCESS, self.t_respond),
-        )
         buckets = {phase: 0.0 for phase in PHASES}
         previous = self.t_submit
-        for phase, stamp in chain:
+        for _, _, end, phase in self.SEGMENTS:
+            stamp = getattr(self, end)
             if stamp < previous:  # lifecycle truncated at this stage
                 break
             buckets[phase] = stamp - previous
@@ -263,7 +273,7 @@ class NCPUServer:
             self.recorder.record_shed()
             self.session.stats.emit("serve.shed", {
                 "request": request.index, "t_s": request.t_respond,
-                "queue_depth": depth})
+                "queue_depth": depth, "origin_s": self._t0})
             return request
         future = asyncio.get_running_loop().create_future()
         request.t_enqueue = self._now()
@@ -390,22 +400,12 @@ class NCPUServer:
             self._n_resolved += 1
             self.recorder.record_completion(request.latency_s,
                                             request.phases_s)
-            self.session.stats.emit("serve.request", {
-                "request": request.index, "status": request.status,
-                "batch": batch_index, "batch_size": len(live),
-                "submit_s": request.t_submit,
-                "enqueue_s": request.t_enqueue,
-                "assembled_s": request.t_assembled,
-                "dispatch_s": request.t_dispatch,
-                "infer_done_s": request.t_infer_done,
-                "respond_s": request.t_respond})
             if not pending.future.done():
                 pending.future.set_result(request)
         self.session.stats.emit("serve.batch", {
-            "batch": batch_index, "size": len(live),
-            "assembled_s": t_assembled, "dispatch_s": t_dispatch,
-            "infer_done_s": t_infer_done,
-            "queue_depth": self._queue.qsize(),
+            "batch": batch_index,
+            "requests": [pending.request for pending in live],
+            "origin_s": self._t0, "queue_depth": self._queue.qsize(),
             "cycles": int(timing.total_cycles)})
 
     def _resolve_error(self, live: List[_Pending],
@@ -436,6 +436,6 @@ class NCPUServer:
         self.recorder.record_timeout()
         self.session.stats.emit("serve.timeout", {
             "request": request.index, "t_s": request.t_respond,
-            "age_s": age_s})
+            "age_s": age_s, "origin_s": self._t0})
         if not pending.future.done():
             pending.future.set_result(request)

@@ -3,14 +3,12 @@
 The serve layer must answer "what fraction of requests met the latency
 budget" while handling thousands of requests, so it cannot keep a list
 of every latency sample.  :class:`LatencyHistogram` is the classic
-fixed-bucket log-scale alternative: ``buckets_per_decade`` geometric
-buckets spanning ``[lo_s, hi_s)`` plus two out-of-range buckets, all
-pre-allocated — :meth:`observe` is one ``log10`` + one list increment,
-no allocation on the hot path.  Quantiles come back with a bounded
-relative error of ``10**(1/(2 * buckets_per_decade)) - 1`` (about 2.3 %
-at the default 50 buckets/decade), and two histograms with the same
-configuration :meth:`merge` associatively, so per-shard recorders can be
-combined after the fact.
+fixed-bucket log-scale alternative: :data:`BUCKETS_PER_DECADE` geometric
+buckets per decade spanning ``[LO_S, HI_S)`` plus two out-of-range
+buckets, all pre-allocated — :meth:`observe` is one ``log10`` + one list
+increment, no allocation on the hot path.  Quantiles come back with a
+bounded relative error of ``10**(1/(2 * BUCKETS_PER_DECADE)) - 1``
+(about 2.3 %).
 
 :class:`SLORecorder` bundles the histograms a server needs — total
 latency, one per obs phase, batch sizes — with the admission counters
@@ -27,13 +25,17 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.obs import PHASES
 
-#: default histogram range: 1 us .. 1000 s covers sub-window hits through
+#: histogram range: 1 us .. 1000 s covers sub-window hits through
 #: pathological queue waits
-DEFAULT_LO_S = 1e-6
-DEFAULT_HI_S = 1e3
+LO_S = 1e-6
+HI_S = 1e3
 
-#: default resolution — ~2.3 % worst-case relative quantile error
-DEFAULT_BUCKETS_PER_DECADE = 50
+#: resolution — ~2.3 % worst-case relative quantile error
+BUCKETS_PER_DECADE = 50
+
+#: geometric buckets between LO_S and HI_S
+N_BUCKETS = math.ceil(math.log10(HI_S / LO_S) * BUCKETS_PER_DECADE)
+_LOG_LO = math.log10(LO_S)
 
 #: the latency quantiles every SLO report and metric export carries
 SLO_QUANTILES = (0.5, 0.95, 0.99)
@@ -68,51 +70,38 @@ SERVE_METRIC_HELP: Dict[str, str] = {
 
 
 class LatencyHistogram:
-    """Fixed-bucket log-scale histogram with mergeable streaming quantiles.
+    """Fixed-bucket log-scale histogram with streaming quantiles.
 
     Buckets are geometric: bucket ``i`` (0-based, after the underflow
-    bucket) covers ``[lo_s * r**i, lo_s * r**(i+1))`` with
-    ``r = 10**(1/buckets_per_decade)``.  A quantile is estimated as the
+    bucket) covers ``[LO_S * r**i, LO_S * r**(i+1))`` with
+    ``r = 10**(1/BUCKETS_PER_DECADE)``.  A quantile is estimated as the
     geometric midpoint of the bucket holding the target rank, clamped to
     the exact observed ``[min, max]`` — so a single-sample histogram
     reports that sample exactly.
     """
 
-    __slots__ = ("lo_s", "hi_s", "buckets_per_decade", "counts", "count",
-                 "sum_s", "min_s", "max_s", "_log_lo", "_n_buckets")
+    __slots__ = ("counts", "count", "sum_s", "min_s", "max_s")
 
-    def __init__(self, lo_s: float = DEFAULT_LO_S, hi_s: float = DEFAULT_HI_S,
-                 buckets_per_decade: int = DEFAULT_BUCKETS_PER_DECADE):
-        if lo_s <= 0 or hi_s <= lo_s:
-            raise ValueError("need 0 < lo_s < hi_s")
-        if buckets_per_decade < 1:
-            raise ValueError("buckets_per_decade must be >= 1")
-        self.lo_s = float(lo_s)
-        self.hi_s = float(hi_s)
-        self.buckets_per_decade = int(buckets_per_decade)
-        decades = math.log10(hi_s / lo_s)
-        self._n_buckets = max(1, math.ceil(decades * buckets_per_decade))
-        self._log_lo = math.log10(self.lo_s)
-        # [underflow] + n geometric buckets + [overflow], fixed at init
-        self.counts: List[int] = [0] * (self._n_buckets + 2)
+    #: worst-case relative quantile error for in-range samples
+    relative_error_bound = 10.0 ** (1.0 / (2.0 * BUCKETS_PER_DECADE)) - 1.0
+
+    def __init__(self):
+        # [underflow] + N_BUCKETS geometric buckets + [overflow]
+        self.counts: List[int] = [0] * (N_BUCKETS + 2)
         self.count = 0
         self.sum_s = 0.0
         self.min_s = math.inf
         self.max_s = -math.inf
 
-    @property
-    def relative_error_bound(self) -> float:
-        """Worst-case relative quantile error for in-range samples."""
-        return 10.0 ** (1.0 / (2.0 * self.buckets_per_decade)) - 1.0
-
-    def _index(self, value: float) -> int:
-        if value < self.lo_s:
+    @staticmethod
+    def _index(value: float) -> int:
+        if value < LO_S:
             return 0
-        if value >= self.hi_s:
-            return self._n_buckets + 1
-        offset = (math.log10(value) - self._log_lo) * self.buckets_per_decade
+        if value >= HI_S:
+            return N_BUCKETS + 1
+        offset = (math.log10(value) - _LOG_LO) * BUCKETS_PER_DECADE
         # float rounding at an exact bucket edge may land one off; clamp
-        return min(int(offset), self._n_buckets - 1) + 1
+        return min(int(offset), N_BUCKETS - 1) + 1
 
     def observe(self, seconds: float) -> None:
         """Record one latency sample (allocation-free)."""
@@ -133,13 +122,14 @@ class LatencyHistogram:
             raise ValueError("mean of an empty histogram")
         return self.sum_s / self.count
 
-    def _bucket_estimate(self, index: int) -> float:
+    @staticmethod
+    def _bucket_estimate(index: int) -> float:
         if index == 0:  # underflow: best estimate is the range floor
-            return self.lo_s
-        if index == self._n_buckets + 1:  # overflow: the range ceiling
-            return self.hi_s
-        ratio = 10.0 ** (1.0 / self.buckets_per_decade)
-        low = self.lo_s * ratio ** (index - 1)
+            return LO_S
+        if index == N_BUCKETS + 1:  # overflow: the range ceiling
+            return HI_S
+        ratio = 10.0 ** (1.0 / BUCKETS_PER_DECADE)
+        low = LO_S * ratio ** (index - 1)
         return low * math.sqrt(ratio)  # geometric midpoint
 
     def quantile(self, q: float) -> float:
@@ -167,22 +157,6 @@ class LatencyHistogram:
         target = self._index(float(seconds))
         return sum(self.counts[:target + 1])
 
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Fold another histogram in (identical configuration required)."""
-        if (self.lo_s, self.hi_s, self.buckets_per_decade) != \
-                (other.lo_s, other.hi_s, other.buckets_per_decade):
-            raise ValueError(
-                "cannot merge histograms with different bucket layouts "
-                f"({self.lo_s}/{self.hi_s}/{self.buckets_per_decade} vs "
-                f"{other.lo_s}/{other.hi_s}/{other.buckets_per_decade})")
-        for index, bucket_count in enumerate(other.counts):
-            self.counts[index] += bucket_count
-        self.count += other.count
-        self.sum_s += other.sum_s
-        self.min_s = min(self.min_s, other.min_s)
-        self.max_s = max(self.max_s, other.max_s)
-        return self
-
     def summary_ms(self) -> Dict[str, float]:
         """p50/p95/p99 + mean/min/max in milliseconds (report block)."""
         if not self.count:
@@ -205,12 +179,10 @@ class SLORecorder:
     peaks.
     """
 
-    def __init__(self, lo_s: float = DEFAULT_LO_S, hi_s: float = DEFAULT_HI_S,
-                 buckets_per_decade: int = DEFAULT_BUCKETS_PER_DECADE):
-        make = lambda: LatencyHistogram(lo_s, hi_s, buckets_per_decade)  # noqa: E731
-        self.latency = make()
+    def __init__(self):
+        self.latency = LatencyHistogram()
         self.phase_latency: Dict[str, LatencyHistogram] = {
-            phase: make() for phase in PHASES}
+            phase: LatencyHistogram() for phase in PHASES}
         self.batch_sizes: List[int] = []
         self.requests = 0
         self.completed = 0

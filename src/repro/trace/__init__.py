@@ -1,11 +1,11 @@
-"""``repro.trace`` — cycle-accurate tracing and profiling.
+"""``repro.trace`` — tracing and profiling on two clocks.
 
 Layered on the session :class:`~repro.sim.StatsRegistry` probe channel:
 
-* :class:`Tracer` — spans/instants/counters with cycle timestamps in a
-  bounded ring buffer (:mod:`repro.trace.tracer`);
-* exporters — Chrome/Perfetto trace-event JSON and JSONL
-  (:mod:`repro.trace.export`);
+* :class:`Tracer` — spans/instants/counters stamped in simulated cycles
+  or host wall time, in a bounded ring buffer (:mod:`repro.trace.tracer`);
+* exporters — Chrome/Perfetto trace-event JSON with one process per
+  clock, and JSONL (:mod:`repro.trace.export`);
 * profilers — per-PC hot spots with exact stall attribution, per-layer
   BNN breakdowns, utilization-gap analysis (:mod:`repro.trace.profile`,
   :mod:`repro.trace.report`).
@@ -39,18 +39,26 @@ from repro.trace.profile import (
     render_utilization,
     utilization_report,
 )
-from repro.trace.report import RunReport, build_report, render_report
+from repro.trace.report import (
+    RunReport,
+    build_report,
+    render_pipeline_diagram,
+    render_report,
+)
 from repro.trace.tracer import (
     BNN_TRACK,
     CPU_TRACK,
     CYCLE_EVENT,
+    CYCLES,
     DEFAULT_CAPACITY,
     DMA_TRACK,
     DROPPED_RECORDS_STAT,
     FLUSH_EVENT,
     SERVE_REQUEST_LANES,
     SERVE_TRACK,
+    STAGES,
     STALL_EVENT,
+    WALL,
     ProbeBridge,
     TraceEvent,
     Tracer,
@@ -63,6 +71,7 @@ __all__ = [
     "BNN_TRACK",
     "CPU_TRACK",
     "CYCLE_EVENT",
+    "CYCLES",
     "CoreUtilization",
     "CpuProfile",
     "DEFAULT_CAPACITY",
@@ -76,9 +85,11 @@ __all__ = [
     "RunReport",
     "SERVE_REQUEST_LANES",
     "SERVE_TRACK",
+    "STAGES",
     "STALL_EVENT",
     "TraceEvent",
     "Tracer",
+    "WALL",
     "bnn_profile",
     "build_report",
     "chrome_trace",
@@ -86,6 +97,7 @@ __all__ = [
     "install_tracer",
     "iter_chrome_events",
     "render_bnn_profile",
+    "render_pipeline_diagram",
     "render_report",
     "render_utilization",
     "tracing",

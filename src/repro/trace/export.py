@@ -2,14 +2,12 @@
 
 :func:`chrome_trace` renders a tracer's events into the Chrome trace-event
 format (the ``{"traceEvents": [...]}`` object form) that loads directly in
-``ui.perfetto.dev`` or ``chrome://tracing``.  One timeline *track* maps to
-one named thread; the pipeline's per-cycle occupancy records are expanded
-into five per-stage lanes with consecutive same-PC cycles merged into one
-span, so an instruction parked in a stage reads as a single block.
-
-Timestamps are simulated cycles rendered as microseconds (1 cycle == 1 us),
-which keeps Perfetto's time axis readable; ``otherData`` records the
-convention.
+``ui.perfetto.dev`` or ``chrome://tracing``.  Each clock gets one named
+process: simulated cycles (drawn as 1 cycle == 1 us) and host wall time in
+microseconds.  One timeline *track* maps to one named thread of its clock's
+process; the pipeline's per-cycle occupancy records are expanded into five
+per-stage lanes with consecutive same-PC cycles merged into one span, so an
+instruction parked in a stage reads as a single block.
 
 :func:`validate_chrome_trace` is the exporter's schema check — used by the
 golden-file test and the CI smoke step, with no external schema library.
@@ -19,18 +17,18 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.trace.tracer import CYCLE_EVENT, TraceEvent, Tracer, events_of
-
-#: pipeline stage order for the expanded per-stage lanes
-PIPELINE_STAGES = ("IF", "ID", "EX", "MEM", "WB")
+from repro.trace.tracer import CYCLE_EVENT, CYCLES, STAGES, WALL, TraceEvent, Tracer, events_of
 
 #: Chrome trace-event phases the exporter produces
 ALLOWED_PHASES = frozenset({"X", "i", "I", "C", "M", "B", "E"})
 
-#: process id used for every simulated engine
-TRACE_PID = 1
+#: clock -> (process id, process name): one Perfetto process per clock
+CLOCK_PROCESSES = {
+    CYCLES: (1, "simulated cycles (1 cycle == 1 us)"),
+    WALL: (2, "host wall time (us)"),
+}
 
 #: tool tag recorded in ``otherData``
 GENERATOR = "repro.trace"
@@ -64,12 +62,11 @@ def chrome_trace(source) -> Dict[str, Any]:
     """Render events (or a Tracer) as a Chrome trace-event JSON object."""
     events = list(events_of(source))
 
-    tids: Dict[str, int] = {}
+    # thread ids are unique across both processes, in first-seen order
+    tids: Dict[Tuple[str, str], int] = {}
 
-    def tid_for(track: str) -> int:
-        if track not in tids:
-            tids[track] = len(tids) + 1
-        return tids[track]
+    def tid_for(clock: str, track: str) -> int:
+        return tids.setdefault((clock, track), len(tids) + 1)
 
     body: List[Dict[str, Any]] = []
     cycle_groups: Dict[str, List[TraceEvent]] = defaultdict(list)
@@ -82,8 +79,8 @@ def chrome_trace(source) -> Dict[str, Any]:
             "cat": event.cat or "sim",
             "ph": event.ph,
             "ts": float(event.ts),
-            "pid": TRACE_PID,
-            "tid": tid_for(event.track),
+            "pid": CLOCK_PROCESSES[event.clock][0],
+            "tid": tid_for(event.clock, event.track),
         }
         if event.ph == "X":
             entry["dur"] = float(event.dur)
@@ -95,7 +92,7 @@ def chrome_trace(source) -> Dict[str, Any]:
 
     for track, group in sorted(cycle_groups.items()):
         group.sort(key=lambda e: e.ts)
-        for stage in PIPELINE_STAGES:
+        for stage in STAGES:
             lane = f"{track}/{stage}"
             for span in _merge_stage_runs(group, stage):
                 body.append({
@@ -104,27 +101,27 @@ def chrome_trace(source) -> Dict[str, Any]:
                     "ph": "X",
                     "ts": float(span["start"]),
                     "dur": float(span["dur"]),
-                    "pid": TRACE_PID,
-                    "tid": tid_for(lane),
+                    "pid": CLOCK_PROCESSES[CYCLES][0],
+                    "tid": tid_for(CYCLES, lane),
                 })
 
-    metadata: List[Dict[str, Any]] = [{
-        "name": "process_name", "ph": "M", "pid": TRACE_PID, "tid": 0,
-        "args": {"name": "repro-sim"},
-    }]
-    for track, tid in sorted(tids.items(), key=lambda kv: kv[1]):
-        metadata.append({"name": "thread_name", "ph": "M", "pid": TRACE_PID,
+    metadata: List[Dict[str, Any]] = []
+    for clock in sorted({clock for clock, _ in tids}):
+        pid, name = CLOCK_PROCESSES[clock]
+        metadata.append({"name": "process_name", "ph": "M", "pid": pid,
+                         "tid": 0, "args": {"name": name}})
+    for (clock, track), tid in tids.items():
+        pid = CLOCK_PROCESSES[clock][0]
+        metadata.append({"name": "thread_name", "ph": "M", "pid": pid,
                          "tid": tid, "args": {"name": track}})
         metadata.append({"name": "thread_sort_index", "ph": "M",
-                         "pid": TRACE_PID, "tid": tid,
+                         "pid": pid, "tid": tid,
                          "args": {"sort_index": tid}})
 
     other_data: Dict[str, Any] = {
         "generator": GENERATOR,
-        "time_unit": "cycles (1 cycle(s) == 1 us)",
         "n_events": len(body),
-        "tracks": [t for t, _ in sorted(tids.items(),
-                                        key=lambda kv: kv[1])],
+        "tracks": [track for _, track in tids],
     }
     # completeness metadata: a trace whose ring buffer wrapped must say
     # so, or profiles silently lie
@@ -161,7 +158,8 @@ def validate_chrome_trace(payload: Any) -> Dict[str, Any]:
     """Check a Chrome trace-event payload against the exporter's schema.
 
     Raises :class:`ValueError` with the first problem found; returns a
-    summary dict (event count, track names) on success.
+    summary dict on success: the event count, the track names, and each
+    named process's track names.
     """
     if not isinstance(payload, dict):
         raise ValueError("trace payload must be a JSON object")
@@ -169,6 +167,8 @@ def validate_chrome_trace(payload: Any) -> Dict[str, Any]:
     if not isinstance(events, list):
         raise ValueError("traceEvents must be a list")
     tracks: Dict[int, str] = {}
+    track_pids: Dict[int, int] = {}
+    processes: Dict[int, str] = {}
     n_body = 0
     for index, event in enumerate(events):
         where = f"traceEvents[{index}]"
@@ -188,6 +188,9 @@ def validate_chrome_trace(payload: Any) -> Dict[str, Any]:
                 raise ValueError(f"{where}: metadata event without args")
             if event["name"] == "thread_name":
                 tracks[event["tid"]] = args.get("name", "")
+                track_pids[event["tid"]] = event["pid"]
+            elif event["name"] == "process_name":
+                processes[event["pid"]] = args.get("name", "")
             continue
         n_body += 1
         ts = event.get("ts")
@@ -200,6 +203,9 @@ def validate_chrome_trace(payload: Any) -> Dict[str, Any]:
     return {
         "events": n_body,
         "tracks": [tracks[tid] for tid in sorted(tracks)],
+        "processes": {name: [tracks[tid] for tid in sorted(tracks)
+                             if track_pids[tid] == pid]
+                      for pid, name in sorted(processes.items())},
     }
 
 

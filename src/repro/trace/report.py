@@ -2,7 +2,9 @@
 
 ``repro run --profile`` and the tests use :func:`build_report` /
 :func:`render_report` to turn a captured event stream into the combined
-CPU hot-spot, stall-attribution, BNN-layer, and utilization-gap view.
+CPU hot-spot, stall-attribution, BNN-layer, and utilization-gap view;
+:func:`render_pipeline_diagram` draws the classic pipeline diagram from
+the pipeline's per-cycle occupancy events.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.trace.profile import (
     render_utilization,
     utilization_report,
 )
-from repro.trace.tracer import CPU_TRACK, CYCLE_EVENT, Tracer, events_of
+from repro.trace.tracer import CPU_TRACK, CYCLE_EVENT, STAGES, Tracer, events_of
 
 
 @dataclass
@@ -81,3 +83,16 @@ def render_report(report: RunReport, limit: int = 20) -> str:
     if report.utilization:
         sections.append(render_utilization(report.utilization))
     return "\n\n".join(sections)
+
+
+def render_pipeline_diagram(source) -> str:
+    """The pipeline's ``cpu.cycle`` events as one row per cycle and one
+    column per stage: the PC each stage holds (``-`` = bubble)."""
+    lines = ["cycle  " + "  ".join(f"{stage:>6}" for stage in STAGES)]
+    for event in events_of(source):
+        if event.name != CYCLE_EVENT or event.track != CPU_TRACK:
+            continue
+        cells = ["     -" if event.args[stage] is None
+                 else f"{event.args[stage]:>6x}" for stage in STAGES]
+        lines.append(f"{int(event.ts) + 1:>5}  " + "  ".join(cells))
+    return "\n".join(lines)

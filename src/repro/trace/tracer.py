@@ -1,18 +1,27 @@
-"""The cycle-stamped tracer: spans, instants, counters, and the probe bridge.
+"""The session tracer: spans, instants, counters on two clocks, and the
+probe bridge.
 
-A :class:`Tracer` collects structured :class:`TraceEvent` records with
-simulated-cycle timestamps into a bounded ring buffer.  Simulators emit
-into it two ways:
+A :class:`Tracer` collects structured :class:`TraceEvent` records into a
+bounded ring buffer.  Each event is stamped on one of two clocks:
+
+* :data:`CYCLES` — simulated cycles.  Engines without a global clock lay
+  their work end to end at a per-track cursor (:meth:`Tracer.lay`), so
+  successive runs on one track never overlap;
+* :data:`WALL` — host wall time in microseconds since the tracer was
+  created (:meth:`Tracer.span`, the serve lanes).
+
+Simulators emit into it two ways:
 
 * **direct call sites** for high-rate data — the pipelined CPU records one
   occupancy event per cycle plus stall/flush instants with their hazard
-  cause (it looks the tracer up once per run, so an untraced run costs a
-  single attribute load per cycle);
+  cause, at the :data:`CPU_TRACK` cursor (it looks the tracer up once per
+  run, so an untraced run costs one ``None`` check per cycle);
 * the **probe bridge** — a ``"*"`` subscriber on the session
   :class:`~repro.sim.StatsRegistry` that converts the registry's existing
   probe events (``timeline.segment``, ``dma.transfer``, ``bnn.batch``,
-  ``soc.mode_switch``, ...) into spans and instants, so every simulator
-  that already publishes probe events is traced without new code.
+  ``soc.mode_switch``, ``serve.batch``, ...) into spans and instants, so
+  every simulator that already publishes probe events is traced without
+  new code.
 
 Install with :func:`install_tracer` / :func:`uninstall_tracer` or the
 :func:`tracing` context manager; the active tracer lives on the current
@@ -24,15 +33,21 @@ until then, and uninstalling unsubscribes again, so the untraced fast path
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.logutil import get_logger
 from repro.sim import get_session
 
 logger = get_logger("trace")
+
+#: the clock of simulated cycles
+CYCLES = "cycles"
+#: the clock of host wall time, in microseconds since the tracer started
+WALL = "wall"
 
 #: event name of the pipeline's per-cycle occupancy record
 CYCLE_EVENT = "cpu.cycle"
@@ -40,8 +55,12 @@ CYCLE_EVENT = "cpu.cycle"
 STALL_EVENT = "cpu.stall"
 #: instant event emitted once per control-flow squash (two bubbles)
 FLUSH_EVENT = "cpu.flush"
+#: the pipeline's stages in order; a ``cpu.cycle`` event maps each to the
+#: PC it holds (None = bubble)
+STAGES = ("IF", "ID", "EX", "MEM", "WB")
 
-#: default track (Perfetto lane) of the pipelined CPU
+#: track (Perfetto lane) of the pipelined CPU; the ISS and the fast
+#: interpreter draw their runs on ``cpu.functional`` / ``cpu.fastpath``
 CPU_TRACK = "cpu.pipeline"
 #: default track of the BNN accelerator
 BNN_TRACK = "bnn"
@@ -62,11 +81,12 @@ DEFAULT_CAPACITY = 1 << 20
 
 @dataclass
 class TraceEvent:
-    """One cycle-stamped trace record (Chrome trace-event flavoured).
+    """One trace record (Chrome trace-event flavoured).
 
     ``ph`` follows the Chrome trace-event phase codes: ``"X"`` complete
     (span with duration), ``"i"`` instant, ``"C"`` counter.  ``ts`` and
-    ``dur`` are in simulated cycles; ``track`` names the Perfetto lane.
+    ``dur`` count on ``clock``: simulated cycles (:data:`CYCLES`) or wall
+    microseconds (:data:`WALL`).  ``track`` names the Perfetto lane.
     """
 
     name: str
@@ -76,9 +96,10 @@ class TraceEvent:
     dur: float = 0.0
     cat: str = ""
     args: Dict[str, Any] = field(default_factory=dict)
+    clock: str = CYCLES
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSONL-ready flat representation."""
+        """JSONL-ready flat representation; a wall event names its clock."""
         out: Dict[str, Any] = {"name": self.name, "ph": self.ph,
                                "ts": self.ts, "track": self.track}
         if self.ph == "X":
@@ -87,6 +108,8 @@ class TraceEvent:
             out["cat"] = self.cat
         if self.args:
             out["args"] = self.args
+        if self.clock != CYCLES:
+            out["clock"] = self.clock
         return out
 
 
@@ -111,6 +134,8 @@ class Tracer:
         #: stats registry mirroring drops as ``trace.dropped_records``
         #: (attached by :func:`install_tracer`; optional for bare tracers)
         self.stats = None
+        #: ``time.perf_counter()`` at the zero of the wall clock
+        self.origin_s = time.perf_counter()
         self._events: deque = deque(maxlen=capacity)
         self._cursors: Dict[str, float] = {}
         self._warned_dropped = False
@@ -144,47 +169,56 @@ class Tracer:
 
     # -- emission -------------------------------------------------------
     def complete(self, name: str, track: str, start: float, dur: float,
-                 cat: str = "", **args: Any) -> None:
-        """A span: ``name`` occupied ``track`` for cycles [start, start+dur)."""
+                 cat: str = "", clock: str = CYCLES, **args: Any) -> None:
+        """A span: ``name`` occupied ``track`` for [start, start+dur)."""
         self._append(TraceEvent(name=name, ph="X", ts=start, dur=dur,
-                                track=track, cat=cat, args=args))
+                                track=track, cat=cat, args=args,
+                                clock=clock))
 
     def instant(self, name: str, track: str, ts: Optional[float] = None,
-                cat: str = "", **args: Any) -> None:
-        """A zero-duration marker at cycle ``ts`` (track cursor if None)."""
+                cat: str = "", clock: str = CYCLES, **args: Any) -> None:
+        """A zero-duration marker at ``ts`` (track cursor if None)."""
         if ts is None:
             ts = self.cursor(track)
         self._append(TraceEvent(name=name, ph="i", ts=ts, track=track,
-                                cat=cat, args=args))
+                                cat=cat, args=args, clock=clock))
 
     def counter(self, name: str, track: str, ts: float, value: float,
-                cat: str = "") -> None:
+                cat: str = "", clock: str = CYCLES) -> None:
         """A counter sample (renders as a value track in Perfetto)."""
         self._append(TraceEvent(name=name, ph="C", ts=ts, track=track,
-                                cat=cat, args={"value": value}))
+                                cat=cat, args={"value": value}, clock=clock))
+
+    # -- the wall clock ---------------------------------------------------
+    def wall_us(self, perf_s: Optional[float] = None) -> float:
+        """A ``time.perf_counter()`` reading (now if None) on the wall
+        clock: microseconds since the tracer was created."""
+        if perf_s is None:
+            perf_s = time.perf_counter()
+        return (perf_s - self.origin_s) * 1e6
 
     @contextmanager
     def span(self, name: str, track: str = "main", cat: str = "",
-             clock: Optional[Callable[[], float]] = None, **args: Any):
-        """Context manager recording a span around the body.
-
-        ``clock`` supplies the begin/end timestamps; without one, the
-        track cursor is used and advanced by zero — pass explicit timing
-        via :meth:`complete` instead.
-        """
+             **args: Any):
+        """Context manager recording a wall-clock span around the body."""
         handle = _Span(dict(args))
-        start = clock() if clock is not None else self.cursor(track)
+        start = self.wall_us()
         try:
             yield handle
         finally:
-            end = clock() if clock is not None else start
             self.complete(name, track=track, start=start,
-                          dur=max(end - start, 0.0), cat=cat, **handle.args)
+                          dur=max(self.wall_us() - start, 0.0), cat=cat,
+                          clock=WALL, **handle.args)
 
     # -- per-track cursors (engines without a global clock) --------------
     def cursor(self, track: str) -> float:
         """Monotonic per-track position for engines with no global clock."""
         return self._cursors.get(track, 0.0)
+
+    def advance(self, track: str, dur: float) -> float:
+        """Move the track cursor ``dur`` cycles on; returns the new cursor."""
+        end = self._cursors[track] = self.cursor(track) + dur
+        return end
 
     def lay(self, name: str, track: str, dur: float, cat: str = "",
             **args: Any) -> float:
@@ -196,15 +230,15 @@ class Tracer:
         return start
 
     # -- pipeline fast path ----------------------------------------------
-    def cpu_cycle(self, cycle: int, track: str = CPU_TRACK,
-                  **stages: Optional[int]) -> None:
-        """One per-cycle stage-occupancy record.
+    def cpu_cycle(self, cycle: float, **stages: Optional[int]) -> None:
+        """One per-cycle stage-occupancy record on :data:`CPU_TRACK`, for
+        [cycle-1, cycle).
 
-        ``stages`` maps stage names (``IF``..``WB``) to the occupying PC
+        ``stages`` maps stage names (:data:`STAGES`) to the occupying PC
         (None = bubble) plus optional extras such as ``wb_name``.
         """
         self._append(TraceEvent(name=CYCLE_EVENT, ph="X", ts=cycle - 1,
-                                dur=1, track=track, cat="cpu", args=stages))
+                                dur=1, track=CPU_TRACK, cat="cpu", args=stages))
 
 
 class ProbeBridge:
@@ -233,11 +267,12 @@ class ProbeBridge:
                            ts=payload.get("cycle"), cat="switch",
                            to=payload.get("to"), cost=payload.get("cost", 0))
         elif event == "cpu.run":
-            track = ("cpu.functional"
-                     if payload.get("simulator") == "functional"
-                     else CPU_TRACK)
-            tracer.instant(event, track=track, ts=payload.get("cycles"),
-                           cat="cpu", **dict(payload))
+            # at the run's end on its simulator's track; the pipeline has
+            # already moved its cursor past the cycles it recorded
+            track = f"cpu.{payload.get('simulator')}"
+            if track != CPU_TRACK:
+                tracer.advance(track, payload.get("cycles", 0))
+            tracer.instant(event, track=track, cat="cpu", **dict(payload))
         elif event == "obs.phase":
             track = f"obs.{payload.get('engine', 'run')}"
             tracer.lay(payload.get("phase", "phase"), track=track,
@@ -245,53 +280,50 @@ class ProbeBridge:
                        wall_s=payload.get("wall_s", 0.0),
                        kind=payload.get("kind", ""),
                        scenario=payload.get("scenario", ""))
-        elif event == "serve.request":
-            self._serve_request_spans(payload)
         elif event == "serve.batch":
-            # wall seconds -> microsecond ticks, like the per-request
-            # lanes, so the batch span lines up with its requests
-            start = float(payload.get("assembled_s", 0.0)) * 1e6
-            end = float(payload.get("infer_done_s", start)) * 1e6
-            tracer.complete(f"batch x{payload.get('size', 0)}",
-                            track=f"{SERVE_TRACK}.batcher", start=start,
-                            dur=max(end - start, 0.0), cat="serve",
-                            batch=payload.get("batch", 0),
-                            size=payload.get("size", 0),
-                            cycles=payload.get("cycles", 0))
-            tracer.counter("queue_depth", track=f"{SERVE_TRACK}.queue",
-                           ts=end,
-                           value=float(payload.get("queue_depth", 0)),
-                           cat="serve")
+            self._serve_batch(payload)
         elif event in ("serve.shed", "serve.timeout"):
-            tracer.instant(event, track=f"{SERVE_TRACK}.admission",
-                           ts=float(payload.get("t_s", 0.0)) * 1e6,
-                           cat="serve", **dict(payload))
+            args = dict(payload)
+            ts = tracer.wall_us(args.pop("origin_s") + args["t_s"])
+            tracer.instant(event, track=f"{SERVE_TRACK}.admission", ts=ts,
+                           cat="serve", clock=WALL, **args)
 
-    def _serve_request_spans(self, payload: Mapping[str, Any]) -> None:
-        """One request's lifecycle chain as spans on a rotating lane.
+    def _serve_batch(self, payload: Mapping[str, Any]) -> None:
+        """One batch on the wall clock: its span on ``serve.batcher``, the
+        queue depth it left, and each request's lifecycle chain.
 
-        The five lifecycle segments (enqueue → batch-assemble → dispatch
-        → engine-infer → respond) are laid with absolute wall-us
-        timestamps; lanes rotate over :data:`SERVE_REQUEST_LANES` tracks
-        so long load runs stay readable (the exact request id rides in
-        the span args).
+        A request's segments (enqueue → batch-assemble → dispatch →
+        engine-infer → respond) come from :meth:`Request.lifecycle`, in
+        seconds since the server's ``origin_s``.  Request lanes rotate over
+        :data:`SERVE_REQUEST_LANES` tracks so long load runs stay readable
+        (the exact request id rides in the span args).
         """
         tracer = self.tracer
-        index = int(payload.get("request", 0))
-        track = f"{SERVE_TRACK}.req{index % SERVE_REQUEST_LANES:02d}"
-        chain = (("enqueue", "submit_s", "enqueue_s"),
-                 ("batch_assemble", "enqueue_s", "assembled_s"),
-                 ("dispatch", "assembled_s", "dispatch_s"),
-                 ("engine_infer", "dispatch_s", "infer_done_s"),
-                 ("respond", "infer_done_s", "respond_s"))
-        for name, start_key, end_key in chain:
-            start = float(payload.get(start_key, 0.0)) * 1e6
-            end = float(payload.get(end_key, 0.0)) * 1e6
+        origin = payload["origin_s"]
+        requests = payload["requests"]
+        batch = payload["batch"]
+
+        def span(name: str, track: str, start_s: float, end_s: float,
+                 **args: Any) -> float:
+            start = tracer.wall_us(origin + start_s)
+            end = tracer.wall_us(origin + end_s)
             tracer.complete(name, track=track, start=start,
                             dur=max(end - start, 0.0), cat="serve",
-                            request=index,
-                            batch=payload.get("batch"),
-                            status=payload.get("status", "ok"))
+                            clock=WALL, **args)
+            return end
+
+        first = requests[0]
+        end = span(f"batch x{len(requests)}", f"{SERVE_TRACK}.batcher",
+                   first.t_assembled, first.t_infer_done, batch=batch,
+                   size=len(requests), cycles=payload["cycles"])
+        tracer.counter("queue_depth", track=f"{SERVE_TRACK}.queue", ts=end,
+                       value=float(payload["queue_depth"]), cat="serve",
+                       clock=WALL)
+        for request in requests:
+            track = f"{SERVE_TRACK}.req{request.index % SERVE_REQUEST_LANES:02d}"
+            for name, start_s, end_s, _ in request.lifecycle():
+                span(name, track, start_s, end_s, request=request.index,
+                     batch=batch, status=request.status)
 
     def _bnn_spans(self, event: str, payload: Mapping[str, Any]) -> None:
         """Per-layer spans for one accelerator batch/inference."""

@@ -14,10 +14,9 @@ import pytest
 
 from repro.bnn import BNNModel, binarize_sign
 from repro.cpu import CoreEnv, FlatMemory, PipelinedCPU
-from repro.cpu.trace import STAGES, PipelineTrace
 from repro.isa import assemble
 from repro.sim import use_session
-from repro.trace import install_tracer, uninstall_tracer
+from repro.trace import STAGES, install_tracer, uninstall_tracer
 from repro.workloads import mibench
 from repro.workloads.bnn_kernels import run_software_bnn
 from repro.workloads.dhrystone import dhrystone_asm
@@ -205,17 +204,18 @@ TRACE_GOLDEN = {
 
 
 def test_dhrystone_trace_and_tracer_events_match_golden():
-    trace = PipelineTrace()
     with use_session() as session:
         tracer = install_tracer(session, capacity=None)
         try:
-            cpu = PipelinedCPU(assemble(dhrystone_asm(2)), trace=trace)
+            cpu = PipelinedCPU(assemble(dhrystone_asm(2)))
             result = cpu.run()
         finally:
             uninstall_tracer(session)
     assert result.stop_reason == "halt"
-    records = [[record.cycle, [record.stages[stage] for stage in STAGES]]
-               for record in trace.records]
+    # one [cycle, [PC per stage]] record per cycle, as the per-cycle
+    # occupancy was recorded when these digests were taken
+    records = [[event.ts + 1, [event.args[stage] for stage in STAGES]]
+               for event in tracer.events if event.name == "cpu.cycle"]
     events = [event.to_dict() for event in tracer.events
               if event.name in ("cpu.cycle", "cpu.stall", "cpu.flush")]
     got = {

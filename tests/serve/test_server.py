@@ -251,6 +251,34 @@ class TestServeTracing:
         assert {"enqueue", "batch_assemble", "dispatch", "engine_infer",
                 "respond"} <= names
 
+    def test_serve_lanes_and_bnn_layers_sit_on_separate_clocks(self):
+        from repro.trace import install_tracer, uninstall_tracer
+        from repro.trace.export import chrome_trace, validate_chrome_trace
+
+        scenario = small_scenario("fast")
+        with use_session(cache_enabled=False) as session:
+            tracer = install_tracer(session, capacity=None)
+            try:
+                _, server = run_serve(scenario, session=session,
+                                      with_server=True)
+            finally:
+                uninstall_tracer(session)
+        processes = validate_chrome_trace(chrome_trace(tracer))["processes"]
+        assert len(processes) == 2
+        cycles, wall = (tracks for name, tracks in sorted(
+            processes.items(), key=lambda item: "wall" in item[0]))
+        assert "bnn" in cycles
+        assert all(track.startswith("serve.") for track in wall)
+        assert not any(track.startswith("serve.") for track in cycles)
+        # one lifecycle chain per completed request, each segment on the
+        # wall clock between the tracer's start and now
+        lanes = [event for event in tracer.events
+                 if event.track.startswith("serve.req")]
+        assert len(lanes) == 5 * len(server.requests)
+        now_us = tracer.wall_us()
+        assert all(0 <= event.ts <= event.ts + event.dur <= now_us
+                   for event in lanes)
+
     def test_shed_events_render_as_admission_instants(self):
         from repro.trace import install_tracer, uninstall_tracer
         from repro.trace.export import chrome_trace, validate_chrome_trace

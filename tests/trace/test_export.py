@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.trace import (
+    WALL,
     Tracer,
     chrome_trace,
     iter_chrome_events,
@@ -65,6 +66,23 @@ class TestChromeTrace:
         summary = validate_chrome_trace_file(path)
         assert summary["tracks"][0] == "cpu.pipeline"
 
+    def test_each_clock_is_its_own_named_process(self):
+        tracer = golden_tracer()
+        tracer.complete("batch x4", track="serve.batcher", start=1500.0,
+                        dur=80.0, cat="serve", clock=WALL)
+        tracer.complete("layer0", track="bnn", start=500.0, dur=10.0,
+                        clock=WALL)
+        payload = chrome_trace(tracer)
+        summary = validate_chrome_trace(payload)
+        cycles, wall = summary["processes"]
+        assert summary["processes"][wall] == ["serve.batcher", "bnn"]
+        assert "bnn" in summary["processes"][cycles]
+        assert "serve.batcher" not in summary["processes"][cycles]
+        assert "wall" in wall and "cycles" in cycles
+        pids = {event["name"]: event["pid"]
+                for event in iter_chrome_events(payload)}
+        assert pids["batch x4"] != pids["layer1"]
+
 
 class TestValidator:
     def test_rejects_non_object(self):
@@ -100,3 +118,14 @@ class TestJsonl:
         loaded = [json.loads(line)
                   for line in path.read_text().splitlines()]
         assert loaded == [event.to_dict() for event in tracer.events]
+
+    def test_wall_events_name_their_clock(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        tracer = golden_tracer()
+        tracer.complete("respond", track="serve.req00", start=3.0, dur=1.0,
+                        clock=WALL)
+        write_jsonl(tracer, path)
+        loaded = [json.loads(line)
+                  for line in path.read_text().splitlines()]
+        assert [event.get("clock") for event in loaded] == \
+            [None] * len(golden_tracer()) + [WALL]

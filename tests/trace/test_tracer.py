@@ -7,7 +7,9 @@ from repro.core.events import Timeline
 from repro.sim import use_session
 from repro.trace import (
     BNN_TRACK,
+    CYCLES,
     DMA_TRACK,
+    WALL,
     Tracer,
     install_tracer,
     tracing,
@@ -53,26 +55,50 @@ class TestDisabled:
 
 
 class TestSpans:
-    def test_span_uses_clock_and_set(self):
-        ticks = iter([10.0, 25.0])
+    def test_span_uses_clock_and_set(self, monkeypatch):
+        """A span is stamped on the wall clock: microseconds since the
+        tracer was created."""
+        from types import SimpleNamespace
+
+        import repro.trace.tracer as tracer_module
+
+        ticks = iter([100.0, 100.000010, 100.000025])
+        monkeypatch.setattr(tracer_module, "time", SimpleNamespace(
+            perf_counter=lambda: next(ticks)))
         tracer = Tracer()
-        with tracer.span("bnn.layer", track="bnn", core=0,
-                         clock=lambda: next(ticks)) as span:
+        with tracer.span("runner.step", track="runner", core=0) as span:
             span.set(batch=4)
         (event,) = tracer.events
-        assert event.name == "bnn.layer"
+        assert event.name == "runner.step"
         assert event.ph == "X"
-        assert event.ts == 10.0
-        assert event.dur == 15.0
+        assert event.clock == WALL
+        assert event.ts == pytest.approx(10.0)
+        assert event.dur == pytest.approx(15.0)
         assert event.args == {"core": 0, "batch": 4}
 
     def test_span_records_even_when_body_raises(self):
-        ticks = iter([1.0, 2.0])
         tracer = Tracer()
         with pytest.raises(RuntimeError):
-            with tracer.span("s", track="t", clock=lambda: next(ticks)):
+            with tracer.span("s", track="t"):
                 raise RuntimeError("boom")
-        assert len(tracer) == 1
+        (event,) = tracer.events
+        assert event.clock == WALL and event.dur >= 0
+
+    def test_events_default_to_the_cycle_clock(self):
+        tracer = Tracer()
+        tracer.lay("a", track="dma", dur=10)
+        tracer.instant("b", track="t", ts=3)
+        tracer.counter("c", track="t", ts=4, value=1.0)
+        assert [event.clock for event in tracer.events] == [CYCLES] * 3
+        assert "clock" not in tracer.events[0].to_dict()
+        tracer.complete("w", track="t", start=1.0, dur=2.0, clock=WALL)
+        assert tracer.events[-1].to_dict()["clock"] == WALL
+
+    def test_advance_moves_the_cursor(self):
+        tracer = Tracer()
+        assert tracer.advance("cpu.fastpath", 7) == 7
+        assert tracer.lay("a", track="cpu.fastpath", dur=3) == 7
+        assert tracer.cursor("cpu.fastpath") == 10
 
     def test_lay_advances_cursor(self):
         tracer = Tracer()

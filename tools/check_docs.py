@@ -11,9 +11,9 @@ Nine checks, each cheap enough for every CI run:
    parsed against the *real* argparse tree (``repro.cli.build_parser``), so
    documented flags can never drift from the implementation.
 3. **Probe vocabulary** — the probe event table in docs/ARCHITECTURE.md
-   must list exactly the literal ``*.emit("name", ...)`` sites under src/
-   (same contract as tests/test_probe_vocabulary.py, enforced at docs-lint
-   time too so a docs-only change cannot merge a stale table).
+   must list exactly the literal ``*.emit("name", ...)`` sites under src/,
+   so adding, renaming or retiring a probe event forces the table to
+   follow (tier-1 runs this check through tests/tools/test_check_docs.py).
 4. **Engine registry table** — the "### Engine registry" table in
    docs/ARCHITECTURE.md must list exactly the engines registered in
    ``repro.engine`` with their live capability flags, so registering a

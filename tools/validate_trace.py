@@ -43,8 +43,10 @@ def validate_one(name: str) -> int:
     except ValueError as exc:
         print(f"{name}: INVALID — {exc}")
         return EXIT_SCHEMA
-    tracks = ", ".join(summary["tracks"])
-    print(f"{name}: ok — {summary['events']} events on [{tracks}]")
+    processes = "; ".join(f"{process}: [{', '.join(tracks)}]"
+                          for process, tracks in summary["processes"].items())
+    print(f"{name}: ok — {summary['events']} events; "
+          f"{processes or ', '.join(summary['tracks'])}")
     return EXIT_OK
 
 
