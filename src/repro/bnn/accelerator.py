@@ -149,19 +149,17 @@ class BNNAccelerator:
             macs=model.total_macs * n_inputs,
             weight_stream_cycles=stream,
         )
-        registry = get_session().stats
-        scope = registry.scope("bnn")
+        session = get_session()
+        scope = session.stats.scope("bnn")
         scope.incr("batches")
         scope.incr("inferences", n_inputs)
         scope.incr("cycles", total)
         scope.incr("macs", timing.macs)
         if stream:
             scope.incr("weight_stream_cycles", stream)
-        registry.emit("bnn.batch", n_inputs=n_inputs, latency_cycles=latency,
-                      total_cycles=total, interval_cycles=interval,
-                      weight_stream_cycles=stream,
-                      layer_cycles=self.layer_cycles(model),
-                      layer_macs=self.layer_macs(model))
+        if session.tracer is not None:
+            session.tracer.bnn_batch(timing, self.layer_cycles(model),
+                                     self.layer_macs(model))
         return timing
 
     # -- functional execution --------------------------------------------
@@ -176,15 +174,13 @@ class BNNAccelerator:
             macs=model.total_macs,
             layer_cycles=self.layer_cycles(model),
         )
-        registry = get_session().stats
-        scope = registry.scope("bnn")
+        session = get_session()
+        scope = session.stats.scope("bnn")
         scope.incr("inferences")
         scope.incr("cycles", result.cycles)
         scope.incr("macs", result.macs)
-        registry.emit("bnn.infer", prediction=result.prediction,
-                      cycles=result.cycles, macs=result.macs,
-                      layer_cycles=result.layer_cycles,
-                      layer_macs=self.layer_macs(model))
+        if session.tracer is not None:
+            session.tracer.bnn_infer(result, self.layer_macs(model))
         return result
 
     def infer_batch(self, model: BNNModel, x_signs: Sequence[np.ndarray],
@@ -196,7 +192,7 @@ class BNNAccelerator:
         :mod:`repro.engine` registry — any registered name (``accurate``,
         ``fast``, ...) or engine object; ``None`` follows
         the session's ``SimConfig.engine``.  Every engine classifies
-        identically, and the timing/probe accounting (``bnn.batch``,
+        identically, and the timing/trace accounting (``bnn.batch``,
         cycle/MAC counters) is engine-independent — the fast engines
         change how long the *simulation* takes, never what it reports.
         """

@@ -151,8 +151,8 @@ def vectorized_hidden_forward(model: BNNModel,
 class VectorizedBNNHalf:
     """BNN half of the ``fast`` engine (mixin for ExecutionEngine).
 
-    Pure functions of the model and inputs: no session stats, no probe
-    emissions — the accounting contract lives in the accelerator timing
+    Pure functions of the model and inputs: no session stats, no trace
+    events — the accounting contract lives in the accelerator timing
     model and is engine-independent.
     """
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 from typing import List, Optional
 
@@ -97,7 +98,8 @@ class _Capture:
     creates the directory of every requested file, then installs only
     what the flags ask for: a tracer for ``--trace`` or ``--profile``, a
     metrics recorder for ``--metrics-out``.  Both are detached on exit
-    and their captures stay readable for :meth:`write`.
+    (the session gets back the tracer the capture displaced) and their
+    captures stay readable for :meth:`write`.
     """
 
     def __init__(self, args: argparse.Namespace, session):
@@ -107,6 +109,7 @@ class _Capture:
         self.recorder = None
         #: the recorded metrics collection (None without --metrics-out)
         self.metrics = None
+        self._stack = ExitStack()
 
     def __enter__(self) -> "_Capture":
         args = self.args
@@ -116,27 +119,24 @@ class _Capture:
         for path in paths:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
         if args.trace or getattr(args, "profile", False):
-            from repro.trace import install_tracer
+            from repro.trace import tracing
 
             # unbounded: the profiler's attribution must be exact, and a
             # wrapped ring buffer would lose serve request lanes
-            self.tracer = install_tracer(self.session, capacity=None)
+            self.tracer = self._stack.enter_context(
+                tracing(self.session, capacity=None))
         if args.metrics_out:
             from repro.metrics import MetricsRecorder
 
             # snapshot-diff based: nothing touches the simulator hot path
-            self.recorder = MetricsRecorder(self.session).__enter__()
+            self.recorder = self._stack.enter_context(
+                MetricsRecorder(self.session))
         return self
 
     def __exit__(self, *exc) -> None:
+        self._stack.__exit__(*exc)
         if self.recorder is not None:
-            self.recorder.__exit__(*exc)
             self.metrics = self.recorder.collection
-        if self.tracer is not None:
-            from repro.trace import uninstall_tracer
-
-            # detach so repeated in-process calls don't stack bridges
-            uninstall_tracer(self.session)
 
     def write(self, document=None) -> None:
         """Write every requested file, each in the format its name picks.
@@ -209,6 +209,15 @@ def _load_cli_scenario(args: argparse.Namespace):
     return scenario
 
 
+def _print_profile(args: argparse.Namespace, capture: _Capture,
+                   out) -> None:
+    """With ``--profile``, print the captured trace's hot-spot report."""
+    if args.profile:
+        from repro.trace import build_report, render_report
+
+        print(render_report(build_report(capture.tracer)), file=out)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     import dataclasses
 
@@ -251,8 +260,11 @@ def cmd_run(args: argparse.Namespace) -> int:
                 scenario_signature,
             )
 
-            summary = run_scenario(scenario, engine=session.config.engine)
+            with _Capture(args, session) as capture:
+                summary = run_scenario(scenario, engine=session.config.engine)
+            capture.write()
             if args.stats_json:
+                _print_profile(args, capture, sys.stderr)
                 print(json.dumps(summary, indent=2, sort_keys=True))
                 return 0
             _, detail = scenario_signature(scenario)
@@ -261,6 +273,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"batch={summary['batch_size']} "
                   f"total_cycles={summary['total_cycles']} "
                   f"macs={summary['macs']}")
+            _print_profile(args, capture, sys.stdout)
             return 0
         from repro.scenario.materialize import build_program
 
@@ -293,10 +306,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(row, file=out)
 
     capture.write()
-    if args.profile:
-        from repro.trace import build_report, render_report
-
-        print(render_report(build_report(capture.tracer)), file=out)
+    _print_profile(args, capture, out)
 
     if args.stats_json:
         # printed before the non-zero exit path, stop reason included, so

@@ -7,8 +7,8 @@ traces (Fig 16) derive from it.
 
 Timelines participate in the shared instrumentation layer: every
 :meth:`Timeline.add` bumps the session :class:`~repro.sim.StatsRegistry`
-(``timeline.segments``, ``timeline.<kind>_cycles``) and emits a
-``timeline.segment`` probe event; utilization queries publish per-core
+(``timeline.segments``, ``timeline.<kind>_cycles``) and, traced, draws
+the segment on its core's track; utilization queries publish per-core
 gauges.
 """
 
@@ -66,11 +66,11 @@ class Timeline:
             label: str = "") -> Segment:
         segment = Segment(core=core, kind=kind, start=start, end=end, label=label)
         self.segments.append(segment)
-        stats = get_session().stats
-        stats.incr("timeline.segments")
-        stats.incr(f"timeline.{kind}_cycles", segment.cycles)
-        stats.emit("timeline.segment", core=core, kind=kind,
-                   start=start, end=end, label=label)
+        session = get_session()
+        session.stats.incr("timeline.segments")
+        session.stats.incr(f"timeline.{kind}_cycles", segment.cycles)
+        if session.tracer is not None:
+            session.tracer.timeline_segment(core, kind, start, end, label)
         return segment
 
     @property

@@ -142,8 +142,9 @@ class NCPUCore:
         )
         self._advance(cost, events.SWITCH, "trans_bnn")
         self.memory.set_mode(CoreMode.BNN)
-        get_session().stats.emit("soc.mode_switch", core=self.name, to="bnn",
-                                 cycle=self.clock, cost=cost)
+        tracer = get_session().tracer
+        if tracer is not None:
+            tracer.mode_switch(self.name, "bnn", self.clock, cost)
 
     def switch_to_cpu(self) -> None:
         if self.mode is CoreMode.CPU:
@@ -151,8 +152,9 @@ class NCPUCore:
         cost = self.policy.to_cpu_cycles()
         self._advance(cost, events.SWITCH, "trans_cpu")
         self.memory.set_mode(CoreMode.CPU)
-        get_session().stats.emit("soc.mode_switch", core=self.name, to="cpu",
-                                 cycle=self.clock, cost=cost)
+        tracer = get_session().tracer
+        if tracer is not None:
+            tracer.mode_switch(self.name, "cpu", self.clock, cost)
 
     def switch_to_bnn(self) -> None:
         """Explicit switch (normally driven by the trans_bnn instruction)."""

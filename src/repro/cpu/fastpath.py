@@ -461,12 +461,12 @@ class FastCPU:
                 for name, count in block.counts.items():
                     counts[name] += count * times
         delta = stats.delta(before)
-        registry = get_session().stats
-        scope = registry.scope("cpu.fastpath")
+        session = get_session()
+        scope = session.stats.scope("cpu.fastpath")
         scope.incr("runs")
         scope.incr_many(delta)
-        registry.emit("cpu.run", simulator="fastpath", stop_reason=reason,
-                      **delta)
+        if session.tracer is not None:
+            session.tracer.cpu_run("fastpath", reason, delta)
         return RunResult(stats=stats, stop_reason=reason, pc=self.pc,
                          env=self.env)
 

@@ -112,12 +112,12 @@ class FunctionalCPU:
                 break
         reason = stop if stop is not None else "max_cycles"
         delta = self.stats.delta(before)
-        registry = get_session().stats
-        scope = registry.scope("cpu.functional")
+        session = get_session()
+        scope = session.stats.scope("cpu.functional")
         scope.incr("runs")
         scope.incr_many(delta)
-        registry.emit("cpu.run", simulator="functional", stop_reason=reason,
-                      **delta)
+        if session.tracer is not None:
+            session.tracer.cpu_run("functional", reason, delta)
         return RunResult(stats=self.stats, stop_reason=reason, pc=self.pc,
                          env=self.env)
 

@@ -108,11 +108,11 @@ class PipelinedCPU:
         With a tracer installed, each cycle's stage occupancy and each stall
         and flush are recorded on the ``cpu.pipeline`` track from its cursor:
         a run starts where the track's last run ended, and a resumed run
-        continues its own stamps.
+        continues its own stamps.  A completed run ends with a ``cpu.run``
+        instant.
 
         Completed runs mirror their :class:`ExecStats` growth into the
-        session :class:`~repro.sim.StatsRegistry` under ``cpu.pipeline.*``
-        and emit a ``cpu.run`` probe event.
+        session :class:`~repro.sim.StatsRegistry` under ``cpu.pipeline.*``.
         """
         if max_cycles < 0:
             raise ConfigurationError(f"max_cycles: must be >= 0, got {max_cycles}")
@@ -296,11 +296,11 @@ class PipelinedCPU:
 
         reason = stop or "max_cycles"
         delta = stats.delta(before)
-        registry = session.stats
-        scope = registry.scope("cpu.pipeline")
+        scope = session.stats.scope("cpu.pipeline")
         scope.incr("runs")
         scope.incr_many(delta)
-        registry.emit("cpu.run", simulator="pipeline", stop_reason=reason, **delta)
+        if tracer is not None:
+            tracer.cpu_run("pipeline", reason, delta)
         return RunResult(stats=stats, stop_reason=reason,
                          pc=self._resume_pc if stop else pc, env=self.env)
 

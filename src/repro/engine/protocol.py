@@ -19,7 +19,7 @@ An *execution engine* is one named backend that can run RV32I programs
   (:meth:`~repro.bnn.accelerator.BNNAccelerator.batch_timing`) and is
   engine-independent; an engine's ``scores``/``predict``/
   ``hidden_forward`` compute pure functions of the model and inputs.
-  Engines *may* emit probe events describing their own host-side
+  Engines *may* record trace events describing their own host-side
   execution — events are observability, not accounting.
 
 Concrete engines subclass :class:`ExecutionEngine` and register with

@@ -59,9 +59,6 @@ def run_experiment(name: str, use_cache: bool = True,
     session = get_session()
     start = time.perf_counter()
     traced_path: Optional[str] = None
-    # heartbeat instants: visible to any installed tracer/probe, so long
-    # parallel runs are inspectable while they execute
-    session.stats.emit("experiment.started", name=name, worker=os.getpid())
     logger.info("experiment %s: started (worker %d)", name, os.getpid())
 
     def build() -> ExperimentResult:
@@ -101,9 +98,6 @@ def run_experiment(name: str, use_cache: bool = True,
         "engine": session.config.engine,
         "scenario": scenario_dict,
     })
-    session.stats.emit("experiment.finished", name=name,
-                       worker=os.getpid(), wall_time_s=wall_time,
-                       cache_hit=cache_hit)
     logger.info("experiment %s: finished in %.3fs (%s)", name, wall_time,
                 "cache hit" if cache_hit else "cache miss")
     return result

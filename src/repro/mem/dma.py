@@ -57,14 +57,15 @@ class DMAEngine:
             dst.store(dst_addr + 4 * index, word, 4)
         cycles = self.transfer_cycles(n_words)
         self.transfers.append(TransferRecord(description, n_words, cycles))
-        registry = get_session().stats
-        scope = registry.scope("dma")
+        session = get_session()
+        scope = session.stats.scope("dma")
         scope.incr("transfers")
         scope.incr("words", n_words)
         scope.incr("cycles", cycles)
-        registry.emit("dma.transfer", description=description,
-                      words=n_words, cycles=cycles,
-                      setup_cycles=TRANSFER_SETUP_CYCLES if n_words else 0)
+        if session.tracer is not None:
+            session.tracer.dma_transfer(
+                description, n_words, cycles,
+                TRANSFER_SETUP_CYCLES if n_words else 0)
         return cycles
 
     @property

@@ -15,7 +15,6 @@ cycles (exact, from the timing models' identities) and host wall time
 
 from repro.obs.attribution import (
     ATTRIBUTION_SCHEMA,
-    PHASE_EVENT,
     RunAttribution,
     attribute_chained,
     attribute_scenario,
@@ -46,7 +45,6 @@ from repro.obs.phases import (
 
 __all__ = [
     "ATTRIBUTION_SCHEMA",
-    "PHASE_EVENT",
     "PHASES",
     "PHASE_DESCRIPTIONS",
     "WALL_TICK_S",

@@ -50,9 +50,6 @@ from repro.obs.phases import (
 #: schema tag of the ``repro attribute`` JSON document
 ATTRIBUTION_SCHEMA = "repro-attribution/2"
 
-#: probe event published once per phase after an attributed run
-PHASE_EVENT = "obs.phase"
-
 #: timeline segment kind -> phase (unknown kinds land in overhead)
 TIMELINE_KIND_PHASES = {
     "cpu": PREPROCESS,
@@ -192,19 +189,11 @@ def _resolve_attributing_engine(engine, scenario):
 
 
 def _publish(session, attribution: RunAttribution) -> RunAttribution:
-    """Invariant-check, then publish the attribution's phase events."""
+    """Invariant-check, count the run, and trace its phases."""
     attribution.check()
-    stats = session.stats
-    stats.incr("obs.runs")
-    for phase in PHASES:
-        # literal event name (== PHASE_EVENT) so the probe-vocabulary
-        # lints see this emit site
-        stats.emit("obs.phase", scenario=attribution.scenario,
-                   engine=attribution.engine, kind=attribution.kind,
-                   profile=attribution.profile,
-                   phase=phase, cycles=attribution.cycles[phase],
-                   wall_s=attribution.wall_s[phase],
-                   total_cycles=attribution.total_cycles)
+    session.stats.incr("obs.runs")
+    if session.tracer is not None:
+        session.tracer.obs_phases(attribution, PHASES)
     return attribution
 
 

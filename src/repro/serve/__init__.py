@@ -10,8 +10,8 @@ uniform / bursty arrival schedules against it.
 Observability is first-class rather than bolted on:
 
 * every request's lifecycle (enqueue → batch-assemble → dispatch →
-  engine-infer → respond) is published as ``serve.*`` probe events, so
-  an installed :class:`~repro.trace.Tracer` renders per-request
+  engine-infer → respond) goes to an installed
+  :class:`~repro.trace.Tracer` once per batch, which renders per-request
   Perfetto lanes next to the batcher and queue-depth tracks;
 * :mod:`repro.serve.slo` estimates p50/p95/p99 latency with fixed-bucket
   log-scale streaming histograms (no per-request allocation) and folds

@@ -19,12 +19,12 @@ timestamp chain (submit → enqueue → batch-assemble → dispatch →
 engine-infer → respond, :attr:`Request.SEGMENTS`), folded into the
 :class:`~repro.serve.slo.SLORecorder` as six-phase wall buckets that sum
 to the request latency (the ``repro.obs`` vocabulary, applied to a
-request instead of a run).  The session
-:class:`~repro.sim.StatsRegistry` gets one ``serve.batch`` probe event per
-batch, carrying its requests, plus one ``serve.shed`` / ``serve.timeout``
-per request turned away — so an installed tracer draws per-request
-Perfetto lanes with zero extra code here, and a completed request costs
-no probe event of its own.
+request instead of a run).  An installed session tracer gets one
+:meth:`~repro.trace.Tracer.serve_batch` call per batch, carrying its
+requests, which it draws as per-request Perfetto lanes, plus one
+:meth:`~repro.trace.Tracer.serve_turned_away` call per request shed or
+timed out; a completed request costs no call of its own, and an untraced
+server makes none.
 """
 
 from __future__ import annotations
@@ -271,9 +271,9 @@ class NCPUServer:
             request.finalize_phases()
             self._n_resolved += 1
             self.recorder.record_shed()
-            self.session.stats.emit("serve.shed", {
-                "request": request.index, "t_s": request.t_respond,
-                "queue_depth": depth, "origin_s": self._t0})
+            if self.session.tracer is not None:
+                self.session.tracer.serve_turned_away(self._t0, request,
+                                                      queue_depth=depth)
             return request
         future = asyncio.get_running_loop().create_future()
         request.t_enqueue = self._now()
@@ -402,11 +402,11 @@ class NCPUServer:
                                             request.phases_s)
             if not pending.future.done():
                 pending.future.set_result(request)
-        self.session.stats.emit("serve.batch", {
-            "batch": batch_index,
-            "requests": [pending.request for pending in live],
-            "origin_s": self._t0, "queue_depth": self._queue.qsize(),
-            "cycles": int(timing.total_cycles)})
+        if self.session.tracer is not None:
+            self.session.tracer.serve_batch(
+                self._t0, batch_index,
+                [pending.request for pending in live], self._queue.qsize(),
+                int(timing.total_cycles))
 
     def _resolve_error(self, live: List[_Pending],
                        batch_index: Optional[int] = None) -> None:
@@ -434,8 +434,8 @@ class NCPUServer:
         request.finalize_phases()
         self._n_resolved += 1
         self.recorder.record_timeout()
-        self.session.stats.emit("serve.timeout", {
-            "request": request.index, "t_s": request.t_respond,
-            "age_s": age_s, "origin_s": self._t0})
+        if self.session.tracer is not None:
+            self.session.tracer.serve_turned_away(self._t0, request,
+                                                  age_s=age_s)
         if not pending.future.done():
             pending.future.set_result(request)

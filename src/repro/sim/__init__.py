@@ -23,13 +23,7 @@ from repro.sim.config import (
     config_hash,
     source_fingerprint,
 )
-from repro.sim.instrument import (
-    ALL_EVENTS,
-    PROBE_ERROR_COUNTER,
-    STRICT_PROBES_ENV_VAR,
-    StatsRegistry,
-    StatsScope,
-)
+from repro.sim.instrument import StatsRegistry, StatsScope
 from repro.sim.session import (
     SimSession,
     current_engine,
@@ -41,15 +35,12 @@ from repro.sim.session import (
 )
 
 __all__ = [
-    "ALL_EVENTS",
     "ArtifactCache",
     "CACHE_ENV_VAR",
     "DEFAULT_DEVICE_PROFILE",
     "DEFAULT_ENGINE",
     "ENGINE_ENV_VAR",
     "PROFILE_ENV_VAR",
-    "PROBE_ERROR_COUNTER",
-    "STRICT_PROBES_ENV_VAR",
     "DEFAULT_CACHE_DIR",
     "NO_CACHE_ENV_VAR",
     "SimConfig",

@@ -1,6 +1,6 @@
-"""Shared instrumentation: named counters, gauges, and probe events.
+"""Shared instrumentation: named counters and gauges.
 
-All three simulator stacks emit into one :class:`StatsRegistry`:
+All three simulator stacks count into one :class:`StatsRegistry`:
 
 * the pipeline publishes its :class:`~repro.cpu.env.ExecStats` deltas under
   ``cpu.pipeline.*`` (the functional ISS under ``cpu.functional.*``),
@@ -11,36 +11,22 @@ All three simulator stacks emit into one :class:`StatsRegistry`:
   ``timeline.*`` counters, and utilization queries set per-core gauges.
 
 Counters are monotonically increasing sums; gauges hold the last written
-value.  Probes subscribe to named events (``"*"`` for all) and receive
-``(event, payload)`` — the structured side channel for tracing tools.
+value.  Per-event records go to the session tracer
+(:mod:`repro.trace`), which the simulators call directly.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from collections import defaultdict
-from typing import Any, Callable, Dict, List, Mapping, Optional
-
-ProbeFn = Callable[[str, Mapping[str, Any]], None]
-
-#: subscription key receiving every event
-ALL_EVENTS = "*"
-
-#: counter tracking probe callbacks that raised during :meth:`emit`
-PROBE_ERROR_COUNTER = "stats.probe_errors"
-
-#: set to ``1`` to re-raise probe exceptions instead of counting them
-STRICT_PROBES_ENV_VAR = "REPRO_STRICT_PROBES"
+from typing import Any, Dict, Mapping, Optional
 
 
 class StatsRegistry:
-    """Process-wide named counters, gauges, and probe/event hooks."""
+    """Process-wide named counters and gauges."""
 
     def __init__(self):
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, Any] = {}
-        self._probes: Dict[str, List[ProbeFn]] = defaultdict(list)
 
     # -- counters -------------------------------------------------------
     def incr(self, name: str, amount: float = 1) -> float:
@@ -66,47 +52,6 @@ class StatsRegistry:
     def gauges(self, prefix: str = "") -> Dict[str, Any]:
         return {name: value for name, value in sorted(self._gauges.items())
                 if name.startswith(prefix)}
-
-    # -- probes / events ------------------------------------------------
-    def subscribe(self, event: str, probe: ProbeFn) -> ProbeFn:
-        """Register ``probe`` for ``event`` (``"*"`` matches everything)."""
-        self._probes[event].append(probe)
-        return probe
-
-    def unsubscribe(self, event: str, probe: ProbeFn) -> None:
-        probes = self._probes.get(event, [])
-        if probe in probes:
-            probes.remove(probe)
-        if not probes:
-            # an empty list would defeat emit's "no probes" early return
-            self._probes.pop(event, None)
-
-    def emit(self, event: str, payload: Optional[Mapping[str, Any]] = None,
-             **fields: Any) -> None:
-        """Deliver a structured event to its subscribers (cheap when none).
-
-        A raising probe must never abort the simulation: exceptions are
-        swallowed and counted under ``stats.probe_errors``, unless
-        ``REPRO_STRICT_PROBES=1`` is set (debugging), in which case they
-        propagate.
-        """
-        if not self._probes:
-            return
-        merged = dict(payload or {})
-        merged.update(fields)
-        for probe in self._probes.get(event, []):
-            self._dispatch(probe, event, merged)
-        for probe in self._probes.get(ALL_EVENTS, []):
-            self._dispatch(probe, event, merged)
-
-    def _dispatch(self, probe: ProbeFn, event: str,
-                  payload: Mapping[str, Any]) -> None:
-        try:
-            probe(event, payload)
-        except Exception:
-            if os.environ.get(STRICT_PROBES_ENV_VAR) == "1":
-                raise
-            self.incr(PROBE_ERROR_COUNTER)
 
     # -- snapshots (delta-based assertions) ------------------------------
     def snapshot(self, prefix: str = "") -> Dict[str, float]:
@@ -164,10 +109,6 @@ class StatsScope:
 
     def set_gauge(self, name: str, value: Any) -> None:
         self.registry.set_gauge(self._name(name), value)
-
-    def emit(self, event: str, payload: Optional[Mapping[str, Any]] = None,
-             **fields: Any) -> None:
-        self.registry.emit(self._name(event), payload, **fields)
 
     def incr_many(self, amounts: Mapping[str, float]) -> None:
         for name, amount in amounts.items():

@@ -1,9 +1,11 @@
 """``repro.trace`` — tracing and profiling on two clocks.
 
-Layered on the session :class:`~repro.sim.StatsRegistry` probe channel:
+The session tracer (``session.tracer``), which the simulators call
+directly, and what reads it:
 
 * :class:`Tracer` — spans/instants/counters stamped in simulated cycles
-  or host wall time, in a bounded ring buffer (:mod:`repro.trace.tracer`);
+  or host wall time, in a bounded ring buffer, with one typed recording
+  method per simulator call site (:mod:`repro.trace.tracer`);
 * exporters — Chrome/Perfetto trace-event JSON with one process per
   clock, and JSONL (:mod:`repro.trace.export`);
 * profilers — per-PC hot spots with exact stall attribution, per-layer
@@ -59,7 +61,6 @@ from repro.trace.tracer import (
     STAGES,
     STALL_EVENT,
     WALL,
-    ProbeBridge,
     TraceEvent,
     Tracer,
     install_tracer,
@@ -81,7 +82,6 @@ __all__ = [
     "HotSpot",
     "LayerStat",
     "PAPER_UTILIZATION",
-    "ProbeBridge",
     "RunReport",
     "SERVE_REQUEST_LANES",
     "SERVE_TRACK",

@@ -1,5 +1,4 @@
-"""The session tracer: spans, instants, counters on two clocks, and the
-probe bridge.
+"""The session tracer: spans, instants and counters on two clocks.
 
 A :class:`Tracer` collects structured :class:`TraceEvent` records into a
 bounded ring buffer.  Each event is stamped on one of two clocks:
@@ -10,25 +9,18 @@ bounded ring buffer.  Each event is stamped on one of two clocks:
 * :data:`WALL` — host wall time in microseconds since the tracer was
   created (:meth:`Tracer.span`, the serve lanes).
 
-Simulators emit into it two ways:
-
-* **direct call sites** for high-rate data — the pipelined CPU records one
-  occupancy event per cycle plus stall/flush instants with their hazard
-  cause, at the :data:`CPU_TRACK` cursor (it looks the tracer up once per
-  run, so an untraced run costs one ``None`` check per cycle);
-* the **probe bridge** — a ``"*"`` subscriber on the session
-  :class:`~repro.sim.StatsRegistry` that converts the registry's existing
-  probe events (``timeline.segment``, ``dma.transfer``, ``bnn.batch``,
-  ``soc.mode_switch``, ``serve.batch``, ...) into spans and instants, so
-  every simulator that already publishes probe events is traced without
-  new code.
+Simulators call it directly, through one typed recording method per kind
+of record (:meth:`Tracer.cpu_cycle`, :meth:`Tracer.cpu_run`,
+:meth:`Tracer.bnn_batch`, :meth:`Tracer.dma_transfer`,
+:meth:`Tracer.serve_batch`, ...).  Each call site looks up
+``session.tracer`` and skips the call, and the arguments it would build,
+when it is None; the pipelined CPU looks the tracer up once per run, so an
+untraced run costs one ``None`` check per cycle.
 
 Install with :func:`install_tracer` / :func:`uninstall_tracer` or the
 :func:`tracing` context manager; the active tracer lives on the current
-:class:`~repro.sim.SimSession` as ``session.tracer``.  Tracing is off
-exactly when no tracer is installed: nothing subscribes to the registry
-until then, and uninstalling unsubscribes again, so the untraced fast path
-(``StatsRegistry.emit`` returning on "no probes") is preserved.
+:class:`~repro.sim.SimSession` as ``session.tracer``, and tracing is off
+exactly when none is installed.
 """
 
 from __future__ import annotations
@@ -37,7 +29,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.logutil import get_logger
 from repro.sim import get_session
@@ -229,7 +221,7 @@ class Tracer:
         self._cursors[track] = start + dur
         return start
 
-    # -- pipeline fast path ----------------------------------------------
+    # -- simulator call sites ---------------------------------------------
     def cpu_cycle(self, cycle: float, **stages: Optional[int]) -> None:
         """One per-cycle stage-occupancy record on :data:`CPU_TRACK`, for
         [cycle-1, cycle).
@@ -240,152 +232,165 @@ class Tracer:
         self._append(TraceEvent(name=CYCLE_EVENT, ph="X", ts=cycle - 1,
                                 dur=1, track=CPU_TRACK, cat="cpu", args=stages))
 
+    def cpu_run(self, simulator: str, stop_reason: str,
+                delta: Mapping[str, int]) -> None:
+        """A ``cpu.run`` instant at the end of one run on its simulator's
+        track, ``cpu.<simulator>``, carrying the run's stat deltas.
 
-class ProbeBridge:
-    """Converts :class:`~repro.sim.StatsRegistry` probe events to traces."""
+        The pipeline has already moved the :data:`CPU_TRACK` cursor past
+        the cycles it recorded; the ISS and the fast interpreter record
+        none, so their track cursor advances by the run's cycles here.
+        """
+        track = f"cpu.{simulator}"
+        if track != CPU_TRACK:
+            self.advance(track, delta["cycles"])
+        self.instant("cpu.run", track=track, cat="cpu", simulator=simulator,
+                     stop_reason=stop_reason, **delta)
 
-    def __init__(self, tracer: Tracer):
-        self.tracer = tracer
+    def bnn_batch(self, timing, layer_cycles: Sequence[int],
+                  layer_macs: Sequence[int]) -> None:
+        """One accelerator batch (a :class:`~repro.bnn.BatchTiming`) at the
+        :data:`BNN_TRACK` cursor: a span per layer, the pipelined steady
+        state, and a ``bnn.batch`` instant at its end."""
+        self._bnn_layers(layer_cycles, layer_macs, timing.n_inputs,
+                         timing.total_cycles)
+        self.instant("bnn.batch", track=BNN_TRACK, cat="bnn",
+                     n_inputs=timing.n_inputs,
+                     latency_cycles=timing.latency_cycles,
+                     total_cycles=timing.total_cycles,
+                     interval_cycles=timing.interval_cycles,
+                     weight_stream_cycles=timing.weight_stream_cycles)
 
-    def __call__(self, event: str, payload: Mapping[str, Any]) -> None:
-        tracer = self.tracer
-        if event == "timeline.segment":
-            start = payload["start"]
-            tracer.complete(payload.get("label") or payload["kind"],
-                            track=payload["core"], start=start,
-                            dur=payload["end"] - start, cat=payload["kind"],
-                            src="timeline")
-        elif event == "dma.transfer":
-            tracer.lay(payload.get("description", "transfer"),
-                       track=DMA_TRACK, dur=payload["cycles"], cat="dma",
-                       words=payload.get("words", 0),
-                       setup_cycles=payload.get("setup_cycles", 0))
-        elif event in ("bnn.batch", "bnn.infer"):
-            self._bnn_spans(event, payload)
-        elif event == "soc.mode_switch":
-            tracer.instant(event, track=payload.get("core", "soc"),
-                           ts=payload.get("cycle"), cat="switch",
-                           to=payload.get("to"), cost=payload.get("cost", 0))
-        elif event == "cpu.run":
-            # at the run's end on its simulator's track; the pipeline has
-            # already moved its cursor past the cycles it recorded
-            track = f"cpu.{payload.get('simulator')}"
-            if track != CPU_TRACK:
-                tracer.advance(track, payload.get("cycles", 0))
-            tracer.instant(event, track=track, cat="cpu", **dict(payload))
-        elif event == "obs.phase":
-            track = f"obs.{payload.get('engine', 'run')}"
-            tracer.lay(payload.get("phase", "phase"), track=track,
-                       dur=float(payload.get("cycles", 0)), cat="obs",
-                       wall_s=payload.get("wall_s", 0.0),
-                       kind=payload.get("kind", ""),
-                       scenario=payload.get("scenario", ""))
-        elif event == "serve.batch":
-            self._serve_batch(payload)
-        elif event in ("serve.shed", "serve.timeout"):
-            args = dict(payload)
-            ts = tracer.wall_us(args.pop("origin_s") + args["t_s"])
-            tracer.instant(event, track=f"{SERVE_TRACK}.admission", ts=ts,
-                           cat="serve", clock=WALL, **args)
+    def bnn_infer(self, result, layer_macs: Sequence[int]) -> None:
+        """One single-input inference (an
+        :class:`~repro.bnn.InferenceResult`): a span per layer and a
+        ``bnn.infer`` instant, at the :data:`BNN_TRACK` cursor."""
+        self._bnn_layers(result.layer_cycles, layer_macs, 1, result.cycles)
+        self.instant("bnn.infer", track=BNN_TRACK, cat="bnn",
+                     prediction=result.prediction, cycles=result.cycles,
+                     macs=result.macs)
 
-    def _serve_batch(self, payload: Mapping[str, Any]) -> None:
-        """One batch on the wall clock: its span on ``serve.batcher``, the
-        queue depth it left, and each request's lifecycle chain.
+    def _bnn_layers(self, layer_cycles: Sequence[int],
+                    layer_macs: Sequence[int], n_inputs: int,
+                    total_cycles: int) -> None:
+        for index, (cycles, macs) in enumerate(zip(layer_cycles,
+                                                   layer_macs)):
+            self.lay(f"layer{index}", track=BNN_TRACK, dur=cycles, cat="bnn",
+                     layer=index, macs=macs * n_inputs)
+        pipelined = total_cycles - sum(layer_cycles)
+        if pipelined > 0:
+            self.lay(f"steady-state x{n_inputs}", track=BNN_TRACK,
+                     dur=pipelined, cat="bnn")
+
+    def dma_transfer(self, description: str, words: int, cycles: int,
+                     setup_cycles: int) -> None:
+        """One DMA copy, laid at the :data:`DMA_TRACK` cursor."""
+        self.lay(description, track=DMA_TRACK, dur=cycles, cat="dma",
+                 words=words, setup_cycles=setup_cycles)
+
+    def timeline_segment(self, core: str, kind: str, start: int, end: int,
+                         label: str = "") -> None:
+        """A :class:`~repro.core.events.Timeline` segment, on its core's
+        track at the cycles it names."""
+        self.complete(label or kind, track=core, start=start,
+                      dur=end - start, cat=kind, src="timeline")
+
+    def mode_switch(self, core: str, to: str, cycle: int, cost: int) -> None:
+        """A ``soc.mode_switch`` instant: ``core`` entered mode ``to`` at
+        ``cycle`` of its own clock, after ``cost`` switch cycles."""
+        self.instant("soc.mode_switch", track=core, ts=cycle, cat="switch",
+                     to=to, cost=cost)
+
+    def obs_phases(self, attribution, phases: Iterable[str]) -> None:
+        """An attributed run (a :class:`~repro.obs.RunAttribution`): its
+        ``phases`` laid end to end at the ``obs.<engine>`` cursor, each
+        span as long as the phase's cycles."""
+        track = f"obs.{attribution.engine}"
+        for phase in phases:
+            self.lay(phase, track=track,
+                     dur=float(attribution.cycles[phase]), cat="obs",
+                     wall_s=attribution.wall_s[phase],
+                     kind=attribution.kind, scenario=attribution.scenario)
+
+    def serve_batch(self, origin_s: float, batch: int, requests: Sequence,
+                    queue_depth: int, cycles: int) -> None:
+        """One served batch on the wall clock: its span on
+        ``serve.batcher``, the queue depth it left, and each request's
+        lifecycle chain.
 
         A request's segments (enqueue → batch-assemble → dispatch →
         engine-infer → respond) come from :meth:`Request.lifecycle`, in
-        seconds since the server's ``origin_s``.  Request lanes rotate over
-        :data:`SERVE_REQUEST_LANES` tracks so long load runs stay readable
-        (the exact request id rides in the span args).
+        seconds since the server's ``origin_s`` (a ``perf_counter``
+        reading).  Request lanes rotate over :data:`SERVE_REQUEST_LANES`
+        tracks so long load runs stay readable (the exact request id
+        rides in the span args).
         """
-        tracer = self.tracer
-        origin = payload["origin_s"]
-        requests = payload["requests"]
-        batch = payload["batch"]
-
         def span(name: str, track: str, start_s: float, end_s: float,
                  **args: Any) -> float:
-            start = tracer.wall_us(origin + start_s)
-            end = tracer.wall_us(origin + end_s)
-            tracer.complete(name, track=track, start=start,
-                            dur=max(end - start, 0.0), cat="serve",
-                            clock=WALL, **args)
+            start = self.wall_us(origin_s + start_s)
+            end = self.wall_us(origin_s + end_s)
+            self.complete(name, track=track, start=start,
+                          dur=max(end - start, 0.0), cat="serve", clock=WALL,
+                          **args)
             return end
 
         first = requests[0]
         end = span(f"batch x{len(requests)}", f"{SERVE_TRACK}.batcher",
                    first.t_assembled, first.t_infer_done, batch=batch,
-                   size=len(requests), cycles=payload["cycles"])
-        tracer.counter("queue_depth", track=f"{SERVE_TRACK}.queue", ts=end,
-                       value=float(payload["queue_depth"]), cat="serve",
-                       clock=WALL)
+                   size=len(requests), cycles=cycles)
+        self.counter("queue_depth", track=f"{SERVE_TRACK}.queue", ts=end,
+                     value=float(queue_depth), cat="serve", clock=WALL)
         for request in requests:
             track = f"{SERVE_TRACK}.req{request.index % SERVE_REQUEST_LANES:02d}"
             for name, start_s, end_s, _ in request.lifecycle():
                 span(name, track, start_s, end_s, request=request.index,
                      batch=batch, status=request.status)
 
-    def _bnn_spans(self, event: str, payload: Mapping[str, Any]) -> None:
-        """Per-layer spans for one accelerator batch/inference."""
-        tracer = self.tracer
-        layer_cycles = payload.get("layer_cycles") or []
-        layer_macs = payload.get("layer_macs") or [0] * len(layer_cycles)
-        n_inputs = payload.get("n_inputs", 1)
-        for index, cycles in enumerate(layer_cycles):
-            macs = layer_macs[index] if index < len(layer_macs) else 0
-            tracer.lay(f"layer{index}", track=BNN_TRACK, dur=cycles,
-                       cat="bnn", layer=index, macs=macs * n_inputs)
-        total = payload.get("total_cycles", payload.get("cycles", 0))
-        pipelined = total - sum(layer_cycles)
-        if pipelined > 0:
-            tracer.lay(f"steady-state x{n_inputs}", track=BNN_TRACK,
-                       dur=pipelined, cat="bnn")
-        tracer.instant(event, track=BNN_TRACK,
-                       ts=tracer.cursor(BNN_TRACK), cat="bnn",
-                       **{k: v for k, v in payload.items()
-                          if not isinstance(v, (list, tuple))})
+    def serve_turned_away(self, origin_s: float, request,
+                          **args: Any) -> None:
+        """A request the server shed or timed out: a ``serve.<status>``
+        instant on ``serve.admission`` at its respond stamp, carrying the
+        request index, that stamp (``t_s``) and ``args``."""
+        self.instant(f"serve.{request.status}",
+                     track=f"{SERVE_TRACK}.admission",
+                     ts=self.wall_us(origin_s + request.t_respond),
+                     cat="serve", clock=WALL, request=request.index,
+                     t_s=request.t_respond, **args)
 
 
 # -- session wiring -----------------------------------------------------
 def install_tracer(session=None,
                    capacity: Optional[int] = DEFAULT_CAPACITY) -> Tracer:
-    """Create a tracer, attach it to the session, subscribe the bridge."""
+    """Create a tracer and make it the session's (replacing any other)."""
     session = session if session is not None else get_session()
-    uninstall_tracer(session)
     tracer = Tracer(capacity)
     # mirror ring-buffer evictions into the session stats, so dropped
     # records are as visible as any other counter (metrics diffs pick up
     # ``trace.dropped_records`` with no extra wiring)
     tracer.stats = session.stats
-    bridge = ProbeBridge(tracer)
-    session.stats.subscribe("*", bridge)
-    tracer._bridge = bridge
     session.tracer = tracer
     return tracer
 
 
 def uninstall_tracer(session=None) -> Optional[Tracer]:
-    """Detach the session's tracer (and its bridge); returns it."""
+    """Detach the session's tracer; returns it (None if there was none)."""
     session = session if session is not None else get_session()
-    tracer = getattr(session, "tracer", None)
-    if tracer is None:
-        return None
-    bridge = getattr(tracer, "_bridge", None)
-    if bridge is not None:
-        session.stats.unsubscribe("*", bridge)
+    tracer = session.tracer
     session.tracer = None
     return tracer
 
 
 @contextmanager
 def tracing(session=None, capacity: Optional[int] = DEFAULT_CAPACITY):
-    """``with tracing() as tracer:`` — install for the block, then detach."""
+    """``with tracing() as tracer:`` — install for the block, then put
+    back the tracer it displaced (None if there was none)."""
     session = session if session is not None else get_session()
+    outer = session.tracer
     tracer = install_tracer(session, capacity)
     try:
         yield tracer
     finally:
-        uninstall_tracer(session)
+        session.tracer = outer
 
 
 def events_of(source) -> Iterable[TraceEvent]:

@@ -6,7 +6,7 @@ int32 batch matmul :meth:`BNNModel.scores_batch`, which backs
 ``predict_batch`` and the ``fast`` engine's exactness fallback.  The
 contract is *bit-identical logits*, not approximate agreement: for every
 topology and batch both must equal the per-row scalar scores exactly,
-and the probe/timing accounting must not depend on the engine.
+and the trace/timing accounting must not depend on the engine.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from repro.bnn import BNNAccelerator, BNNModel
 from repro.engine import get_engine, resolve_engine
 from repro.errors import ConfigurationError
 from repro.sim import use_session
+from repro.trace import tracing
 
 
 def _random_inputs(rng, batch, n):
@@ -127,20 +128,18 @@ class TestEngineSelection:
 
 
 class TestAcceleratorAccounting:
-    """Probe events and cycle/MAC accounting must be engine-independent."""
+    """Trace events and cycle/MAC accounting must be engine-independent."""
 
     def _run(self, engine):
         rng = np.random.default_rng(5)
         model = BNNModel.random([100, 100, 10], rng)
         x = _random_inputs(rng, 12, 100)
         with use_session(cache_enabled=False) as session:
-            events = []
-            session.stats.subscribe(
-                "*", lambda name, payload: events.append((name, payload)))
-            predictions, timing = BNNAccelerator().infer_batch(
-                model, x, engine=engine)
+            with tracing(session) as tracer:
+                predictions, timing = BNNAccelerator().infer_batch(
+                    model, x, engine=engine)
             counters = session.stats.counters("bnn.")
-        return predictions, timing, events, counters
+        return predictions, timing, tracer.events, counters
 
     def test_identical_predictions_timing_probes_counters(self):
         fast = self._run("fast")
@@ -149,5 +148,5 @@ class TestAcceleratorAccounting:
         assert fast[1] == accurate[1]
         assert fast[2] == accurate[2]
         assert fast[3] == accurate[3]
-        names = [name for name, _ in fast[2]]
+        names = [event.name for event in fast[2]]
         assert "bnn.batch" in names

@@ -24,6 +24,7 @@ from repro.errors import ConfigurationError, DecodingError, SimulationError
 from repro.isa import assemble
 from repro.isa.program import Program
 from repro.sim import use_session
+from repro.trace import tracing
 from repro.workloads.verification import PASS_VALUE, SIGNATURE_ADDR, generate_all
 
 
@@ -327,14 +328,14 @@ class TestBlockCacheAndProbes:
     def test_run_emits_fastpath_probe_and_scope(self):
         program = assemble("addi a0, x0, 1\nebreak")
         with use_session(cache_enabled=False) as session:
-            events = []
-            session.stats.subscribe(
-                "cpu.run", lambda name, payload: events.append(payload))
-            _, result = run_fastpath(program, memory=FlatMemory())
+            with tracing(session) as tracer:
+                _, result = run_fastpath(program, memory=FlatMemory())
             counters = session.stats.counters("cpu.fastpath.")
         assert result.stop_reason == "halt"
-        assert events and events[0]["simulator"] == "fastpath"
-        assert events[0]["instructions"] == 2
+        (event,) = [e for e in tracer.events if e.name == "cpu.run"]
+        assert event.track == "cpu.fastpath"
+        assert event.args["simulator"] == "fastpath"
+        assert event.args["instructions"] == 2
         assert counters["cpu.fastpath.runs"] == 1
         assert counters["cpu.fastpath.instructions"] == 2
 

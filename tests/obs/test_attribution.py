@@ -27,6 +27,7 @@ from repro.obs import (
 )
 from repro.scenario import EngineSpec, Scenario, WorkloadSpec
 from repro.sim import use_session
+from repro.trace import tracing
 
 ENGINES = sorted(set(engine_names()) & {"accurate", "fast"})
 
@@ -187,14 +188,15 @@ class TestAttributeScenarioContracts:
         assert len(totals) == 1  # accounting is engine-independent
 
     def test_phase_events_published(self):
-        events = []
         with use_session(cache_enabled=False) as session:
-            session.stats.subscribe(
-                "obs.phase",
-                lambda event, payload: events.append(dict(payload)))
-            attribute_scenario(bnn_scenario(), engine="fast")
-        assert [event["phase"] for event in events] == list(PHASES)
-        assert all(event["engine"] == "fast" for event in events)
+            with tracing(session) as tracer:
+                attribution = attribute_scenario(bnn_scenario(),
+                                                 engine="fast")
+        phases = [event for event in tracer.events
+                  if event.track == "obs.fast"]
+        assert [event.name for event in phases] == list(PHASES)
+        assert [event.dur for event in phases] == \
+            [attribution.cycles[phase] for phase in PHASES]
         assert session.stats.get("obs.runs") == 1
 
     def test_non_attributing_engine_refused(self):

@@ -280,7 +280,7 @@ class TestServeTracing:
                    for event in lanes)
 
     def test_shed_events_render_as_admission_instants(self):
-        from repro.trace import install_tracer, uninstall_tracer
+        from repro.trace import WALL, install_tracer, uninstall_tracer
         from repro.trace.export import chrome_trace, validate_chrome_trace
 
         scenario = small_scenario("fast")
@@ -289,16 +289,43 @@ class TestServeTracing:
         async def main(session):
             server = NCPUServer(scenario, policy=policy, session=session)
             async with server:
-                await server.submit([1.0] * 24)
+                return await server.submit([1.0] * 24)
 
         with use_session(cache_enabled=False) as session:
             tracer = install_tracer(session, capacity=None)
             try:
-                asyncio.run(main(session))
+                request = asyncio.run(main(session))
             finally:
                 uninstall_tracer(session)
         summary = validate_chrome_trace(chrome_trace(tracer))
         assert "serve.admission" in summary["tracks"]
+        (shed,) = [event for event in tracer.events
+                   if event.track == "serve.admission"]
+        assert (shed.name, shed.ph, shed.clock) == ("serve.shed", "i", WALL)
+        assert shed.args == {"request": 0, "t_s": request.t_respond,
+                             "queue_depth": 0}
+
+    def test_timeout_events_render_as_admission_instants(self):
+        from repro.trace import WALL, tracing
+
+        # the request waits out the window, so it outlives a zero timeout
+        # at assembly
+        policy = ServePolicy(batch_window_s=0.001, timeout_s=0.0)
+
+        async def main(session):
+            server = NCPUServer(small_scenario("fast"), policy=policy,
+                                session=session)
+            async with server:
+                return await server.submit([1.0] * 24)
+
+        with use_session(cache_enabled=False) as session:
+            with tracing(session) as tracer:
+                request = asyncio.run(main(session))
+        (timeout,) = tracer.events
+        assert (timeout.name, timeout.track, timeout.clock) == \
+            ("serve.timeout", "serve.admission", WALL)
+        assert list(timeout.args) == ["request", "t_s", "age_s"]
+        assert timeout.args["t_s"] == request.t_respond
 
 
 def _run_server(scenario, policy, body):

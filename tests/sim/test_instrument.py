@@ -2,13 +2,7 @@
 
 import json
 
-import pytest
-
-from repro.sim import (
-    PROBE_ERROR_COUNTER,
-    STRICT_PROBES_ENV_VAR,
-    StatsRegistry,
-)
+from repro.sim import StatsRegistry
 
 
 class TestCounters:
@@ -39,82 +33,6 @@ class TestGauges:
         registry.set_gauge("util.cpu", 0.75)  # last write wins
         assert registry.gauges() == {"util.cpu": 0.75}
         assert registry.get("util.cpu") == 0.75  # falls through to gauges
-
-
-class TestProbes:
-    def test_subscribe_receives_named_event(self):
-        registry = StatsRegistry()
-        seen = []
-        registry.subscribe("cpu.run", lambda e, p: seen.append((e, dict(p))))
-        registry.emit("cpu.run", cycles=9)
-        registry.emit("bnn.batch", cycles=1)  # different event: not seen
-        assert seen == [("cpu.run", {"cycles": 9})]
-
-    def test_wildcard_receives_everything(self):
-        registry = StatsRegistry()
-        events = []
-        registry.subscribe("*", lambda e, p: events.append(e))
-        registry.emit("one")
-        registry.emit("two", payload={"k": 1})
-        assert events == ["one", "two"]
-
-    def test_unsubscribe(self):
-        registry = StatsRegistry()
-        seen = []
-        probe = registry.subscribe("x", lambda e, p: seen.append(e))
-        registry.unsubscribe("x", probe)
-        registry.unsubscribe("x", probe)  # idempotent
-        registry.emit("x")
-        assert seen == []
-
-    def test_payload_and_fields_merge(self):
-        registry = StatsRegistry()
-        seen = {}
-        registry.subscribe("e", lambda e, p: seen.update(p))
-        registry.emit("e", payload={"a": 1, "b": 2}, b=3)
-        assert seen == {"a": 1, "b": 3}
-
-    def test_named_probes_run_before_wildcard(self):
-        registry = StatsRegistry()
-        order = []
-        registry.subscribe("*", lambda e, p: order.append("wild"))
-        registry.subscribe("e", lambda e, p: order.append("named"))
-        registry.emit("e")
-        assert order == ["named", "wild"]
-
-
-class TestProbeErrorGuard:
-    def raising_registry(self):
-        registry = StatsRegistry()
-
-        def bad(event, payload):
-            raise RuntimeError("probe bug")
-
-        registry.subscribe("e", bad)
-        return registry
-
-    def test_raising_probe_does_not_abort_emit(self):
-        registry = self.raising_registry()
-        survived = []
-        registry.subscribe("*", lambda e, p: survived.append(e))
-        registry.emit("e")  # must not raise
-        assert survived == ["e"]
-        assert registry.get(PROBE_ERROR_COUNTER) == 1
-        registry.emit("e")
-        assert registry.get(PROBE_ERROR_COUNTER) == 2
-
-    def test_strict_mode_reraises(self, monkeypatch):
-        monkeypatch.setenv(STRICT_PROBES_ENV_VAR, "1")
-        registry = self.raising_registry()
-        with pytest.raises(RuntimeError, match="probe bug"):
-            registry.emit("e")
-        assert registry.get(PROBE_ERROR_COUNTER) == 0
-
-    def test_strict_mode_requires_exactly_one(self, monkeypatch):
-        monkeypatch.setenv(STRICT_PROBES_ENV_VAR, "0")
-        registry = self.raising_registry()
-        registry.emit("e")  # "0" is not strict
-        assert registry.get(PROBE_ERROR_COUNTER) == 1
 
 
 class TestSnapshotDiff:
@@ -165,13 +83,6 @@ class TestScope:
         assert registry.get("cpu.pipeline.cycles") == 12
         assert registry.gauges() == {"cpu.pipeline.ipc": 0.8}
         assert scope.get("cycles") == 12
-
-    def test_scoped_emit(self):
-        registry = StatsRegistry()
-        seen = []
-        registry.subscribe("dma.transfer", lambda e, p: seen.append(e))
-        registry.scope("dma").emit("transfer", words=4)
-        assert seen == ["dma.transfer"]
 
     def test_incr_many_skips_zero(self):
         registry = StatsRegistry()

@@ -14,6 +14,7 @@ from repro.cpu import FlatMemory, FunctionalCPU, PipelinedCPU
 from repro.isa import assemble
 from repro.mem.dma import DMAEngine
 from repro.sim import SimSession, set_session
+from repro.trace import tracing
 
 LOOP = """
     li a0, 0
@@ -56,14 +57,15 @@ class TestPipelineMirror:
             first.stats.cycles + second.stats.cycles
 
     def test_run_event_emitted(self, session):
-        events = []
-        session.stats.subscribe("cpu.run",
-                                lambda e, p: events.append(dict(p)))
-        result = PipelinedCPU(assemble(LOOP)).run()
+        with tracing(session) as tracer:
+            result = PipelinedCPU(assemble(LOOP)).run()
+        events = [e for e in tracer.events if e.name == "cpu.run"]
         assert len(events) == 1
-        assert events[0]["simulator"] == "pipeline"
-        assert events[0]["stop_reason"] == result.stop_reason
-        assert events[0]["cycles"] == result.stats.cycles
+        assert events[0].track == "cpu.pipeline"
+        assert events[0].ts == result.stats.cycles  # at the run's end
+        assert events[0].args["simulator"] == "pipeline"
+        assert events[0].args["stop_reason"] == result.stop_reason
+        assert events[0].args["cycles"] == result.stats.cycles
 
 
 class TestFunctionalMirror:

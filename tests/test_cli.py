@@ -236,9 +236,16 @@ class TestRunTrace:
 
         trace = tmp_path / "t.json"
         assert main(["run", source_file, "--trace", str(trace)]) == 0
-        session = get_session()
-        assert session.tracer is None
-        assert not session.stats._probes.get("*")
+        assert get_session().tracer is None
+
+    def test_capture_restores_the_outer_tracer(self, source_file, tmp_path):
+        from repro.sim import get_session
+        from repro.trace import tracing
+
+        with tracing(get_session()) as outer:
+            assert main(["run", source_file, "--trace",
+                         str(tmp_path / "t.json")]) == 0
+            assert get_session().tracer is outer
 
     def test_artifacts_in_missing_directories(self, source_file, tmp_path,
                                               capsys):
@@ -453,6 +460,27 @@ class TestRunScenario:
         assert payload["scenario"]["name"] == "cli-bnn"
         assert payload["batch_size"] == 6
         assert len(payload["predictions"]) == 6
+
+    def test_run_bnn_scenario_writes_captures(self, bnn_scenario_file,
+                                              tmp_path, capsys):
+        import json
+
+        from repro.trace import validate_chrome_trace_file
+
+        trace, metrics = tmp_path / "t.json", tmp_path / "m.om"
+        assert main(["run", "--scenario", bnn_scenario_file,
+                     "--trace", str(trace), "--metrics-out", str(metrics),
+                     "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "bnn" in validate_chrome_trace_file(trace)["tracks"]
+        assert "repro_bnn_batches_total" in metrics.read_text()
+        assert "bnn layers" in out
+        # with --stats-json the profile moves to stderr
+        assert main(["run", "--scenario", bnn_scenario_file,
+                     "--stats-json", "--profile"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["batch_size"] == 6
+        assert "bnn layers" in captured.err
 
     def test_run_cpu_scenario(self, cpu_scenario_file, capsys):
         assert main(["run", "--scenario", cpu_scenario_file]) == 0

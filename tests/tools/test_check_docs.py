@@ -107,28 +107,37 @@ class TestProbeTableCheck:
     def test_stale_table_reported(self, check_docs, tmp_path, monkeypatch):
         stale = tmp_path / "ARCHITECTURE.md"
         stale.write_text(
-            "### Probe event vocabulary\n\n"
-            "| event | emitted by | payload |\n"
+            "### Tracer recording methods\n\n"
+            "| method | called by | draws |\n"
             "| --- | --- | --- |\n"
-            "| `cpu.run` | `cpu/functional.py` | stats |\n"
-            "| `ghost.event` | nowhere | - |\n")
+            "| `cpu_run` | `cpu/functional.py`, `mem/dma.py` | - |\n"
+            "| `ghost_event` | nowhere | - |\n")
         monkeypatch.setattr(check_docs, "ARCHITECTURE", stale)
         problems = check_docs.check_probe_table()
-        assert any("ghost.event" in p and "no longer emitted" in p
+        assert any("ghost_event" in p and "no such recording method" in p
                    for p in problems)
-        assert any("missing from" in p for p in problems)  # bnn.batch etc.
+        assert any("Tracer.bnn_batch" in p and "missing from" in p
+                   for p in problems)
+        # the DMA engine records through dma_transfer, not cpu_run
+        assert any("src/repro/mem/dma.py calls Tracer.cpu_run" in p
+                   for p in problems)
+        assert not any("cpu/functional.py" in p for p in problems)
 
     def test_missing_table_reported(self, check_docs, tmp_path, monkeypatch):
         empty = tmp_path / "ARCHITECTURE.md"
         empty.write_text("no table here\n")
         monkeypatch.setattr(check_docs, "ARCHITECTURE", empty)
         problems = check_docs.check_probe_table()
-        assert problems and "table not found" in problems[0]
+        assert problems and "table" in problems[0] \
+            and "not found" in problems[0]
 
     def test_emitted_names_include_known_events(self, check_docs):
-        emitted = check_docs.emitted_probe_names()
-        for name in ("cpu.run", "bnn.infer", "bnn.batch", "dma.transfer"):
-            assert name in emitted
+        recording = check_docs.recording_methods()
+        for name in ("cpu_cycle", "cpu_run", "bnn_batch", "dma_transfer",
+                     "serve_batch", "span", "instant"):
+            assert name in recording
+        # cursor moves and clock reads record nothing
+        assert not {"advance", "cursor", "wall_us", "clear"} & recording
 
 
 class TestEngineTableCheck:

@@ -6,9 +6,9 @@ was installed and removed again.  The acceptance bound is < 5 % on
 Dhrystone; timing in CI is noisy, so the assertion uses a generous 1.5x
 ceiling on the min-of-N ratio — a regression that puts real per-cycle
 work on the untraced path (dict lookups, event construction) blows well
-past that.  The serve path's budget counts probe emits instead of timing
+past that.  The serve path's budget counts tracer calls instead of timing
 them: one per batch and one per request turned away, none per completed
-request.
+request, and none at all when no tracer is installed.
 """
 
 import asyncio
@@ -33,9 +33,6 @@ def run_time(program, after_tracer: bool) -> float:
         if after_tracer:
             install_tracer(session)
             uninstall_tracer(session)
-            # an emptied subscriber list left behind would keep
-            # StatsRegistry.emit off its "no probes" early return
-            assert not session.stats._probes
         cpu = PipelinedCPU(program)
         start = time.perf_counter()
         cpu.run()
@@ -65,64 +62,77 @@ def test_inactive_tracer_records_nothing_during_run():
         assert len(tracer) == 0
 
 
-def serve_untraced(policy, body):
-    """Serve ``body(server, row)`` after a tracer was installed and removed;
-    returns ``(server, names of every probe event emitted)``."""
+class RecordingTracer:
+    """Stands in for the session tracer and logs the name of every method
+    called on it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: self.calls.append(name)
+
+
+def serve(policy, body, traced=True):
+    """Serve ``body(server, row)``; returns ``(server, the recording
+    tracer's calls)``.  Untraced, the recording tracer was installed and
+    removed again before the server started."""
     scenario = Scenario(
         name="serve-budget",
         workload=WorkloadSpec(kind="bnn", name="random",
                               layer_sizes=(24, 16, 10)),
         serve=ServeSpec()).with_engine(name="fast")
 
-    async def serve(session):
+    async def run(session):
         server = NCPUServer(scenario, policy=policy, session=session)
         async with server:
             await body(server, [1.0] * 24)
         return server
 
     with use_session(cache_enabled=False) as session:
-        install_tracer(session)
-        uninstall_tracer(session)
-        assert not session.stats._probes
-        emitted = []
-        emit = session.stats.emit
-
-        def counting_emit(event, payload=None, **fields):
-            emitted.append(event)
-            emit(event, payload, **fields)
-
-        session.stats.emit = counting_emit
-        return asyncio.run(serve(session)), emitted
+        tracer = session.tracer = RecordingTracer()
+        if not traced:
+            uninstall_tracer(session)
+        return asyncio.run(run(session)), tracer.calls
 
 
-def test_untraced_serve_path_emits_per_batch_not_per_request():
-    async def body(server, row):
-        # 12 submissions before the batcher runs: 4 queue, 8 are shed
-        await asyncio.gather(*(server.submit(row) for _ in range(12)))
-        for _ in range(3):
-            await server.submit(row)
+async def burst_with_sheds(server, row):
+    # 12 submissions before the batcher runs: 4 queue, 8 are shed
+    await asyncio.gather(*(server.submit(row) for _ in range(12)))
+    for _ in range(3):
+        await server.submit(row)
 
-    server, emitted = serve_untraced(
-        ServePolicy(batch_window_s=0.001, max_batch=8, max_queue_depth=4,
-                    timeout_s=60.0), body)
+
+SHEDDING = ServePolicy(batch_window_s=0.001, max_batch=8,
+                       max_queue_depth=4, timeout_s=60.0)
+
+
+def test_serve_path_traces_per_batch_not_per_request():
+    server, calls = serve(SHEDDING, burst_with_sheds)
     statuses = [request.status for request in server.requests]
     assert statuses.count("ok") == 7 and statuses.count("shed") == 8
     batches = server.recorder.batch_sizes
     assert len(batches) < statuses.count("ok")
-    serve_events = [event for event in emitted if event.startswith("serve.")]
-    assert sorted(serve_events) == \
-        ["serve.batch"] * len(batches) + ["serve.shed"] * 8
+    serve_calls = [name for name in calls if name.startswith("serve_")]
+    assert sorted(serve_calls) == \
+        ["serve_batch"] * len(batches) + ["serve_turned_away"] * 8
 
 
-def test_untraced_serve_path_emits_once_per_timed_out_request():
+def test_serve_path_traces_once_per_timed_out_request():
     async def body(server, row):
         await asyncio.gather(*(server.submit(row) for _ in range(3)))
 
     # every request waits out the window, so all three outlive a zero
     # timeout at assembly and no batch dispatches
-    server, emitted = serve_untraced(
+    server, calls = serve(
         ServePolicy(batch_window_s=0.001, timeout_s=0.0), body)
     assert [request.status for request in server.requests] == \
         ["timeout"] * 3
-    assert [event for event in emitted if event.startswith("serve.")] == \
-        ["serve.timeout"] * 3
+    assert calls == ["serve_turned_away"] * 3
+
+
+def test_untraced_serve_run_makes_no_tracer_call():
+    server, calls = serve(SHEDDING, burst_with_sheds, traced=False)
+    statuses = [request.status for request in server.requests]
+    assert statuses.count("ok") == 7 and statuses.count("shed") == 8
+    assert calls == []

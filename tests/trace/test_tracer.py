@@ -1,5 +1,5 @@
 """Tracer core: ring buffer, spans, cursors, session wiring, and the
-probe bridge that converts registry events into trace records."""
+typed recording methods the simulators call."""
 
 import pytest
 
@@ -44,14 +44,14 @@ class TestRingBuffer:
 
 class TestDisabled:
     def test_disabled_tracer_records_nothing(self):
-        """Tracing is off once the tracer is uninstalled: probe events no
-        longer reach it, and no subscriber list is left behind."""
+        """Tracing is off once the tracer is uninstalled: the simulators no
+        longer reach it."""
         with use_session() as session:
             tracer = install_tracer(session)
             uninstall_tracer(session)
             Timeline().add("core0", "cpu", 0, 10)
             assert len(tracer) == 0
-            assert not session.stats._probes
+            assert session.tracer is None
 
 
 class TestSpans:
@@ -123,16 +123,28 @@ class TestSessionWiring:
                 assert session.tracer is tracer
             assert session.tracer is None
 
-    def test_reinstall_replaces_previous_bridge(self):
+    def test_reinstall_replaces_previous_tracer(self):
         with use_session() as session:
-            install_tracer(session)
+            first = install_tracer(session)
             second = install_tracer(session)
             Timeline().add("core0", "cpu", 0, 10)
+            assert len(first) == 0
             spans = [e for e in second.events if e.track == "core0"]
-            assert len(spans) == 1  # only one bridge is subscribed
+            assert len(spans) == 1
+
+    def test_nested_tracing_restores_the_outer_tracer(self):
+        with use_session() as session:
+            with tracing(session) as outer:
+                with tracing(session) as inner:
+                    Timeline().add("core0", "cpu", 0, 10)
+                assert session.tracer is outer
+                Timeline().add("core1", "cpu", 0, 10)
+            assert session.tracer is None
+            assert [e.track for e in inner.events] == ["core0"]
+            assert [e.track for e in outer.events] == ["core1"]
 
 
-class TestProbeBridge:
+class TestSimulatorCallSites:
     def test_timeline_segment_becomes_span(self):
         with use_session() as session:
             with tracing(session) as tracer:
@@ -189,9 +201,24 @@ class TestProbeBridge:
             assert [e.args["to"] for e in instants] == ["bnn", "cpu"]
             assert all(e.track == "ncpu0" for e in instants)
 
-    def test_no_subscription_without_tracer(self):
+    def test_bnn_infer_lays_layers_then_an_instant(self):
+        import numpy as np
+
+        from repro.bnn.accelerator import BNNAccelerator
+        from repro.bnn.model import BNNModel
+
+        model = BNNModel.random([16, 8, 4], rng=np.random.default_rng(7))
         with use_session() as session:
-            assert not session.stats._probes
+            with tracing(session) as tracer:
+                result = BNNAccelerator().infer(model, np.ones(16))
+            *layers, instant = tracer.events
+            assert [e.name for e in layers] == ["layer0", "layer1"]
+            assert [e.args["macs"] for e in layers] == [16 * 8, 8 * 4]
+            assert instant.name == "bnn.infer" and instant.ph == "i"
+            assert instant.ts == layers[-1].ts + layers[-1].dur
+            assert instant.args == {"prediction": result.prediction,
+                                    "cycles": result.cycles,
+                                    "macs": result.macs}
 
 
 class TestDroppedRecordsStat:

@@ -10,10 +10,13 @@ Nine checks, each cheap enough for every CI run:
    inside a fenced ```bash/```console block of README.md and docs/*.md is
    parsed against the *real* argparse tree (``repro.cli.build_parser``), so
    documented flags can never drift from the implementation.
-3. **Probe vocabulary** — the probe event table in docs/ARCHITECTURE.md
-   must list exactly the literal ``*.emit("name", ...)`` sites under src/,
-   so adding, renaming or retiring a probe event forces the table to
-   follow (tier-1 runs this check through tests/tools/test_check_docs.py).
+3. **Probe table** — the "### Tracer recording methods" table in
+   docs/ARCHITECTURE.md must list exactly the public ``repro.trace.Tracer``
+   methods that record an event (the probes the simulators call), and
+   every source file its "called by" column names must call that method,
+   so adding, renaming or retiring a recording method or a call site
+   forces the table to follow (tier-1 runs this check through
+   tests/tools/test_check_docs.py).
 4. **Engine registry table** — the "### Engine registry" table in
    docs/ARCHITECTURE.md must list exactly the engines registered in
    ``repro.engine`` with their live capability flags, so registering a
@@ -211,55 +214,74 @@ def check_cli_examples(files: List[Path]) -> List[str]:
     return problems
 
 
-# -- check 3: probe vocabulary table -------------------------------------
-def emitted_probe_names() -> Dict[str, List[str]]:
-    """``{event name: [file:line, ...]}`` for literal emit sites in src/."""
-    sites: Dict[str, List[str]] = {}
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            func = node.func
-            if not (isinstance(func, ast.Attribute) and func.attr == "emit"):
-                continue
-            first = node.args[0]
-            if isinstance(first, ast.Constant) and isinstance(first.value,
-                                                              str):
-                where = f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
-                sites.setdefault(first.value, []).append(where)
-    return sites
+# -- check 3: tracer recording-method (probe) table ----------------------
+TRACER_SOURCE = SRC / "repro" / "trace" / "tracer.py"
+
+RECORDER_TABLE_ANCHOR = "### Tracer recording methods"
+
+_RECORDER_ROW_RE = re.compile(r"^\|\s*`([a-z_]+)`\s*\|([^|]*)\|")
 
 
-def documented_probe_names() -> Set[str]:
-    text = ARCHITECTURE.read_text()
-    anchor = "### Probe event vocabulary"
-    if anchor not in text:
-        return set()
-    names = set()
-    for line in text.split(anchor, 1)[1].splitlines():
-        match = re.match(r"\|\s*`([a-z0-9_.]+)`\s*\|", line)
-        if match:
-            names.add(match.group(1))
-        elif names and not line.strip().startswith("|"):
+def recording_methods() -> Set[str]:
+    """Public ``Tracer`` methods that record an event: they call
+    ``self._append``, directly or through another recording method."""
+    tree = ast.parse(TRACER_SOURCE.read_text(), filename=str(TRACER_SOURCE))
+    tracer = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Tracer")
+    callees = {
+        method.name: {call.func.attr for call in ast.walk(method)
+                      if isinstance(call, ast.Call)
+                      and isinstance(call.func, ast.Attribute)
+                      and isinstance(call.func.value, ast.Name)
+                      and call.func.value.id == "self"}
+        for method in tracer.body if isinstance(method, ast.FunctionDef)}
+    recording = {"_append"}
+    while True:
+        grown = recording | {name for name, called in callees.items()
+                             if called & recording}
+        if grown == recording:
             break
-    return names
+        recording = grown
+    return {name for name in recording if not name.startswith("_")}
+
+
+def documented_recorders(text: str) -> Dict[str, List[str]]:
+    """``{method: [caller paths under src/repro]}`` from the docs table."""
+    if RECORDER_TABLE_ANCHOR not in text:
+        return {}
+    rows: Dict[str, List[str]] = {}
+    for line in text.split(RECORDER_TABLE_ANCHOR, 1)[1].splitlines():
+        match = _RECORDER_ROW_RE.match(line.strip())
+        if match:
+            rows[match.group(1)] = re.findall(r"`([\w/]+\.py)`",
+                                              match.group(2))
+        elif rows and not line.strip().startswith("|"):
+            break
+    return rows
 
 
 def check_probe_table() -> List[str]:
-    problems = []
-    emitted = emitted_probe_names()
-    documented = documented_probe_names()
+    documented = documented_recorders(ARCHITECTURE.read_text())
     if not documented:
-        return [f"{ARCHITECTURE.name}: probe vocabulary table not found"]
-    for name in sorted(set(emitted) - documented):
+        return [f"{ARCHITECTURE.name}: recording-method table "
+                f"('{RECORDER_TABLE_ANCHOR}') not found"]
+    problems = []
+    live = recording_methods()
+    for name in sorted(live - set(documented)):
         problems.append(
-            f"probe `{name}` emitted at {', '.join(emitted[name])} but "
-            "missing from the docs/ARCHITECTURE.md vocabulary table")
-    for name in sorted(documented - set(emitted)):
+            f"Tracer.{name} records events but is missing from the "
+            "docs/ARCHITECTURE.md recording-method table")
+    for name in sorted(set(documented) - live):
         problems.append(
-            f"probe `{name}` documented in docs/ARCHITECTURE.md but no "
-            "longer emitted anywhere under src/")
+            f"`{name}` documented in docs/ARCHITECTURE.md but Tracer has "
+            "no such recording method")
+    for name, callers in sorted(documented.items()):
+        for caller in callers:
+            path = SRC / "repro" / caller
+            if not path.is_file() or f".{name}(" not in path.read_text():
+                problems.append(
+                    f"docs/ARCHITECTURE.md says src/repro/{caller} calls "
+                    f"Tracer.{name}, but it does not")
     return problems
 
 
