@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.bnn.model import BNNModel
+from repro.engine import resolve_engine
 from repro.errors import ConfigurationError
 from repro.sim import get_session
 
@@ -188,16 +189,13 @@ class BNNAccelerator:
                     engine: Optional[str] = None):
         """Classify a batch; returns ``(predictions, BatchTiming)``.
 
-        ``engine`` selects the functional kernel through the
-        :mod:`repro.engine` registry — any registered name (``accurate``,
-        ``fast``, ...) or engine object; ``None`` follows
+        ``engine`` selects the functional kernel: an engine name
+        (``accurate`` or ``fast``) or engine object; ``None`` follows
         the session's ``SimConfig.engine``.  Every engine classifies
         identically, and the timing/trace accounting (``bnn.batch``,
         cycle/MAC counters) is engine-independent — the fast engines
         change how long the *simulation* takes, never what it reports.
         """
-        from repro.engine import resolve_engine
-
         predictions = resolve_engine(engine).predict(model,
                                                      np.asarray(x_signs))
         timing = self.batch_timing(model, len(x_signs),

@@ -18,10 +18,9 @@ instead, which stays exact while every fan-in is below 2**31.
 
 Either way the result is bit-identical to the scalar path — the
 differential suites pin scores, predictions and hidden activations
-against every registered engine.  The ``fast`` engine assembled in
-:mod:`repro.cpu.fastpath` mixes :class:`VectorizedBNNHalf` into its
-superblock CPU interpreter.  See ``docs/KERNELS.md`` for the kernel and
-decision tables (lint-checked by ``tools/check_docs.py``).
+against both engines.  :class:`repro.engine.FastEngine` calls the three
+``vectorized_*`` functions below.  See ``docs/KERNELS.md`` for the
+kernel and decision tables (lint-checked by ``tools/check_docs.py``).
 """
 
 from __future__ import annotations
@@ -147,21 +146,3 @@ def vectorized_hidden_forward(model: BNNModel,
         return model.hidden_forward_batch(x)
     return lowered.gemm_hidden((x > 0).astype(np.float32))
 
-
-class VectorizedBNNHalf:
-    """BNN half of the ``fast`` engine (mixin for ExecutionEngine).
-
-    Pure functions of the model and inputs: no session stats, no trace
-    events — the accounting contract lives in the accelerator timing
-    model and is engine-independent.
-    """
-
-    def scores(self, model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
-        return vectorized_scores(model, x_signs)
-
-    def predict(self, model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
-        return vectorized_predict(model, x_signs)
-
-    def hidden_forward(self, model: BNNModel,
-                       x_signs: np.ndarray) -> np.ndarray:
-        return vectorized_hidden_forward(model, x_signs)

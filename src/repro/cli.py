@@ -46,10 +46,10 @@ def _parse_base(text: str) -> int:
 
 
 class _EngineChoices(tuple):
-    """``--engine`` choices: the registered names, which argparse lists.
+    """``--engine`` choices: the engine names, which argparse lists.
 
-    Membership also admits a retired name, so that the registry rejects
-    it (exit 2, naming its replacement) instead of argparse.
+    Membership also admits a retired name, so that the engine lookup
+    rejects it (exit 2, naming its replacement) instead of argparse.
     """
 
     def __contains__(self, name) -> bool:
@@ -59,7 +59,7 @@ class _EngineChoices(tuple):
 
 
 def engine_choices() -> tuple:
-    """Registered engine names for ``--engine`` (sorted, registry-fed)."""
+    """Engine names for ``--engine`` (sorted, from :mod:`repro.engine`)."""
     from repro.engine import engine_names
 
     return _EngineChoices(engine_names())
@@ -231,7 +231,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenario = _load_cli_scenario(args)
     if scenario is not None:
         # the scenario becomes the session config: its seed/engine apply
-        # and the config hash (hence every cached artifact) keys on it
+        # and the config hash on the run's manifest covers it
         set_session(SimSession.from_scenario(scenario))
     session = get_session()
     if args.engine and args.engine != session.config.engine:
@@ -642,8 +642,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         spec = scenario.serve
         tracer = capture.tracer
         add_serve_metrics(
-            capture.metrics, server.recorder,
-            budget_s=spec.latency_budget_ms / 1e3, wall_s=server.wall_s,
+            capture.metrics, server.recorder, wall_s=server.wall_s,
             labels={"engine": server.engine.name,
                     "arrival": spec.arrival},
             trace_dropped=tracer.dropped if tracer is not None else 0)

@@ -36,6 +36,7 @@ from repro.core.transition import (
 )
 from repro.cpu import CoreEnv, PipelinedCPU, RunResult
 from repro.cpu.memory import DataMemory
+from repro.engine import resolve_engine
 from repro.errors import ConfigurationError, SimulationError
 from repro.isa import Program
 from repro.mem.memory_map import CoreMode, NCPUMemory
@@ -53,8 +54,6 @@ class NCPUCore:
         transition_policy: Optional[TransitionPolicy] = None,
         engine=None,
     ):
-        from repro.engine import resolve_engine
-
         self.name = name
         self.memory = NCPUMemory()
         self.env = CoreEnv(l2=l2)
@@ -78,8 +77,6 @@ class NCPUCore:
         session's ``SimConfig.engine`` is resolved on each access, so a
         core built before ``use_session(engine=...)`` still honours it.
         """
-        from repro.engine import resolve_engine
-
         return self._engine if self._engine is not None else resolve_engine()
 
     @property

@@ -38,14 +38,12 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, List, Optional, Tuple
 
-from repro.bnn.vectorized import VectorizedBNNHalf
 from repro.cpu.env import CoreEnv, ExecStats, RunResult
 from repro.cpu.functional import DEFAULT_MAX_STEPS
 from repro.cpu.memory import DataMemory, FlatMemory
 from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS
 from repro.cpu.state import RegisterFile
 from repro.errors import ConfigurationError, SimulationError
-from repro.engine import EngineCapabilities, ExecutionEngine, register_engine
 from repro.isa.instructions import DecodedInstr, decode
 from repro.isa.program import Program
 from repro.sim import get_session
@@ -485,36 +483,3 @@ def run_fastpath(
     result = cpu.run(max_steps=max_steps)
     return cpu, result
 
-
-@register_engine
-class FastEngine(VectorizedBNNHalf, ExecutionEngine):
-    """The ``fast`` engine: :class:`FastCPU` + whole-batch GEMM BNN kernels.
-
-    CPU half registered here; BNN half provided by
-    :class:`~repro.bnn.vectorized.VectorizedBNNHalf`.  Instruction-accurate
-    with single-cycle timing — the pipeline stays the timing oracle.
-    """
-
-    name = "fast"
-    description = ("superblock interpreter (single-cycle timing) and "
-                   "whole-batch float32 GEMM BNN kernels (exact int32 "
-                   "matmul beyond the exactness bound)")
-    capabilities = EngineCapabilities(
-        timing_accurate=False, functional=True, batched=True,
-        phase_attribution=True)
-
-    def create_cpu(self, program: Program,
-                   memory: Optional[DataMemory] = None,
-                   env: Optional[CoreEnv] = None, *,
-                   prefer_functional: bool = False) -> FastCPU:
-        # prefer_functional is moot: FastCPU *is* the functional engine
-        return FastCPU(program, memory=memory, env=env)
-
-    def run_program(self, program: Program, *,
-                    limit: Optional[int] = None,
-                    memory: Optional[DataMemory] = None,
-                    env: Optional[CoreEnv] = None,
-                    prefer_functional: bool = False):
-        cpu = self.create_cpu(program, memory=memory, env=env)
-        result = cpu.run() if limit is None else cpu.run(max_steps=limit)
-        return cpu, result

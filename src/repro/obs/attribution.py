@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from repro.engine import resolve_engine
 from repro.errors import ObservabilityError
 from repro.obs.phases import (
     INFERENCE,
@@ -177,17 +178,6 @@ class RunAttribution:
 
 
 # -- runners --------------------------------------------------------------
-def _resolve_attributing_engine(engine, scenario):
-    from repro.engine import resolve_engine
-
-    resolved = resolve_engine(engine or scenario.engine.name)
-    if not getattr(resolved.capabilities, "phase_attribution", False):
-        raise ObservabilityError(
-            f"engine {resolved.name!r} does not declare the "
-            "phase_attribution capability")
-    return resolved
-
-
 def _publish(session, attribution: RunAttribution) -> RunAttribution:
     """Invariant-check, count the run, and trace its phases."""
     attribution.check()
@@ -219,7 +209,7 @@ def attribute_scenario(scenario, engine=None) -> RunAttribution:
     detail: Dict[str, Any] = {}
     with recorder.run():
         with recorder.measure(INIT):
-            resolved = _resolve_attributing_engine(engine, scenario)
+            resolved = resolve_engine(engine or scenario.engine.name)
         if scenario.workload.kind == "cpu":
             with recorder.measure(PREPROCESS):
                 program = build_program(scenario)
@@ -284,7 +274,7 @@ def attribute_chained(scenario, engine=None,
     recorder = PhaseRecorder()
     with recorder.run():
         with recorder.measure(INIT):
-            resolved = _resolve_attributing_engine(engine, scenario)
+            resolved = resolve_engine(engine or scenario.engine.name)
             model = build_model(scenario)
             if model.n_layers < 2:
                 raise ObservabilityError(

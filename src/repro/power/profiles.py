@@ -8,11 +8,11 @@ costs vendor TOPS numbers hide) — as one frozen, hashable value.  The
 solver layer (:func:`repro.power.technology.models_for`) turns a profile
 into fitted frequency/power models, memoized per profile.
 
-The registry mirrors :mod:`repro.engine.registry`: profiles register
-under their ``name`` with :func:`register_profile`, every consumer
-resolves them through :func:`get_profile` / :func:`resolve_profile`, and
-:func:`profile_table` is the single serializer behind ``repro info``,
-``docs/DEVICES.md`` and the docs lint, so they cannot drift apart.
+Profiles register under their ``name`` with :func:`register_profile`,
+every consumer resolves them through :func:`get_profile` /
+:func:`resolve_profile`, and :func:`profile_table` is the single
+serializer behind ``repro info``, ``docs/DEVICES.md`` and the docs lint,
+so they cannot drift apart.
 
 ``ncpu-65nm`` carries the paper test chip's measured silicon anchors and
 is the default everywhere — its fitted models are bit-identical to the

@@ -1,17 +1,17 @@
 """Differential scenario fuzzing: random scenarios, every engine agrees.
 
-The engine registry's admission contract is *bit-identical architectural
-results*.  The hand-written differential suites pin that on a few fixed
-workloads; this module turns the contract into a property-based harness:
-a seeded :class:`ScenarioFuzzer` draws bounded random scenarios (shapes,
-batch sizes, seeds, operating points — engines come from the live
-registry), and :func:`run_differential` executes each one on every
-engine and compares the outputs bit for bit:
+The engines' contract is *bit-identical architectural results*.  The
+hand-written differential suites pin that on a few fixed workloads;
+this module turns the contract into a property-based harness: a seeded
+:class:`ScenarioFuzzer` draws bounded random scenarios (shapes, batch
+sizes, seeds — engines come from :mod:`repro.engine`), and
+:func:`run_differential` executes each one on every engine and compares
+the outputs bit for bit:
 
 * **BNN scenarios** — class scores, argmax predictions and per-layer
   hidden sign activations must be array-equal across engines, and the
   accelerator's cycle/MAC accounting (which is engine-independent by
-  protocol) must be exactly equal.
+  contract) must be exactly equal.
 * **CPU scenarios** — stop reason, final PC, all 32 architectural
   registers, retired-instruction counts, memory traffic and the
   per-mnemonic histogram must match.  Cycle counts are deliberately
@@ -29,21 +29,18 @@ import dataclasses
 import random
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.engine import engine_names, get_engine
 from repro.scenario.schema import (
     BATCH_POLICIES,
     CPU_PROGRAMS,
-    DevicePoint,
     EngineSpec,
     Scenario,
     WorkloadSpec,
 )
 
-#: engines every fuzz run compares by default (the registry's full set
-#: at the time of writing; ``--engines`` / the ``engines`` argument can
-#: restrict or extend it as backends come and go)
+#: engines every fuzz run compares by default: all of them
+#: (``--engines`` / the ``engines`` argument can restrict the set)
 def default_engines() -> Tuple[str, ...]:
-    from repro.engine import engine_names
-
     return engine_names()
 
 
@@ -57,7 +54,6 @@ HIDDEN_WIDTH_CHOICES = (1, 3, 10, 17, 33, 64, 65, 100)
 CLASS_COUNT_CHOICES = (2, 4, 10)
 BATCH_SIZE_CHOICES = (1, 2, 7, 16, 33, 64)
 CPU_ITERATION_CHOICES = (1, 2, 5, 10)
-VDD_CHOICES = (0.4, 0.6, 0.8, 1.0)
 MAX_HIDDEN_LAYERS = 3
 
 
@@ -86,7 +82,6 @@ class ScenarioFuzzer:
         kind = rng.choice(self.kinds)
         seed = rng.randrange(0, 2**31)
         engine = EngineSpec(name=rng.choice(self.engines))
-        device = DevicePoint(vdd=rng.choice(VDD_CHOICES))
         if kind == "cpu":
             workload = WorkloadSpec(
                 kind="cpu", name=rng.choice(CPU_PROGRAMS),
@@ -104,8 +99,7 @@ class ScenarioFuzzer:
         return Scenario(name=f"fuzz-{self.seed}-{index}",
                         workload=workload, engine=engine, seed=seed,
                         batch_size=batch_size,
-                        batch_policy=rng.choice(BATCH_POLICIES),
-                        device=device, repeats=1)
+                        batch_policy=rng.choice(BATCH_POLICIES))
 
     def scenarios(self, count: int) -> Iterator[Scenario]:
         for _ in range(count):
@@ -174,7 +168,6 @@ def _compare_scalar(field: str, reference: Any, candidate: Any,
 
 def _bnn_observation(scenario: Scenario, engine_name: str) -> Dict[str, Any]:
     from repro.bnn import BNNAccelerator
-    from repro.engine import get_engine
     from repro.scenario.materialize import build_inputs, build_model
 
     engine = get_engine(engine_name)
@@ -193,7 +186,6 @@ def _bnn_observation(scenario: Scenario, engine_name: str) -> Dict[str, Any]:
 
 
 def _cpu_observation(scenario: Scenario, engine_name: str) -> Dict[str, Any]:
-    from repro.engine import get_engine
     from repro.scenario.materialize import build_program
 
     cpu, result = get_engine(engine_name).run_program(

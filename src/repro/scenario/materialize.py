@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
+from repro.engine import resolve_engine
 from repro.errors import ConfigurationError
 from repro.scenario.schema import Scenario
 
@@ -112,8 +113,6 @@ def run_scenario(scenario: Scenario,
     through the accelerator's engine-dispatched batch path, so cycle/MAC
     accounting comes from the engine-independent timing model.
     """
-    from repro.engine import resolve_engine
-
     resolved = resolve_engine(engine or scenario.engine.name)
     summary: Dict[str, Any] = {
         "scenario": scenario.to_dict(),

@@ -3,7 +3,7 @@
 A :class:`Scenario` describes everything the simulator needs to reproduce
 a run — the workload (a CPU kernel or a BNN classification task), the
 execution engine, the RNG seed, the batch size/policy, the device
-operating point and the repeat count — as one frozen dataclass tree that
+profile and the serve policy — as one frozen dataclass tree that
 round-trips canonically through JSON.  Every layer that runs the
 simulator (``repro run``/``experiments``/``serve``, the fuzzer, the
 session config) consumes the same object, so adding a scenario dimension
@@ -15,9 +15,8 @@ offending field path (``scenario.workload.layer_sizes[1]: ...``), both
 when constructing the dataclasses directly and when loading from a dict
 or a JSON file.  :meth:`Scenario.identity_dict` is the canonical form
 folded into :func:`repro.sim.config.config_hash`; it deliberately
-excludes the engine spec, because every registered engine produces
-identical architectural results (PR-6 semantics) and cached artifacts
-must be reusable across engines.
+excludes the engine spec, because both engines produce identical
+architectural results.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.engine import ensure_known
 from repro.errors import ConfigurationError
 
 #: workload kinds the schema accepts
@@ -48,14 +48,6 @@ MAX_LAYERS = 8
 MAX_LAYER_WIDTH = 4096
 MAX_BATCH_SIZE = 65536
 MAX_ITERATIONS = 100_000
-MAX_REPEATS = 1000
-
-#: the fabricated NCPU chip's voltage range (0.4 V near-threshold .. 1.0 V
-#: nominal, paper section VI) — the default device profile's limits; other
-#: profiles carry their own range and ``DevicePoint`` validates against
-#: the named profile's limits
-VDD_MIN = 0.4
-VDD_MAX = 1.0
 
 
 def _require(condition: bool, path: str, message: str) -> None:
@@ -170,7 +162,7 @@ class WorkloadSpec:
 class EngineSpec:
     """Which execution backend runs the scenario.
 
-    ``name`` must be registered in :mod:`repro.engine`;
+    ``name`` must name an engine in :mod:`repro.engine`;
     ``prefer_functional`` selects the functional ISS over the pipeline
     for engines that distinguish the two (the ``accurate`` engine).
     """
@@ -188,10 +180,6 @@ class EngineSpec:
         _require(isinstance(self.prefer_functional, bool),
                  f"{path}.prefer_functional",
                  f"expected a boolean, got {self.prefer_functional!r}")
-        # imported lazily: the registry loads provider modules that
-        # import repro.sim, which must not happen at schema import time
-        from repro.engine import ensure_known
-
         try:
             ensure_known(self.name)
         except ConfigurationError as exc:
@@ -214,63 +202,38 @@ class EngineSpec:
 
 @dataclasses.dataclass(frozen=True)
 class DevicePoint:
-    """The core operating point: device profile, supply voltage, clock.
+    """The device the scenario runs on.
 
     ``profile`` names a registered device profile
-    (:mod:`repro.power.profiles`); ``vdd`` must sit inside that profile's
-    [vdd_min, vdd_nominal] range (the NCPU's 0.4–1.0 V for the default
-    ``ncpu-65nm``); ``clock_mhz=None`` means "whatever the profile's
-    frequency model yields at ``vdd``"
-    (:func:`repro.power.frequency_model`).
+    (:mod:`repro.power.profiles`).
     """
 
-    vdd: float = 1.0
-    clock_mhz: Optional[float] = None
     profile: str = "ncpu-65nm"
 
     def __post_init__(self):
-        if isinstance(self.vdd, int) and not isinstance(self.vdd, bool):
-            object.__setattr__(self, "vdd", float(self.vdd))
-        if isinstance(self.clock_mhz, int) \
-                and not isinstance(self.clock_mhz, bool):
-            object.__setattr__(self, "clock_mhz", float(self.clock_mhz))
         self.validate("device")
 
     def validate(self, path: str = "device") -> None:
         _require(isinstance(self.profile, str) and bool(self.profile),
                  f"{path}.profile",
                  f"expected a non-empty profile name, got {self.profile!r}")
-        # imported lazily, mirroring the engine registry check above
-        from repro.power.profiles import get_profile
+        # imported lazily: importing repro.power loads numpy
+        from repro.power.profiles import ensure_known_profile
 
         try:
-            device_profile = get_profile(self.profile)
+            ensure_known_profile(self.profile)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}.profile: {exc}") from None
-        _require(isinstance(self.vdd, float), f"{path}.vdd",
-                 f"expected a number, got {self.vdd!r}")
-        _require(device_profile.vdd_min <= self.vdd
-                 <= device_profile.vdd_nominal, f"{path}.vdd",
-                 f"must be in [{device_profile.vdd_min}, "
-                 f"{device_profile.vdd_nominal}] V, got {self.vdd}")
-        if self.clock_mhz is not None:
-            _require(isinstance(self.clock_mhz, float), f"{path}.clock_mhz",
-                     f"expected a number or null, got {self.clock_mhz!r}")
-            _require(self.clock_mhz > 0, f"{path}.clock_mhz",
-                     f"must be positive, got {self.clock_mhz}")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"vdd": self.vdd, "clock_mhz": self.clock_mhz,
-                "profile": self.profile}
+        return {"profile": self.profile}
 
     @classmethod
     def from_dict(cls, data: Any, path: str = "device") -> "DevicePoint":
         data = _as_mapping(data, path)
         _reject_unknown(cls, data, path)
         return _construct(
-            lambda: cls(vdd=data.get("vdd", cls.vdd),
-                        clock_mhz=data.get("clock_mhz", cls.clock_mhz),
-                        profile=data.get("profile", cls.profile)),
+            lambda: cls(profile=data.get("profile", cls.profile)),
             path, "device")
 
 
@@ -360,8 +323,8 @@ class Scenario:
 
     The dataclass tree is frozen and hashable; :meth:`to_dict` /
     :meth:`from_dict` round-trip exactly (``from_dict(to_dict(s)) == s``)
-    and :meth:`identity_dict` is the canonical, engine-free form that
-    cached artifacts key on.
+    and :meth:`identity_dict` is the canonical, engine-free form the
+    run-manifest config hash is built from.
     """
 
     name: str = "default"
@@ -371,7 +334,6 @@ class Scenario:
     batch_size: int = 16
     batch_policy: str = "fixed"
     device: DevicePoint = dataclasses.field(default_factory=DevicePoint)
-    repeats: int = 1
     serve: ServeSpec = dataclasses.field(default_factory=ServeSpec)
 
     def __post_init__(self):
@@ -394,7 +356,6 @@ class Scenario:
         _require(self.batch_policy in BATCH_POLICIES, f"{path}.batch_policy",
                  f"must be one of {', '.join(BATCH_POLICIES)}, "
                  f"got {self.batch_policy!r}")
-        _check_int(self.repeats, f"{path}.repeats", 1, MAX_REPEATS)
         self.workload.validate(f"{path}.workload")
         self.engine.validate(f"{path}.engine")
         self.device.validate(f"{path}.device")
@@ -411,7 +372,6 @@ class Scenario:
             "batch_size": self.batch_size,
             "batch_policy": self.batch_policy,
             "device": self.device.to_dict(),
-            "repeats": self.repeats,
             "serve": self.serve.to_dict(),
         }
 
@@ -419,15 +379,13 @@ class Scenario:
         """The canonical dict *minus the engine and serve specs*.
 
         This is what :attr:`repro.sim.config.SimConfig.hash` folds in:
-        every registered engine produces bit-identical architectural
-        results, so cached artifacts stay valid across engine swaps —
-        and the serve block only shapes *when* work arrives, never what
-        it computes, so serving-policy sweeps reuse the same artifacts.
+        both engines produce bit-identical architectural results, and
+        the serve block only shapes *when* work arrives, never what it
+        computes, so neither changes a run's identity.
 
         ``device.profile`` deliberately *stays* in the identity: unlike
         the engine, the device profile changes the physics (frequency,
-        power, per-phase overheads), so artifacts computed for one
-        device must never be served for another.
+        power, per-phase overheads).
         """
         identity = self.to_dict()
         del identity["engine"]
@@ -464,9 +422,7 @@ class Scenario:
                         batch_size=data.get("batch_size", cls.batch_size),
                         batch_policy=data.get("batch_policy",
                                               cls.batch_policy),
-                        device=device,
-                        repeats=data.get("repeats", cls.repeats),
-                        serve=serve),
+                        device=device, serve=serve),
             path, "scenario")
 
     @classmethod
@@ -504,34 +460,12 @@ class Scenario:
             if prefer_functional is None else prefer_functional)
         return dataclasses.replace(self, engine=engine)
 
-    def with_profile(self, name: Optional[str] = None,
-                     vdd: Optional[float] = None) -> "Scenario":
-        """A copy on another device profile (CLI flags override files).
-
-        When ``vdd`` is not given and the scenario's operating point
-        falls outside the new profile's voltage range, it snaps to the
-        profile's nominal voltage — a `--profile max78000` override
-        should not be rejected just because the file pinned the NCPU's
-        1.0 V.  An explicit ``vdd`` is validated as-is.
-        """
-        if name is None and vdd is None:
+    def with_profile(self, name: Optional[str] = None) -> "Scenario":
+        """A copy on another device profile (CLI flags override files)."""
+        if name is None:
             return self
-        profile_name = self.device.profile if name is None else name
-        new_vdd = self.device.vdd if vdd is None else vdd
-        if vdd is None:
-            from repro.power.profiles import get_profile
-
-            try:
-                device_profile = get_profile(profile_name)
-            except ConfigurationError:
-                device_profile = None  # replace() below raises field-exact
-            if device_profile is not None and not (
-                    device_profile.vdd_min <= new_vdd
-                    <= device_profile.vdd_nominal):
-                new_vdd = device_profile.vdd_nominal
         device = _construct(
-            lambda: dataclasses.replace(self.device, profile=profile_name,
-                                        vdd=new_vdd),
+            lambda: dataclasses.replace(self.device, profile=name),
             "scenario.device", "device")
         return dataclasses.replace(self, device=device)
 

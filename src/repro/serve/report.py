@@ -26,8 +26,7 @@ def build_slo_report(server, offsets: List[float]) -> Dict[str, Any]:
 
     recorder = server.recorder
     spec = server.scenario.serve
-    budget_s = server.policy.latency_budget_s
-    attainment = recorder.attainment(budget_s)
+    attainment = recorder.attainment
     sizes = recorder.batch_sizes
     doc: Dict[str, Any] = {
         "schema": SLO_SCHEMA,
@@ -72,7 +71,7 @@ def build_slo_report(server, offsets: List[float]) -> Dict[str, Any]:
         "throughput_rps": recorder.completed / server.wall_s
         if server.wall_s > 0 else 0.0,
         "slo": {
-            "budget_ms": budget_s * 1e3,
+            "budget_ms": recorder.budget_s * 1e3,
             "target": server.policy.slo_target,
             "attainment": attainment,
             "met": attainment >= server.policy.slo_target,

@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
+from repro.engine import resolve_engine
 from repro.errors import ConfigurationError
 from repro.obs import (
     INFERENCE,
@@ -174,7 +175,6 @@ class NCPUServer:
     def __init__(self, scenario: Scenario, engine: Optional[str] = None,
                  policy: Optional[ServePolicy] = None, session=None):
         from repro.bnn import BNNAccelerator
-        from repro.engine import resolve_engine
         from repro.scenario.materialize import build_model
         from repro.sim import get_session
 
@@ -191,7 +191,7 @@ class NCPUServer:
         self.model = build_model(scenario)
         self.accelerator = BNNAccelerator()
         self.stream_weights = scenario.batch_policy == "stream"
-        self.recorder = SLORecorder()
+        self.recorder = SLORecorder(self.policy.latency_budget_s)
         self.requests: List[Request] = []
         self.sim_cycles = 0
         self.sim_macs = 0

@@ -11,11 +11,13 @@ bounded relative error of ``10**(1/(2 * BUCKETS_PER_DECADE)) - 1``
 (about 2.3 %).
 
 :class:`SLORecorder` bundles the histograms a server needs — total
-latency, one per obs phase, batch sizes — with the admission counters
-and queue-depth/inflight gauges, and :func:`add_serve_metrics` folds a
-recorder into a :class:`~repro.metrics.MetricsCollection` using the
-canonical metric families in :data:`SERVE_METRIC_HELP` (the table
-``docs/SERVING.md`` mirrors, linted by ``tools/check_docs.py``).
+latency, one per obs phase, batch sizes — with the admission counters,
+the count of requests that met the latency budget (exact, counted as
+each request completes) and queue-depth/inflight gauges, and
+:func:`add_serve_metrics` folds a recorder into a
+:class:`~repro.metrics.MetricsCollection` using the canonical metric
+families in :data:`SERVE_METRIC_HELP` (the table ``docs/SERVING.md``
+mirrors, linted by ``tools/check_docs.py``).
 """
 
 from __future__ import annotations
@@ -147,16 +149,6 @@ class LatencyHistogram:
                 return min(max(estimate, self.min_s), self.max_s)
         return self.max_s  # pragma: no cover - ranks always land above
 
-    def count_at_or_below(self, seconds: float) -> int:
-        """How many samples were <= ``seconds`` (bucket-resolution).
-
-        Whole buckets at or below the bucket holding ``seconds`` are
-        counted, which is exact when ``seconds`` sits on a bucket edge
-        (pick budgets accordingly) and bucket-accurate otherwise.
-        """
-        target = self._index(float(seconds))
-        return sum(self.counts[:target + 1])
-
     def summary_ms(self) -> Dict[str, float]:
         """p50/p95/p99 + mean/min/max in milliseconds (report block)."""
         if not self.count:
@@ -175,11 +167,13 @@ class SLORecorder:
     One latency histogram for end-to-end request latency, one per obs
     phase, a per-batch size list (batches are few, so storing their
     sizes is cheap and keeps the OpenMetrics histogram exact), counters
-    for request outcomes (shed, timeout, engine error) and queue/inflight
-    peaks.
+    for request outcomes (shed, timeout, engine error), the number of
+    completions within ``budget_s`` and queue/inflight peaks.
     """
 
-    def __init__(self):
+    def __init__(self, budget_s: float):
+        self.budget_s = float(budget_s)
+        self.within_budget = 0
         self.latency = LatencyHistogram()
         self.phase_latency: Dict[str, LatencyHistogram] = {
             phase: LatencyHistogram() for phase in PHASES}
@@ -206,6 +200,8 @@ class SLORecorder:
     def record_completion(self, latency_s: float,
                           phases_s: Mapping[str, float]) -> None:
         self.completed += 1
+        if latency_s <= self.budget_s:
+            self.within_budget += 1
         self.latency.observe(latency_s)
         for phase in PHASES:
             self.phase_latency[phase].observe(float(phases_s.get(phase, 0.0)))
@@ -228,15 +224,16 @@ class SLORecorder:
             return 0.0
         return self.queue_depth_sum / self.queue_depth_samples
 
-    def attainment(self, budget_s: float) -> float:
+    @property
+    def attainment(self) -> float:
         """Fraction of completed requests at or under ``budget_s``."""
-        if not self.latency.count:
+        if not self.completed:
             return 0.0
-        return self.latency.count_at_or_below(budget_s) / self.latency.count
+        return self.within_budget / self.completed
 
 
 def add_serve_metrics(collection, recorder: SLORecorder, *,
-                      budget_s: float, wall_s: float,
+                      wall_s: float,
                       labels: Optional[Mapping[str, str]] = None,
                       trace_dropped: int = 0) -> None:
     """Fold an :class:`SLORecorder` into a metrics collection.
@@ -284,4 +281,4 @@ def add_serve_metrics(collection, recorder: SLORecorder, *,
     put_gauge("repro_serve_inflight_peak", recorder.inflight_peak)
     throughput = recorder.completed / wall_s if wall_s > 0 else 0.0
     put_gauge("repro_serve_throughput_rps", throughput)
-    put_gauge("repro_serve_attainment", recorder.attainment(budget_s))
+    put_gauge("repro_serve_attainment", recorder.attainment)

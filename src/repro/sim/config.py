@@ -1,9 +1,12 @@
 """Deterministic simulation configuration and content hashing.
 
-The cache layer keys every artifact on a :func:`config_hash` of the inputs
-that produced it.  The hash is canonical: dict ordering, tuple-vs-list and
-numpy scalar types do not change it, so the same logical configuration maps
-to the same on-disk artifact across processes and platforms.
+:func:`config_hash` is the canonical digest the cache layer builds its
+keys from: dict ordering, tuple-vs-list and numpy scalar types do not
+change it, so the same logical inputs map to the same on-disk artifact
+across processes and platforms.  Each cached artifact names its own
+inputs (an experiment result its name, version, module fingerprint and
+device profile; a trained model its parameters and code fingerprints);
+:attr:`SimConfig.hash` only labels a run's manifest.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ import inspect
 import json
 import os
 from pathlib import Path
-from typing import Any, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional
 
+from repro.engine import ensure_known
 from repro.errors import ConfigurationError
 from repro.scenario.schema import Scenario
 
@@ -35,7 +39,7 @@ PROFILE_ENV_VAR = "REPRO_PROFILE"
 DEFAULT_CACHE_DIR = "~/.cache/repro"
 
 #: execution engine selected when no ``--engine``/``REPRO_ENGINE`` is given;
-#: the full set of valid names lives in the :mod:`repro.engine` registry
+#: the full set of valid names lives in :mod:`repro.engine`
 DEFAULT_ENGINE = "accurate"
 
 #: device profile selected when no ``--device-profile``/``REPRO_PROFILE``
@@ -89,14 +93,13 @@ def source_fingerprint(obj: Any) -> str:
 class SimConfig:
     """Configuration of one simulation session.
 
-    ``seed``, ``params`` and ``scenario`` identify the simulated
-    configuration and feed the deterministic :attr:`hash`;
-    ``cache_dir``/``cache_enabled`` only say where artifacts are stored
-    and are deliberately excluded from it.  ``engine`` names a backend
-    registered in :mod:`repro.engine` (``accurate``, ``fast``, ...);
-    every engine produces identical architectural results (the
-    equivalence suites pin this), so the engine — and the scenario's
-    engine spec — are excluded from the hash too.  ``profile``
+    ``seed`` and ``scenario`` identify the simulated configuration and
+    feed the deterministic :attr:`hash`; ``cache_dir``/``cache_enabled``
+    only say where artifacts are stored and are deliberately excluded
+    from it.  ``engine`` names an engine in :mod:`repro.engine`
+    (``accurate`` or ``fast``); both produce identical architectural
+    results (the equivalence suites pin this), so the engine — and the
+    scenario's engine spec — are excluded from the hash too.  ``profile``
     names a device profile registered in :mod:`repro.power.profiles`; it
     is what :func:`repro.power.resolve_profile` falls back to when a
     power-layer call names no profile.  Unlike the engine it *does*
@@ -107,15 +110,11 @@ class SimConfig:
     cache_dir: str = DEFAULT_CACHE_DIR
     cache_enabled: bool = True
     seed: int = 0
-    params: Tuple[Tuple[str, Any], ...] = ()
     engine: str = DEFAULT_ENGINE
     profile: str = DEFAULT_DEVICE_PROFILE
     scenario: Optional[Scenario] = None
 
     def __post_init__(self):
-        # imported lazily: repro.engine loads provider modules that import
-        # repro.sim, so validation must not run at repro.sim import time
-        from repro.engine import ensure_known
         from repro.power.profiles import ensure_known_profile
 
         ensure_known(self.engine)
@@ -131,7 +130,7 @@ class SimConfig:
         """Build a config from ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` /
         ``REPRO_ENGINE``.
 
-        The engine name is validated here, against the live registry,
+        The engine name is validated here, against the engine table,
         before anything else is constructed — so ``repro run``/``experiments``
         with a bad ``REPRO_ENGINE`` fail fast with the registered-engine
         list instead of deep inside program assembly.
@@ -140,8 +139,6 @@ class SimConfig:
         disabled = env.get(NO_CACHE_ENV_VAR, "").lower() not in ("", "0", "false")
         engine = env.get(ENGINE_ENV_VAR, DEFAULT_ENGINE)
         try:
-            from repro.engine import ensure_known
-
             ensure_known(engine)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{ENGINE_ENV_VAR}: {exc}") from exc
@@ -175,16 +172,6 @@ class SimConfig:
         fields.update(overrides)
         return cls(**fields)
 
-    def with_params(self, **params: Any) -> "SimConfig":
-        """A copy with extra named parameters folded into the hash."""
-        merged = dict(self.params)
-        merged.update(params)
-        return dataclasses.replace(
-            self, params=tuple(sorted(merged.items())))
-
-    def param(self, name: str, default: Any = None) -> Any:
-        return dict(self.params).get(name, default)
-
     @property
     def resolved_cache_dir(self) -> Path:
         return Path(self.cache_dir).expanduser()
@@ -199,27 +186,23 @@ class SimConfig:
         """
         if self.scenario is not None:
             return self.scenario
-        from repro.power.profiles import get_profile
         from repro.scenario.schema import DevicePoint, EngineSpec
 
         return Scenario(name="session-default", seed=self.seed,
                         engine=EngineSpec(name=self.engine),
-                        device=DevicePoint(
-                            vdd=get_profile(self.profile).vdd_nominal,
-                            profile=self.profile))
+                        device=DevicePoint(profile=self.profile))
 
     @property
     def hash(self) -> str:
         """Deterministic identity of the simulated configuration.
 
-        The scenario joins the payload through its engine-free
-        :meth:`~repro.scenario.schema.Scenario.identity_dict` — the hash
-        changes whenever any scenario field changes, but stays stable
-        across engine swaps so cached artifacts are reusable (the PR-6
-        contract).  Configs without a scenario hash exactly as before,
-        keeping existing cached artifacts valid.
+        It labels a run's manifest (``RunManifest.config_hash``) and keys
+        no cached artifact.  The scenario joins the payload through its
+        engine-free :meth:`~repro.scenario.schema.Scenario.identity_dict`,
+        so the hash changes whenever a scenario field changes but stays
+        stable across engine swaps.
         """
-        payload = {"seed": self.seed, "params": self.params}
+        payload = {"seed": self.seed}
         if self.scenario is not None:
             payload["scenario"] = self.scenario.identity_dict()
         return config_hash(payload)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Optional
 
+from repro.engine import resolve_engine
 from repro.sim.cache import ArtifactCache
 from repro.sim.config import SimConfig
 from repro.sim.instrument import StatsRegistry
@@ -39,8 +40,8 @@ class SimSession:
 
         ``scenario`` is a :class:`repro.scenario.schema.Scenario` (or a
         path to a scenario JSON file); its seed/engine/identity flow
-        into the session's :class:`SimConfig`, so the config hash — and
-        therefore every cached artifact — keys on the scenario.
+        into the session's :class:`SimConfig`, so the config hash that
+        labels the run's manifest covers the scenario.
         """
         from repro.scenario.schema import Scenario
 
@@ -88,13 +89,9 @@ def current_engine(override: Optional[str] = None) -> str:
     """Resolve the active execution engine's name.
 
     ``override`` wins when given; otherwise the current session's
-    ``SimConfig.engine`` applies.  Resolution goes through the
-    :mod:`repro.engine` registry, so a
-    :class:`~repro.errors.ConfigurationError` naming the registered
-    engines is raised on unknown names.
+    ``SimConfig.engine`` applies.  An unknown name raises a
+    :class:`~repro.errors.ConfigurationError` naming the engines.
     """
-    from repro.engine import resolve_engine
-
     return resolve_engine(override).name
 
 

@@ -1,10 +1,10 @@
 """Differential equivalence of the ``fast`` engine's whole-batch kernels.
 
 The float32 GEMM kernel must be *bit-identical* to the scalar path and
-to every other registered engine, and so must the whole-batch int32
-matmul the ``fast`` engine falls back to beyond the GEMM exactness
-bound, across odd topologies.  The engine sweep auto-discovers engines
-from the registry, so future backends are covered by construction.
+to the ``accurate`` engine, and so must the whole-batch int32 matmul the
+``fast`` engine falls back to beyond the GEMM exactness bound, across
+odd topologies.  The engine sweep covers every name in
+:mod:`repro.engine`, so a new engine is covered by construction.
 """
 
 import numpy as np
@@ -16,14 +16,12 @@ import repro.bnn.vectorized as vec
 from repro.bnn import BNNModel, binarize_sign
 from repro.bnn import quantize as q
 from repro.bnn.vectorized import (
-    VectorizedBNNHalf,
     vectorized_hidden_forward,
     vectorized_model,
     vectorized_predict,
     vectorized_scores,
 )
-from repro.cpu.fastpath import FastEngine
-from repro.engine import engine_names, get_engine
+from repro.engine import FastEngine, engine_names, get_engine
 from repro.errors import ConfigurationError
 from repro.sim import use_session
 
@@ -187,18 +185,29 @@ class TestInputValidation:
 
 
 class TestRegisteredEngine:
-    def test_fast_engine_has_gemm_half(self):
+    def test_fast_engine_has_gemm_half(self, monkeypatch):
         engine = get_engine("fast")
         assert isinstance(engine, FastEngine)
-        assert isinstance(engine, VectorizedBNNHalf)
-        caps = engine.capabilities
-        assert caps.functional and caps.batched
-        assert caps.phase_attribution and not caps.timing_accurate
+        assert not engine.capabilities.timing_accurate
+        # every BNN entry point goes through the whole-batch kernels
+        calls = []
+        for name in ("vectorized_scores", "vectorized_predict",
+                     "vectorized_hidden_forward"):
+            def spy(*args, _kernel=getattr(vec, name), _name=name):
+                calls.append(_name)
+                return _kernel(*args)
+            monkeypatch.setattr(vec, name, spy)
+        model = make_model((30, 10))
+        x = make_inputs(model, 3)
+        for method in ("scores", "predict", "hidden_forward"):
+            calls.clear()
+            getattr(engine, method)(model, x)
+            assert calls[0] == f"vectorized_{method}"
 
     def test_all_registered_engines_bit_identical(self):
-        """The registry sweep: every registered engine must produce the
-        oracle's scores, predictions and hidden activations bit for bit
-        — auto-discovered, so new engines join for free."""
+        """The engine sweep: every engine must produce the oracle's
+        scores, predictions and hidden activations bit for bit — a new
+        engine joins by its name alone."""
         model = make_model((100, 100, 100, 10), seed=5)
         x = make_inputs(model, 29, seed=6)
         oracle = get_engine("accurate")

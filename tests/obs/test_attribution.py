@@ -4,7 +4,7 @@ import pytest
 
 from repro.bnn.accelerator import BatchTiming
 from repro.cpu.env import ExecStats
-from repro.engine import EngineCapabilities, ExecutionEngine, engine_names
+from repro.engine import engine_names
 from repro.errors import ObservabilityError
 from repro.obs import (
     INFERENCE,
@@ -198,18 +198,6 @@ class TestAttributeScenarioContracts:
         assert [event.dur for event in phases] == \
             [attribution.cycles[phase] for phase in PHASES]
         assert session.stats.get("obs.runs") == 1
-
-    def test_non_attributing_engine_refused(self):
-        class Bare(ExecutionEngine):
-            name = "bare"
-            capabilities = EngineCapabilities(
-                timing_accurate=False, functional=True,
-                batched=False)
-
-        with use_session(cache_enabled=False):
-            with pytest.raises(ObservabilityError,
-                               match="phase_attribution"):
-                attribute_scenario(bnn_scenario(), engine=Bare())
 
     def test_chained_rejects_cpu_scenarios(self):
         with use_session(cache_enabled=False):

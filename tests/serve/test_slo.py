@@ -83,14 +83,6 @@ class TestLatencyHistogram:
         assert histogram.min_s == pytest.approx(1e-9)
         assert histogram.max_s == pytest.approx(5e3)
 
-    def test_count_at_or_below(self):
-        histogram = LatencyHistogram()
-        for value in (0.001, 0.002, 0.004, 0.2):
-            histogram.observe(value)
-        assert histogram.count_at_or_below(0.05) == 3
-        assert histogram.count_at_or_below(1.0) == 4
-        assert histogram.count_at_or_below(1e-9) == 0
-
     def test_summary_ms_block(self):
         histogram = LatencyHistogram()
         for value in (0.001, 0.002, 0.003):
@@ -107,8 +99,8 @@ class TestLatencyHistogram:
 
 
 class TestSLORecorder:
-    def filled(self) -> SLORecorder:
-        recorder = SLORecorder()
+    def filled(self, budget_s: float = 0.050) -> SLORecorder:
+        recorder = SLORecorder(budget_s)
         recorder.record_submit(0, 1)
         recorder.record_submit(3, 4)
         recorder.record_submit(1, 2)
@@ -131,10 +123,19 @@ class TestSLORecorder:
         assert recorder.batch_sizes == [2]
 
     def test_attainment(self):
-        recorder = self.filled()
-        assert recorder.attainment(0.050) == pytest.approx(0.5)
-        assert recorder.attainment(1.0) == pytest.approx(1.0)
-        assert SLORecorder().attainment(1.0) == 0.0
+        assert self.filled(0.050).attainment == pytest.approx(0.5)
+        assert self.filled(1.0).attainment == pytest.approx(1.0)
+        assert SLORecorder(1.0).attainment == 0.0
+
+    def test_attainment_is_exact_at_the_budget(self):
+        # 50.1 ms shares a histogram bucket with 50 ms (buckets are ~4.7 %
+        # wide), yet it misses a 50 ms budget; 50 ms itself meets it
+        phases = {phase: 0.0 for phase in PHASES}
+        recorder = SLORecorder(0.050)
+        recorder.record_completion(0.0501, phases)
+        assert recorder.attainment == 0.0
+        recorder.record_completion(0.050, phases)
+        assert recorder.attainment == pytest.approx(0.5)
 
     def test_phase_histograms_cover_vocabulary(self):
         recorder = self.filled()
@@ -148,7 +149,7 @@ class TestAddServeMetrics:
         collection = MetricsCollection()
         recorder = recorder if recorder is not None \
             else TestSLORecorder().filled()
-        add_serve_metrics(collection, recorder, budget_s=0.05, wall_s=0.5,
+        add_serve_metrics(collection, recorder, wall_s=0.5,
                           labels={"engine": "fast"}, **kwargs)
         return collection
 
@@ -185,8 +186,7 @@ class TestAddServeMetrics:
 
     def test_empty_recorder_skips_quantiles(self):
         collection = MetricsCollection()
-        add_serve_metrics(collection, SLORecorder(), budget_s=0.05,
-                          wall_s=0.0)
+        add_serve_metrics(collection, SLORecorder(0.05), wall_s=0.0)
         emitted = {series.name for series in collection.series()}
         assert "repro_serve_latency_seconds" not in emitted
         assert "repro_serve_batch_size" not in emitted

@@ -76,16 +76,12 @@ class TestSimConfig:
         moved = SimConfig(cache_dir="/b", cache_enabled=False)
         assert base.hash == moved.hash
 
-    def test_hash_tracks_seed_and_params(self):
-        assert SimConfig(seed=1).hash != SimConfig(seed=2).hash
-        assert SimConfig().with_params(width=100).hash != \
-            SimConfig().with_params(width=50).hash
+    def test_hash_tracks_seed_and_scenario(self):
+        from repro.scenario import Scenario
 
-    def test_with_params_merges_and_sorts(self):
-        config = SimConfig().with_params(b=2).with_params(a=1, b=3)
-        assert config.params == (("a", 1), ("b", 3))
-        assert config.param("a") == 1
-        assert config.param("missing", 42) == 42
+        assert SimConfig(seed=1).hash != SimConfig(seed=2).hash
+        assert SimConfig(scenario=Scenario(batch_size=8)).hash != \
+            SimConfig(scenario=Scenario(batch_size=9)).hash
 
     def test_from_env(self):
         config = SimConfig.from_env({CACHE_ENV_VAR: "/tmp/x",

@@ -147,18 +147,13 @@ class TestEngineTableCheck:
     def test_parser_reads_names_and_flags(self, check_docs):
         rows = check_docs.documented_engine_table(
             "### Engine registry\n\n"
-            "| engine | timing_accurate | functional | batched "
-            "| phase_attribution |\n"
-            "|---|---|---|---|---|\n"
-            "| `accurate` | yes | yes | no | yes |\n"
-            "| `fast` | no | yes | yes | yes |\n\n"
+            "| engine | timing_accurate |\n"
+            "|---|---|\n"
+            "| `accurate` | yes |\n"
+            "| `fast` | no |\n\n"
             "prose after the table | with a stray pipe\n")
-        assert set(rows) == {"accurate", "fast"}
-        assert rows["accurate"] == {"timing_accurate": True,
-                                    "functional": True,
-                                    "batched": False,
-                                    "phase_attribution": True}
-        assert rows["fast"]["batched"] is True
+        assert rows == {"accurate": {"timing_accurate": True},
+                        "fast": {"timing_accurate": False}}
 
     def test_missing_table_reported(self, check_docs, tmp_path, monkeypatch):
         empty = tmp_path / "ARCHITECTURE.md"
@@ -171,11 +166,10 @@ class TestEngineTableCheck:
         stale = tmp_path / "ARCHITECTURE.md"
         stale.write_text(
             "### Engine registry\n\n"
-            "| engine | timing_accurate | functional | batched "
-            "| phase_attribution |\n"
-            "|---|---|---|---|---|\n"
-            "| `accurate` | no | yes | no | yes |\n"
-            "| `warp` | no | yes | yes | yes |\n")
+            "| engine | timing_accurate |\n"
+            "|---|---|\n"
+            "| `accurate` | no |\n"
+            "| `warp` | no |\n")
         monkeypatch.setattr(check_docs, "ARCHITECTURE", stale)
         problems = check_docs.check_engine_table()
         # fast registered but undocumented

@@ -17,10 +17,11 @@ Nine checks, each cheap enough for every CI run:
    so adding, renaming or retiring a recording method or a call site
    forces the table to follow (tier-1 runs this check through
    tests/tools/test_check_docs.py).
-4. **Engine registry table** — the "### Engine registry" table in
-   docs/ARCHITECTURE.md must list exactly the engines registered in
-   ``repro.engine`` with their live capability flags, so registering a
-   new backend (or changing flags) forces the docs to follow.
+4. **Engine table** — the "### Engine registry" table in
+   docs/ARCHITECTURE.md must list exactly the engines of
+   ``repro.engine.engine_table()`` with their live ``timing_accurate``
+   flag, so adding an engine (or changing its flag) forces the docs to
+   follow.
 5. **Scenario field tables** — every field table in docs/SCENARIOS.md
    must list exactly the fields of the matching dataclass in
    ``repro.scenario.schema``, so adding or removing a scenario
@@ -34,7 +35,7 @@ Nine checks, each cheap enough for every CI run:
 8. **Kernel handbook** — the constants table in docs/KERNELS.md must
    match the live source constants (each ``module.CONSTANT`` row is
    imported and compared), and its engine decision table must cover
-   exactly the engines registered in ``repro.engine``.
+   exactly the engines in ``repro.engine``.
 9. **Device profile table** — the "## Profile registry" table in
    docs/DEVICES.md must list exactly the profiles registered in
    ``repro.power`` with their live technology/voltage/frequency/
@@ -285,12 +286,11 @@ def check_probe_table() -> List[str]:
     return problems
 
 
-# -- check 4: engine registry table --------------------------------------
+# -- check 4: engine table ----------------------------------------------
 ENGINE_TABLE_ANCHOR = "### Engine registry"
 
 #: capability columns of the docs table, in order
-ENGINE_FLAG_COLUMNS = ("timing_accurate", "functional", "batched",
-                       "phase_attribution")
+ENGINE_FLAG_COLUMNS = ("timing_accurate",)
 
 _ENGINE_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_-]+)`\s*\|(.+)\|\s*$")
 
@@ -340,8 +340,8 @@ def check_engine_table() -> List[str]:
             if documented_value != live:
                 problems.append(
                     f"engine `{name}`: docs table says {flag}="
-                    f"{'yes' if documented_value else 'no'} but the "
-                    f"registry says {'yes' if live else 'no'}")
+                    f"{'yes' if documented_value else 'no'} but "
+                    f"engine_table() says {'yes' if live else 'no'}")
     return problems
 
 
