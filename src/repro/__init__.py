@@ -16,6 +16,21 @@ Subpackages:
   and MiBench-like kernels (reference Python + RV32I assembly).
 * :mod:`repro.nalu` — Neural ALU experiment (paper section VIII.C).
 * :mod:`repro.experiments` — one module per paper table/figure.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` to ``1`` where the caller left them unset.  A
+multi-threaded BLAS pool can stall a small float32 GEMM for tens of
+milliseconds, and the ``fast`` engine's BNN kernel is a chain of small
+float32 GEMMs.  The variables only take effect if numpy has not loaded
+yet, and ``import repro`` loads no numpy.  A value the caller sets
+still wins.
 """
 
+import os
+
 __version__ = "1.0.0"
+
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                  "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+del _variable

@@ -28,7 +28,6 @@ from repro.bnn.reference import (
     SoftwareBNNEstimate,
     naive_inference_cycles,
     packed_inference_cycles,
-    software_inference_cycles,
 )
 from repro.bnn.training import BNNTrainer, TrainingHistory, train_bnn
 
@@ -55,7 +54,6 @@ __all__ = [
     "SoftwareBNNEstimate",
     "naive_inference_cycles",
     "packed_inference_cycles",
-    "software_inference_cycles",
     "BNNTrainer",
     "TrainingHistory",
     "train_bnn",

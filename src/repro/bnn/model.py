@@ -29,7 +29,9 @@ class BNNLayer:
     bias: np.ndarray  # integer thresholds, shape (fan_out,)
 
     def __post_init__(self):
-        self.weights = q.check_sign_domain(self.weights)
+        # a copy: a caller's later write to its array must not reach the
+        # layer (or the GEMM lowering cached for its model)
+        self.weights = q.check_sign_domain(self.weights).copy()
         self.bias = np.asarray(self.bias, dtype=np.int32)
         if self.weights.ndim != 2:
             raise ConfigurationError("layer weights must be 2-D (fan_out, fan_in)")

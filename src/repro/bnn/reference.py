@@ -63,12 +63,3 @@ def packed_inference_cycles(model: BNNModel) -> SoftwareBNNEstimate:
         cycles += layer.fan_out * PACKED_CYCLES_PER_NEURON
     return SoftwareBNNEstimate(cycles=int(cycles), implementation="packed",
                                macs=model.total_macs)
-
-
-def software_inference_cycles(model: BNNModel,
-                              implementation: str = "naive") -> SoftwareBNNEstimate:
-    if implementation == "naive":
-        return naive_inference_cycles(model)
-    if implementation == "packed":
-        return packed_inference_cycles(model)
-    raise ValueError(f"unknown implementation {implementation!r}")

@@ -1,8 +1,11 @@
-"""Whole-batch GEMM BNN kernels (the ``fast`` engine's BNN half).
+"""Row-blocked GEMM BNN kernels (the ``fast`` engine's BNN half).
 
 The scalar path (:meth:`BNNModel.scores`) evaluates one image at a time
-with int32 matmuls.  This module pushes the *entire* batch through each
-layer as one float32 matmul per layer, so BLAS does the heavy lifting.
+with int32 matmuls.  This module pushes a batch through every layer in
+blocks of at most ``GEMM_ROW_BLOCK`` rows, as one float32 matmul per
+layer and block, so BLAS does the heavy lifting on a cache-sized
+working set.  A batch of at most one block goes through in one piece,
+without a copy.
 
 With ±1 weights ``W`` and sign inputs written as ``x = 2a − 1`` for
 ``a ∈ {0,1}``, the pre-activation collapses to
@@ -12,7 +15,7 @@ integer with magnitude ≤ fan_in, and float32 represents integers exactly
 up to 2**24, so the matmul is exact whenever
 ``fan_in < GEMM_MAX_FAN_IN`` (the thresholds are half-integers, which
 float32 also represents exactly at these magnitudes).  A model with a
-wider layer scores through the oracle's whole-batch int32 matmul
+wider layer scores each block through the oracle's batch int32 matmul
 (:meth:`BNNModel.scores_batch`, :meth:`BNNModel.hidden_forward_batch`)
 instead, which stays exact while every fan-in is below 2**31.
 
@@ -40,6 +43,12 @@ from repro.errors import ConfigurationError
 #: integer range), with headroom for the half-integer thresholds
 GEMM_MAX_FAN_IN = 1 << 23
 
+#: rows per block: validation, the 0/1 float32 conversion, the layer
+#: GEMMs and the argmax run block by block, so the working set stays
+#: cache-sized (a block's float32 input is 3 MiB at 784 inputs) instead
+#: of growing with the batch
+GEMM_ROW_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class _GemmLayer:
@@ -52,7 +61,7 @@ class _GemmLayer:
 
 
 class VectorizedModel:
-    """A :class:`BNNModel` lowered for the whole-batch GEMM kernel.
+    """A :class:`BNNModel` lowered for the float32 GEMM kernel.
 
     ``exact`` is False when a layer is too wide for float32 to hold its
     partial sums exactly; such a model gets no GEMM lowering and scores
@@ -110,39 +119,57 @@ def vectorized_model(model: BNNModel) -> VectorizedModel:
     return lowered
 
 
-def _as_sign_batch(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
-    """Validate a ``(batch, input_size)`` sign batch against ``model``."""
-    x = q.check_sign_domain(np.atleast_2d(np.asarray(x_signs)))
+def _block_scores(model: BNNModel, lowered: VectorizedModel,
+                  block: np.ndarray) -> np.ndarray:
+    if not lowered.exact:
+        return model.scores_batch(block)
+    return lowered.gemm_scores((block > 0).astype(np.float32))
+
+
+def _block_predict(model: BNNModel, lowered: VectorizedModel,
+                   block: np.ndarray) -> np.ndarray:
+    return np.argmax(_block_scores(model, lowered, block), axis=1)
+
+
+def _block_hidden(model: BNNModel, lowered: VectorizedModel,
+                  block: np.ndarray) -> np.ndarray:
+    if not lowered.exact:
+        return model.hidden_forward_batch(block)
+    return lowered.gemm_hidden((block > 0).astype(np.float32))
+
+
+def _by_row_blocks(kernel, model: BNNModel,
+                   x_signs: np.ndarray) -> np.ndarray:
+    """``kernel`` over a ``(batch, input_size)`` sign batch in blocks of
+    ``GEMM_ROW_BLOCK`` rows, each sign-checked first, with the blocks'
+    results stacked in row order.  A batch of at most one block, an
+    empty one included, is one view of the input and one result."""
+    x = np.atleast_2d(np.asarray(x_signs))
     if x.ndim != 2:
         raise ConfigurationError("batched input must be (batch, input_size)")
     if x.shape[1] != model.input_size:
         raise ConfigurationError(
             f"input size {x.shape[1]} != model input {model.input_size}")
-    return x
+    lowered = vectorized_model(model)
+    results = [kernel(model, lowered,
+                      q.check_sign_domain(x[start:start + GEMM_ROW_BLOCK]))
+               for start in range(0, max(len(x), 1), GEMM_ROW_BLOCK)]
+    return results[0] if len(results) == 1 else np.concatenate(results)
 
 
 def vectorized_scores(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
     """Integer class scores ``(batch, n_classes)``, bit-identical to the
     scalar path (``np.stack([model.scores(x) for x in x_signs])``)."""
-    x = _as_sign_batch(model, x_signs)
-    lowered = vectorized_model(model)
-    if not lowered.exact:
-        return model.scores_batch(x)
-    return lowered.gemm_scores((x > 0).astype(np.float32))
+    return _by_row_blocks(_block_scores, model, x_signs)
 
 
 def vectorized_predict(model: BNNModel, x_signs: np.ndarray) -> np.ndarray:
-    """Vectorized argmax classification through the whole-batch kernel."""
-    return np.argmax(vectorized_scores(model, x_signs), axis=1)
+    """Argmax classification through the row-blocked kernel."""
+    return _by_row_blocks(_block_predict, model, x_signs)
 
 
 def vectorized_hidden_forward(model: BNNModel,
                               x_signs: np.ndarray) -> np.ndarray:
     """Sign activations after *every* layer, bit-identical to
     :meth:`BNNModel.hidden_forward_batch`."""
-    x = _as_sign_batch(model, x_signs)
-    lowered = vectorized_model(model)
-    if not lowered.exact:
-        return model.hidden_forward_batch(x)
-    return lowered.gemm_hidden((x > 0).astype(np.float32))
-
+    return _by_row_blocks(_block_hidden, model, x_signs)

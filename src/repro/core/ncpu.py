@@ -204,7 +204,7 @@ class NCPUCore:
 
         x_signs = self._read_packed_inputs(n_inputs, input_bits)
         # engine-aware: the resolved engine's BNN half does the math (the
-        # fast engine swaps in its whole-batch GEMM kernel); predictions
+        # fast engine swaps in its row-blocked GEMM kernel); predictions
         # are identical either way, only host speed changes
         predictions = self.engine.predict(model, x_signs)
         timing = self.accelerator.batch_timing(

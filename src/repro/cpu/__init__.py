@@ -1,7 +1,7 @@
 """CPU simulators: functional golden model and cycle-accurate 5-stage pipeline."""
 
 from repro.cpu.env import CoreEnv, CoreEvent, ExecStats, RunResult
-from repro.cpu.fastpath import FastCPU, run_fastpath
+from repro.cpu.fastpath import FastCPU
 from repro.cpu.functional import FunctionalCPU, run_functional
 from repro.cpu.memory import DataMemory, FlatMemory
 from repro.cpu.pipeline import PipelinedCPU, run_pipelined
@@ -14,7 +14,6 @@ __all__ = [
     "ExecStats",
     "RunResult",
     "FastCPU",
-    "run_fastpath",
     "FunctionalCPU",
     "run_functional",
     "PipelinedCPU",

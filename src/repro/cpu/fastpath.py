@@ -467,19 +467,3 @@ class FastCPU:
             session.tracer.cpu_run("fastpath", reason, delta)
         return RunResult(stats=stats, stop_reason=reason, pc=self.pc,
                          env=self.env)
-
-
-def run_fastpath(
-    program: Program,
-    memory: Optional[DataMemory] = None,
-    env: Optional[CoreEnv] = None,
-    max_steps: int = DEFAULT_MAX_STEPS,
-):
-    """Convenience wrapper: build a :class:`FastCPU`, run it, return it.
-
-    Returns ``(cpu, result)`` so callers can inspect registers and memory.
-    """
-    cpu = FastCPU(program, memory=memory, env=env)
-    result = cpu.run(max_steps=max_steps)
-    return cpu, result
-

@@ -8,7 +8,7 @@ whole-batch BNN inference (:meth:`scores` / :meth:`predict` /
   pipeline (or the functional ISS) and the scalar int32-matmul BNN
   path; the timing oracle.
 * ``fast`` — :class:`FastEngine`: the superblock interpreter
-  (:mod:`repro.cpu.fastpath`) and the whole-batch float32 GEMM kernels
+  (:mod:`repro.cpu.fastpath`) and the row-blocked float32 GEMM kernels
   (:mod:`repro.bnn.vectorized`).
 
 Both engines are bit-identical on architectural results — registers,
@@ -93,7 +93,7 @@ class AccurateEngine:
 
 
 class FastEngine:
-    """:class:`~repro.cpu.fastpath.FastCPU` + whole-batch GEMM BNN kernels.
+    """:class:`~repro.cpu.fastpath.FastCPU` + row-blocked GEMM BNN kernels.
 
     Instruction-accurate with single-cycle timing — the pipeline stays
     the timing oracle.
@@ -101,7 +101,7 @@ class FastEngine:
 
     name = "fast"
     description = ("superblock interpreter (single-cycle timing) and "
-                   "whole-batch float32 GEMM BNN kernels (exact int32 "
+                   "row-blocked float32 GEMM BNN kernels (exact int32 "
                    "matmul beyond the exactness bound)")
     capabilities = EngineCapabilities(timing_accurate=False)
 

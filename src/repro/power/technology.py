@@ -336,12 +336,6 @@ def cpu_profile(profile: ProfileLike = None) -> TwoDomainProfile:
     return models_for(resolve_profile(profile)).cpu
 
 
-def mep_voltage(profile: PowerProfile,
-                lo: float = 0.36, hi: float = 1.0) -> float:
-    """Public MEP search for a fitted mode profile."""
-    return _mep_voltage(profile, lo=lo, hi=hi)
-
-
 def effective_voltage_for_sram(voltage: float,
                                sram_vmin: float = SRAM_VMIN) -> float:
     """SRAM domain voltage: scaled with the core down to its Vmin."""

@@ -48,11 +48,15 @@ def default_engines() -> Tuple[str, ...]:
 #: seconds, wide enough to hit odd shapes (widths like 1, 17 and 65
 #: stress the kernels' edge cases).  Hidden/output widths
 #: respect the accelerator array's 100-neuron fan-out limit; the input
-#: width (fan-in of layer 1) is architecturally unbounded.
+#: width (fan-in of layer 1) is architecturally unbounded.  A batch of
+#: 1,031 rows is one full ``fast`` kernel row block
+#: (``repro.bnn.vectorized.GEMM_ROW_BLOCK``) plus 7 rows, so it crosses
+#: a block boundary; it sits where ``repro fuzz --count 10 --seed 0``
+#: draws it once (``tests/scenario/test_fuzz.py`` pins both facts).
 INPUT_WIDTH_CHOICES = (1, 3, 17, 33, 64, 65, 100, 127, 200)
 HIDDEN_WIDTH_CHOICES = (1, 3, 10, 17, 33, 64, 65, 100)
 CLASS_COUNT_CHOICES = (2, 4, 10)
-BATCH_SIZE_CHOICES = (1, 2, 7, 16, 33, 64)
+BATCH_SIZE_CHOICES = (1, 2, 7, 1031, 16, 33, 64)
 CPU_ITERATION_CHOICES = (1, 2, 5, 10)
 MAX_HIDDEN_LAYERS = 3
 

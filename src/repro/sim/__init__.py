@@ -26,7 +26,6 @@ from repro.sim.config import (
 from repro.sim.instrument import StatsRegistry, StatsScope
 from repro.sim.session import (
     SimSession,
-    current_engine,
     current_profile,
     get_session,
     reset_session,
@@ -48,7 +47,6 @@ __all__ = [
     "StatsRegistry",
     "StatsScope",
     "config_hash",
-    "current_engine",
     "current_profile",
     "get_session",
     "reset_session",

@@ -12,7 +12,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Optional
 
-from repro.engine import resolve_engine
 from repro.sim.cache import ArtifactCache
 from repro.sim.config import SimConfig
 from repro.sim.instrument import StatsRegistry
@@ -83,16 +82,6 @@ def set_session(session: Optional[SimSession]) -> Optional[SimSession]:
 def reset_session() -> None:
     """Drop the current session (a fresh default is created on next use)."""
     set_session(None)
-
-
-def current_engine(override: Optional[str] = None) -> str:
-    """Resolve the active execution engine's name.
-
-    ``override`` wins when given; otherwise the current session's
-    ``SimConfig.engine`` applies.  An unknown name raises a
-    :class:`~repro.errors.ConfigurationError` naming the engines.
-    """
-    return resolve_engine(override).name
 
 
 def current_profile(override: Optional[str] = None) -> str:

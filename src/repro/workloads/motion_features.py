@@ -82,11 +82,6 @@ def float_features(trace: np.ndarray) -> np.ndarray:
     return features_reference(quantize_trace(trace)).astype(np.float64)
 
 
-def binarize_features(features: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Sign-domain BNN input: +1 where feature >= threshold."""
-    return q.binarize_sign(np.asarray(features) - np.asarray(thresholds) + 0.5)
-
-
 def training_thresholds(feature_matrix: np.ndarray) -> np.ndarray:
     """Per-feature binarization thresholds: training-set range midpoints.
 

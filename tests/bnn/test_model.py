@@ -48,6 +48,21 @@ class TestLayer:
     def test_packed_weights_shape(self):
         assert tiny_layer().packed_weights().shape == (2, 1)
 
+    def test_layer_owns_its_weights(self):
+        """An int8 caller array passes the sign check uncopied, so the
+        layer copies it: a later write by the caller reaches neither the
+        layer nor its model's scores."""
+        weights = np.array([[1, -1, 1], [-1, -1, -1]], dtype=np.int8)
+        layer = BNNLayer(weights=weights, bias=np.zeros(2, dtype=np.int32))
+        model = BNNModel([layer])
+        x = np.array([1, 1, -1], dtype=np.int8)
+        before = model.scores(x)
+        weights[:] = 1
+        assert not np.shares_memory(layer.weights, weights)
+        np.testing.assert_array_equal(layer.weights,
+                                      [[1, -1, 1], [-1, -1, -1]])
+        np.testing.assert_array_equal(model.scores(x), before)
+
 
 class TestModel:
     def test_layer_chaining_validated(self):

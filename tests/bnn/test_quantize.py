@@ -24,6 +24,14 @@ class TestBinarize:
         with pytest.raises(ConfigurationError):
             q.check_sign_domain(np.array([1, 0, -1]))
 
+    def test_check_sign_domain_returns_int8_uncopied(self):
+        signs = np.array([[1, -1], [-1, 1]], dtype=np.int8)
+        assert q.check_sign_domain(signs) is signs
+        wide = np.array([1, -1, 1], dtype=np.int64)
+        checked = q.check_sign_domain(wide)
+        assert checked.dtype == np.int8
+        np.testing.assert_array_equal(checked, wide)
+
     def test_sign_bit_roundtrip(self):
         signs = np.array([1, -1, -1, 1], dtype=np.int8)
         np.testing.assert_array_equal(q.bits_to_sign(q.sign_to_bits(signs)), signs)

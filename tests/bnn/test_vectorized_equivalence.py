@@ -1,10 +1,11 @@
-"""Differential equivalence of the ``fast`` engine's whole-batch kernels.
+"""Differential equivalence of the ``fast`` engine's row-blocked kernels.
 
 The float32 GEMM kernel must be *bit-identical* to the scalar path and
-to the ``accurate`` engine, and so must the whole-batch int32 matmul the
+to the ``accurate`` engine, and so must the batch int32 matmul the
 ``fast`` engine falls back to beyond the GEMM exactness bound, across
-odd topologies.  The engine sweep covers every name in
-:mod:`repro.engine`, so a new engine is covered by construction.
+odd topologies and at every row-block boundary.  The engine sweep
+covers every name in :mod:`repro.engine`, so a new engine is covered by
+construction.
 """
 
 import numpy as np
@@ -148,16 +149,77 @@ class TestBitIdenticalScores:
         batch = data.draw(st.integers(1, 8))
         seed = data.draw(st.integers(0, 2**16))
         bound = data.draw(st.sampled_from([vec.GEMM_MAX_FAN_IN, 1]))
+        block = data.draw(st.sampled_from([vec.GEMM_ROW_BLOCK, 1, 3]))
         model = make_model(sizes, seed=seed)
         x = make_inputs(model, batch, seed=seed + 1)
         with pytest.MonkeyPatch.context() as patch:
-            # bound 1 sends every layer to the int32 fallback
+            # bound 1 sends every layer to the int32 fallback; blocks of
+            # 1 and 3 rows split any batch larger than the block
             patch.setattr(vec, "GEMM_MAX_FAN_IN", bound)
+            patch.setattr(vec, "GEMM_ROW_BLOCK", block)
             np.testing.assert_array_equal(vectorized_scores(model, x),
                                           _scalar_scores(model, x))
+            np.testing.assert_array_equal(vectorized_predict(model, x),
+                                          model.predict_batch(x))
             np.testing.assert_array_equal(
                 vectorized_hidden_forward(model, x),
                 model.hidden_forward_batch(x))
+
+
+class TestRowBlocks:
+    """Batches go through in blocks of ``GEMM_ROW_BLOCK`` rows; the rows
+    either side of a block boundary score as they do in one piece."""
+
+    @pytest.mark.parametrize("kernel", ["gemm", "int32"], indirect=True)
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_bit_identical_at_block_boundary(self, offset, kernel):
+        """0 rows (``offset`` None), then block−1, block and block+1."""
+        model = make_model((60, 40, 30, 10), seed=7)
+        rows = 0 if offset is None else vec.GEMM_ROW_BLOCK + offset
+        x = make_inputs(model, rows, seed=8)
+        scores = vectorized_scores(model, x)
+        predictions = vectorized_predict(model, x)
+        hidden = vectorized_hidden_forward(model, x)
+        assert scores.shape == (rows, 10) and scores.dtype == np.int32
+        assert predictions.shape == (rows,)
+        assert hidden.shape == (rows, 10) and hidden.dtype == np.int8
+        np.testing.assert_array_equal(scores, model.scores_batch(x))
+        np.testing.assert_array_equal(predictions, model.predict_batch(x))
+        np.testing.assert_array_equal(hidden, model.hidden_forward_batch(x))
+        if rows:
+            np.testing.assert_array_equal(scores, _scalar_scores(model, x))
+
+    @pytest.mark.parametrize("rows,sizes", [
+        (5, [5]),
+        (vec.GEMM_ROW_BLOCK, [vec.GEMM_ROW_BLOCK]),
+        (2 * vec.GEMM_ROW_BLOCK + 3,
+         [vec.GEMM_ROW_BLOCK, vec.GEMM_ROW_BLOCK, 3]),
+    ])
+    def test_blocks_are_views_of_the_input(self, monkeypatch, rows, sizes):
+        """Each block is a slice of the caller's int8 rows: neither the
+        blocking nor the sign check copies them."""
+        model = make_model((30, 10))
+        x = make_inputs(model, rows)
+        seen = []
+
+        def spy(model, lowered, block, _kernel=vec._block_scores):
+            seen.append(block)
+            return _kernel(model, lowered, block)
+
+        monkeypatch.setattr(vec, "_block_scores", spy)
+        vectorized_scores(model, x)
+        assert [len(block) for block in seen] == sizes
+        assert all(np.shares_memory(block, x) for block in seen)
+
+    @pytest.mark.parametrize("entry", [vectorized_scores,
+                                       vectorized_predict,
+                                       vectorized_hidden_forward])
+    def test_non_sign_value_in_last_block_rejected(self, entry):
+        model = make_model((30, 10))
+        x = make_inputs(model, vec.GEMM_ROW_BLOCK + 1)
+        x[-1, -1] = 0
+        with pytest.raises(ConfigurationError, match="sign domain"):
+            entry(model, x)
 
 
 class TestLoweringCache:

@@ -18,8 +18,8 @@ from repro.cpu import (
     FlatMemory,
     FunctionalCPU,
     PipelinedCPU,
-    run_fastpath,
 )
+from repro.engine import get_engine
 from repro.errors import ConfigurationError, DecodingError, SimulationError
 from repro.isa import assemble
 from repro.isa.program import Program
@@ -329,7 +329,8 @@ class TestBlockCacheAndProbes:
         program = assemble("addi a0, x0, 1\nebreak")
         with use_session(cache_enabled=False) as session:
             with tracing(session) as tracer:
-                _, result = run_fastpath(program, memory=FlatMemory())
+                _, result = get_engine("fast").run_program(
+                    program, memory=FlatMemory())
             counters = session.stats.counters("cpu.fastpath.")
         assert result.stop_reason == "halt"
         (event,) = [e for e in tracer.events if e.name == "cpu.run"]

@@ -1,14 +1,14 @@
-"""Guard: no engine-name branches outside the registry layer.
+"""Guard: no engine-name branches outside the config layer.
 
-The whole point of the registry seam is that dispatch sites resolve an
+The whole point of the engine lookup is that dispatch sites resolve an
 engine *object* and call through it.  A literal comparison like
 ``engine == "fast"`` reintroduces name-keyed branching that silently
 skips new backends, so this test greps ``src/repro`` for any equality
-comparison against a registered engine name.  Registry lookups by
-literal key (``get_engine("fast")``) are fine — only *comparisons* are
-banned — and the registry/config layers themselves
-(``repro/engine/``, ``repro/sim/``) are exempt because resolving names
-is their job.
+comparison against an engine name.  Lookups by literal key
+(``get_engine("fast")``) are fine — only *comparisons* are banned.
+``repro/engine.py`` is scanned like every other module; only the
+config layer (``repro/sim/``) is exempt, because validating names is
+its job.
 """
 
 import re
@@ -19,7 +19,7 @@ from repro.engine import engine_names
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: directories allowed to handle engine names as data
-EXEMPT_DIRS = ("engine", "sim")
+EXEMPT_DIRS = ("sim",)
 
 
 def _engine_name_comparisons(text: str) -> list:
@@ -47,7 +47,7 @@ class TestNoEngineNameBranches:
                 for hit in _engine_name_comparisons(line):
                     offenders.append(f"{relative}:{lineno}: {hit}")
         assert not offenders, (
-            "engine-name comparisons outside the registry layer "
+            "engine-name comparisons outside the config layer "
             "(resolve an engine object instead):\n" + "\n".join(offenders))
 
     def test_detector_catches_both_orders(self):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.engine import engine_names
+from repro.bnn.vectorized import GEMM_ROW_BLOCK
 from repro.scenario.fuzz import (
+    BATCH_SIZE_CHOICES,
     HIDDEN_WIDTH_CHOICES,
     DifferentialResult,
     Mismatch,
@@ -50,6 +52,14 @@ class TestFuzzerDeterminism:
     def test_engines_default_to_registry(self):
         assert ScenarioFuzzer().engines == engine_names()
 
+    def test_ci_run_crosses_a_kernel_row_block(self):
+        """CI's ``repro fuzz --count 10 --seed 0`` draws a batch larger
+        than the ``fast`` kernel's row block, so its differential run
+        covers rows on both sides of a block boundary."""
+        assert max(BATCH_SIZE_CHOICES) > GEMM_ROW_BLOCK
+        assert any(scenario.batch_size > GEMM_ROW_BLOCK
+                   for scenario in ScenarioFuzzer(seed=0).scenarios(10))
+
 
 class TestDifferential:
     def test_bnn_scenario_all_engines_agree(self):
@@ -68,6 +78,12 @@ class TestDifferential:
             workload=WorkloadSpec(kind="cpu", name="dhrystone",
                                   layer_sizes=(), iterations=2),
             batch_size=1)
+        result = run_differential(scenario)
+        assert result.ok, [str(m) for m in result.mismatches]
+
+    def test_block_crossing_scenario_agrees(self):
+        scenario = next(s for s in ScenarioFuzzer(seed=0).scenarios(10)
+                        if s.batch_size > GEMM_ROW_BLOCK)
         result = run_differential(scenario)
         assert result.ok, [str(m) for m in result.mismatches]
 
