@@ -9,8 +9,8 @@ each **superblock** once into a list of specialised Python closures and
 replays the list on every revisit:
 
 * every straight-line instruction becomes one closure over its decoded
-  fields that mutates the register list in place (x0 writes are elided and
-  constants like AUIPC results are folded at compile time),
+  fields; an ALU op's closure stores its mnemonic's :data:`ALU_EXPRS`
+  expression into the register list (x0 writes are elided),
 * unconditional ``jal`` jumps are *folded into the body*: decoding
   continues at the (always-taken) target, so call-heavy code compiles
   into superblocks — precomputed decode traces spanning taken jumps —
@@ -25,18 +25,20 @@ replays the list on every revisit:
   PC table keeps partial commits (step limits, faults) landing on the
   exact faulting PC even across folded jumps.
 
-``trans_bnn``/``trigger_bnn`` events still record the exact pre-instruction
-cycle count, and exceptions (memory faults, decode errors) leave ``stats``
-and ``pc`` exactly as the functional model would — the differential suite in
-``tests/cpu/test_fastpath_equivalence.py`` pins all of this against both the
-functional model and the cycle-accurate pipeline.  The pipeline remains the
-timing oracle; this engine only changes how fast the *simulation* runs.
+The semantics here are written apart from
+:func:`~repro.cpu.semantics.compile_ex` on purpose, so that
+``tests/cpu/test_fastpath_equivalence.py`` compares two implementations:
+registers, events with their exact pre-instruction cycle counts, and
+the ``stats`` and ``pc`` an exception leaves, against both the
+functional model and the cycle-accurate pipeline.  The pipeline remains
+the timing oracle; this engine only changes how fast the *simulation*
+runs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cpu.env import CoreEnv, ExecStats, RunResult
 from repro.cpu.functional import DEFAULT_MAX_STEPS
@@ -49,22 +51,93 @@ from repro.isa.program import Program
 from repro.sim import get_session
 
 _MASK = 0xFFFFFFFF
-_SIGN_BIT = 0x80000000
-_TWO32 = 0x100000000
-
-#: mnemonics that end a basic block (control transfer or environment call
-#: that must observe an exact cycle count)
-TERMINATORS = frozenset({
-    "jal", "jalr", "beq", "bne", "blt", "bge", "bltu", "bgeu",
-    "ebreak", "trans_bnn", "trigger_bnn",
-})
 
 #: cap on body instructions folded into one superblock; bounds compile
 #: time and memory for pathological jump chains
 MAX_SUPERBLOCK_BODY = 4096
 
+#: the rd value of each ALU op, as a Python expression over the register
+#: list ``r`` and the decoded constants ``rs1``, ``rs2``, ``imm``, ``uimm``
+#: (``imm`` mod 2**32), ``sh`` (``imm``'s low five bits) and ``pc``.
+#: Registers hold unsigned 32-bit values: ``x ^ 0x80000000`` orders them
+#: as signed ints, and ``(x ^ 0x80000000) - 0x80000000`` is the signed value.
+ALU_EXPRS = {
+    "lui": "uimm",
+    "auipc": "(pc + imm) & 0xFFFFFFFF",
+    "addi": "(r[rs1] + imm) & 0xFFFFFFFF",
+    "slti": "1 if (r[rs1] ^ 0x80000000) - 0x80000000 < imm else 0",
+    "sltiu": "1 if r[rs1] < uimm else 0",
+    "xori": "r[rs1] ^ uimm",
+    "ori": "r[rs1] | uimm",
+    "andi": "r[rs1] & uimm",
+    "slli": "(r[rs1] << sh) & 0xFFFFFFFF",
+    "srli": "r[rs1] >> sh",
+    "srai": "((r[rs1] ^ 0x80000000) - 0x80000000 >> sh) & 0xFFFFFFFF",
+    "add": "(r[rs1] + r[rs2]) & 0xFFFFFFFF",
+    "sub": "(r[rs1] - r[rs2]) & 0xFFFFFFFF",
+    "sll": "(r[rs1] << (r[rs2] & 0x1F)) & 0xFFFFFFFF",
+    "slt": "1 if (r[rs1] ^ 0x80000000) < (r[rs2] ^ 0x80000000) else 0",
+    "sltu": "1 if r[rs1] < r[rs2] else 0",
+    "xor": "r[rs1] ^ r[rs2]",
+    "srl": "r[rs1] >> (r[rs2] & 0x1F)",
+    "sra": "((r[rs1] ^ 0x80000000) - 0x80000000 >> (r[rs2] & 0x1F)) & 0xFFFFFFFF",
+    "or": "r[rs1] | r[rs2]",
+    "and": "r[rs1] & r[rs2]",
+    "mul": "(r[rs1] * r[rs2]) & 0xFFFFFFFF",
+}
+
+#: the taken condition of each conditional branch, over the same names
+BRANCH_CONDS = {
+    "beq": "r[rs1] == r[rs2]",
+    "bne": "r[rs1] != r[rs2]",
+    "blt": "(r[rs1] ^ 0x80000000) < (r[rs2] ^ 0x80000000)",
+    "bge": "(r[rs1] ^ 0x80000000) >= (r[rs2] ^ 0x80000000)",
+    "bltu": "r[rs1] < r[rs2]",
+    "bgeu": "r[rs1] >= r[rs2]",
+}
+
+#: mnemonics that end a basic block (control transfer or environment call
+#: that must observe an exact cycle count)
+TERMINATORS = frozenset(BRANCH_CONDS) | {
+    "jal", "jalr", "ebreak", "trans_bnn", "trigger_bnn"}
+
 _BodyFn = Callable[[List[int]], None]
 _TermFn = Callable[[List[int]], Tuple[int, Optional[str]]]
+
+_ALU_FACTORY = """
+def make(rd, rs1, rs2, imm, pc):
+    uimm = imm & 0xFFFFFFFF
+    sh = imm & 0x1F
+    def fn(r):
+        r[rd] = {}
+    return fn
+"""
+
+_BRANCH_FACTORY = """
+def make(rs1, rs2, taken, fall):
+    def term(r):
+        return taken if {} else fall
+    return term
+"""
+
+
+def _factories(template: str, exprs: Dict[str, str]) -> Dict[str, Callable]:
+    """One closure factory per mnemonic, ``template`` with its expression
+    spliced in; compiled once, at import."""
+    factories = {}
+    for name, expr in exprs.items():
+        namespace: dict = {}
+        exec(template.format(expr), namespace)
+        factories[name] = namespace["make"]
+    return factories
+
+
+_ALU = _factories(_ALU_FACTORY, ALU_EXPRS)
+_BRANCH = _factories(_BRANCH_FACTORY, BRANCH_CONDS)
+
+
+def _nop(r: List[int]) -> None:
+    """An ALU op or folded ``jal`` writing x0: it only retires."""
 
 
 class _Block:
@@ -94,10 +167,6 @@ class _Block:
         self.counts = Counter(body_names)
         if term_name is not None:
             self.counts[term_name] += 1
-
-
-def _signed(value: int) -> int:
-    return value - _TWO32 if value >= _SIGN_BIT else value
 
 
 class FastCPU:
@@ -130,85 +199,29 @@ class FastCPU:
 
         Every write keeps the register-file invariant (unsigned 32-bit
         values), matching :class:`~repro.cpu.state.RegisterFile.write`.
+        ALU ops, nearly every body op, take this path, which creates no
+        closure cells of its own (each costs an allocation per call).
         """
+        make = _ALU.get(instr.name)
+        if make is None:
+            return self._compile_effect(instr)
+        return make(instr.rd, instr.rs1, instr.rs2, instr.imm, pc) if instr.rd else _nop
+
+    def _compile_effect(self, instr: DecodedInstr) -> _BodyFn:
+        """A body op that reaches past the register list: a load, a store
+        or ``mv_neu``."""
         name = instr.name
         rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-
-        if name in MEM_SIZES:
-            return self._compile_mem(instr)
-        if name == "mv_neu":
-            env = self.env
-
-            def fn(r, _w=env.write_transition_neuron):
-                _w(rd, r[rs1])
-            return fn
-        if rd == 0:  # architectural no-op, still costs a cycle
-            return lambda r: None
-
-        if name == "addi":
-            return lambda r: r.__setitem__(rd, (r[rs1] + imm) & _MASK)
-        if name == "add":
-            return lambda r: r.__setitem__(rd, (r[rs1] + r[rs2]) & _MASK)
-        if name == "sub":
-            return lambda r: r.__setitem__(rd, (r[rs1] - r[rs2]) & _MASK)
-        if name == "lui":
-            const = imm & _MASK
-            return lambda r: r.__setitem__(rd, const)
-        if name == "auipc":
-            const = (pc + imm) & _MASK  # folded: pc is known at compile time
-            return lambda r: r.__setitem__(rd, const)
-        if name in ("andi", "ori", "xori"):
-            uimm = imm & _MASK
-            if name == "andi":
-                return lambda r: r.__setitem__(rd, r[rs1] & uimm)
-            if name == "ori":
-                return lambda r: r.__setitem__(rd, r[rs1] | uimm)
-            return lambda r: r.__setitem__(rd, r[rs1] ^ uimm)
-        if name == "and":
-            return lambda r: r.__setitem__(rd, r[rs1] & r[rs2])
-        if name == "or":
-            return lambda r: r.__setitem__(rd, r[rs1] | r[rs2])
-        if name == "xor":
-            return lambda r: r.__setitem__(rd, r[rs1] ^ r[rs2])
-        if name == "slti":
-            return lambda r: r.__setitem__(rd, 1 if _signed(r[rs1]) < imm else 0)
-        if name == "sltiu":
-            uimm = imm & _MASK
-            return lambda r: r.__setitem__(rd, 1 if r[rs1] < uimm else 0)
-        if name == "slt":
-            return lambda r: r.__setitem__(
-                rd, 1 if _signed(r[rs1]) < _signed(r[rs2]) else 0)
-        if name == "sltu":
-            return lambda r: r.__setitem__(rd, 1 if r[rs1] < r[rs2] else 0)
-        if name == "slli":
-            sh = imm & 0x1F
-            return lambda r: r.__setitem__(rd, (r[rs1] << sh) & _MASK)
-        if name == "srli":
-            sh = imm & 0x1F
-            return lambda r: r.__setitem__(rd, r[rs1] >> sh)
-        if name == "srai":
-            sh = imm & 0x1F
-            return lambda r: r.__setitem__(rd, (_signed(r[rs1]) >> sh) & _MASK)
-        if name == "sll":
-            return lambda r: r.__setitem__(rd, (r[rs1] << (r[rs2] & 0x1F)) & _MASK)
-        if name == "srl":
-            return lambda r: r.__setitem__(rd, r[rs1] >> (r[rs2] & 0x1F))
-        if name == "sra":
-            return lambda r: r.__setitem__(
-                rd, (_signed(r[rs1]) >> (r[rs2] & 0x1F)) & _MASK)
-        if name == "mul":
-            return lambda r: r.__setitem__(
-                rd, (_signed(r[rs1]) * _signed(r[rs2])) & _MASK)
-        raise SimulationError(f"no fast-path semantics for {name!r}")
-
-    def _compile_mem(self, instr: DecodedInstr) -> _BodyFn:
-        name = instr.name
-        rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-        size = MEM_SIZES[name]
-        signed = name in SIGNED_LOADS
         env = self.env
-        mem = self.memory
 
+        if name == "mv_neu":
+            write = env.write_transition_neuron
+
+            def fn(r):
+                write(rd, r[rs1])
+            return fn
+        if name not in MEM_SIZES:
+            raise SimulationError(f"no fast-path semantics for {name!r}")
         if name == "lw_l2":
             def fn(r):
                 value = env.l2_memory().load((r[rs1] + imm) & _MASK, 4)
@@ -221,34 +234,48 @@ class FastCPU:
                 env.l2_memory().store((r[rs1] + imm) & _MASK, r[rs2], 4)
                 env.l2_writes += 1
             return fn
+        size = MEM_SIZES[name]
         if instr.spec.is_load:
+            load = self.memory.load
+            signed = name in SIGNED_LOADS
             if rd:
-                def fn(r, _load=mem.load):
-                    r[rd] = _load((r[rs1] + imm) & _MASK, size, signed) & _MASK
+                def fn(r):
+                    r[rd] = load((r[rs1] + imm) & _MASK, size, signed) & _MASK
             else:
-                def fn(r, _load=mem.load):
-                    _load((r[rs1] + imm) & _MASK, size, signed)
+                def fn(r):
+                    load((r[rs1] + imm) & _MASK, size, signed)
             return fn
+        store = self.memory.store
 
-        def fn(r, _store=mem.store):
-            _store((r[rs1] + imm) & _MASK, r[rs2], size)
+        def fn(r):
+            store((r[rs1] + imm) & _MASK, r[rs2], size)
         return fn
 
-    def _compile_terminator(self, instr: DecodedInstr,
-                            pc: int) -> Tuple[_TermFn, str]:
+    def _compile_terminator(self, instr: DecodedInstr, pc: int) -> _TermFn:
+        """The block's last instruction as a closure returning ``(next pc,
+        stop reason or None)``; branches, most terminators, take a path
+        with no closure cells of its own."""
+        make = _BRANCH.get(instr.name)
+        if make is None:
+            return self._compile_jump(instr, pc)
+        return make(instr.rs1, instr.rs2, ((pc + instr.imm) & _MASK, None),
+                    ((pc + 4) & _MASK, None))
+
+    def _compile_jump(self, instr: DecodedInstr, pc: int) -> _TermFn:
+        """A terminator that is not a conditional branch."""
         name = instr.name
-        rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
+        rd, rs1, imm = instr.rd, instr.rs1, instr.imm
         fall = (pc + 4) & _MASK
 
         if name == "jal":
-            tgt = (pc + imm) & _MASK
+            target = ((pc + imm) & _MASK, None)
             if rd:
                 def term(r):
                     r[rd] = fall
-                    return tgt, None
+                    return target
             else:
                 def term(r):
-                    return tgt, None
+                    return target
         elif name == "jalr":
             if rd:
                 def term(r):
@@ -259,40 +286,10 @@ class FastCPU:
             else:
                 def term(r):
                     return (r[rs1] + imm) & 0xFFFFFFFE, None
-        elif name == "beq":
-            tgt = (pc + imm) & _MASK
-
-            def term(r):
-                return (tgt if r[rs1] == r[rs2] else fall), None
-        elif name == "bne":
-            tgt = (pc + imm) & _MASK
-
-            def term(r):
-                return (tgt if r[rs1] != r[rs2] else fall), None
-        elif name == "blt":
-            tgt = (pc + imm) & _MASK
-
-            def term(r):
-                return (tgt if _signed(r[rs1]) < _signed(r[rs2]) else fall), None
-        elif name == "bge":
-            tgt = (pc + imm) & _MASK
-
-            def term(r):
-                return (tgt if _signed(r[rs1]) >= _signed(r[rs2]) else fall), None
-        elif name == "bltu":
-            tgt = (pc + imm) & _MASK
-
-            def term(r):
-                return (tgt if r[rs1] < r[rs2] else fall), None
-        elif name == "bgeu":
-            tgt = (pc + imm) & _MASK
-
-            def term(r):
-                return (tgt if r[rs1] >= r[rs2] else fall), None
         elif name == "ebreak":
             def term(r):
                 return fall, "halt"
-        elif name in ("trans_bnn", "trigger_bnn"):
+        else:  # trans_bnn / trigger_bnn
             # env.record must see the cycle count *before* this instruction;
             # body stats are committed before the terminator runs, so
             # stats.cycles is exact here even with bulk accounting.
@@ -303,9 +300,7 @@ class FastCPU:
             def term(r):
                 env.record(name, stats.cycles, pc, imm)
                 return fall, stop
-        else:  # pragma: no cover - TERMINATORS covers exactly these names
-            raise SimulationError(f"{name!r} is not a terminator")
-        return term, name
+        return term
 
     def _build(self, start_pc: int) -> _Block:
         """Decode forward from ``start_pc`` until a terminator and compile.
@@ -345,20 +340,17 @@ class FastCPU:
             if instr.name == "jal":
                 tgt = (pc + instr.imm) & _MASK
                 if tgt not in visited and len(body) < MAX_SUPERBLOCK_BODY:
+                    # the link write, pc + 4, is auipc's value at imm 4
                     rd = instr.rd
-                    fall = (pc + 4) & _MASK
-                    if rd:
-                        body.append(
-                            lambda r, _rd=rd, _f=fall: r.__setitem__(_rd, _f))
-                    else:
-                        body.append(lambda r: None)
+                    body.append(_ALU["auipc"](rd, 0, 0, 4, pc) if rd else _nop)
                     names.append("jal")
                     pcs.append(pc)
                     pc = tgt
                     visited.add(pc)
                     continue
             if instr.name in TERMINATORS:
-                term, term_name = self._compile_terminator(instr, pc)
+                term = self._compile_terminator(instr, pc)
+                term_name = instr.name
                 break
             body.append(self._compile_body(instr, pc))
             names.append(instr.name)

@@ -53,8 +53,12 @@ class FlatMemory:
         return offset
 
     def load(self, addr: int, size: int, signed: bool = False) -> int:
-        check_access(addr, size)
-        offset = self._offset(addr, size)
+        offset = addr - self.base
+        if size not in (1, 2, 4) or addr % size or addr < 0 or not 0 <= offset <= self.size - size:
+            # the guard is exactly what these two reject; they run only
+            # to raise that rejection's error, in their order
+            check_access(addr, size)
+            self._offset(addr, size)
         self.load_count += 1
         value = int.from_bytes(self._bytes[offset:offset + size], "little")
         if signed:
@@ -62,8 +66,10 @@ class FlatMemory:
         return value
 
     def store(self, addr: int, value: int, size: int) -> None:
-        check_access(addr, size)
-        offset = self._offset(addr, size)
+        offset = addr - self.base
+        if size not in (1, 2, 4) or addr % size or addr < 0 or not 0 <= offset <= self.size - size:
+            check_access(addr, size)
+            self._offset(addr, size)
         self.store_count += 1
         self._bytes[offset:offset + size] = (to_unsigned32(value) & ((1 << (8 * size)) - 1)) \
             .to_bytes(size, "little")

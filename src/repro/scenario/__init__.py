@@ -23,7 +23,6 @@ from repro.scenario.schema import (
     Scenario,
     ServeSpec,
     WorkloadSpec,
-    load_scenario,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "ServeSpec",
     "WORKLOAD_KINDS",
     "WorkloadSpec",
-    "load_scenario",
 ]

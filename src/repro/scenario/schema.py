@@ -469,10 +469,6 @@ class Scenario:
             "scenario.device", "device")
         return dataclasses.replace(self, device=device)
 
-    def with_overrides(self, **fields: Any) -> "Scenario":
-        """A copy with top-level scalar fields replaced."""
-        return dataclasses.replace(self, **fields)
-
     def with_serve(self, **fields: Any) -> "Scenario":
         """A copy with serve-spec fields replaced (CLI flags override
         files); ``None`` values mean "keep the scenario's own value"."""
@@ -480,8 +476,3 @@ class Scenario:
                    if value is not None}
         return dataclasses.replace(
             self, serve=dataclasses.replace(self.serve, **updates))
-
-
-def load_scenario(path) -> Scenario:
-    """Module-level alias of :meth:`Scenario.from_file`."""
-    return Scenario.from_file(path)

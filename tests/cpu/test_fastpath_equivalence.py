@@ -19,9 +19,17 @@ from repro.cpu import (
     FunctionalCPU,
     PipelinedCPU,
 )
+from repro.cpu.fastpath import ALU_EXPRS, TERMINATORS
+from repro.cpu.semantics import MEM_SIZES
 from repro.engine import get_engine
-from repro.errors import ConfigurationError, DecodingError, SimulationError
+from repro.errors import (
+    ConfigurationError,
+    DecodingError,
+    MemoryError_,
+    SimulationError,
+)
 from repro.isa import assemble
+from repro.isa.instructions import SPECS
 from repro.isa.program import Program
 from repro.sim import use_session
 from repro.trace import tracing
@@ -196,33 +204,79 @@ class TestErrorPaths:
         assert functional.stats.instr_counts == fast.stats.instr_counts
         assert functional.pc == fast.pc
 
+    @staticmethod
+    def _assert_same_fault(source):
+        """Run ``source`` on both models until it raises: the exception's
+        type and text, every stat, the histogram, the PC and the registers
+        must match.  Returns the fast CPU and its exception."""
+        program = assemble(source)
+        functional = FunctionalCPU(program, memory=FlatMemory(size=512))
+        fast = FastCPU(program, memory=FlatMemory(size=512))
+        with pytest.raises(Exception) as f_exc:
+            functional.run(max_steps=100)
+        with pytest.raises(Exception) as q_exc:
+            fast.run(max_steps=100)
+        assert type(f_exc.value) is type(q_exc.value)
+        assert str(f_exc.value) == str(q_exc.value)
+        assert functional.stats.scalars() == fast.stats.scalars()
+        assert functional.stats.instr_counts == fast.stats.instr_counts
+        assert functional.pc == fast.pc
+        assert functional.regs.snapshot() == fast.regs.snapshot()
+        return fast, q_exc.value
+
     def test_memory_fault_mid_block_commits_partial_stats(self):
-        source = """
+        self._assert_same_fault("""
             addi a0, x0, 1
             addi a1, x0, 2
             lw   a2, 8(x0)
             lui  a3, 0xFFFFF
             lw   a4, 0(a3)
             ebreak
-        """
-        program = assemble(source)
-        functional = FunctionalCPU(program, memory=FlatMemory(size=512))
-        fast = FastCPU(program, memory=FlatMemory(size=512))
-        f_exc = q_exc = None
-        try:
-            functional.run(max_steps=100)
-        except Exception as exc:  # noqa: BLE001 - compared below
-            f_exc = exc
-        try:
-            fast.run(max_steps=100)
-        except Exception as exc:  # noqa: BLE001
-            q_exc = exc
-        assert type(f_exc) is type(q_exc) and f_exc is not None
-        assert str(f_exc) == str(q_exc)
-        assert functional.stats.scalars() == fast.stats.scalars()
-        assert functional.stats.instr_counts == fast.stats.instr_counts
-        assert functional.pc == fast.pc
-        assert functional.regs.snapshot() == fast.regs.snapshot()
+        """)
+
+    def test_load_fault_after_folded_jal_takes_pc_from_block(self):
+        # the lw is body op 3 of one superblock but sits at pc 20, not
+        # 4 * 3: the fault PC must come from the block's PC table
+        fast, exc = self._assert_same_fault("""
+            lui  a3, 0xFFFFF
+            addi a0, x0, 1
+            jal  ra, far
+            addi a0, a0, 99
+            addi a0, a0, 99
+        far:
+            lw   a4, 0(a3)
+            ebreak
+        """)
+        assert isinstance(exc, MemoryError_)
+        assert fast.cached_blocks == 1
+        assert fast.pc == 20
+        assert fast.stats.instr_counts == {"lui": 1, "addi": 1, "jal": 1}
+
+    @pytest.mark.parametrize("op", ["lw_l2 a2, 0(a0)", "sw_l2 a1, 0(a0)"])
+    def test_l2_op_without_l2_raises_mid_block(self, op):
+        fast, exc = self._assert_same_fault(f"""
+            addi a0, x0, 256
+            addi a1, x0, 7
+            {op}
+            addi a3, x0, 1
+            ebreak
+        """)
+        assert type(exc) is RuntimeError
+        assert fast.pc == 8
+        assert fast.env.l2_reads == fast.env.l2_writes == 0
+
+
+class TestSemanticsCoverage:
+    def test_every_mnemonic_has_exactly_one_fast_path_rule(self):
+        # an ISA addition without fast-path semantics fails here rather
+        # than at its first execution
+        groups = {"ALU_EXPRS": set(ALU_EXPRS), "MEM_SIZES": set(MEM_SIZES),
+                  "TERMINATORS": set(TERMINATORS), "mv_neu": {"mv_neu"}}
+        for spec in SPECS:
+            homes = [group for group, names in groups.items()
+                     if spec.name in names]
+            assert len(homes) == 1, (spec.name, homes)
+        assert set().union(*groups.values()) == {spec.name for spec in SPECS}
 
 
 class TestSuperblocks:

@@ -119,3 +119,57 @@ class TestFlatMemory:
         mem = FlatMemory(size=64)
         mem.store(0, 0x1FF, 1)
         assert mem.load(0, 1) == 0xFF
+
+
+class TestFlatMemoryRejections:
+    """The exact error of every rejected access, and which one wins when
+    an access breaks several rules: size, then sign, then alignment,
+    then range."""
+
+    @pytest.mark.parametrize("op", ["load", "store"])
+    @pytest.mark.parametrize("addr, size, message", [
+        (0, 3, "unsupported access size 3"),
+        (0, 0, "unsupported access size 0"),
+        (-4, 4, "negative address -0x4"),
+        (2, 4, "misaligned 4-byte access at 0x2"),
+        (1, 2, "misaligned 2-byte access at 0x1"),
+        (64, 4, "address 0x40 outside memory [0x0, 0x40)"),
+        (64, 1, "address 0x40 outside memory [0x0, 0x40)"),
+        # several rules broken at once: the first in that order reports
+        (-3, 3, "unsupported access size 3"),
+        (-2, 4, "negative address -0x2"),
+        (66, 4, "misaligned 4-byte access at 0x42"),
+    ])
+    def test_message_and_precedence(self, op, addr, size, message):
+        mem = FlatMemory(size=64)
+        mem.store(0, 1, 4)
+        mem.load(0, 4)
+        with pytest.raises(MemoryError_) as excinfo:
+            if op == "load":
+                mem.load(addr, size)
+            else:
+                mem.store(addr, 0xFF, size)
+        assert str(excinfo.value) == message
+        assert (mem.load_count, mem.store_count) == (1, 1)
+        assert mem.load(0, 4) == 1
+
+    @pytest.mark.parametrize("op", ["load", "store"])
+    def test_range_is_relative_to_base(self, op):
+        mem = FlatMemory(size=64, base=0x1000)
+        with pytest.raises(MemoryError_) as excinfo:
+            if op == "load":
+                mem.load(0x1040, 4)
+            else:
+                mem.store(0xFFC, 0, 4)
+        assert str(excinfo.value).endswith("outside memory [0x1000, 0x1040)")
+        assert (mem.load_count, mem.store_count) == (0, 0)
+
+    @pytest.mark.parametrize("op", ["load", "store"])
+    def test_negative_address_rejected_even_when_mapped(self, op):
+        mem = FlatMemory(size=64, base=-32)
+        with pytest.raises(MemoryError_, match=r"^negative address -0x4$"):
+            if op == "load":
+                mem.load(-4, 4)
+            else:
+                mem.store(-4, 0, 4)
+        assert (mem.load_count, mem.store_count) == (0, 0)

@@ -6,9 +6,9 @@ engine *object* and call through it.  A literal comparison like
 skips new backends, so this test greps ``src/repro`` for any equality
 comparison against an engine name.  Lookups by literal key
 (``get_engine("fast")``) are fine — only *comparisons* are banned.
-``repro/engine.py`` is scanned like every other module; only the
-config layer (``repro/sim/``) is exempt, because validating names is
-its job.
+Every module is scanned, ``repro/engine.py`` and the config layer
+(``repro/sim/``) included: they validate names by lookup, not by
+comparison.
 """
 
 import re
@@ -17,9 +17,6 @@ from pathlib import Path
 from repro.engine import engine_names
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-#: directories allowed to handle engine names as data
-EXEMPT_DIRS = ("sim",)
 
 
 def _engine_name_comparisons(text: str) -> list:
@@ -41,14 +38,12 @@ class TestNoEngineNameBranches:
         offenders = []
         for path in sorted(SRC_ROOT.rglob("*.py")):
             relative = path.relative_to(SRC_ROOT)
-            if relative.parts[0] in EXEMPT_DIRS:
-                continue
             for lineno, line in enumerate(path.read_text().splitlines(), 1):
                 for hit in _engine_name_comparisons(line):
                     offenders.append(f"{relative}:{lineno}: {hit}")
         assert not offenders, (
-            "engine-name comparisons outside the config layer "
-            "(resolve an engine object instead):\n" + "\n".join(offenders))
+            "engine-name comparisons (resolve an engine object instead):\n"
+            + "\n".join(offenders))
 
     def test_detector_catches_both_orders(self):
         assert _engine_name_comparisons("if engine == 'fast':")

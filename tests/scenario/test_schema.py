@@ -11,7 +11,6 @@ from repro.scenario import (
     EngineSpec,
     Scenario,
     WorkloadSpec,
-    load_scenario,
 )
 
 
@@ -49,7 +48,7 @@ class TestRoundTrip:
         path = tmp_path / "scenario.json"
         path.write_text(scenario.to_json())
         assert Scenario.from_file(path) == scenario
-        assert load_scenario(str(path)) == scenario
+        assert Scenario.from_file(str(path)) == scenario
 
     def test_from_dict_fills_defaults(self):
         scenario = Scenario.from_dict({"name": "sparse"})
@@ -183,7 +182,7 @@ class TestHashing:
     ], ids=lambda overrides: next(iter(overrides)))
     def test_hash_changes_when_identity_field_changes(self, overrides):
         base = full_scenario()
-        assert base.with_overrides(**overrides).hash != base.hash
+        assert dataclasses.replace(base, **overrides).hash != base.hash
 
     def test_hash_changes_with_workload_and_device(self):
         base = full_scenario()
@@ -238,7 +237,7 @@ class TestDerivedViews:
 
     def test_with_overrides_revalidates(self):
         with pytest.raises(ConfigurationError, match="scenario.seed"):
-            full_scenario().with_overrides(seed=-1)
+            dataclasses.replace(full_scenario(), seed=-1)
 
     def test_with_profile_overrides_profile(self):
         scenario = full_scenario().with_profile(name="mcxn947-neutron")
