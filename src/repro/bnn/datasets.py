@@ -116,18 +116,31 @@ def synthetic_mnist(
         seed: RNG seed (deterministic dataset).
     """
     rng = np.random.default_rng(seed)
-    templates = [digit_template(d, size=size) for d in range(10)]
-    images = np.empty((n_samples, size * size))
+    templates = np.stack([digit_template(d, size=size) for d in range(10)])
     labels = rng.integers(0, 10, size=n_samples)
-    for index, label in enumerate(labels):
-        image = templates[label]
-        dr, dc = rng.integers(-max_shift, max_shift + 1, size=2)
-        image = np.roll(np.roll(image, dr, axis=0), dc, axis=1)
-        flips = rng.random((size, size)) < noise_flip
-        image = np.abs(image - flips)  # flip pixels
-        # mild amplitude jitter keeps the data non-trivially analog
-        image = np.clip(image * rng.uniform(0.7, 1.0) + rng.uniform(0, 0.15), 0, 1)
-        images[index] = image.reshape(-1)
+    # the dataset is defined by this draw order: per sample, the shift
+    # pair, the flip mask, the gain, then the offset
+    shifts = np.empty((n_samples, 2), dtype=np.int64)
+    flips = np.empty((n_samples, size * size), dtype=bool)
+    gains = np.empty(n_samples)
+    offsets = np.empty(n_samples)
+    for index in range(n_samples):
+        shifts[index] = rng.integers(-max_shift, max_shift + 1, size=2)
+        flips[index] = rng.random(size * size) < noise_flip
+        gains[index] = rng.uniform(0.7, 1.0)
+        offsets[index] = rng.uniform(0, 0.15)
+    # a circular shift by (dr, dc) reads pixel ((r - dr) % size, (c - dc) % size)
+    pixels = np.arange(size)
+    rows = (pixels - shifts[:, :1]) % size
+    cols = (pixels - shifts[:, 1:]) % size
+    images = templates[labels[:, None, None], rows[:, :, None],
+                       cols[:, None, :]].reshape(n_samples, size * size)
+    np.subtract(images, flips, out=images)  # flip pixels: |pixel - flip|
+    np.abs(images, out=images)
+    # mild amplitude jitter keeps the data non-trivially analog
+    images *= gains[:, None]
+    images += offsets[:, None]
+    np.clip(images, 0, 1, out=images)
     return Dataset(images=images, labels=labels.astype(np.int64), n_classes=10,
                    name="synthetic-mnist")
 
@@ -188,13 +201,20 @@ class MotionDataset:
     def length(self) -> int:
         return self.traces.shape[2]
 
-    def to_feature_dataset(self, extractor) -> Dataset:
-        """Run ``extractor(trace) -> feature vector`` over every sample.
+    def to_feature_dataset(self, features: np.ndarray) -> Dataset:
+        """Min-max normalize a feature matrix into a labelled dataset.
 
-        The extractor is the same mean/histogram pipeline the CPU runs in the
-        motion use case (:mod:`repro.workloads.motion_features`).
+        ``features`` is ``(n_samples, n_features)``, row ``i`` extracted
+        from ``traces[i]`` — for the motion use case, the mean/histogram
+        pipeline the CPU runs, applied to every trace in one call:
+        ``motion_features.float_features(self.traces)``.  Each column is
+        scaled to [0, 1] over its range here (a constant column maps to 0).
         """
-        features = np.array([extractor(trace) for trace in self.traces])
+        features = np.asarray(features)
+        if features.ndim != 2:
+            raise ConfigurationError(
+                f"features must be (n_samples, n_features), "
+                f"got shape {features.shape}")
         lo = features.min(axis=0, keepdims=True)
         hi = features.max(axis=0, keepdims=True)
         span = np.where(hi - lo == 0, 1.0, hi - lo)

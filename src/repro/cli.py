@@ -320,7 +320,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_experiments(args: argparse.Namespace) -> int:
     import dataclasses
-    import os
 
     from repro.core.events import Timeline
     from repro.experiments.runner import (
@@ -329,28 +328,19 @@ def cmd_experiments(args: argparse.Namespace) -> int:
         run_selected,
         select,
     )
-    from repro.sim import (
-        ENGINE_ENV_VAR,
-        PROFILE_ENV_VAR,
-        SimConfig,
-        SimSession,
-        set_session,
-    )
+    from repro.sim import SimConfig, SimSession, set_session
     from repro.viz import render_timeline
 
     # fail fast: a bad REPRO_ENGINE or REPRO_PROFILE aborts here with the
     # registered list, before any experiment assembles programs or trains
-    # models
+    # models.  Parallel workers (-j) get this session's config from
+    # run_selected.
     base = SimConfig.from_env()
     scenario = _load_cli_scenario(args)
     if scenario is not None:
         set_session(SimSession(SimConfig.from_scenario(
             scenario,
             cache_dir=args.cache_dir or base.cache_dir)))
-        # parallel workers (-j) are separate processes; the environment
-        # variables carry the engine/profile choice across the fork/spawn
-        os.environ[ENGINE_ENV_VAR] = scenario.engine.name
-        os.environ[PROFILE_ENV_VAR] = scenario.device.profile
     elif args.cache_dir or args.engine or args.device_profile:
         set_session(SimSession(dataclasses.replace(
             base,
@@ -358,10 +348,6 @@ def cmd_experiments(args: argparse.Namespace) -> int:
             engine=args.engine or base.engine,
             profile=args.device_profile or base.profile,
         )))
-    if args.engine:
-        os.environ[ENGINE_ENV_VAR] = args.engine
-    if args.device_profile:
-        os.environ[PROFILE_ENV_VAR] = args.device_profile
     if args.patterns and not select(args.patterns):
         logger.error("no experiments match %r", " ".join(args.patterns))
         return 1

@@ -102,7 +102,8 @@ def motion_artifacts(epochs: int = 18, n_samples: int = 3000) -> MotionArtifacts
 
 def _train_motion_artifacts(epochs: int, n_samples: int) -> MotionArtifacts:
     raw = synthetic_motion(n_samples=n_samples, seed=0)
-    dataset = raw.to_feature_dataset(mf.float_features)
+    features = mf.float_features(raw.traces)
+    dataset = raw.to_feature_dataset(features)
     train, test = dataset.split(0.8)
     trainer = BNNTrainer(
         [dataset.n_features, 100, 100, 100, raw.n_classes],
@@ -112,11 +113,8 @@ def _train_motion_artifacts(epochs: int, n_samples: int) -> MotionArtifacts:
                   batch_size=64)
     model = trainer.export_model()
     accuracy = model.accuracy(test.binarized(), test.labels)
-
-    feature_matrix = np.array([mf.float_features(t) for t in raw.traces])
-    thresholds = mf.training_thresholds(feature_matrix)
     return MotionArtifacts(model=model, test_accuracy=accuracy,
-                           thresholds=thresholds)
+                           thresholds=mf.training_thresholds(features))
 
 
 @dataclass

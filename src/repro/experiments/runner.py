@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import all_experiments, get_spec
 from repro.logutil import get_logger
-from repro.sim import get_session
+from repro.sim import SimConfig, SimSession, get_session, set_session
 
 logger = get_logger("experiments")
 
@@ -103,6 +103,10 @@ def run_experiment(name: str, use_cache: bool = True,
     return result
 
 
+def _start_worker(config: SimConfig) -> None:
+    set_session(SimSession(config))
+
+
 def _run_in_worker(name: str, use_cache: bool,
                    trace_dir: Optional[str] = None) -> ExperimentResult:
     return run_experiment(name, use_cache=use_cache, trace_dir=trace_dir)
@@ -114,13 +118,18 @@ def run_selected(patterns: Optional[List[str]] = None, *,
                  trace_dir: Optional[str] = None) -> List[ExperimentResult]:
     """Run experiments whose key contains any of the given substrings.
 
-    With ``jobs > 1`` the experiments fan out over a process pool (each
-    worker shares the on-disk artifact cache; writes are atomic, and each
-    worker traces into its own ``<trace_dir>/<name>.trace.json``).
+    With ``jobs > 1`` the experiments fan out over a process pool.  Each
+    worker starts a session from the caller's :class:`SimConfig` —
+    engine, device profile, scenario and cache directory — whatever the
+    pool's start method, so the workers share the caller's on-disk
+    artifact cache (writes are atomic) and each traces into its own
+    ``<trace_dir>/<name>.trace.json``.
     """
     names = select(patterns)
     if jobs > 1 and len(names) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 initializer=_start_worker,
+                                 initargs=(get_session().config,)) as pool:
             futures = {pool.submit(_run_in_worker, name, use_cache,
                                    trace_dir): name for name in names}
             done = 0

@@ -48,8 +48,9 @@ THRESHOLD_BASE = layout.SCRATCH1_BASE
 
 
 def quantize_trace(trace: np.ndarray) -> np.ndarray:
-    """Float (channels, length) sensor window -> int32 fixed point."""
-    return np.round(np.asarray(trace) * SENSOR_SCALE).astype(np.int64)
+    """Float ``(..., channels, length)`` sensor windows -> int64 fixed point."""
+    scaled = np.asarray(trace) * SENSOR_SCALE
+    return np.round(scaled, out=scaled).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -57,28 +58,41 @@ def quantize_trace(trace: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def features_reference(quantized: np.ndarray) -> np.ndarray:
-    """Integer features of a quantized (channels, length) window.
+    """Integer features of quantized ``(..., channels, length)`` windows.
 
     Matches the assembly kernel exactly: integer mean via arithmetic shift,
-    clamped histogram counts, and MAV via shift.
+    clamped histogram counts, and MAV via shift.  Any leading batch shape
+    is kept: a single ``(channels, length)`` window gives one vector of
+    ``channels * FEATURES_PER_CHANNEL`` features, laid out per channel as
+    ``[mean, 8 histogram bins, MAV]``; a ``(n, channels, length)`` stack
+    gives an ``(n, channels * FEATURES_PER_CHANNEL)`` matrix whose row
+    ``i`` equals the single-window result for window ``i``.
     """
     quantized = np.asarray(quantized, dtype=np.int64)
-    channels, length = quantized.shape
+    *batch, channels, length = quantized.shape
     shift = length.bit_length() - 1
     if 1 << shift != length:
         raise ConfigurationError("window length must be a power of two")
-    out = []
-    for channel in quantized:
-        mean = int(channel.sum()) >> shift
-        bins = np.clip((channel - HIST_MIN) // BIN_WIDTH, 0, N_BINS - 1)
-        hist = np.bincount(bins.astype(np.int64), minlength=N_BINS)[:N_BINS]
-        mav = int(np.abs(channel).sum()) >> shift
-        out.extend([mean, *hist.tolist(), mav])
-    return np.array(out, dtype=np.int64)
+    means = quantized.sum(axis=-1) >> shift
+    mavs = np.abs(quantized).sum(axis=-1) >> shift
+    # one bincount for every (window, channel) row: row r counts into
+    # slots r * N_BINS .. r * N_BINS + N_BINS - 1
+    bins = quantized - HIST_MIN
+    bins //= BIN_WIDTH
+    np.clip(bins, 0, N_BINS - 1, out=bins)
+    rows = bins.reshape(-1, length)
+    rows += np.arange(0, len(rows) * N_BINS, N_BINS)[:, None]
+    hist = np.bincount(rows.ravel(), minlength=len(rows) * N_BINS)
+    features = np.concatenate(
+        [means[..., None], hist.reshape(*batch, channels, N_BINS),
+         mavs[..., None]], axis=-1)
+    return features.reshape(*batch, channels * FEATURES_PER_CHANNEL)
 
 
 def float_features(trace: np.ndarray) -> np.ndarray:
-    """Feature extractor for dataset building (same math, float input)."""
+    """Features of float ``(..., channels, length)`` sensor windows, as
+    float64, for dataset building: :func:`features_reference` of the
+    quantized windows (same math, same batch shapes)."""
     return features_reference(quantize_trace(trace)).astype(np.float64)
 
 

@@ -102,10 +102,18 @@ class TestSyntheticMotion:
 
     def test_feature_dataset(self):
         md = synthetic_motion(n_samples=30)
-        ds = md.to_feature_dataset(lambda trace: trace.mean(axis=1))
+        ds = md.to_feature_dataset(md.traces.mean(axis=2))
         assert isinstance(ds, Dataset)
         assert ds.images.shape == (30, 6)
         assert ds.images.min() >= 0 and ds.images.max() <= 1
+        np.testing.assert_array_equal(ds.labels, md.labels)
+
+    def test_feature_matrix_shape_checked(self):
+        md = synthetic_motion(n_samples=4)
+        with pytest.raises(ConfigurationError):
+            md.to_feature_dataset(md.traces)  # 3-D: not a feature matrix
+        with pytest.raises(ConfigurationError):
+            md.to_feature_dataset(np.zeros((3, 5)))  # one row short
 
     def test_mismatched_labels_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -175,6 +175,33 @@ class TestRunSelected:
         for left, right in zip(sequential, parallel):
             assert left.to_dict() == right.to_dict()
 
+    def test_spawned_workers_run_in_the_callers_session(self, tmp_path,
+                                                        monkeypatch):
+        import functools
+        import multiprocessing
+
+        # a worker that rebuilt its session from the environment would
+        # run the accurate engine against the decoy cache directory
+        decoy = tmp_path / "decoy"
+        monkeypatch.setenv("REPRO_ENGINE", "accurate")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(decoy))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", functools.partial(
+            runner.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("spawn")))
+        cache = tmp_path / "cache"
+        previous = set_session(SimSession(SimConfig(cache_dir=str(cache),
+                                                    engine="fast")))
+        try:
+            results = runner.run_selected(["fig07", "fig13"], jobs=2)
+        finally:
+            set_session(previous)
+        assert [runner.run_meta(r)["engine"] for r in results] == \
+            ["fast", "fast"]
+        stored = list((cache / runner.RESULT_NAMESPACE).glob("*.pkl"))
+        assert len(stored) == 2
+        assert not decoy.exists()
+
 
 class TestReporters:
     def test_render_json_fields(self, session):

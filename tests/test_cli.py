@@ -169,17 +169,21 @@ class TestRunEngine:
         assert "accurate" in message and "fast" in message
 
     def test_experiments_accept_engine_flag(self, capsys, monkeypatch):
+        import json
         import os
 
         from repro.sim import reset_session
 
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         try:
-            assert main(["experiments", "--engine", "fast", "fig07"]) == 0
-            assert os.environ.get("REPRO_ENGINE") == "fast"
-            assert "Fig 7" in capsys.readouterr().out
+            assert main(["experiments", "--engine", "fast", "--json",
+                         "fig07"]) == 0
+            # the engine travels in the session, not the environment
+            assert "REPRO_ENGINE" not in os.environ
+            entries = json.loads(capsys.readouterr().out)
+            assert entries[0]["experiment_id"] == "Fig 7"
+            assert entries[0]["run"]["engine"] == "fast"
         finally:
-            os.environ.pop("REPRO_ENGINE", None)
             reset_session()
 
 
@@ -525,16 +529,16 @@ class TestRunScenario:
         import os
 
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        try:
-            assert main(["experiments", "--scenario", bnn_scenario_file,
-                         "--cache-dir", str(tmp_path), "--json",
-                         "fig07"]) == 0
-            assert os.environ.get("REPRO_ENGINE") == "fast"
-            entries = json.loads(capsys.readouterr().out)
-            assert entries[0]["run"]["scenario"]["name"] == "cli-bnn"
-            assert entries[0]["scenario"]["name"] == "cli-bnn"
-        finally:
-            os.environ.pop("REPRO_ENGINE", None)
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        assert main(["experiments", "--scenario", bnn_scenario_file,
+                     "--cache-dir", str(tmp_path), "--json",
+                     "fig07"]) == 0
+        assert "REPRO_ENGINE" not in os.environ
+        assert "REPRO_PROFILE" not in os.environ
+        entries = json.loads(capsys.readouterr().out)
+        assert entries[0]["run"]["engine"] == "fast"
+        assert entries[0]["run"]["scenario"]["name"] == "cli-bnn"
+        assert entries[0]["scenario"]["name"] == "cli-bnn"
 
     def test_bad_engine_env_fails_fast(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "warp")
@@ -763,13 +767,18 @@ class TestDeviceProfileCli:
         assert "scenario.device.profile" in message
         assert "ncpu-65nm" in message
 
-    def test_experiments_profile_flag_sets_env(self, capsys):
+    def test_experiments_profile_flag_reaches_the_run(self, capsys):
+        import json
         import os
 
         assert main(["experiments", "--profile", "ethos-u55",
-                     "--no-cache", "fig07"]) == 0
-        assert os.environ.get("REPRO_PROFILE") == "ethos-u55"
-        assert "Fig 7" in capsys.readouterr().out
+                     "--no-cache", "--json", "fig07"]) == 0
+        # the profile travels in the session, not the environment
+        assert "REPRO_PROFILE" not in os.environ
+        entries = json.loads(capsys.readouterr().out)
+        assert entries[0]["experiment_id"] == "Fig 7"
+        assert entries[0]["run"]["scenario"]["device"]["profile"] == \
+            "ethos-u55"
 
     def test_info_lists_profiles(self, capsys):
         import json

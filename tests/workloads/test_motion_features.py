@@ -48,6 +48,8 @@ class TestReference:
     def test_power_of_two_length_required(self):
         with pytest.raises(ConfigurationError):
             mf.features_reference(np.zeros((6, 60), dtype=np.int64))
+        with pytest.raises(ConfigurationError):
+            mf.features_reference(np.zeros((3, 6, 60), dtype=np.int64))
 
     def test_thresholds_match_normalized_binarization(self):
         md = synthetic_motion(n_samples=80, seed=1)
@@ -62,6 +64,70 @@ class TestReference:
         # with zero span are degenerate either way
         agreement = (expected == got).mean()
         assert agreement > 0.98
+
+
+def python_features(window):
+    """The feature math in plain Python integers, one sample at a time."""
+    out = []
+    for channel in window:
+        samples = [int(value) for value in channel]
+        shift = len(samples).bit_length() - 1
+        hist = [0] * mf.N_BINS
+        for value in samples:
+            index = (value - mf.HIST_MIN) // mf.BIN_WIDTH
+            hist[min(max(index, 0), mf.N_BINS - 1)] += 1
+        out += [sum(samples) >> shift, *hist,
+                sum(abs(value) for value in samples) >> shift]
+    return out
+
+
+def edge_batch():
+    """Quantized windows that hit every bin edge, clamp past +-256 and
+    floor negative sums under the arithmetic shift."""
+    edges = [mf.HIST_MIN + k * mf.BIN_WIDTH for k in range(mf.N_BINS + 1)]
+    values = [edge + delta for edge in edges for delta in (-1, 0, 1)]
+    values += [-5000, -1000, -257, 257, 1000, 5000]
+    rng = np.random.default_rng(0)
+    windows = rng.choice(values, size=(5, mf.N_CHANNELS, 64))
+    windows[0, 0, :len(values)] = values
+    windows[1, 0] = 0
+    windows[1, 0, 0] = -1      # sum -1: mean -1, not 0
+    windows[1, 1] = -1
+    windows[1, 1, 0] = 0       # sum -63: mean -1
+    windows[1, 2] = -1
+    windows[1, 2, 0] = -2      # sum -65: mean -2
+    windows[1, 3] = -3         # MAV of an all-negative channel
+    return windows.astype(np.int64)
+
+
+class TestBatch:
+    def test_rows_match_single_window_and_python(self):
+        windows = edge_batch()
+        # the batch reaches every bin, both clamps and the flooring shift
+        assert all(python_features(windows[0])[1:1 + mf.N_BINS])
+        assert (windows < mf.HIST_MIN).any() and (windows >= mf.HIST_MAX).any()
+        assert [python_features(windows[1])[ch * mf.FEATURES_PER_CHANNEL]
+                for ch in range(3)] == [-1, -1, -2]
+        batched = mf.features_reference(windows)
+        assert batched.shape == (len(windows), mf.N_FEATURES)
+        assert batched.dtype == np.int64
+        for window, row in zip(windows, batched):
+            np.testing.assert_array_equal(row, mf.features_reference(window))
+            assert row.tolist() == python_features(window)
+
+    def test_any_leading_shape(self):
+        windows = edge_batch()[:4]
+        grid = mf.features_reference(windows.reshape(2, 2, mf.N_CHANNELS, 64))
+        assert grid.shape == (2, 2, mf.N_FEATURES)
+        np.testing.assert_array_equal(grid.reshape(4, mf.N_FEATURES),
+                                      mf.features_reference(windows))
+
+    def test_float_features_batch_matches_per_trace(self):
+        traces = synthetic_motion(n_samples=50, seed=2).traces
+        batched = mf.float_features(traces)
+        assert batched.dtype == np.float64
+        np.testing.assert_array_equal(
+            batched, np.array([mf.float_features(trace) for trace in traces]))
 
 
 class TestAsmEquivalence:
