@@ -6,7 +6,8 @@ Usage::
     python -m repro dis prog.hex [--base 0x0]
     python -m repro run prog.s [--functional] [--engine NAME]
     python -m repro run --scenario examples/scenarios/dhrystone.json
-    python -m repro experiments [PATTERN ...] [--engine NAME] [--profile NAME]
+    python -m repro experiments [PATTERN ...] [--engine NAME]
+                                [--device-profile NAME]
     python -m repro scenario validate FILE [FILE ...]
     python -m repro scenario show FILE
     python -m repro fuzz [--count N] [--seed S]
@@ -23,6 +24,7 @@ Progress chatter goes through the ``repro`` logger to stderr (``-v`` /
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import ExitStack
@@ -66,7 +68,7 @@ def engine_choices() -> tuple:
 
 
 def profile_choices() -> tuple:
-    """Registered device-profile names for ``--profile`` (sorted)."""
+    """Device-profile names for ``--device-profile`` (sorted)."""
     from repro.power import profile_names
 
     return profile_names()
@@ -187,6 +189,17 @@ def _add_capture_flags(parser: argparse.ArgumentParser, trace: str,
                              "name OpenMetrics text")
 
 
+def _with_flags(scenario, args: argparse.Namespace):
+    """``scenario`` with ``--engine`` and ``--device-profile`` folded over
+    its fields: a flag beats the scenario file.  ``replace`` re-validates,
+    so a typo'd name aborts with the registered list (exit 2)."""
+    if args.engine:
+        scenario = scenario.with_engine(name=args.engine)
+    if args.device_profile:
+        scenario = dataclasses.replace(scenario, profile=args.device_profile)
+    return scenario
+
+
 def _load_cli_scenario(args: argparse.Namespace):
     """Load ``--scenario FILE`` with CLI flags folded over file fields.
 
@@ -195,17 +208,13 @@ def _load_cli_scenario(args: argparse.Namespace):
     :class:`~repro.errors.ConfigurationError`, which :func:`main` turns
     into a clean exit 2.
     """
-    if not getattr(args, "scenario", None):
+    if not args.scenario:
         return None
     from repro.scenario import Scenario
 
-    scenario = Scenario.from_file(args.scenario)
-    if getattr(args, "engine", None):
-        scenario = scenario.with_engine(name=args.engine)
+    scenario = _with_flags(Scenario.from_file(args.scenario), args)
     if getattr(args, "functional", False):
         scenario = scenario.with_engine(prefer_functional=True)
-    if getattr(args, "device_profile", None):
-        scenario = scenario.with_profile(name=args.device_profile)
     return scenario
 
 
@@ -219,9 +228,7 @@ def _print_profile(args: argparse.Namespace, capture: _Capture,
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.engine import resolve_engine
+    from repro.engine import get_engine
     from repro.errors import ConfigurationError
     from repro.sim import SimSession, get_session, set_session
 
@@ -230,22 +237,17 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"--max-cycles: must be >= 0, got {args.max_cycles}")
     scenario = _load_cli_scenario(args)
     if scenario is not None:
-        # the scenario becomes the session config: its seed/engine apply
-        # and the config hash on the run's manifest covers it
+        # the scenario becomes the session's: its seed/engine/profile
+        # apply and its hash labels the run's manifest
         set_session(SimSession.from_scenario(scenario))
     session = get_session()
-    if args.engine and args.engine != session.config.engine:
-        # engine changes no architectural result, so swapping it on the
-        # live session keeps the stats registry and cache intact
-        session.config = dataclasses.replace(session.config,
-                                             engine=args.engine)
-    if (args.device_profile
-            and args.device_profile != session.config.profile):
-        # replace() re-runs __post_init__, so a typo'd name aborts here
-        # with the registered-profile list (exit 2)
-        session.config = dataclasses.replace(session.config,
-                                             profile=args.device_profile)
-    engine = resolve_engine(args.engine)
+    if scenario is None:
+        # the flags fold over the live session's scenario, which keeps
+        # its stats registry and cache
+        session.config = dataclasses.replace(
+            session.config, scenario=_with_flags(session.config.scenario,
+                                                 args))
+    engine = get_engine(session.config.engine)
 
     if args.file is None:
         if scenario is None:
@@ -319,8 +321,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from repro.core.events import Timeline
     from repro.experiments.runner import (
         render_json,
@@ -337,17 +337,11 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     # run_selected.
     base = SimConfig.from_env()
     scenario = _load_cli_scenario(args)
-    if scenario is not None:
-        set_session(SimSession(SimConfig.from_scenario(
-            scenario,
-            cache_dir=args.cache_dir or base.cache_dir)))
-    elif args.cache_dir or args.engine or args.device_profile:
+    if scenario is not None or args.cache_dir or args.engine \
+            or args.device_profile:
         set_session(SimSession(dataclasses.replace(
-            base,
-            cache_dir=args.cache_dir or base.cache_dir,
-            engine=args.engine or base.engine,
-            profile=args.device_profile or base.profile,
-        )))
+            base, cache_dir=args.cache_dir or base.cache_dir,
+            scenario=scenario or _with_flags(base.scenario, args))))
     if args.patterns and not select(args.patterns):
         logger.error("no experiments match %r", " ".join(args.patterns))
         return 1
@@ -491,13 +485,10 @@ def cmd_info(args: argparse.Namespace) -> int:
     for entry in profile_table():
         marker = "*" if entry["name"] == active_profile else " "
         low, high = entry["vdd_range_v"]
-        flags = ", ".join(f"{flag}={'yes' if value else 'no'}"
-                          for flag, value in entry["flags"].items())
         print(f"  {marker} {entry['name']:<16}: {entry['title']}")
         print(f"    {'':>16}  {entry['technology_nm']:g} nm, "
               f"{low:g}-{high:g} V, {entry['f_nominal_mhz']:g} MHz, "
               f"{entry['accel_ops_per_cycle']} MACs/cycle")
-        print(f"    {'':>16}  [{flags}]")
     return 0
 
 
@@ -513,11 +504,12 @@ def cmd_attribute(args: argparse.Namespace) -> int:
 
     scenario = Scenario.from_file(args.scenario)
     if args.device_profile:
-        scenario = scenario.with_profile(name=args.device_profile)
+        scenario = dataclasses.replace(scenario, profile=args.device_profile)
     set_session(SimSession.from_scenario(scenario))
     session = get_session()
 
-    # --engine repeats for A/B; default is the scenario's own engine
+    # --engine repeats for A/B (it picks the engines attributed, not the
+    # session's); default is the scenario's own engine
     engines = args.engine or [scenario.engine.name]
     runs = []
     with _Capture(args, session) as capture:
@@ -682,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # resolved once: every subparser shares the same registry-fed tuples
-    # instead of re-importing the registries per --engine/--profile flag
+    # instead of re-importing the tables per --engine/--device-profile flag
     engines = engine_choices()
     profiles = profile_choices()
 
@@ -703,9 +695,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="assembly source to run; optional with "
                           "--scenario (the scenario's workload runs)")
     run.add_argument("--scenario", metavar="FILE",
-                     help="scenario JSON driving the run (engine, seed, "
-                          "workload); explicit flags and the positional "
-                          "file override scenario fields")
+                     help="scenario JSON driving the run (engine, device "
+                          "profile, seed, workload); explicit flags and the "
+                          "positional file override scenario fields")
     run.add_argument("--base", type=_parse_base, default=0)
     run.add_argument("--functional", action="store_true",
                      help="use the functional ISS instead of the pipeline")
@@ -715,13 +707,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "others swap in faster host-side backends with "
                           "identical architectural results; REPRO_ENGINE "
                           "sets the default")
-    run.add_argument("--device-profile", choices=profiles,
-                     metavar="NAME", dest="device_profile",
+    run.add_argument("--device-profile", choices=profiles, metavar="NAME",
                      help="device profile pricing the power models "
-                          "(default ncpu-65nm, or the scenario's "
-                          "device.profile; REPRO_PROFILE sets the "
-                          "session default). NOTE: --profile here is the "
-                          "hot-spot profiler flag, not a device choice")
+                          "(default: the scenario's profile, else "
+                          "REPRO_PROFILE, else ncpu-65nm)")
     run.add_argument("--regs", action="store_true",
                      help="dump the register file after the run")
     run.add_argument("--stats-json", action="store_true",
@@ -761,18 +750,18 @@ def build_parser() -> argparse.ArgumentParser:
                           "aggregate OpenMetrics file into DIR")
     exp.add_argument("--scenario", metavar="FILE",
                      help="scenario JSON configuring the session (engine, "
-                          "seed); --engine and --cache-dir override its "
-                          "fields")
+                          "device profile, seed); --engine and "
+                          "--device-profile override its fields")
     exp.add_argument("--engine", choices=engines,
                      help="execution engine for the session (the fast "
                           "engines swap in batched BNN kernels; results "
-                          "are identical)")
-    exp.add_argument("--profile", "--device-profile", choices=profiles,
-                     metavar="NAME", dest="device_profile",
+                          "are identical); REPRO_ENGINE sets the default")
+    exp.add_argument("--device-profile", choices=profiles, metavar="NAME",
                      help="device profile pricing the power models "
-                          "(default: the scenario's device.profile, else "
-                          "ncpu-65nm); changes physical results — paper "
-                          "anchors only hold on the default")
+                          "(default: the scenario's profile, else "
+                          "REPRO_PROFILE, else ncpu-65nm); changes "
+                          "physical results — paper anchors only hold on "
+                          "the default")
     exp.set_defaults(func=cmd_experiments)
 
     scen = sub.add_parser("scenario",
@@ -886,10 +875,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="engine to attribute; repeat for an A/B "
                           "comparison across engines (default: the "
                           "scenario's engine)")
-    att.add_argument("--profile", "--device-profile", choices=profiles,
-                     metavar="NAME", dest="device_profile",
+    att.add_argument("--device-profile", choices=profiles, metavar="NAME",
                      help="device profile the attributed runs are priced "
-                          "under (default: the scenario's device.profile)")
+                          "under (default: the scenario's profile)")
     att.add_argument("--chained", action="store_true",
                      help="also attribute a two-core chained end-to-end "
                           "inference (bnn scenarios with >= 2 layers)")

@@ -74,8 +74,9 @@ class NCPUCore:
         """The resolved execution engine driving this core's BNN mode.
 
         Pinned at construction when ``engine=`` was given; otherwise the
-        session's ``SimConfig.engine`` is resolved on each access, so a
-        core built before ``use_session(engine=...)`` still honours it.
+        session scenario's engine is resolved on each access, so a core
+        built before a session on another engine is installed still
+        honours it.
         """
         return self._engine if self._engine is not None else resolve_engine()
 

@@ -21,7 +21,7 @@ only the meaning of cycle counts differs, and
 points are pure functions of the model and inputs: cycle/MAC accounting
 lives in the engine-independent accelerator timing model.
 
-Select an engine with ``SimConfig.engine``, ``--engine`` or
+Select an engine with the scenario's ``engine.name``, ``--engine`` or
 ``REPRO_ENGINE``; resolve it with :func:`resolve_engine`, and never
 branch on its name (a guard test greps for that).  A name lookup imports
 no simulator: each engine imports its simulator on first call, so
@@ -168,7 +168,7 @@ def resolve_engine(engine: Any = None) -> Any:
     """Resolve ``engine`` to an engine object.
 
     An engine object passes through; a name is looked up; ``None``
-    follows the current session's ``SimConfig.engine``.
+    follows the current session scenario's engine.
     """
     if engine is None:
         from repro.sim.session import get_session

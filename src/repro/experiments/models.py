@@ -3,9 +3,9 @@ use-case workloads.
 
 Everything here is deterministic (fixed seeds).  Trained models are
 memoized through the session's on-disk :class:`~repro.sim.ArtifactCache`
-(keyed on the training parameters plus a fingerprint of the training/
-dataset code), so re-runs — including fresh processes — skip retraining;
-the measured use-case workloads stay process-cached.
+(keyed on the training parameters plus the package source digest), so
+re-runs — including fresh processes — skip retraining; the measured
+use-case workloads stay process-cached.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.bnn import (
 from repro.core import Item
 from repro.cpu import FlatMemory, run_pipelined
 from repro.isa import assemble
-from repro.sim import config_hash, get_session, source_fingerprint
+from repro.sim import config_hash, get_session, source_digest
 from repro.workloads import image_pipeline as ip
 from repro.workloads import motion_features as mf
 
@@ -35,15 +35,10 @@ MODEL_NAMESPACE = "models"
 
 
 def _model_key(kind: str, **params) -> str:
-    """Cache key for a trained model: parameters + training-code identity."""
-    import repro.bnn.datasets as datasets_module
-    import repro.bnn.training as training_module
+    """Cache key for a trained model: its parameters plus the package
+    source digest."""
+    return config_hash(kind, params, source_digest())
 
-    fingerprints = [source_fingerprint(training_module),
-                    source_fingerprint(datasets_module)]
-    if kind == "motion":  # thresholds derive from the feature kernels
-        fingerprints.append(source_fingerprint(mf))
-    return config_hash(kind, params, fingerprints)
 
 #: paper-reported CPU-work fractions of the two use cases (Fig 15)
 PAPER_IMAGE_CPU_FRACTION = 0.76

@@ -7,20 +7,18 @@ Experiment modules declare themselves with the :func:`experiment` decorator::
 
 and :func:`all_experiments` discovers every module in this package (so the
 runner no longer maintains a parallel import list + name->function dict).
-Specs carry cacheability and a version, which — together with a fingerprint
-of the defining module's source — key the on-disk result cache.
+A spec's :meth:`~ExperimentSpec.cache_key` keys the on-disk result cache.
 """
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
-import sys
 from dataclasses import dataclass
 from typing import Callable, Dict
 
 from repro.experiments.common import ExperimentResult
-from repro.sim import config_hash, source_fingerprint
+from repro.sim import config_hash, get_session, source_digest
 
 #: package modules that are infrastructure, not experiments
 _NON_EXPERIMENT_MODULES = {"common", "models", "registry", "runner"}
@@ -33,32 +31,26 @@ class ExperimentSpec:
     name: str
     func: Callable[..., ExperimentResult]
     title: str = ""
-    cacheable: bool = True
-    version: int = 1
 
     def run(self, **kwargs) -> ExperimentResult:
         return self.func(**kwargs)
 
     def cache_key(self) -> str:
-        """Result-cache key: invalidated when the module source, the spec
-        version, the cache format, or the session's device profile
-        changes.  The engine is deliberately absent (engines produce
-        identical architectural results); the device profile is not
-        (profiles change the physics)."""
-        from repro.sim import current_profile
-
-        module = sys.modules.get(self.func.__module__)
-        fingerprint = source_fingerprint(module) if module else self.name
-        return config_hash("experiment-result", self.name, self.version,
-                           fingerprint, current_profile())
+        """Result-cache key: the experiment's name, the session's device
+        profile and the package :func:`~repro.sim.source_digest`, so an
+        edit to any code the experiment calls invalidates it.  The engine
+        is deliberately absent (engines produce identical architectural
+        results); the device profile is not (profiles change the
+        physics)."""
+        return config_hash("experiment-result", self.name,
+                           get_session().config.profile, source_digest())
 
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}
 _discovered = False
 
 
-def experiment(name: str, *, title: str = "", cache: bool = True,
-               version: int = 1):
+def experiment(name: str, *, title: str = ""):
     """Class the decorated ``run()`` function as the experiment ``name``."""
 
     def decorator(func: Callable[..., ExperimentResult]):
@@ -67,8 +59,7 @@ def experiment(name: str, *, title: str = "", cache: bool = True,
             raise ValueError(f"experiment {name!r} registered twice "
                              f"({existing.func.__module__} and "
                              f"{func.__module__})")
-        _REGISTRY[name] = ExperimentSpec(name=name, func=func, title=title,
-                                         cacheable=cache, version=version)
+        _REGISTRY[name] = ExperimentSpec(name=name, func=func, title=title)
         return func
 
     return decorator

@@ -5,8 +5,8 @@ this module is the library behind it.
 
 Experiments self-register through :mod:`repro.experiments.registry`;
 completed :class:`ExperimentResult`\\ s are memoized in the session's
-artifact cache (keyed on the experiment module's source fingerprint, so
-edits invalidate automatically) and re-runs come back instantly.
+artifact cache (keyed on the package source digest, so edits invalidate
+automatically) and re-runs come back instantly.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def run_experiment(name: str, use_cache: bool = True,
         traced_path = str(target)
         return built
 
-    caching = use_cache and spec.cacheable and session.cache.enabled
+    caching = use_cache and session.cache.enabled
     if caching:
         hits_before = session.cache.hits
         result = session.cache.fetch(RESULT_NAMESPACE, spec.cache_key(),
@@ -87,7 +87,7 @@ def run_experiment(name: str, use_cache: bool = True,
         result = build()
         cache_hit = False
     wall_time = round(time.perf_counter() - start, 6)
-    scenario_dict = session.config.effective_scenario.to_dict()
+    scenario_dict = session.config.scenario.to_dict()
     if result.scenario is None:
         result.scenario = scenario_dict
     setattr(result, RUN_META_ATTR, {

@@ -96,7 +96,7 @@ class RunManifest:
             session = get_session()
         cache = session.cache
         return cls(
-            config_hash=session.config_hash,
+            config_hash=session.config.scenario.hash,
             seed=session.config.seed,
             version=repro.__version__,
             git_sha=_git_sha(),

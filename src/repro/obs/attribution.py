@@ -244,7 +244,7 @@ def attribute_scenario(scenario, engine=None) -> RunAttribution:
                                                predictions[:8]]}
     attribution = RunAttribution(
         scenario=scenario.name, kind=scenario.workload.kind,
-        engine=resolved.name, profile=scenario.device.profile,
+        engine=resolved.name, profile=scenario.profile,
         total_cycles=total_cycles,
         total_wall_s=recorder.total_wall_s, cycles=cycles,
         wall_s=recorder.wall_phases(), detail=detail)
@@ -306,7 +306,7 @@ def attribute_chained(scenario, engine=None,
                                            predictions[:8]]}
     attribution = RunAttribution(
         scenario=scenario.name, kind="chained", engine=resolved.name,
-        profile=scenario.device.profile,
+        profile=scenario.profile,
         total_cycles=int(makespan), total_wall_s=recorder.total_wall_s,
         cycles=cycles, wall_s=recorder.wall_phases(), detail=detail)
     return _publish(session, attribution)

@@ -1,4 +1,4 @@
-"""Name-keyed device-profile registry: pluggable power/technology anchors.
+"""Device profiles by name: pluggable power/technology anchors.
 
 A :class:`DeviceProfile` bundles everything the power layer used to read
 from module globals — frequency/power/leakage anchor points, voltage
@@ -8,11 +8,10 @@ costs vendor TOPS numbers hide) — as one frozen, hashable value.  The
 solver layer (:func:`repro.power.technology.models_for`) turns a profile
 into fitted frequency/power models, memoized per profile.
 
-Profiles register under their ``name`` with :func:`register_profile`,
-every consumer resolves them through :func:`get_profile` /
-:func:`resolve_profile`, and :func:`profile_table` is the single
-serializer behind ``repro info``, ``docs/DEVICES.md`` and the docs lint,
-so they cannot drift apart.
+The built-in profiles sit in one name table; every consumer resolves
+them through :func:`get_profile` / :func:`resolve_profile`, and
+:func:`profile_table` is the single serializer behind ``repro info``,
+``docs/DEVICES.md`` and the docs lint, so they cannot drift apart.
 
 ``ncpu-65nm`` carries the paper test chip's measured silicon anchors and
 is the default everywhere — its fitted models are bit-identical to the
@@ -20,7 +19,8 @@ pre-registry module-global fit.  The μNPU profiles (``max78000``,
 ``ethos-u55``, ``mcxn947-neutron``) are calibrated from the datasheet /
 benchmark tables surveyed in SNIPPETS.md ("Benchmarking Ultra-Low-Power
 μNPUs"; eIQ Neutron measurements); they are engineering estimates, not
-silicon fits, and say so via ``silicon_measured=False``.
+silicon fits, and each ``calibration`` note says where its anchors come
+from.
 """
 
 from __future__ import annotations
@@ -102,14 +102,6 @@ class DeviceProfile:
     accel_ops_per_cycle: int
     #: model/weight storage the memory_io overhead moves, in KB
     model_size_kb: float
-    # -- capability / validity flags --------------------------------------
-    #: True for a single core that morphs CPU<->NN (the NCPU); False for a
-    #: separate host CPU + NPU pair
-    reconfigurable: bool
-    #: True when the full vdd_min..vdd_nominal range is a valid DVFS sweep
-    dvfs: bool
-    #: True when anchors come from silicon measurements of this chip
-    silicon_measured: bool
     overheads: PhaseOverheads
     #: provenance note shown in docs/DEVICES.md
     calibration: str = ""
@@ -166,95 +158,55 @@ class DeviceProfile:
             "sram_vmin_v": self.sram_vmin,
             "f_nominal_mhz": self.f_nominal_mhz,
             "accel_ops_per_cycle": self.accel_ops_per_cycle,
-            "flags": {
-                "reconfigurable": self.reconfigurable,
-                "dvfs": self.dvfs,
-                "silicon_measured": self.silicon_measured,
-            },
             "calibration": self.calibration,
         }
 
 
-_REGISTRY: Dict[str, DeviceProfile] = {}
-
-
-def register_profile(profile: DeviceProfile) -> DeviceProfile:
-    """Register ``profile`` under ``profile.name``; returns it unchanged.
-
-    Usable inline (``P = register_profile(DeviceProfile(...))``).  The
-    profile is structurally validated on admission; registering a
-    different profile under an existing name is an error, re-registering
-    an equal profile (module reloads) is a no-op.
-    """
-    if not isinstance(profile, DeviceProfile):
-        raise ConfigurationError(
-            f"register_profile expects a DeviceProfile, got {profile!r}")
-    profile.validate(f"profile {profile.name!r}")
-    existing = _REGISTRY.get(profile.name)
-    if existing is not None and existing != profile:
-        raise ConfigurationError(
-            f"device profile {profile.name!r} registered twice with "
-            "different parameters")
-    _REGISTRY[profile.name] = profile
-    return profile
-
-
 def profile_names() -> Tuple[str, ...]:
-    """All registered profile names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """All profile names, sorted."""
+    return tuple(sorted(_PROFILES))
 
 
 def get_profile(name: str) -> DeviceProfile:
-    """The registered profile called ``name``.
+    """The profile called ``name``.
 
     Raises :class:`~repro.errors.ConfigurationError` naming the
     registered profiles, sorted, when ``name`` is unknown.
     """
     try:
-        return _REGISTRY[name]
+        return _PROFILES[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown device profile {name!r}; registered profiles: "
-            f"{', '.join(sorted(_REGISTRY))}") from None
+            f"{', '.join(profile_names())}") from None
 
 
 def resolve_profile(profile: Union[DeviceProfile, str, None] = None
                     ) -> DeviceProfile:
-    """Resolve ``profile`` to a registered :class:`DeviceProfile`.
+    """Resolve ``profile`` to a :class:`DeviceProfile`.
 
-    A :class:`DeviceProfile` instance passes through; a name looks up
-    the registry; ``None`` follows the current session's
-    ``SimConfig.profile`` (falling back to :data:`DEFAULT_PROFILE` so
-    the power layer stays importable without a session).
+    A :class:`DeviceProfile` instance passes through; a name is looked
+    up; ``None`` follows the current session scenario's ``profile``.
     """
     if isinstance(profile, DeviceProfile):
         return profile
     if profile is None:
         # imported lazily: repro.sim imports the scenario schema, which
         # validates device profiles through this module
-        try:
-            from repro.sim.session import get_session
+        from repro.sim.session import get_session
 
-            profile = get_session().config.profile
-        except ImportError:  # pragma: no cover - bootstrap ordering
-            profile = DEFAULT_PROFILE
+        profile = get_session().config.profile
     return get_profile(profile)
 
 
-def ensure_known_profile(name: str) -> str:
-    """Validate ``name`` against the registry; returns it unchanged."""
-    get_profile(name)
-    return name
-
-
 def profile_table() -> List[Dict[str, Any]]:
-    """Sorted ``info()`` blocks of every registered profile.
+    """Sorted ``info()`` blocks of every profile.
 
     One serializer for ``repro info --json``, the docs profile table and
     the docs lint (``tools/check_docs.py`` check 9), so they cannot
     drift apart.
     """
-    return [_REGISTRY[name].info() for name in sorted(_REGISTRY)]
+    return [_PROFILES[name].info() for name in profile_names()]
 
 
 # -- built-in profiles ----------------------------------------------------
@@ -263,7 +215,7 @@ def profile_table() -> List[Dict[str, Any]]:
 #: here must equal the historical module globals in
 #: :mod:`repro.power.technology` bit-for-bit: the default profile's fit
 #: is pinned bit-identical to the pre-registry model by golden tests
-NCPU_65NM = register_profile(DeviceProfile(
+NCPU_65NM = DeviceProfile(
     name=DEFAULT_PROFILE,
     title="NCPU reconfigurable neural CPU (65 nm test chip)",
     technology_nm=65,
@@ -277,7 +229,6 @@ NCPU_65NM = register_profile(DeviceProfile(
     mep_search_lo=0.36, mep_search_hi=1.0,
     accel_ops_per_cycle=400,
     model_size_kb=48.5,
-    reconfigurable=True, dvfs=True, silicon_measured=True,
     overheads=PhaseOverheads(
         init_cycles=2_000.0,            # trans_bnn mode switch + trigger
         memory_io_cycles_per_kb=500.0,  # L2 -> neuron-cell SRAM DMA
@@ -286,11 +237,11 @@ NCPU_65NM = register_profile(DeviceProfile(
     ),
     calibration="silicon anchors: 960 MHz@1.0V / 18 MHz@0.4V, "
                 "241 mW BNN / 112 mW CPU at 1 V, MEP@0.5V",
-))
+)
 
 #: Analog Devices MAX78000: Cortex-M4 host + 64-processor CNN
 #: accelerator with dedicated weight SRAM (fixed-voltage part)
-MAX78000 = register_profile(DeviceProfile(
+MAX78000 = DeviceProfile(
     name="max78000",
     title="MAX78000 (Cortex-M4 + 64-unit CNN accelerator)",
     technology_nm=40,
@@ -304,7 +255,6 @@ MAX78000 = register_profile(DeviceProfile(
     mep_search_lo=0.91, mep_search_hi=1.1,
     accel_ops_per_cycle=64,
     model_size_kb=300.0,
-    reconfigurable=False, dvfs=False, silicon_measured=False,
     overheads=PhaseOverheads(
         init_cycles=400_000.0,            # CNN config + weight load
         memory_io_cycles_per_kb=2_000.0,
@@ -313,10 +263,10 @@ MAX78000 = register_profile(DeviceProfile(
     ),
     calibration="μNPU-Bench survey: 100 MHz M4 + 50 MHz CNN array, "
                 "per-inference energies in the tens of μJ",
-))
+)
 
 #: Arm Ethos-U55 microNPU as deployed on the Himax WE2 vision SoC
-ETHOS_U55 = register_profile(DeviceProfile(
+ETHOS_U55 = DeviceProfile(
     name="ethos-u55",
     title="Ethos-U55 microNPU (Himax WE2 deployment)",
     technology_nm=16,
@@ -330,7 +280,6 @@ ETHOS_U55 = register_profile(DeviceProfile(
     mep_search_lo=0.61, mep_search_hi=0.8,
     accel_ops_per_cycle=64,
     model_size_kb=300.0,
-    reconfigurable=False, dvfs=True, silicon_measured=False,
     overheads=PhaseOverheads(
         init_cycles=250_000.0,            # Vela runtime + command stream
         memory_io_cycles_per_kb=4_000.0,  # weights streamed over AXI
@@ -339,10 +288,10 @@ ETHOS_U55 = register_profile(DeviceProfile(
     ),
     calibration="μNPU-Bench survey: 400 MHz U55-64 configuration; "
                 "softmax falls back to the Cortex-M55 host",
-))
+)
 
 #: NXP MCX N947: Cortex-M33 host + eIQ Neutron N1-16 NPU
-MCXN947_NEUTRON = register_profile(DeviceProfile(
+MCXN947_NEUTRON = DeviceProfile(
     name="mcxn947-neutron",
     title="MCX N947 eIQ Neutron N1-16 (Cortex-M33 host)",
     technology_nm=28,
@@ -356,7 +305,6 @@ MCXN947_NEUTRON = register_profile(DeviceProfile(
     mep_search_lo=0.81, mep_search_hi=1.1,
     accel_ops_per_cycle=32,
     model_size_kb=300.0,
-    reconfigurable=False, dvfs=False, silicon_measured=False,
     overheads=PhaseOverheads(
         init_cycles=150_000.0,            # eIQ runtime graph setup
         memory_io_cycles_per_kb=2_500.0,
@@ -365,4 +313,11 @@ MCXN947_NEUTRON = register_profile(DeviceProfile(
     ),
     calibration="eIQ Neutron measurements: 4.8 GOPS at 150 MHz "
                 "(32 MACs/cycle), person_detect 26.3 Mcyc / 175 ms",
-))
+)
+
+#: every profile by name
+_PROFILES = {profile.name: profile for profile in
+             (NCPU_65NM, MAX78000, ETHOS_U55, MCXN947_NEUTRON)}
+
+for _profile in _PROFILES.values():
+    _profile.validate(f"profile {_profile.name!r}")

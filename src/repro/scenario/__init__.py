@@ -2,7 +2,7 @@
 
 * :mod:`repro.scenario.schema` — the frozen dataclass tree
   (:class:`Scenario` = :class:`WorkloadSpec` + :class:`EngineSpec` +
-  :class:`DevicePoint` + seed/batch/repeat scalars) with field-exact
+  :class:`ServeSpec` + seed/batch/profile scalars) with field-exact
   validation and canonical JSON round-tripping,
 * :mod:`repro.scenario.materialize` — builders turning a scenario into
   an assembled program / seeded model + inputs / an executed run,
@@ -18,7 +18,6 @@ from repro.scenario.schema import (
     BATCH_POLICIES,
     CPU_PROGRAMS,
     WORKLOAD_KINDS,
-    DevicePoint,
     EngineSpec,
     Scenario,
     ServeSpec,
@@ -29,7 +28,6 @@ __all__ = [
     "ARRIVAL_PROCESSES",
     "BATCH_POLICIES",
     "CPU_PROGRAMS",
-    "DevicePoint",
     "EngineSpec",
     "Scenario",
     "ServeSpec",

@@ -201,43 +201,6 @@ class EngineSpec:
 
 
 @dataclasses.dataclass(frozen=True)
-class DevicePoint:
-    """The device the scenario runs on.
-
-    ``profile`` names a registered device profile
-    (:mod:`repro.power.profiles`).
-    """
-
-    profile: str = "ncpu-65nm"
-
-    def __post_init__(self):
-        self.validate("device")
-
-    def validate(self, path: str = "device") -> None:
-        _require(isinstance(self.profile, str) and bool(self.profile),
-                 f"{path}.profile",
-                 f"expected a non-empty profile name, got {self.profile!r}")
-        # imported lazily: importing repro.power loads numpy
-        from repro.power.profiles import ensure_known_profile
-
-        try:
-            ensure_known_profile(self.profile)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}.profile: {exc}") from None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"profile": self.profile}
-
-    @classmethod
-    def from_dict(cls, data: Any, path: str = "device") -> "DevicePoint":
-        data = _as_mapping(data, path)
-        _reject_unknown(cls, data, path)
-        return _construct(
-            lambda: cls(profile=data.get("profile", cls.profile)),
-            path, "device")
-
-
-@dataclasses.dataclass(frozen=True)
 class ServeSpec:
     """How the serve layer offers this scenario's workload under load.
 
@@ -333,7 +296,8 @@ class Scenario:
     seed: int = 0
     batch_size: int = 16
     batch_policy: str = "fixed"
-    device: DevicePoint = dataclasses.field(default_factory=DevicePoint)
+    #: the device profile (:mod:`repro.power.profiles`) pricing the run
+    profile: str = "ncpu-65nm"
     serve: ServeSpec = dataclasses.field(default_factory=ServeSpec)
 
     def __post_init__(self):
@@ -347,8 +311,6 @@ class Scenario:
                  f"expected a WorkloadSpec, got {self.workload!r}")
         _require(isinstance(self.engine, EngineSpec), f"{path}.engine",
                  f"expected an EngineSpec, got {self.engine!r}")
-        _require(isinstance(self.device, DevicePoint), f"{path}.device",
-                 f"expected a DevicePoint, got {self.device!r}")
         _require(isinstance(self.serve, ServeSpec), f"{path}.serve",
                  f"expected a ServeSpec, got {self.serve!r}")
         _check_int(self.seed, f"{path}.seed", 0, 2**63 - 1)
@@ -358,7 +320,16 @@ class Scenario:
                  f"got {self.batch_policy!r}")
         self.workload.validate(f"{path}.workload")
         self.engine.validate(f"{path}.engine")
-        self.device.validate(f"{path}.device")
+        _require(isinstance(self.profile, str) and bool(self.profile),
+                 f"{path}.profile",
+                 f"expected a non-empty profile name, got {self.profile!r}")
+        # imported lazily: importing repro.power loads numpy
+        from repro.power.profiles import get_profile
+
+        try:
+            get_profile(self.profile)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}.profile: {exc}") from None
         self.serve.validate(f"{path}.serve")
 
     # -- canonical forms --------------------------------------------------
@@ -371,20 +342,20 @@ class Scenario:
             "seed": self.seed,
             "batch_size": self.batch_size,
             "batch_policy": self.batch_policy,
-            "device": self.device.to_dict(),
+            "profile": self.profile,
             "serve": self.serve.to_dict(),
         }
 
     def identity_dict(self) -> Dict[str, Any]:
         """The canonical dict *minus the engine and serve specs*.
 
-        This is what :attr:`repro.sim.config.SimConfig.hash` folds in:
-        both engines produce bit-identical architectural results, and
-        the serve block only shapes *when* work arrives, never what it
-        computes, so neither changes a run's identity.
+        This is what :attr:`hash` folds in: both engines produce
+        bit-identical architectural results, and the serve block only
+        shapes *when* work arrives, never what it computes, so neither
+        changes a run's identity.
 
-        ``device.profile`` deliberately *stays* in the identity: unlike
-        the engine, the device profile changes the physics (frequency,
+        ``profile`` deliberately *stays* in the identity: unlike the
+        engine, the device profile changes the physics (frequency,
         power, per-phase overheads).
         """
         identity = self.to_dict()
@@ -397,7 +368,9 @@ class Scenario:
 
     @property
     def hash(self) -> str:
-        """Deterministic identity digest (engine-free, like the dict)."""
+        """Deterministic identity digest (engine-free, like the dict);
+        ``repro scenario validate`` prints it and a run's manifest
+        carries it as ``config_hash``."""
         from repro.sim.config import config_hash
 
         return config_hash(self.identity_dict())
@@ -411,8 +384,6 @@ class Scenario:
             if "workload" in data else WorkloadSpec()
         engine = EngineSpec.from_dict(data["engine"], f"{path}.engine") \
             if "engine" in data else EngineSpec()
-        device = DevicePoint.from_dict(data["device"], f"{path}.device") \
-            if "device" in data else DevicePoint()
         serve = ServeSpec.from_dict(data["serve"], f"{path}.serve") \
             if "serve" in data else ServeSpec()
         return _construct(
@@ -422,7 +393,8 @@ class Scenario:
                         batch_size=data.get("batch_size", cls.batch_size),
                         batch_policy=data.get("batch_policy",
                                               cls.batch_policy),
-                        device=device, serve=serve),
+                        profile=data.get("profile", cls.profile),
+                        serve=serve),
             path, "scenario")
 
     @classmethod
@@ -459,15 +431,6 @@ class Scenario:
             prefer_functional=self.engine.prefer_functional
             if prefer_functional is None else prefer_functional)
         return dataclasses.replace(self, engine=engine)
-
-    def with_profile(self, name: Optional[str] = None) -> "Scenario":
-        """A copy on another device profile (CLI flags override files)."""
-        if name is None:
-            return self
-        device = _construct(
-            lambda: dataclasses.replace(self.device, profile=name),
-            "scenario.device", "device")
-        return dataclasses.replace(self, device=device)
 
     def with_serve(self, **fields: Any) -> "Scenario":
         """A copy with serve-spec fields replaced (CLI flags override

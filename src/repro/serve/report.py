@@ -33,7 +33,7 @@ def build_slo_report(server, offsets: List[float]) -> Dict[str, Any]:
         "manifest": RunManifest.collect(server.session).as_dict(),
         "scenario": server.scenario.to_dict(),
         "engine": server.engine.name,
-        "profile": server.scenario.device.profile,
+        "profile": server.scenario.profile,
         "policy": server.policy.as_dict(),
         "arrival": dict({"process": spec.arrival,
                          "rate_rps": spec.rate_rps,

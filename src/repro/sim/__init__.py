@@ -14,19 +14,16 @@ from repro.sim.cache import ArtifactCache
 from repro.sim.config import (
     CACHE_ENV_VAR,
     DEFAULT_CACHE_DIR,
-    DEFAULT_DEVICE_PROFILE,
-    DEFAULT_ENGINE,
     ENGINE_ENV_VAR,
     NO_CACHE_ENV_VAR,
     PROFILE_ENV_VAR,
     SimConfig,
     config_hash,
-    source_fingerprint,
+    source_digest,
 )
 from repro.sim.instrument import StatsRegistry, StatsScope
 from repro.sim.session import (
     SimSession,
-    current_profile,
     get_session,
     reset_session,
     set_session,
@@ -36,8 +33,6 @@ from repro.sim.session import (
 __all__ = [
     "ArtifactCache",
     "CACHE_ENV_VAR",
-    "DEFAULT_DEVICE_PROFILE",
-    "DEFAULT_ENGINE",
     "ENGINE_ENV_VAR",
     "PROFILE_ENV_VAR",
     "DEFAULT_CACHE_DIR",
@@ -47,10 +42,9 @@ __all__ = [
     "StatsRegistry",
     "StatsScope",
     "config_hash",
-    "current_profile",
     "get_session",
     "reset_session",
     "set_session",
-    "source_fingerprint",
+    "source_digest",
     "use_session",
 ]

@@ -4,24 +4,26 @@
 keys from: dict ordering, tuple-vs-list and numpy scalar types do not
 change it, so the same logical inputs map to the same on-disk artifact
 across processes and platforms.  Each cached artifact names its own
-inputs (an experiment result its name, version, module fingerprint and
-device profile; a trained model its parameters and code fingerprints);
-:attr:`SimConfig.hash` only labels a run's manifest.
+inputs (an experiment result its name and device profile; a trained
+model its training parameters) plus :func:`source_digest`, one SHA-256
+of the package source, so any source edit re-keys every artifact.  A
+run's manifest carries its scenario's
+:attr:`~repro.scenario.schema.Scenario.hash`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
-import inspect
 import json
 import os
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
-from repro.engine import ensure_known
+from repro.engine import get_engine
 from repro.errors import ConfigurationError
-from repro.scenario.schema import Scenario
+from repro.scenario.schema import EngineSpec, Scenario
 
 #: environment variable overriding the artifact-cache root directory
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
@@ -29,22 +31,17 @@ CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 #: environment variable disabling the on-disk cache entirely (set to "1")
 NO_CACHE_ENV_VAR = "REPRO_NO_CACHE"
 
-#: environment variable selecting the default execution engine
+#: environment variable selecting the session-default scenario's engine
 ENGINE_ENV_VAR = "REPRO_ENGINE"
 
-#: environment variable selecting the default device profile
+#: environment variable selecting the session-default scenario's profile
 PROFILE_ENV_VAR = "REPRO_PROFILE"
 
 #: default artifact-cache root (expanded lazily)
 DEFAULT_CACHE_DIR = "~/.cache/repro"
 
-#: execution engine selected when no ``--engine``/``REPRO_ENGINE`` is given;
-#: the full set of valid names lives in :mod:`repro.engine`
-DEFAULT_ENGINE = "accurate"
-
-#: device profile selected when no ``--device-profile``/``REPRO_PROFILE``
-#: is given; the registry lives in :mod:`repro.power.profiles`
-DEFAULT_DEVICE_PROFILE = "ncpu-65nm"
+#: name of the scenario a session runs when it is given none
+SESSION_DEFAULT = "session-default"
 
 
 def _canonical(value: Any) -> Any:
@@ -74,135 +71,110 @@ def config_hash(*parts: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
 
 
-def source_fingerprint(obj: Any) -> str:
-    """Hash of an object's (module/function/class) source code.
+def tree_digest(root: Path) -> str:
+    """SHA-256 over every ``*.py`` file under ``root``: each file's
+    relative path and bytes, in path order."""
+    names = []
+    for folder, _, files in os.walk(root):
+        names += [os.path.relpath(os.path.join(folder, name), root)
+                  for name in files if name.endswith(".py")]
+    digest = hashlib.sha256()
+    for name in sorted(names):
+        data = (root / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
 
-    Used to invalidate cached artifacts when the code that produced them
-    changes; falls back to the qualified name when source is unavailable
-    (frozen/compiled distributions).
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """:func:`tree_digest` of the ``repro`` package, once per process.
+
+    Every cached artifact's key includes it, so an edit anywhere in the
+    package — not only in the module that defines an experiment —
+    invalidates every cached result and model.
     """
-    try:
-        source = inspect.getsource(obj)
-    except (OSError, TypeError):
-        source = getattr(obj, "__qualname__", None) or getattr(
-            obj, "__name__", repr(obj))
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()[:20]
+    return tree_digest(Path(__file__).resolve().parents[1])
 
 
 @dataclasses.dataclass(frozen=True)
 class SimConfig:
     """Configuration of one simulation session.
 
-    ``seed`` and ``scenario`` identify the simulated configuration and
-    feed the deterministic :attr:`hash`; ``cache_dir``/``cache_enabled``
-    only say where artifacts are stored and are deliberately excluded
-    from it.  ``engine`` names an engine in :mod:`repro.engine`
-    (``accurate`` or ``fast``); both produce identical architectural
-    results (the equivalence suites pin this), so the engine — and the
-    scenario's engine spec — are excluded from the hash too.  ``profile``
-    names a device profile registered in :mod:`repro.power.profiles`; it
-    is what :func:`repro.power.resolve_profile` falls back to when a
-    power-layer call names no profile.  Unlike the engine it *does*
-    change results, but it enters the hash through the scenario's
-    ``device.profile`` field rather than separately here.
+    ``cache_dir``/``cache_enabled`` say where artifacts are stored;
+    ``scenario`` is the one run configuration.  Its engine, device
+    profile and seed are what :attr:`engine`, :attr:`profile` and
+    :attr:`seed` read, and its :attr:`~repro.scenario.schema.Scenario.hash`
+    labels the run's manifest.  A config built without a scenario runs
+    the ``session-default`` one.
     """
 
     cache_dir: str = DEFAULT_CACHE_DIR
     cache_enabled: bool = True
-    seed: int = 0
-    engine: str = DEFAULT_ENGINE
-    profile: str = DEFAULT_DEVICE_PROFILE
-    scenario: Optional[Scenario] = None
+    scenario: Scenario = dataclasses.field(
+        default_factory=lambda: Scenario(name=SESSION_DEFAULT))
 
     def __post_init__(self):
-        from repro.power.profiles import ensure_known_profile
-
-        ensure_known(self.engine)
-        ensure_known_profile(self.profile)
-        if self.scenario is not None and \
-                not isinstance(self.scenario, Scenario):
+        if not isinstance(self.scenario, Scenario):
             raise ConfigurationError(
                 f"SimConfig.scenario: expected a Scenario, "
                 f"got {self.scenario!r}")
 
+    @property
+    def engine(self) -> str:
+        """The scenario's engine name (see :mod:`repro.engine`)."""
+        return self.scenario.engine.name
+
+    @property
+    def profile(self) -> str:
+        """The scenario's device profile: what
+        :func:`repro.power.resolve_profile` falls back to when a
+        power-layer call names no profile."""
+        return self.scenario.profile
+
+    @property
+    def seed(self) -> int:
+        return self.scenario.seed
+
     @classmethod
     def from_env(cls, environ: Mapping[str, str] | None = None) -> "SimConfig":
-        """Build a config from ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` /
-        ``REPRO_ENGINE``.
+        """Build a config from the ``REPRO_*`` environment variables.
 
-        The engine name is validated here, against the engine table,
-        before anything else is constructed — so ``repro run``/``experiments``
-        with a bad ``REPRO_ENGINE`` fail fast with the registered-engine
-        list instead of deep inside program assembly.
+        ``REPRO_CACHE_DIR``/``REPRO_NO_CACHE`` place the cache; the
+        session runs the ``session-default`` scenario on the engine and
+        device profile that ``REPRO_ENGINE``/``REPRO_PROFILE`` name.  Both
+        names are checked here, before anything else is constructed — so
+        ``repro run``/``experiments`` with a bad one fail fast with the
+        registered list instead of deep inside program assembly.
         """
+        from repro.power.profiles import get_profile
+
         env = os.environ if environ is None else environ
         disabled = env.get(NO_CACHE_ENV_VAR, "").lower() not in ("", "0", "false")
-        engine = env.get(ENGINE_ENV_VAR, DEFAULT_ENGINE)
-        try:
-            ensure_known(engine)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{ENGINE_ENV_VAR}: {exc}") from exc
-        profile = env.get(PROFILE_ENV_VAR, DEFAULT_DEVICE_PROFILE)
-        try:
-            from repro.power.profiles import ensure_known_profile
-
-            ensure_known_profile(profile)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{PROFILE_ENV_VAR}: {exc}") from exc
+        engine = env.get(ENGINE_ENV_VAR, EngineSpec.name)
+        profile = env.get(PROFILE_ENV_VAR, Scenario.profile)
+        for variable, lookup, name in ((ENGINE_ENV_VAR, get_engine, engine),
+                                       (PROFILE_ENV_VAR, get_profile,
+                                        profile)):
+            try:
+                lookup(name)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{variable}: {exc}") from exc
         return cls(cache_dir=env.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR),
-                   cache_enabled=not disabled, engine=engine,
-                   profile=profile)
+                   cache_enabled=not disabled,
+                   scenario=Scenario(name=SESSION_DEFAULT,
+                                     engine=EngineSpec(name=engine),
+                                     profile=profile))
 
     @classmethod
     def from_scenario(cls, scenario: Scenario,
                       environ: Mapping[str, str] | None = None,
                       **overrides: Any) -> "SimConfig":
-        """Build a config whose seed/engine/identity come from a scenario.
-
-        Cache location settings still come from the environment (or
-        explicit ``overrides``); the scenario provides the seed, the
-        engine and the canonical identity folded into :attr:`hash`.
-        """
-        base = cls.from_env(environ)
-        fields = dict(cache_dir=base.cache_dir,
-                      cache_enabled=base.cache_enabled,
-                      seed=scenario.seed, engine=scenario.engine.name,
-                      profile=scenario.device.profile,
-                      scenario=scenario)
-        fields.update(overrides)
-        return cls(**fields)
+        """A config running ``scenario``; the cache settings still come
+        from the environment (or explicit ``overrides``)."""
+        return dataclasses.replace(cls.from_env(environ), scenario=scenario,
+                                   **overrides)
 
     @property
     def resolved_cache_dir(self) -> Path:
         return Path(self.cache_dir).expanduser()
-
-    @property
-    def effective_scenario(self) -> Scenario:
-        """The attached scenario, or a minimal one mirroring this config.
-
-        Always returns a :class:`~repro.scenario.schema.Scenario`, so
-        run metadata and reports can record the canonical scenario dict
-        whether or not the run was scenario-driven.
-        """
-        if self.scenario is not None:
-            return self.scenario
-        from repro.scenario.schema import DevicePoint, EngineSpec
-
-        return Scenario(name="session-default", seed=self.seed,
-                        engine=EngineSpec(name=self.engine),
-                        device=DevicePoint(profile=self.profile))
-
-    @property
-    def hash(self) -> str:
-        """Deterministic identity of the simulated configuration.
-
-        It labels a run's manifest (``RunManifest.config_hash``) and keys
-        no cached artifact.  The scenario joins the payload through its
-        engine-free :meth:`~repro.scenario.schema.Scenario.identity_dict`,
-        so the hash changes whenever a scenario field changes but stays
-        stable across engine swaps.
-        """
-        payload = {"seed": self.seed}
-        if self.scenario is not None:
-            payload["scenario"] = self.scenario.identity_dict()
-        return config_hash(payload)

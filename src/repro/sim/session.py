@@ -38,9 +38,9 @@ class SimSession:
         """A session configured from a declarative scenario.
 
         ``scenario`` is a :class:`repro.scenario.schema.Scenario` (or a
-        path to a scenario JSON file); its seed/engine/identity flow
-        into the session's :class:`SimConfig`, so the config hash that
-        labels the run's manifest covers the scenario.
+        path to a scenario JSON file); it becomes the session config's
+        one scenario, so its engine, profile and seed apply and its hash
+        labels the run's manifest.
         """
         from repro.scenario.schema import Scenario
 
@@ -48,15 +48,11 @@ class SimSession:
             scenario = Scenario.from_file(scenario)
         return cls(SimConfig.from_scenario(scenario, **config_overrides))
 
-    @property
-    def config_hash(self) -> str:
-        return self.config.hash
-
     def stats_json(self, indent: Optional[int] = 2) -> str:
         return self.stats.to_json(indent=indent)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"SimSession(hash={self.config_hash}, "
+        return (f"SimSession(hash={self.config.scenario.hash}, "
                 f"cache={self.cache.root}, enabled={self.cache.enabled})")
 
 
@@ -82,22 +78,6 @@ def set_session(session: Optional[SimSession]) -> Optional[SimSession]:
 def reset_session() -> None:
     """Drop the current session (a fresh default is created on next use)."""
     set_session(None)
-
-
-def current_profile(override: Optional[str] = None) -> str:
-    """Resolve the active device profile's name.
-
-    ``override`` wins when given; otherwise the current session's
-    ``SimConfig.profile`` applies.  Resolution goes through the
-    :mod:`repro.power.profiles` registry, so a
-    :class:`~repro.errors.ConfigurationError` naming the registered
-    profiles is raised on unknown names.
-    """
-    from repro.power.profiles import resolve_profile
-
-    if override is not None:
-        return resolve_profile(override).name
-    return resolve_profile(get_session().config.profile).name
 
 
 @contextmanager

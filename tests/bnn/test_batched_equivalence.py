@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.bnn import BNNAccelerator, BNNModel
 from repro.engine import get_engine, resolve_engine
 from repro.errors import ConfigurationError
+from repro.scenario import Scenario
 from repro.sim import use_session
 from repro.trace import tracing
 
@@ -112,10 +113,12 @@ class TestEngineSelection:
         rng = np.random.default_rng(11)
         model = BNNModel.random([50, 10], rng)
         x = _random_inputs(rng, 4, 50)
-        with use_session(cache_enabled=False, engine="fast"):
+        with use_session(cache_enabled=False,
+                         scenario=Scenario().with_engine(name="fast")):
             fast_engine = resolve_engine()
             fast = fast_engine.predict(model, x)
-        with use_session(cache_enabled=False, engine="accurate"):
+        with use_session(cache_enabled=False,
+                         scenario=Scenario().with_engine(name="accurate")):
             accurate_engine = resolve_engine()
             accurate = accurate_engine.predict(model, x)
         assert fast_engine is get_engine("fast")

@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.bnn import BNNAccelerator, BNNModel, binarize_sign
 from repro.engine import engine_names
+from repro.scenario import Scenario
 from repro.sim import use_session
 
 
@@ -28,7 +29,8 @@ class TestEngineAccounting:
     def _run(self, engine):
         model = make_model()
         x = make_inputs(model, 12)
-        with use_session(cache_enabled=False, engine=engine) as session:
+        with use_session(cache_enabled=False,
+                         scenario=Scenario().with_engine(name=engine)) as session:
             predictions, timing = BNNAccelerator().infer_batch(model, x)
             counters = session.stats.counters("bnn.")
         return list(predictions), timing.total_cycles, counters

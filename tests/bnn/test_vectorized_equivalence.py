@@ -24,6 +24,7 @@ from repro.bnn.vectorized import (
 )
 from repro.engine import FastEngine, engine_names, get_engine
 from repro.errors import ConfigurationError
+from repro.scenario import Scenario
 from repro.sim import use_session
 
 
@@ -292,9 +293,11 @@ class TestRegisteredEngine:
 
         model = make_model()
         x = make_inputs(model, 12)
-        with use_session(cache_enabled=False, engine="fast"):
+        with use_session(cache_enabled=False,
+                         scenario=Scenario().with_engine(name="fast")):
             fast_pred, fast_timing = BNNAccelerator().infer_batch(model, x)
-        with use_session(cache_enabled=False, engine="accurate"):
+        with use_session(cache_enabled=False,
+                         scenario=Scenario().with_engine(name="accurate")):
             ref_pred, ref_timing = BNNAccelerator().infer_batch(model, x)
         np.testing.assert_array_equal(fast_pred, ref_pred)
         assert fast_timing == ref_timing

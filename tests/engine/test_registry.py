@@ -20,6 +20,7 @@ from repro.engine import (
 )
 from repro.errors import ConfigurationError
 from repro.isa import assemble
+from repro.scenario import Scenario
 from repro.sim import use_session
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -98,9 +99,11 @@ class TestResolution:
         assert resolve_engine(custom) is custom
 
     def test_none_follows_session_config(self):
-        with use_session(cache_enabled=False, engine="fast"):
+        with use_session(cache_enabled=False,
+                         scenario=Scenario().with_engine(name="fast")):
             assert resolve_engine().name == "fast"
-        with use_session(cache_enabled=False, engine="accurate"):
+        with use_session(cache_enabled=False,
+                         scenario=Scenario().with_engine(name="accurate")):
             assert resolve_engine(None).name == "accurate"
 
 

@@ -46,11 +46,30 @@ class TestRegistry:
         finally:
             registry.unregister("_dup_test")
 
-    def test_cache_key_tracks_version(self):
-        spec = registry.get_spec("fig07")
-        bumped = registry.ExperimentSpec(
-            name=spec.name, func=spec.func, version=spec.version + 1)
-        assert spec.cache_key() != bumped.cache_key()
+    def test_cache_key_tracks_code_the_experiment_calls(self, tmp_path):
+        """An edit to code table1 only calls (its dataset generators)
+        re-keys its cached result, not only an edit to its own module."""
+        import shutil
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        source = Path(registry.__file__).resolve().parents[1]
+        keys = []
+        for name, edit in (("plain", ""), ("edited", "# an edit\n")):
+            copy = tmp_path / name
+            shutil.copytree(source, copy / "repro",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            with open(copy / "repro" / "bnn" / "datasets.py", "a") as f:
+                f.write(edit)
+            done = subprocess.run(
+                [sys.executable, "-c",
+                 "from repro.experiments.registry import get_spec\n"
+                 "print(get_spec('table1').cache_key())"],
+                capture_output=True, text=True, check=True, timeout=120,
+                env={"PYTHONPATH": str(copy)})
+            keys.append(done.stdout.strip())
+        assert keys[0] and keys[0] != keys[1]
 
 
 class TestSelect:
@@ -189,9 +208,11 @@ class TestRunSelected:
         monkeypatch.setattr(runner, "ProcessPoolExecutor", functools.partial(
             runner.ProcessPoolExecutor,
             mp_context=multiprocessing.get_context("spawn")))
+        from repro.scenario import Scenario
+
         cache = tmp_path / "cache"
-        previous = set_session(SimSession(SimConfig(cache_dir=str(cache),
-                                                    engine="fast")))
+        previous = set_session(SimSession(SimConfig(
+            cache_dir=str(cache), scenario=Scenario().with_engine(name="fast"))))
         try:
             results = runner.run_selected(["fig07", "fig13"], jobs=2)
         finally:
@@ -281,13 +302,12 @@ class TestScenarioRecording:
     def test_run_meta_carries_canonical_scenario(self, session, fake):
         meta = runner.run_meta(runner.run_experiment("_scenario_test"))
         scenario = meta["scenario"]
-        assert scenario == session.config.effective_scenario.to_dict()
+        assert scenario == session.config.scenario.to_dict()
         assert scenario["engine"]["name"] == session.config.engine
 
     def test_result_scenario_lands_in_reports(self, session, fake):
         result = runner.run_experiment("_scenario_test")
-        assert result.scenario == \
-            session.config.effective_scenario.to_dict()
+        assert result.scenario == session.config.scenario.to_dict()
         entry = json.loads(runner.render_json([result]))[0]
         assert entry["scenario"]["seed"] == session.config.seed
         assert entry["run"]["scenario"] == entry["scenario"]
@@ -316,6 +336,6 @@ class TestScenarioRecording:
             (tmp_path / "metrics" / "_scenario_test.metrics.json")
             .read_text())
         assert document["run"]["scenario"]["name"] == \
-            session.config.effective_scenario.name
+            session.config.scenario.name
         assert document["result"]["scenario"]["name"] == \
-            session.config.effective_scenario.name
+            session.config.scenario.name

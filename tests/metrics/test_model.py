@@ -12,6 +12,7 @@ from repro.metrics import (
     sanitize_metric_name,
     summarize,
 )
+from repro.scenario import Scenario
 from repro.sim import use_session
 
 PROGRAM = """
@@ -80,7 +81,7 @@ class TestManifest:
                                "platform", "python", "seed", "version"}
 
     def test_collect_records_session_engine(self):
-        with use_session(engine="fast"):
+        with use_session(scenario=Scenario().with_engine(name="fast")):
             manifest = RunManifest.collect()
         assert manifest.engine == "fast"
         assert manifest.labels()["engine"] == "fast"

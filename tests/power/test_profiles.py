@@ -1,16 +1,14 @@
-"""Tests for the device-profile registry and its golden NCPU anchors.
+"""Tests for the device-profile name table and its golden NCPU anchors.
 
 Two contracts live here:
 
-- registry behavior: duplicate registration, unknown-name errors naming
-  the registered list, the table serializer;
+- name-table behavior: unknown-name errors naming the registered list,
+  the table serializer;
 - bit-identity: the default ``ncpu-65nm`` profile must reproduce the
   pre-registry module-global fit to the exact float, so the paper-anchor
   gate metrics cannot move.  These literals are pinned with ``==`` on
   purpose — a drift of one ULP is a real regression.
 """
-
-import dataclasses
 
 import pytest
 
@@ -19,13 +17,11 @@ from repro.power import (
     DEFAULT_PROFILE,
     bnn_profile,
     cpu_profile,
-    ensure_known_profile,
     frequency_model,
     get_profile,
     models_for,
     profile_names,
     profile_table,
-    register_profile,
     resolve_profile,
 )
 
@@ -40,7 +36,7 @@ class TestRegistry:
 
     def test_default_is_ncpu(self):
         assert DEFAULT_PROFILE == "ncpu-65nm"
-        assert get_profile(DEFAULT_PROFILE).silicon_measured
+        assert get_profile(DEFAULT_PROFILE).name == DEFAULT_PROFILE
 
     def test_unknown_name_lists_registry(self):
         with pytest.raises(ConfigurationError) as exc:
@@ -49,27 +45,6 @@ class TestRegistry:
         assert "unknown device profile 'tpu-v9'" in message
         for name in profile_names():
             assert name in message
-
-    def test_ensure_known_profile(self):
-        ensure_known_profile("ethos-u55")
-        with pytest.raises(ConfigurationError):
-            ensure_known_profile("tpu-v9")
-
-    def test_reregister_equal_is_noop(self):
-        ncpu = get_profile("ncpu-65nm")
-        assert register_profile(ncpu) is ncpu
-        assert get_profile("ncpu-65nm") is ncpu
-
-    def test_reregister_different_params_rejected(self):
-        tweaked = dataclasses.replace(get_profile("ncpu-65nm"),
-                                      f_nominal_mhz=961.0)
-        with pytest.raises(ConfigurationError) as exc:
-            register_profile(tweaked)
-        assert "registered twice" in str(exc.value)
-
-    def test_register_non_profile_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_profile({"name": "not-a-profile"})
 
     def test_resolve_profile_forms(self):
         ncpu = get_profile("ncpu-65nm")
@@ -87,11 +62,7 @@ class TestRegistry:
             assert entry["vdd_range_v"] == [profile.vdd_min,
                                             profile.vdd_nominal]
             assert entry["accel_ops_per_cycle"] == profile.accel_ops_per_cycle
-            assert entry["flags"] == {
-                "reconfigurable": profile.reconfigurable,
-                "dvfs": profile.dvfs,
-                "silicon_measured": profile.silicon_measured,
-            }
+            assert entry["calibration"] == profile.calibration
 
 
 class TestGoldenNcpuAnchors:

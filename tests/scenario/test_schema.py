@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.scenario import (
-    DevicePoint,
     EngineSpec,
     Scenario,
     WorkloadSpec,
@@ -24,7 +23,7 @@ def full_scenario() -> Scenario:
         seed=1234,
         batch_size=48,
         batch_policy="stream",
-        device=DevicePoint(profile="max78000"),
+        profile="max78000",
     )
 
 
@@ -54,7 +53,7 @@ class TestRoundTrip:
         scenario = Scenario.from_dict({"name": "sparse"})
         assert scenario.workload == WorkloadSpec()
         assert scenario.engine == EngineSpec()
-        assert scenario.device == DevicePoint()
+        assert scenario.profile == "ncpu-65nm"
 
     def test_cpu_workload_defaults_layer_sizes_to_empty(self):
         scenario = Scenario.from_dict(
@@ -87,15 +86,11 @@ REJECTIONS = [
     ({"engine": {"name": "warp-drive"}}, "scenario.engine.name"),
     ({"engine": {"prefer_functional": "yes"}},
      "scenario.engine.prefer_functional"),
+    ({"profile": "tpu-v9"}, "scenario.profile"),
+    ({"profile": ""}, "scenario.profile"),
+    ({"profile": 65}, "scenario.profile"),
     # fields older files set are unknown now, whatever their value
-    ({"device": {"vdd": 0.6}}, "scenario.device.vdd"),
-    ({"device": {"vdd": 1.0}}, "scenario.device.vdd"),
-    ({"device": {"clock_mhz": 25.0}}, "scenario.device.clock_mhz"),
-    ({"device": {"profile": "tpu-v9"}}, "scenario.device.profile"),
-    ({"device": {"profile": ""}}, "scenario.device.profile"),
-    ({"device": {"profile": 65}}, "scenario.device.profile"),
-    ({"device": {"profile": "ethos-u55", "vdd": 1.0}},
-     "scenario.device.vdd"),
+    ({"device": {"profile": "ethos-u55"}}, "scenario.device"),
     ({"name": ""}, "scenario.name"),
     ({"seed": -1}, "scenario.seed"),
     ({"seed": True}, "scenario.seed"),
@@ -124,8 +119,8 @@ class TestValidation:
     def test_direct_construction_validates_with_local_path(self):
         with pytest.raises(ConfigurationError, match="^workload.kind:"):
             WorkloadSpec(kind="gpu")
-        with pytest.raises(ConfigurationError, match="^device.profile:"):
-            DevicePoint(profile="")
+        with pytest.raises(ConfigurationError, match="^scenario.profile:"):
+            Scenario(profile="")
 
     def test_unknown_engine_lists_registered_engines(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -136,18 +131,18 @@ class TestValidation:
 
     def test_unknown_profile_lists_registered_profiles(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            DevicePoint(profile="tpu-v9")
+            Scenario(profile="tpu-v9")
         message = str(excinfo.value)
-        assert message.startswith("device.profile:")
+        assert message.startswith("scenario.profile:")
         assert "ncpu-65nm" in message and "max78000" in message
 
     def test_removed_fields_fail_as_unknown(self, tmp_path):
         path = tmp_path / "old.json"
         for document, field in (({"repeats": 3}, "scenario.repeats"),
                                 ({"device": {"vdd": 0.6}},
-                                 "scenario.device.vdd"),
-                                ({"device": {"clock_mhz": 10.0}},
-                                 "scenario.device.clock_mhz")):
+                                 "scenario.device"),
+                                ({"device": {"profile": "ethos-u55"}},
+                                 "scenario.device")):
             path.write_text(json.dumps(document))
             with pytest.raises(ConfigurationError,
                                match=f"^{field}: unknown field"):
@@ -190,8 +185,7 @@ class TestHashing:
             base, workload=dataclasses.replace(
                 base.workload, layer_sizes=(784, 64, 34, 10)))
         assert widened.hash != base.hash
-        moved = dataclasses.replace(
-            base, device=DevicePoint(profile="ethos-u55"))
+        moved = dataclasses.replace(base, profile="ethos-u55")
         assert moved.hash != base.hash
 
     def test_hash_is_engine_stable(self):
@@ -219,9 +213,9 @@ class TestHashing:
         # unlike the engine, the device profile changes physical results,
         # so it participates in scenario identity
         base = full_scenario()
-        swapped = base.with_profile(name="ethos-u55")
+        swapped = dataclasses.replace(base, profile="ethos-u55")
         assert swapped.hash != base.hash
-        assert swapped.identity_dict()["device"]["profile"] == "ethos-u55"
+        assert swapped.identity_dict()["profile"] == "ethos-u55"
 
 
 class TestDerivedViews:
@@ -240,13 +234,15 @@ class TestDerivedViews:
             dataclasses.replace(full_scenario(), seed=-1)
 
     def test_with_profile_overrides_profile(self):
-        scenario = full_scenario().with_profile(name="mcxn947-neutron")
-        assert scenario.device.profile == "mcxn947-neutron"
+        scenario = dataclasses.replace(full_scenario(),
+                                       profile="mcxn947-neutron")
+        assert scenario.profile == "mcxn947-neutron"
+        assert scenario.engine == full_scenario().engine  # preserved
 
     def test_with_profile_unknown_name_is_field_exact(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            full_scenario().with_profile(name="tpu-v9")
-        assert str(excinfo.value).startswith("scenario.device.profile:")
+            dataclasses.replace(full_scenario(), profile="tpu-v9")
+        assert str(excinfo.value).startswith("scenario.profile:")
 
     def test_scenarios_are_hashable_and_comparable(self):
         assert len({full_scenario(), full_scenario(), Scenario()}) == 2
@@ -259,15 +255,18 @@ class TestSimConfigIntegration:
         config = SimConfig.from_scenario(full_scenario(), environ={})
         assert config.seed == 1234
         assert config.engine == "fast"
+        assert config.profile == "max78000"
         assert config.scenario == full_scenario()
 
     def test_hash_stable_without_scenario(self):
         from repro.sim import SimConfig
 
-        # attaching a scenario changes the hash; configs without one keep
-        # their pre-scenario cache keys
-        assert SimConfig().hash == SimConfig(scenario=None).hash
-        assert SimConfig(scenario=full_scenario()).hash != SimConfig().hash
+        # a config given no scenario runs the session default, whose
+        # hash is fixed; attaching a scenario changes it
+        assert SimConfig().scenario.hash == \
+            Scenario(name="session-default").hash
+        assert SimConfig(scenario=full_scenario()).scenario.hash != \
+            SimConfig().scenario.hash
 
     def test_config_hash_engine_stable_with_scenario(self):
         from repro.sim import SimConfig
@@ -275,16 +274,19 @@ class TestSimConfigIntegration:
         base = full_scenario()
         hashes = {
             SimConfig.from_scenario(base.with_engine(name=name),
-                                    environ={}).hash
+                                    environ={}).scenario.hash
             for name in ("accurate", "fast")}
         assert len(hashes) == 1
 
     def test_effective_scenario_defaults_when_unset(self):
-        from repro.sim import SimConfig
+        from repro.sim import ENGINE_ENV_VAR, PROFILE_ENV_VAR, SimConfig
 
-        effective = SimConfig(seed=77, engine="fast").effective_scenario
-        assert effective.seed == 77
-        assert effective.engine.name == "fast"
+        scenario = SimConfig.from_env({ENGINE_ENV_VAR: "fast",
+                                       PROFILE_ENV_VAR: "ethos-u55"}).scenario
+        assert scenario.name == "session-default"
+        assert scenario.seed == 0
+        assert scenario.engine.name == "fast"
+        assert scenario.profile == "ethos-u55"
 
     def test_from_env_rejects_unknown_engine_fast(self):
         from repro.errors import ConfigurationError

@@ -15,9 +15,9 @@ from repro.sim import (
     get_session,
     reset_session,
     set_session,
-    source_fingerprint,
     use_session,
 )
+from repro.sim.config import tree_digest
 
 
 @pytest.fixture(autouse=True)
@@ -59,29 +59,44 @@ class TestConfigHash:
         assert len(digest) == 20
         int(digest, 16)  # valid hex
 
-    def test_source_fingerprint_tracks_code(self):
-        def f():
-            return 1
-
-        def g():
-            return 2
-
-        assert source_fingerprint(f) == source_fingerprint(f)
-        assert source_fingerprint(f) != source_fingerprint(g)
+    def test_source_fingerprint_tracks_code(self, tmp_path):
+        for name in ("one", "two"):
+            (tmp_path / name / "sub").mkdir(parents=True)
+            (tmp_path / name / "a.py").write_text("x = 1\n")
+            (tmp_path / name / "sub" / "b.py").write_text("y = 2\n")
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert tree_digest(one) == tree_digest(two)
+        (two / "sub" / "b.py").write_text("y = 2  # edited\n")
+        assert tree_digest(one) != tree_digest(two)
+        # the path is part of the digest, not only the bytes
+        (two / "sub" / "b.py").write_text("y = 2\n")
+        (two / "sub" / "b.py").rename(two / "sub" / "c.py")
+        assert tree_digest(one) != tree_digest(two)
 
 
 class TestSimConfig:
+    def test_fields_are_cache_settings_and_one_scenario(self):
+        assert [field.name for field in dataclasses.fields(SimConfig)] == \
+            ["cache_dir", "cache_enabled", "scenario"]
+        config = SimConfig()
+        assert config.scenario.name == "session-default"
+        assert (config.engine, config.profile, config.seed) == \
+            ("accurate", "ncpu-65nm", 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.engine = "fast"
+
     def test_hash_ignores_cache_location(self):
         base = SimConfig(cache_dir="/a")
         moved = SimConfig(cache_dir="/b", cache_enabled=False)
-        assert base.hash == moved.hash
+        assert base.scenario.hash == moved.scenario.hash
 
     def test_hash_tracks_seed_and_scenario(self):
         from repro.scenario import Scenario
 
-        assert SimConfig(seed=1).hash != SimConfig(seed=2).hash
-        assert SimConfig(scenario=Scenario(batch_size=8)).hash != \
-            SimConfig(scenario=Scenario(batch_size=9)).hash
+        assert SimConfig(scenario=Scenario(seed=1)).scenario.hash != \
+            SimConfig(scenario=Scenario(seed=2)).scenario.hash
+        assert SimConfig(scenario=Scenario(batch_size=8)).scenario.hash != \
+            SimConfig(scenario=Scenario(batch_size=9)).scenario.hash
 
     def test_from_env(self):
         config = SimConfig.from_env({CACHE_ENV_VAR: "/tmp/x",
@@ -95,10 +110,12 @@ class TestSimConfig:
 
     def test_hash_ignores_engine(self):
         from repro.engine import engine_names
+        from repro.sim import ENGINE_ENV_VAR
 
-        # engines are bit-identical by contract, so artifacts cached
-        # under one engine stay valid under every other
-        hashes = {SimConfig(engine=name).hash for name in engine_names()}
+        # engines are bit-identical by contract, so a run's identity is
+        # the same under every engine
+        hashes = {SimConfig.from_env({ENGINE_ENV_VAR: name}).scenario.hash
+                  for name in engine_names()}
         assert len(hashes) == 1
 
     def test_engine_round_trips_through_env(self):
@@ -110,9 +127,10 @@ class TestSimConfig:
 
     def test_unknown_engine_rejected_with_registered_names(self):
         from repro.errors import ConfigurationError
+        from repro.scenario import EngineSpec, Scenario
 
         with pytest.raises(ConfigurationError) as excinfo:
-            SimConfig(engine="warp")
+            SimConfig(scenario=Scenario(engine=EngineSpec(name="warp")))
         message = str(excinfo.value)
         assert "warp" in message
         assert "registered engines" in message
@@ -216,7 +234,7 @@ class TestSession:
                                        cache_enabled=False))
         assert session.cache.root == tmp_path
         assert not session.cache.enabled
-        assert session.config_hash == session.config.hash
+        assert session.config.scenario.hash == SimConfig().scenario.hash
 
     def test_stats_json_round_trips(self):
         import json

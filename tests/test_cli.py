@@ -708,6 +708,20 @@ class TestServeCli:
         assert samples["repro_serve_errors_total"] == [0]
         assert samples["repro_serve_requests_total"] == [40]
 
+    def test_manifest_carries_the_scenario_hash(self, capsys):
+        import json
+        from pathlib import Path
+
+        from repro.scenario import Scenario
+
+        path = str(Path(__file__).resolve().parents[1] / "examples" /
+                   "scenarios" / "serve_classification.json")
+        assert main(["serve", "--scenario", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # `repro scenario validate` prints the same hash
+        assert report["manifest"]["config_hash"] == \
+            Scenario.from_file(path).hash
+
     def test_out_in_missing_directory(self, tmp_path, capsys):
         import json
 
@@ -746,7 +760,7 @@ class TestDeviceProfileCli:
             main(["run", source_file, "--device-profile", "tpu-v9"])
         assert excinfo.value.code == 2
         with pytest.raises(SystemExit) as excinfo:
-            main(["experiments", "--profile", "tpu-v9", "fig09"])
+            main(["experiments", "--device-profile", "tpu-v9", "fig09"])
         assert excinfo.value.code == 2
 
     def test_bad_profile_env_fails_fast(self, capsys, monkeypatch):
@@ -760,25 +774,38 @@ class TestDeviceProfileCli:
         import json
 
         path = tmp_path / "bad_profile.json"
-        path.write_text(json.dumps(
-            {"device": {"profile": "tpu-v9"}}))
+        path.write_text(json.dumps({"profile": "tpu-v9"}))
         assert main(["scenario", "validate", str(path)]) == 2
         message = capsys.readouterr().err
-        assert "scenario.device.profile" in message
+        assert "scenario.profile" in message
         assert "ncpu-65nm" in message
+
+    def test_retired_device_object_exits_2(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps({"device": {"profile": "ethos-u55"}}))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert "scenario.device: unknown field" in capsys.readouterr().err
+
+    def test_profile_is_not_a_device_flag(self, capsys):
+        # --profile means only the hot-spot profiler (on `repro run`)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiments", "--profile", "ethos-u55", "fig07"])
+        assert excinfo.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
     def test_experiments_profile_flag_reaches_the_run(self, capsys):
         import json
         import os
 
-        assert main(["experiments", "--profile", "ethos-u55",
+        assert main(["experiments", "--device-profile", "ethos-u55",
                      "--no-cache", "--json", "fig07"]) == 0
         # the profile travels in the session, not the environment
         assert "REPRO_PROFILE" not in os.environ
         entries = json.loads(capsys.readouterr().out)
         assert entries[0]["experiment_id"] == "Fig 7"
-        assert entries[0]["run"]["scenario"]["device"]["profile"] == \
-            "ethos-u55"
+        assert entries[0]["run"]["scenario"]["profile"] == "ethos-u55"
 
     def test_info_lists_profiles(self, capsys):
         import json
@@ -798,3 +825,101 @@ class TestDeviceProfileCli:
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "* mcxn947-neutron" in out
+
+
+#: (command, REPRO_ENGINE/REPRO_PROFILE, --scenario file, flags, the
+#: engine and device profile the session ends up with); each pair is
+#: (engine, profile) and None means "not given".  A flag beats the file,
+#: the file beats the environment, the environment beats the built-in
+#: default.  ``serve`` runs its built-in ``serve`` scenario, which the
+#: environment does not reach, and has no device flag; ``attribute``
+#: requires a file, and its --engine picks the engines to attribute,
+#: so only its device flag is set here.
+PRECEDENCE = [
+    *[(command, *row) for command in ("run", "experiments") for row in (
+        (None, None, None, ("accurate", "ncpu-65nm")),
+        (("fast", "max78000"), None, None, ("fast", "max78000")),
+        (None, ("fast", "ethos-u55"), None, ("fast", "ethos-u55")),
+        (("fast", "max78000"), ("accurate", "ethos-u55"), None,
+         ("accurate", "ethos-u55")),
+        (None, ("accurate", "ethos-u55"), ("fast", "mcxn947-neutron"),
+         ("fast", "mcxn947-neutron")),
+        (("fast", "max78000"), None, ("accurate", "mcxn947-neutron"),
+         ("accurate", "mcxn947-neutron")),
+        (("fast", "max78000"), ("accurate", "ethos-u55"),
+         ("fast", "mcxn947-neutron"), ("fast", "mcxn947-neutron")),
+    )],
+    ("attribute", None, ("fast", "ethos-u55"), None, ("fast", "ethos-u55")),
+    ("attribute", ("fast", "max78000"), ("accurate", "ethos-u55"), None,
+     ("accurate", "ethos-u55")),
+    ("attribute", None, ("fast", "ethos-u55"), (None, "mcxn947-neutron"),
+     ("fast", "mcxn947-neutron")),
+    ("attribute", ("fast", "max78000"), ("accurate", "ethos-u55"),
+     (None, "mcxn947-neutron"), ("accurate", "mcxn947-neutron")),
+    ("serve", None, None, None, ("accurate", "ncpu-65nm")),
+    ("serve", ("fast", "max78000"), None, None, ("accurate", "ncpu-65nm")),
+    ("serve", None, ("fast", "ethos-u55"), None, ("fast", "ethos-u55")),
+    ("serve", ("fast", "max78000"), ("accurate", "ethos-u55"), None,
+     ("accurate", "ethos-u55")),
+    ("serve", None, ("accurate", "ethos-u55"), ("fast", None),
+     ("fast", "ethos-u55")),
+    ("serve", ("fast", "max78000"), None, ("fast", None),
+     ("fast", "ncpu-65nm")),
+]
+
+
+def _precedence_id(row) -> str:
+    command, env, scenario, flags, _ = row
+    given = [name for name, value in (("env", env), ("file", scenario),
+                                      ("flag", flags)) if value]
+    return f"{command}:{'+'.join(given) or 'default'}"
+
+
+class TestSettingPrecedence:
+    @pytest.fixture(autouse=True)
+    def _fresh_session(self, tmp_path, monkeypatch):
+        from repro.sim import reset_session
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        reset_session()
+        yield
+        reset_session()
+
+    @pytest.mark.parametrize("command,env,scenario,flags,expected",
+                             PRECEDENCE,
+                             ids=[_precedence_id(row) for row in PRECEDENCE])
+    def test_session_engine_and_profile(self, command, env, scenario, flags,
+                                        expected, source_file, tmp_path,
+                                        capsys, monkeypatch):
+        from repro.scenario import Scenario
+        from repro.sim import get_session
+
+        for variable, value in zip(("REPRO_ENGINE", "REPRO_PROFILE"),
+                                   env or (None, None)):
+            if value is None:
+                monkeypatch.delenv(variable, raising=False)
+            else:
+                monkeypatch.setenv(variable, value)
+        argv = {"run": ["run", source_file],
+                "experiments": ["experiments", "--no-cache", "--json",
+                                "fig13"],
+                "attribute": ["attribute", "--json"],
+                "serve": ["serve", "--requests", "8", "--json"]}[command]
+        if scenario is not None:
+            # the default scenario's canonical JSON with its engine and
+            # profile names swapped, wherever the schema keeps them
+            engine, profile = scenario
+            path = tmp_path / "precedence.json"
+            path.write_text(Scenario().to_json()
+                            .replace('"accurate"', f'"{engine}"')
+                            .replace('"ncpu-65nm"', f'"{profile}"'))
+            argv += ["--scenario", str(path)]
+        engine, profile = flags or (None, None)
+        if engine:
+            argv += ["--engine", engine]
+        if profile:
+            argv += ["--device-profile", profile]
+        assert main(argv) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        config = get_session().config
+        assert (config.engine, config.profile) == expected

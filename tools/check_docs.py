@@ -37,10 +37,10 @@ Nine checks, each cheap enough for every CI run:
    imported and compared), and its engine decision table must cover
    exactly the engines in ``repro.engine``.
 9. **Device profile table** — the "## Profile registry" table in
-   docs/DEVICES.md must list exactly the profiles registered in
-   ``repro.power`` with their live technology/voltage/frequency/
-   geometry values and capability flags, so registering a new device
-   (or recalibrating one) forces the device reference to follow.
+   docs/DEVICES.md must list exactly the profiles of
+   ``repro.power.profile_table()`` with their live technology/voltage/
+   frequency/geometry values, so adding a device (or recalibrating
+   one) forces the device reference to follow.
 
 Exit status: 0 when everything passes, 1 with a per-finding report
 otherwise.  Run from anywhere: paths resolve relative to the repo root.
@@ -353,7 +353,6 @@ SCENARIO_TABLES = (
     ("### Top-level `Scenario` fields", "Scenario"),
     ("### `workload` fields (`WorkloadSpec`)", "WorkloadSpec"),
     ("### `engine` fields (`EngineSpec`)", "EngineSpec"),
-    ("### `device` fields (`DevicePoint`)", "DevicePoint"),
     ("### `serve` fields (`ServeSpec`)", "ServeSpec"),
 )
 
@@ -606,15 +605,10 @@ DEVICES_MD = REPO_ROOT / "docs" / "DEVICES.md"
 
 PROFILE_TABLE_ANCHOR = "## Profile registry"
 
-#: flag columns of the docs profile table, in order (mapping docs header
-#: "silicon" to the registry flag name)
-PROFILE_FLAG_COLUMNS = ("reconfigurable", "dvfs", "silicon_measured")
-
 _PROFILE_ROW_RE = re.compile(
     r"^\|\s*`([a-z0-9_-]+)`\s*\|\s*(\d+)\s*\|"          # name | nm |
     r"\s*([0-9.]+)\s*[-–]\s*([0-9.]+)\s*\|"        # vdd lo–hi |
-    r"\s*([0-9.]+)\s*\|\s*(\d+)\s*\|"                    # f_nom | MACs |
-    r"\s*(yes|no)\s*\|\s*(yes|no)\s*\|\s*(yes|no)\s*\|")  # flags
+    r"\s*([0-9.]+)\s*\|\s*(\d+)\s*\|")                   # f_nom | MACs |
 
 
 def documented_profile_table(text: str) -> Dict[str, Dict[str, object]]:
@@ -631,8 +625,6 @@ def documented_profile_table(text: str) -> Dict[str, Dict[str, object]]:
                                 float(match.group(4))],
                 "f_nominal_mhz": float(match.group(5)),
                 "accel_ops_per_cycle": int(match.group(6)),
-                "flags": {flag: cell == "yes" for flag, cell in
-                          zip(PROFILE_FLAG_COLUMNS, match.groups()[6:])},
             }
         elif rows and not line.strip().startswith("|"):
             break
@@ -669,14 +661,6 @@ def check_profile_table() -> List[str]:
                 problems.append(
                     f"device profile `{name}`: docs table says "
                     f"{key}={docs[key]} but the registry says {live[key]}")
-        for flag in PROFILE_FLAG_COLUMNS:
-            documented_value = docs["flags"][flag]
-            if documented_value != live["flags"][flag]:
-                problems.append(
-                    f"device profile `{name}`: docs table says {flag}="
-                    f"{'yes' if documented_value else 'no'} but the "
-                    f"registry says "
-                    f"{'yes' if live['flags'][flag] else 'no'}")
     return problems
 
 
