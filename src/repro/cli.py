@@ -503,14 +503,16 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     from repro.sim import SimSession, get_session, set_session
 
     scenario = Scenario.from_file(args.scenario)
+    # one --engine folds into the scenario, as on `run`; repeated, it
+    # picks the engines of an A/B, each run names its own, and the
+    # scenario keeps the file's engine
+    if args.engine and len(args.engine) == 1:
+        scenario = scenario.with_engine(name=args.engine[0])
     if args.device_profile:
         scenario = dataclasses.replace(scenario, profile=args.device_profile)
+    engines = args.engine or [scenario.engine.name]
     set_session(SimSession.from_scenario(scenario))
     session = get_session()
-
-    # --engine repeats for A/B (it picks the engines attributed, not the
-    # session's); default is the scenario's own engine
-    engines = args.engine or [scenario.engine.name]
     runs = []
     with _Capture(args, session) as capture:
         for name in engines:
@@ -872,8 +874,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="scenario JSON naming the workload to attribute")
     att.add_argument("--engine", action="append", choices=engines,
                      metavar="NAME",
-                     help="engine to attribute; repeat for an A/B "
-                          "comparison across engines (default: the "
+                     help="engine to attribute, in place of the "
+                          "scenario's; repeat for an A/B comparison "
+                          "across engines, which leaves the scenario's "
+                          "engine as the file wrote it (default: the "
                           "scenario's engine)")
     att.add_argument("--device-profile", choices=profiles, metavar="NAME",
                      help="device profile the attributed runs are priced "

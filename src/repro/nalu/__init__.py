@@ -16,6 +16,7 @@ from repro.nalu.training import (
     make_dataset,
     run_all_tasks,
     train_task,
+    train_tasks,
 )
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "TASKS",
     "make_dataset",
     "train_task",
+    "train_tasks",
     "run_all_tasks",
     "CostComparison",
     "GE_DIGITAL",

@@ -15,7 +15,7 @@ and SUB simultaneously collapses to near-random (Fig 19a).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,10 +38,13 @@ class NALUCell:
     """One NALU layer: ``in_dim -> out_dim``.
 
     The three parameter matrices ``w_hat``, ``m_hat`` and ``g`` are views
-    into one flat vector, ``params``, and their gradients into a second,
-    ``grads``, in the same order.  A cell allocates both unless the caller
-    passes views of its own (how :class:`NALUNetwork` packs two cells into
-    one buffer).
+    into the last axis of ``params``, and their gradients into ``grads``,
+    in the same order.  A cell allocates both as flat vectors unless the
+    caller passes views of its own (how :class:`NALUNetwork` packs two
+    cells into one buffer).  Views of shape ``(..., n)`` make a stack of
+    independent cells: each matrix gains the leading axes, every stack
+    member starts from the same draw, and :meth:`forward` and
+    :meth:`backward` take activations with the same leading axes.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
@@ -54,25 +57,27 @@ class NALUCell:
         size = 3 * out_dim * in_dim
         self.params = np.empty(size) if params is None else params
         self.grads = np.empty(size) if grads is None else grads
-        shape = (3, out_dim, in_dim)
-        self.w_hat, self.m_hat, self.g = self.params.reshape(shape)
+        shape = self.params.shape[:-1] + (3, out_dim, in_dim)
+        self.w_hat, self.m_hat, self.g = \
+            np.moveaxis(self.params.reshape(shape), -3, 0)
         self.grad_w_hat, self.grad_m_hat, self.grad_g = \
-            self.grads.reshape(shape)
+            np.moveaxis(self.grads.reshape(shape), -3, 0)
         scale = 1.0 / np.sqrt(in_dim)
         for param in (self.w_hat, self.m_hat, self.g):
             param[...] = rng.uniform(-scale, scale, size=(out_dim, in_dim))
 
     # -- forward ----------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Batch forward; ``x`` is (batch, in_dim)."""
+        """Batch forward; ``x`` is (..., batch, in_dim)."""
         tanh_w = np.tanh(self.w_hat)
         sig_m = _sigmoid(self.m_hat)
         w = tanh_w * sig_m
-        add = x @ w.T
+        w_t = w.swapaxes(-1, -2)
+        add = x @ w_t
         abs_x = np.abs(x) + EPS
         log_x = np.log(abs_x)
-        mul = np.exp(_clip30(log_x @ w.T))
-        gate = _sigmoid(x @ self.g.T)
+        mul = np.exp(_clip30(log_x @ w_t))
+        gate = _sigmoid(x @ self.g.swapaxes(-1, -2))
         not_gate = 1.0 - gate
         out = gate * add + not_gate * mul
         self._cache = (x, abs_x, log_x, tanh_w, sig_m, w, add, mul, gate,
@@ -93,9 +98,10 @@ class NALUCell:
         grad_gate = grad_out * (add - mul) * gate * not_gate
 
         # gate weights
-        np.matmul(grad_gate.T, x, out=self.grad_g)
+        np.matmul(grad_gate.swapaxes(-1, -2), x, out=self.grad_g)
         # W receives contributions from both paths
-        grad_w = grad_add.T @ x + grad_exp.T @ log_x
+        grad_w = (grad_add.swapaxes(-1, -2) @ x
+                  + grad_exp.swapaxes(-1, -2) @ log_x)
         np.multiply(grad_w * (1.0 - tanh_w ** 2), sig_m, out=self.grad_w_hat)
         np.multiply(grad_w * tanh_w * sig_m, 1.0 - sig_m,
                     out=self.grad_m_hat)
@@ -110,27 +116,36 @@ class NALUCell:
 
 
 class NALUNetwork:
-    """A two-layer NALU stack (the paper's configuration).
+    """A two-layer NALU (the paper's configuration).
 
     Every parameter lives in one flat vector, ``params``, and every
     gradient in ``grads``: each of the six matrices holds at most a few
     elements, so clipping and the optimizer step run once per step over
     the whole network instead of once per matrix.
+
+    ``stack`` puts leading axes in front of that vector: ``params`` and
+    ``grads`` become ``stack + (n,)``, one independent network per index,
+    all initialized alike, trained on inputs and gradients of shape
+    ``stack + (batch, dim)``.  Each index's matrix products are the ones
+    a lone network makes, and everything else is elementwise, so every
+    member trains exactly as it would alone.
     """
 
-    def __init__(self, in_dim: int, hidden: int, out_dim: int, seed: int = 0):
+    def __init__(self, in_dim: int, hidden: int, out_dim: int, seed: int = 0,
+                 stack: Tuple[int, ...] = ()):
         rng = np.random.default_rng(seed)
         dims = [(in_dim, hidden), (hidden, out_dim)]
         # max(): a non-positive width is NALUCell's error to report
         sizes = [3 * max(fan_in * fan_out, 0) for fan_in, fan_out in dims]
-        self.params = np.empty(sum(sizes))
-        self.grads = np.empty(sum(sizes))
+        self.params = np.empty((*stack, sum(sizes)))
+        self.grads = np.empty_like(self.params)
         self.layers = []
         offset = 0
         for (fan_in, fan_out), size in zip(dims, sizes):
             span = slice(offset, offset + size)
             self.layers.append(NALUCell(fan_in, fan_out, rng,
-                                        self.params[span], self.grads[span]))
+                                        self.params[..., span],
+                                        self.grads[..., span]))
             offset += size
 
     def forward(self, x: np.ndarray) -> np.ndarray:

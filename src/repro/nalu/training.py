@@ -11,7 +11,7 @@ The reported metric is MSE normalized to a randomly initialized model
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -85,25 +85,33 @@ class NALUResult:
         return min(self.final_mse / self.random_mse, 1.5)
 
 
-def train_task(task: str, hidden: int = 4, steps: int = 1500,
-               batch_size: int = 128, learning_rate: float = 0.02,
-               seed: int = 0) -> NALUResult:
-    """Train a 2-layer NALU on one task; returns the normalized error."""
+def train_tasks(tasks: Sequence[str], hidden: int = 4, steps: int = 1500,
+                batch_size: int = 128, learning_rate: float = 0.02,
+                seed: int = 0) -> Dict[str, NALUResult]:
+    """Train a 2-layer NALU on each task; returns task -> result.
+
+    The tasks train side by side as one stacked network (see
+    :class:`NALUNetwork`): one initialization, one batch-index draw, one
+    forward and backward pass, one clip and one Adam step per step for
+    all of them.  Each task's result is bit-identical to training it
+    alone.
+    """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size: must be >= 1, got {batch_size}")
     if steps < 0:
         raise ConfigurationError(f"steps: must be >= 0, got {steps}")
-    x, y = make_dataset(task, seed=seed)
-    in_dim = x.shape[1]
-    network = NALUNetwork(in_dim, hidden, 1, seed=seed)
+    if not tasks:
+        raise ConfigurationError("tasks: name at least one NALU task")
+    data = [make_dataset(task, seed=seed) for task in tasks]
+    x = np.stack([inputs for inputs, _ in data])
+    y = np.stack([targets for _, targets in data])
+    n_samples, in_dim = x.shape[-2:]
+    network = NALUNetwork(in_dim, hidden, 1, seed=seed, stack=(len(tasks),))
 
     # the paper's 100 % reference: a randomly initialized model (averaged
     # over several draws so one lucky init does not skew the scale)
-    random_mse = float(np.mean([
-        np.mean((NALUNetwork(in_dim, hidden, 1, seed=seed + 100 + k)
-                 .forward(x) - y) ** 2)
-        for k in range(5)
-    ]))
+    random_outputs = [NALUNetwork(in_dim, hidden, 1, seed=seed + 100 + k)
+                      .forward(x) for k in range(5)]
     # the literal moment weights this experiment was tuned with (see Adam)
     optimizer = Adam([network.params], lr=learning_rate,
                      grad_weights=(0.1, 0.001))
@@ -111,20 +119,35 @@ def train_task(task: str, hidden: int = 4, steps: int = 1500,
     rng = np.random.default_rng(seed + 1)
 
     for _ in range(steps):
-        batch = rng.integers(0, len(x), size=batch_size)
-        xb, yb = x[batch], y[batch]
+        batch = rng.integers(0, n_samples, size=batch_size)
+        # take() lays each task's batch out as x[batch] does for one task
+        # (x[:, batch] interleaves the tasks' rows), so every matmul slice
+        # keeps a lone network's strides
+        xb, yb = x.take(batch, axis=-2), y.take(batch, axis=-2)
         out = network.forward(xb)
-        grad = 2.0 * (out - yb) / len(xb)
+        grad = 2.0 * (out - yb) / batch_size
         network.backward(grad)
         # np.clip(grads, -1, 1) in place, without its Python wrappers
         np.minimum(np.maximum(grads, -1.0, out=grads), 1.0, out=grads)
         optimizer.step([grads])
 
-    final_mse = float(np.mean((network.forward(x) - y) ** 2))
-    return NALUResult(task=task, final_mse=final_mse, random_mse=random_mse,
-                      target_variance=float(np.var(y)))
+    final = network.forward(x)
+
+    def mse(out, i):
+        return np.mean((out[i] - y[i]) ** 2)
+
+    return {task: NALUResult(
+        task=task, final_mse=float(mse(final, i)),
+        random_mse=float(np.mean([mse(out, i) for out in random_outputs])),
+        target_variance=float(np.var(y[i])))
+        for i, task in enumerate(tasks)}
+
+
+def train_task(task: str, **schedule) -> NALUResult:
+    """Train a 2-layer NALU on one task (:func:`train_tasks`' keywords)."""
+    return train_tasks((task,), **schedule)[task]
 
 
 def run_all_tasks(seed: int = 0, steps: int = 1500) -> Dict[str, NALUResult]:
     """Train every Fig 19a task; returns task -> result."""
-    return {task: train_task(task, steps=steps, seed=seed) for task in TASKS}
+    return train_tasks(TASKS, steps=steps, seed=seed)

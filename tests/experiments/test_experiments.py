@@ -137,6 +137,15 @@ class TestFig16:
     def test_trace_spans_oscilloscope_window(self, result):
         assert abs(result.metric("baseline makespan").deviation) < 0.10
 
+    def test_schedule_pinned_exactly(self, result):
+        # the 2% band above passes a one-cycle change to the mode-switch
+        # cost (end-to-end improvement 42.954545); the timeline is integer
+        # cycles, so both values are exact
+        assert result.metric("end-to-end improvement").measured \
+            == 43.00000000000001
+        assert result.metric("2xNCPU makespan").measured \
+            == 50.160000000000004
+
     def test_traces_present_for_all_cores(self, result):
         assert set(result.series["baseline_trace"]) == {"cpu", "bnn"}
         assert set(result.series["ncpu_trace"]) == {"ncpu0", "ncpu1"}

@@ -13,6 +13,7 @@ import pytest
 
 from repro.bnn import synthetic_mnist, synthetic_motion
 from repro.experiments.models import _train_mnist_model, _train_motion_artifacts
+from repro.nalu.training import TASKS, train_task, train_tasks
 
 
 def digest(*arrays):
@@ -27,6 +28,20 @@ def digest(*arrays):
 def model_digest(model):
     return digest(*(array for layer in model.layers
                     for array in (layer.weights, layer.bias)))
+
+
+def nalu_digest(results):
+    """Every task's final MSE, random-init MSE and target variance, as
+    float64 bytes in :data:`TASKS` order."""
+    return digest(*(np.array([results[task].final_mse,
+                              results[task].random_mse,
+                              results[task].target_variance])
+                    for task in TASKS))
+
+
+#: the five Fig 19a tasks trained for 300 steps
+NALU_RESULTS = \
+    "523b8dc8c33bc19a74fd3462c56fc60d3af95801f7701e7688e9ba2bc5608bc6"
 
 
 @pytest.mark.parametrize("n_samples, seed, images, labels", [
@@ -63,3 +78,12 @@ def test_motion_artifact_bytes():
         "a532dfd123816552151de4d054cc1f116e2d663935c1d912eccc53c7a691a777"
     assert digest(artifacts.thresholds) == \
         "e7dc7057b975253c21646ea78238cb04261727d10b32a93099f59532507e0f86"
+
+
+def test_nalu_result_bytes_task_by_task():
+    results = {task: train_task(task, steps=300) for task in TASKS}
+    assert nalu_digest(results) == NALU_RESULTS
+
+
+def test_nalu_result_bytes_stacked():
+    assert nalu_digest(train_tasks(TASKS, steps=300)) == NALU_RESULTS

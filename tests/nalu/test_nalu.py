@@ -12,6 +12,7 @@ from repro.nalu import (
     make_dataset,
     total_alu_comparison,
     train_task,
+    train_tasks,
 )
 from repro.nalu.model import NALUCell
 
@@ -31,6 +32,23 @@ class TestModel:
         a = NALUNetwork(2, 4, 1, seed=3).forward(x)
         b = NALUNetwork(2, 4, 1, seed=3).forward(x)
         np.testing.assert_array_equal(a, b)
+
+    def test_stack_members_match_lone_networks(self):
+        # each member of a stack computes, to the byte, what one network
+        # computes alone on the same inputs and output gradient
+        rng = np.random.default_rng(2)
+        x = rng.random((3, 16, 2))
+        grad_out = rng.standard_normal((3, 16, 1))
+        stacked = NALUNetwork(2, 4, 1, seed=5, stack=(3,))
+        stacked.params += rng.standard_normal(stacked.params.shape) * 0.1
+        out = stacked.forward(x)
+        stacked.backward(grad_out)
+        for k in range(3):
+            alone = NALUNetwork(2, 4, 1, seed=5)
+            alone.params[...] = stacked.params[k]
+            assert alone.forward(x[k]).tobytes() == out[k].tobytes()
+            alone.backward(grad_out[k])
+            assert alone.grads.tobytes() == stacked.grads[k].tobytes()
 
     def test_gradients_numerically(self):
         # finite-difference check on a single cell
@@ -85,8 +103,7 @@ class TestTraining:
 
     @pytest.fixture(scope="class")
     def results(self):
-        return {task: train_task(task, steps=800, seed=0)
-                for task in ("add", "sub", "xor", "addsub")}
+        return train_tasks(("add", "sub", "xor", "addsub"), steps=800, seed=0)
 
     def test_add_learns_well(self, results):
         assert results["add"].normalized_error < 0.05
@@ -116,6 +133,10 @@ class TestTraining:
     def test_bad_schedule_rejected(self, field, kwargs):
         with pytest.raises(ConfigurationError, match=f"^{field}:"):
             train_task("add", **kwargs)
+
+    def test_no_tasks_rejected(self):
+        with pytest.raises(ConfigurationError, match="^tasks:"):
+            train_tasks(())
 
 
 class TestCost:

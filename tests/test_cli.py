@@ -84,13 +84,32 @@ class TestRun:
 
 
 class TestRunEngine:
-    def test_fast_engine_matches_functional_output(self, source_file, capsys):
-        assert main(["run", source_file, "--engine", "fast", "--regs"]) == 0
-        fast_out = capsys.readouterr().out
-        assert main(["run", source_file, "--functional", "--regs"]) == 0
-        accurate_out = capsys.readouterr().out
+    def test_fast_engine_matches_functional_output(self, source_file, capsys,
+                                                  monkeypatch):
+        import json
+
+        from repro.sim import reset_session
+
+        def run(*flags):
+            # --engine stays in the live session after main returns, so
+            # each run starts from a fresh default one
+            reset_session()
+            assert main(["run", source_file, "--regs", "--stats-json",
+                         *flags]) == 0
+            captured = capsys.readouterr()
+            counters = json.loads(captured.out)["counters"]
+            return captured.err, {name.rsplit(".", 1)[0]
+                                  for name in counters}
+
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        try:
+            fast_out, fast_cpus = run("--engine", "fast")
+            iss_out, iss_cpus = run("--functional")
+        finally:
+            reset_session()
+        assert (fast_cpus, iss_cpus) == ({"cpu.fastpath"}, {"cpu.functional"})
         assert "instructions=4" in fast_out
-        assert fast_out == accurate_out  # identical regs, cycles, stop line
+        assert fast_out == iss_out  # identical regs, cycles, stop line
 
     def test_accurate_engine_keeps_pipeline(self, source_file, capsys):
         assert main(["run", source_file, "--engine", "accurate"]) == 0
@@ -629,6 +648,29 @@ class TestAttributeCli:
                       if e["kind"] == kind}
             assert len(totals) == 1
 
+    @pytest.mark.parametrize("engines, scenario_engine", [
+        (["accurate"], "accurate"),
+        (["accurate", "fast"], "fast"),
+    ], ids=["one", "repeated"])
+    def test_document_names_the_engines_run(self, bnn_scenario_file,
+                                            tmp_path, capsys, engines,
+                                            scenario_engine):
+        # one --engine replaces the file's ("fast"); repeated, each run
+        # names its own and the scenario keeps the file's engine
+        import json
+
+        metrics = tmp_path / "attr.metrics.json"
+        argv = ["attribute", "--scenario", bnn_scenario_file, "--json",
+                "--metrics-out", str(metrics)]
+        for name in engines:
+            argv += ["--engine", name]
+        assert main(argv) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["scenario"]["engine"]["name"] == scenario_engine
+        assert [run["engine"] for run in document["runs"]] == engines
+        manifest = json.loads(metrics.read_text())["manifest"]
+        assert manifest["engine"] == scenario_engine
+
     def test_ab_summary_rendered_for_multiple_engines(
             self, bnn_scenario_file, capsys):
         assert main(["attribute", "--scenario", bnn_scenario_file,
@@ -833,8 +875,8 @@ class TestDeviceProfileCli:
 #: the file beats the environment, the environment beats the built-in
 #: default.  ``serve`` runs its built-in ``serve`` scenario, which the
 #: environment does not reach, and has no device flag; ``attribute``
-#: requires a file, and its --engine picks the engines to attribute,
-#: so only its device flag is set here.
+#: requires a file, and one --engine folds into it as on ``run`` (its
+#: rows that set that flag are labelled ``engine-flag``).
 PRECEDENCE = [
     *[(command, *row) for command in ("run", "experiments") for row in (
         (None, None, None, ("accurate", "ncpu-65nm")),
@@ -856,6 +898,10 @@ PRECEDENCE = [
      ("fast", "mcxn947-neutron")),
     ("attribute", ("fast", "max78000"), ("accurate", "ethos-u55"),
      (None, "mcxn947-neutron"), ("accurate", "mcxn947-neutron")),
+    ("attribute", None, ("accurate", "ethos-u55"), ("fast", None),
+     ("fast", "ethos-u55")),
+    ("attribute", ("accurate", "max78000"), ("accurate", "ethos-u55"),
+     ("fast", "mcxn947-neutron"), ("fast", "mcxn947-neutron")),
     ("serve", None, None, None, ("accurate", "ncpu-65nm")),
     ("serve", ("fast", "max78000"), None, None, ("accurate", "ncpu-65nm")),
     ("serve", None, ("fast", "ethos-u55"), None, ("fast", "ethos-u55")),
@@ -872,6 +918,8 @@ def _precedence_id(row) -> str:
     command, env, scenario, flags, _ = row
     given = [name for name, value in (("env", env), ("file", scenario),
                                       ("flag", flags)) if value]
+    if command == "attribute" and flags and flags[0]:
+        given[-1] = "engine-flag"
     return f"{command}:{'+'.join(given) or 'default'}"
 
 
