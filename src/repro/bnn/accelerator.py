@@ -151,13 +151,13 @@ class BNNAccelerator:
             weight_stream_cycles=stream,
         )
         session = get_session()
-        scope = session.stats.scope("bnn")
-        scope.incr("batches")
-        scope.incr("inferences", n_inputs)
-        scope.incr("cycles", total)
-        scope.incr("macs", timing.macs)
+        counters = session.stats
+        counters["bnn.batches"] += 1
+        counters["bnn.inferences"] += n_inputs
+        counters["bnn.cycles"] += total
+        counters["bnn.macs"] += timing.macs
         if stream:
-            scope.incr("weight_stream_cycles", stream)
+            counters["bnn.weight_stream_cycles"] += stream
         if session.tracer is not None:
             session.tracer.bnn_batch(timing, self.layer_cycles(model),
                                      self.layer_macs(model))
@@ -176,10 +176,10 @@ class BNNAccelerator:
             layer_cycles=self.layer_cycles(model),
         )
         session = get_session()
-        scope = session.stats.scope("bnn")
-        scope.incr("inferences")
-        scope.incr("cycles", result.cycles)
-        scope.incr("macs", result.macs)
+        counters = session.stats
+        counters["bnn.inferences"] += 1
+        counters["bnn.cycles"] += result.cycles
+        counters["bnn.macs"] += result.macs
         if session.tracer is not None:
             session.tracer.bnn_infer(result, self.layer_macs(model))
         return result

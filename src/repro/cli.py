@@ -130,7 +130,7 @@ class _Capture:
         if args.metrics_out:
             from repro.metrics import MetricsRecorder
 
-            # snapshot-diff based: nothing touches the simulator hot path
+            # counter-growth based: nothing touches the simulator hot path
             self.recorder = self._stack.enter_context(
                 MetricsRecorder(self.session))
         return self
@@ -243,7 +243,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     session = get_session()
     if scenario is None:
         # the flags fold over the live session's scenario, which keeps
-        # its stats registry and cache
+        # its counters and cache
         session.config = dataclasses.replace(
             session.config, scenario=_with_flags(session.config.scenario,
                                                  args))
@@ -314,8 +314,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # printed before the non-zero exit path, stop reason included, so
         # scripted callers always get one parseable document on stdout
         payload = {"stop_reason": result.stop_reason, "pc": result.pc,
-                   "exit_code": exit_code}
-        payload.update(get_session().stats.as_dict())
+                   "exit_code": exit_code, "counters": dict(session.stats)}
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     return exit_code
 
@@ -334,19 +333,20 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     # fail fast: a bad REPRO_ENGINE or REPRO_PROFILE aborts here with the
     # registered list, before any experiment assembles programs or trains
     # models.  Parallel workers (-j) get this session's config from
-    # run_selected.
+    # run_selected; --no-cache disables its whole cache, trained models
+    # included, as REPRO_NO_CACHE=1 does.
     base = SimConfig.from_env()
     scenario = _load_cli_scenario(args)
     if scenario is not None or args.cache_dir or args.engine \
-            or args.device_profile:
+            or args.device_profile or args.no_cache:
         set_session(SimSession(dataclasses.replace(
             base, cache_dir=args.cache_dir or base.cache_dir,
+            cache_enabled=base.cache_enabled and not args.no_cache,
             scenario=scenario or _with_flags(base.scenario, args))))
     if args.patterns and not select(args.patterns):
         logger.error("no experiments match %r", " ".join(args.patterns))
         return 1
-    results = run_selected(args.patterns or None,
-                           use_cache=not args.no_cache, jobs=args.jobs,
+    results = run_selected(args.patterns or None, jobs=args.jobs,
                            trace_dir=args.trace_dir)
     if args.metrics_dir:
         from repro.experiments.runner import write_experiment_metrics
@@ -716,10 +716,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--regs", action="store_true",
                      help="dump the register file after the run")
     run.add_argument("--stats-json", action="store_true",
-                     help="print one JSON document (stop reason + stats "
-                          "registry) on stdout; summary moves to stderr")
+                     help="print one JSON document (stop reason + session "
+                          "counters) on stdout; summary moves to stderr")
     _add_capture_flags(run, trace="the run",
-                       metrics="the run's metrics (stats-registry deltas "
+                       metrics="the run's metrics (session counter growth "
                                "+ wall time, manifest-labelled)")
     run.add_argument("--profile", action="store_true",
                      help="print hot-spot / stall-attribution / layer "

@@ -5,11 +5,9 @@ Every system-level experiment (Figs 13, 14, 16, 17, Table 4) reduces to a
 idleness, measured in cycles.  Utilization and the oscilloscope-style power
 traces (Fig 16) derive from it.
 
-Timelines participate in the shared instrumentation layer: every
-:meth:`Timeline.add` bumps the session :class:`~repro.sim.StatsRegistry`
+Every :meth:`Timeline.add` adds to the session counters
 (``timeline.segments``, ``timeline.<kind>_cycles``) and, traced, draws
-the segment on its core's track; utilization queries publish per-core
-gauges.
+the segment on its core's track.
 """
 
 from __future__ import annotations
@@ -67,8 +65,9 @@ class Timeline:
         segment = Segment(core=core, kind=kind, start=start, end=end, label=label)
         self.segments.append(segment)
         session = get_session()
-        session.stats.incr("timeline.segments")
-        session.stats.incr(f"timeline.{kind}_cycles", segment.cycles)
+        counters = session.stats
+        counters["timeline.segments"] += 1
+        counters[f"timeline.{kind}_cycles"] += segment.cycles
         if session.tracer is not None:
             session.tracer.timeline_segment(core, kind, start, end, label)
         return segment
@@ -111,11 +110,7 @@ class Timeline:
         return self.busy_cycles(core) / total
 
     def utilizations(self) -> Dict[str, float]:
-        utils = {core: self.utilization(core) for core in self.core_names()}
-        stats = get_session().stats
-        for core, value in utils.items():
-            stats.set_gauge(f"timeline.utilization.{core}", value)
-        return utils
+        return {core: self.utilization(core) for core in self.core_names()}
 
     # -- power trace ------------------------------------------------------
     def _segment_power_mw(self, segment: Segment, voltage: float, f_hz: float,

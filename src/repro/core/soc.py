@@ -30,7 +30,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.isa import Program
 from repro.mem.bus import DEFAULT_L2_BYTES, SharedL2, SystemBus
 from repro.mem.dma import DMAEngine
-from repro.sim import get_session
 
 
 class NCPUSoC:
@@ -80,14 +79,9 @@ class NCPUSoC:
         """Per-core busy fraction over the SoC makespan."""
         span = self.makespan
         if span == 0:
-            utils = {core.name: 0.0 for core in self.cores}
-        else:
-            utils = {core.name: core.timeline.busy_cycles(core.name) / span
-                     for core in self.cores}
-        stats = get_session().stats
-        for name, value in utils.items():
-            stats.set_gauge(f"soc.utilization.{name}", value)
-        return utils
+            return {core.name: 0.0 for core in self.cores}
+        return {core.name: core.timeline.busy_cycles(core.name) / span
+                for core in self.cores}
 
     # -- cooperative mode ---------------------------------------------------
     def run_chained_inference(self, model: BNNModel, x_signs,
@@ -255,13 +249,6 @@ class HeterogeneousSoC:
     def utilizations(self) -> dict:
         span = self.makespan
         if span == 0:
-            utils = {"cpu": 0.0, "bnn": 0.0}
-        else:
-            utils = {
-                "cpu": self.timeline.busy_cycles("cpu") / span,
-                "bnn": self.timeline.busy_cycles("bnn") / span,
-            }
-        stats = get_session().stats
-        for name, value in utils.items():
-            stats.set_gauge(f"soc.utilization.{name}", value)
-        return utils
+            return {"cpu": 0.0, "bnn": 0.0}
+        return {core: self.timeline.busy_cycles(core) / span
+                for core in ("cpu", "bnn")}

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.cpu.memory import DataMemory
+from repro.sim import get_session
 
 #: number of transition neuron cells per core (one per neural layer group,
 #: sized generously; the rd field addresses up to 32)
@@ -60,7 +61,7 @@ class CoreEnv:
         return [e for e in self.events if e.name == name]
 
 
-#: the scalar ExecStats fields mirrored into the shared StatsRegistry
+#: the scalar ExecStats fields counted into the session's ``stats``
 SCALAR_STATS = ("cycles", "instructions", "stalls", "flushes",
                 "mem_reads", "mem_writes")
 
@@ -79,7 +80,7 @@ class ExecStats:
     stage_busy: Counter = field(default_factory=Counter)
 
     def scalars(self) -> dict:
-        """The plain counter fields as a dict (registry/JSON export)."""
+        """The plain counter fields as a dict (counters/JSON export)."""
         return {name: getattr(self, name) for name in SCALAR_STATS}
 
     def delta(self, before: dict) -> dict:
@@ -115,6 +116,24 @@ class ExecStats:
         merged.instr_counts = self.instr_counts + other.instr_counts
         merged.stage_busy = self.stage_busy + other.stage_busy
         return merged
+
+
+def publish_run(simulator: str, stop_reason: str, delta: dict) -> None:
+    """Publish one run of a CPU simulator to the session.
+
+    Adds ``cpu.<simulator>.runs`` and each non-zero field of ``delta``
+    (the run's :meth:`ExecStats.delta`) to ``session.stats``, then, with a
+    tracer installed, records the run's ``cpu.run`` instant.
+    """
+    session = get_session()
+    counters = session.stats
+    prefix = f"cpu.{simulator}."
+    counters[prefix + "runs"] += 1
+    for name, amount in delta.items():
+        if amount:
+            counters[prefix + name] += amount
+    if session.tracer is not None:
+        session.tracer.cpu_run(simulator, stop_reason, delta)
 
 
 @dataclass

@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cpu.env import CoreEnv, ExecStats, RunResult
+from repro.cpu.env import CoreEnv, ExecStats, RunResult, publish_run
 from repro.cpu.functional import DEFAULT_MAX_STEPS
 from repro.cpu.memory import DataMemory, FlatMemory
 from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS
@@ -48,7 +48,6 @@ from repro.cpu.state import RegisterFile
 from repro.errors import ConfigurationError, SimulationError
 from repro.isa.instructions import DecodedInstr, decode
 from repro.isa.program import Program
-from repro.sim import get_session
 
 _MASK = 0xFFFFFFFF
 
@@ -385,8 +384,8 @@ class FastCPU:
     def run(self, max_steps: int = DEFAULT_MAX_STEPS) -> RunResult:
         """Run until halt / mode switch / step limit.
 
-        Mirrors the run's :class:`ExecStats` growth into the session
-        :class:`~repro.sim.StatsRegistry` under ``cpu.fastpath.*``.
+        Adds the run's :class:`ExecStats` growth to the session counters
+        under ``cpu.fastpath.*`` (:func:`~repro.cpu.env.publish_run`).
         """
         if max_steps < 0:
             raise ConfigurationError(f"max_steps: must be >= 0, got {max_steps}")
@@ -450,12 +449,6 @@ class FastCPU:
             for block, times in pending.items():
                 for name, count in block.counts.items():
                     counts[name] += count * times
-        delta = stats.delta(before)
-        session = get_session()
-        scope = session.stats.scope("cpu.fastpath")
-        scope.incr("runs")
-        scope.incr_many(delta)
-        if session.tracer is not None:
-            session.tracer.cpu_run("fastpath", reason, delta)
+        publish_run("fastpath", reason, stats.delta(before))
         return RunResult(stats=stats, stop_reason=reason, pc=self.pc,
                          env=self.env)

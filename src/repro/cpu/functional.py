@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.cpu.env import CoreEnv, ExecStats, RunResult
+from repro.cpu.env import CoreEnv, ExecStats, RunResult, publish_run
 from repro.cpu.memory import DataMemory, FlatMemory
 from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS, ExFn, compile_ex
 from repro.cpu.state import RegisterFile
 from repro.errors import ConfigurationError, SimulationError
 from repro.isa.instructions import DecodedInstr, decode
 from repro.isa.program import Program
-from repro.sim import get_session
 
 DEFAULT_MAX_STEPS = 50_000_000
 
@@ -99,8 +98,8 @@ class FunctionalCPU:
     def run(self, max_steps: int = DEFAULT_MAX_STEPS) -> RunResult:
         """Run until halt / mode switch / step limit.
 
-        Mirrors the run's :class:`ExecStats` growth into the session
-        :class:`~repro.sim.StatsRegistry` under ``cpu.functional.*``.
+        Adds the run's :class:`ExecStats` growth to the session counters
+        under ``cpu.functional.*`` (:func:`~repro.cpu.env.publish_run`).
         """
         if max_steps < 0:
             raise ConfigurationError(f"max_steps: must be >= 0, got {max_steps}")
@@ -111,13 +110,7 @@ class FunctionalCPU:
             if stop is not None:
                 break
         reason = stop if stop is not None else "max_cycles"
-        delta = self.stats.delta(before)
-        session = get_session()
-        scope = session.stats.scope("cpu.functional")
-        scope.incr("runs")
-        scope.incr_many(delta)
-        if session.tracer is not None:
-            session.tracer.cpu_run("functional", reason, delta)
+        publish_run("functional", reason, self.stats.delta(before))
         return RunResult(stats=self.stats, stop_reason=reason, pc=self.pc,
                          env=self.env)
 

@@ -8,7 +8,7 @@ NCPU memory system that implements the same protocol.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 from repro.errors import MemoryError_
 from repro.isa.encoding import sign_extend, to_unsigned32
@@ -78,9 +78,6 @@ class FlatMemory:
     def load_word(self, addr: int) -> int:
         return self.load(addr, 4)
 
-    def store_word(self, addr: int, value: int) -> None:
-        self.store(addr, value, 4)
-
     def write_words(self, addr: int, values: Iterable[int]) -> None:
         for index, value in enumerate(values):
             self.store(addr + 4 * index, value, 4)
@@ -93,7 +90,3 @@ class FlatMemory:
         if offset + len(data) > self.size:
             raise MemoryError_("byte write runs off the end of memory")
         self._bytes[offset:offset + len(data)] = data
-
-    def load_dict(self, words: Dict[int, int]) -> None:
-        for addr, value in words.items():
-            self.store(addr, value, 4)

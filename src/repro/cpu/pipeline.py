@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cpu.env import CoreEnv, ExecStats, RunResult
+from repro.cpu.env import CoreEnv, ExecStats, RunResult, publish_run
 from repro.cpu.memory import DataMemory, FlatMemory
 from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS, compile_ex
 from repro.cpu.state import RegisterFile
@@ -111,16 +111,16 @@ class PipelinedCPU:
         continues its own stamps.  A completed run ends with a ``cpu.run``
         instant.
 
-        Completed runs mirror their :class:`ExecStats` growth into the
-        session :class:`~repro.sim.StatsRegistry` under ``cpu.pipeline.*``.
+        Completed runs add their :class:`ExecStats` growth to the session
+        counters under ``cpu.pipeline.*``
+        (:func:`~repro.cpu.env.publish_run`).
         """
         if max_cycles < 0:
             raise ConfigurationError(f"max_cycles: must be >= 0, got {max_cycles}")
         stats = self.stats
         before = stats.scalars()
-        session = get_session()
         # resolved once per run; untraced, a cycle pays one None check
-        tracer = session.tracer
+        tracer = get_session().tracer
         env, memory, regs, ops = self.env, self.memory, self.regs._regs, self._ops
         program = self.program
         words, base, n_words = program.words, program.base, len(program.words)
@@ -295,12 +295,7 @@ class PipelinedCPU:
                 stats.instr_counts[name] += count
 
         reason = stop or "max_cycles"
-        delta = stats.delta(before)
-        scope = session.stats.scope("cpu.pipeline")
-        scope.incr("runs")
-        scope.incr_many(delta)
-        if tracer is not None:
-            tracer.cpu_run("pipeline", reason, delta)
+        publish_run("pipeline", reason, stats.delta(before))
         return RunResult(stats=stats, stop_reason=reason,
                          pc=self._resume_pc if stop else pc, env=self.env)
 

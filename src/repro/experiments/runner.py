@@ -45,9 +45,10 @@ def select(patterns: Optional[List[str]] = None) -> List[str]:
             if not patterns or any(pattern in name for pattern in patterns)]
 
 
-def run_experiment(name: str, use_cache: bool = True,
+def run_experiment(name: str,
                    trace_dir: Optional[str] = None) -> ExperimentResult:
-    """Run one experiment, consulting the session result cache.
+    """Run one experiment, consulting the session result cache (unless
+    the session's cache is disabled).
 
     With ``trace_dir`` set, an actually-executed (cache-missed) experiment
     runs under an installed tracer and its events land in
@@ -77,8 +78,7 @@ def run_experiment(name: str, use_cache: bool = True,
         traced_path = str(target)
         return built
 
-    caching = use_cache and session.cache.enabled
-    if caching:
+    if session.cache.enabled:
         hits_before = session.cache.hits
         result = session.cache.fetch(RESULT_NAMESPACE, spec.cache_key(),
                                      build)
@@ -107,20 +107,14 @@ def _start_worker(config: SimConfig) -> None:
     set_session(SimSession(config))
 
 
-def _run_in_worker(name: str, use_cache: bool,
-                   trace_dir: Optional[str] = None) -> ExperimentResult:
-    return run_experiment(name, use_cache=use_cache, trace_dir=trace_dir)
-
-
 def run_selected(patterns: Optional[List[str]] = None, *,
-                 use_cache: bool = True,
                  jobs: int = 1,
                  trace_dir: Optional[str] = None) -> List[ExperimentResult]:
     """Run experiments whose key contains any of the given substrings.
 
     With ``jobs > 1`` the experiments fan out over a process pool.  Each
     worker starts a session from the caller's :class:`SimConfig` —
-    engine, device profile, scenario and cache directory — whatever the
+    engine, device profile, scenario and cache settings — whatever the
     pool's start method, so the workers share the caller's on-disk
     artifact cache (writes are atomic) and each traces into its own
     ``<trace_dir>/<name>.trace.json``.
@@ -130,8 +124,8 @@ def run_selected(patterns: Optional[List[str]] = None, *,
         with ProcessPoolExecutor(max_workers=jobs,
                                  initializer=_start_worker,
                                  initargs=(get_session().config,)) as pool:
-            futures = {pool.submit(_run_in_worker, name, use_cache,
-                                   trace_dir): name for name in names}
+            futures = {pool.submit(run_experiment, name, trace_dir): name
+                       for name in names}
             done = 0
             for future in as_completed(futures):
                 done += 1
@@ -139,8 +133,7 @@ def run_selected(patterns: Optional[List[str]] = None, *,
                             len(futures), futures[future])
             # results keep submission order regardless of completion order
             return [future.result() for future in futures]
-    return [run_experiment(name, use_cache=use_cache, trace_dir=trace_dir)
-            for name in names]
+    return [run_experiment(name, trace_dir=trace_dir) for name in names]
 
 
 # -- metrics export ------------------------------------------------------

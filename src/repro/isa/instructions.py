@@ -60,10 +60,6 @@ class InstrSpec:
         return self.opcode == OPCODE_BRANCH
 
     @property
-    def is_jump(self) -> bool:
-        return self.name in ("jal", "jalr")
-
-    @property
     def writes_rd(self) -> bool:
         # mv_neu's rd field addresses a transition neuron, not a register.
         return self.fmt in ("R", "I", "U", "J") and self.name not in (

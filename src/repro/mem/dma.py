@@ -58,10 +58,10 @@ class DMAEngine:
         cycles = self.transfer_cycles(n_words)
         self.transfers.append(TransferRecord(description, n_words, cycles))
         session = get_session()
-        scope = session.stats.scope("dma")
-        scope.incr("transfers")
-        scope.incr("words", n_words)
-        scope.incr("cycles", cycles)
+        counters = session.stats
+        counters["dma.transfers"] += 1
+        counters["dma.words"] += n_words
+        counters["dma.cycles"] += cycles
         if session.tracer is not None:
             session.tracer.dma_transfer(
                 description, n_words, cycles,

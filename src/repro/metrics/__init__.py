@@ -1,7 +1,7 @@
 """``repro.metrics`` — cross-run metrics and their exporters.
 
-Layered on :class:`~repro.sim.StatsRegistry` snapshots (never on the
-simulator hot path):
+Layered on the growth of the session counters, ``session.stats`` (never
+on the simulator hot path):
 
 * :mod:`repro.metrics.model` — typed Counter/Gauge/Histogram series with
   labels, plus the :class:`RunManifest` (config hash, seed, version, git

@@ -1,8 +1,8 @@
 """Typed metric series + the run manifest attached to every collection.
 
 A :class:`MetricsCollection` holds counter/gauge/histogram series keyed by
-(name, labels).  Collections are built *after* the simulation from
-:meth:`~repro.sim.StatsRegistry.snapshot` diffs plus wall-clock timing —
+(name, labels).  Collections are built *after* the simulation from the
+growth of the session counters (``session.stats``) plus wall-clock timing —
 the simulator hot path is never touched, so disabled metrics cost nothing.
 
 Every collection carries a :class:`RunManifest` identifying what produced
@@ -21,6 +21,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -30,7 +31,7 @@ COUNTER = "counter"
 GAUGE = "gauge"
 HISTOGRAM = "histogram"
 
-#: prefix stamped onto every sanitized registry-derived metric name
+#: prefix stamped onto every sanitized counter-derived metric name
 METRIC_PREFIX = "repro_"
 
 _NAME_OK_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -38,7 +39,7 @@ _NAME_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
 
 def sanitize_metric_name(name: str, prefix: str = METRIC_PREFIX) -> str:
-    """Turn a dotted registry counter name into a valid metric name.
+    """Turn a dotted session counter name into a valid metric name.
 
     ``cpu.pipeline.cycles`` -> ``repro_cpu_pipeline_cycles``.
     """
@@ -260,22 +261,12 @@ class MetricsCollection:
 
     def add_registry_diff(self, diff: Mapping[str, float],
                           labels: Optional[Mapping[str, str]] = None) -> None:
-        """Fold a :meth:`StatsRegistry.diff` into counters (sanitized)."""
+        """Fold counter growth (name -> amount) into counters
+        (sanitized)."""
         for name in sorted(diff):
             self.counter(sanitize_metric_name(name), diff[name],
                          labels=labels,
-                         help=f"stats registry counter {name}")
-
-    def add_registry_gauges(self, gauges: Mapping[str, Any],
-                            labels: Optional[Mapping[str, str]] = None
-                            ) -> None:
-        """Fold numeric registry gauges in (non-numeric values skipped)."""
-        for name in sorted(gauges):
-            value = gauges[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            self.gauge(sanitize_metric_name(name), value, labels=labels,
-                       help=f"stats registry gauge {name}")
+                         help=f"session counter {name}")
 
     def add_phase_attribution(self, attribution) -> None:
         """Fold one :class:`repro.obs.RunAttribution` into the collection.
@@ -311,11 +302,11 @@ class MetricsCollection:
 
 
 class MetricsRecorder:
-    """Snapshot-on-enter / diff-on-exit collection around a simulation.
+    """Copy-on-enter / subtract-on-exit collection around a simulation.
 
-    The recorded collection is built entirely from the registry delta after
-    the workload finishes — nothing is attached to the simulators, so the
-    hot path runs exactly as without metrics.
+    The recorded collection is built entirely from the session counters'
+    growth after the workload finishes — nothing is attached to the
+    simulators, so the hot path runs exactly as without metrics.
     """
 
     def __init__(self, session: Optional[Any] = None,
@@ -325,11 +316,11 @@ class MetricsRecorder:
         self.session = session if session is not None else get_session()
         self.manifest = manifest
         self.collection: Optional[MetricsCollection] = None
-        self._before: Dict[str, float] = {}
+        self._before: Counter = Counter()
         self._start = 0.0
 
     def __enter__(self) -> "MetricsRecorder":
-        self._before = self.session.stats.snapshot()
+        self._before = self.session.stats.copy()
         self._start = time.perf_counter()
         return self
 
@@ -338,8 +329,9 @@ class MetricsRecorder:
         manifest = self.manifest if self.manifest is not None \
             else RunManifest.collect(self.session)
         collection = MetricsCollection(manifest)
-        collection.add_registry_diff(self.session.stats.diff(self._before))
-        collection.add_registry_gauges(self.session.stats.gauges())
+        # counters only grow, so the positive part of the difference is
+        # exactly the block's growth, with untouched names left out
+        collection.add_registry_diff(self.session.stats - self._before)
         collection.gauge("repro_run_wall_seconds", wall, unit="seconds",
                          help="wall-clock time of the recorded block")
         self.collection = collection

@@ -181,7 +181,7 @@ class RunAttribution:
 def _publish(session, attribution: RunAttribution) -> RunAttribution:
     """Invariant-check, count the run, and trace its phases."""
     attribution.check()
-    session.stats.incr("obs.runs")
+    session.stats["obs.runs"] += 1
     if session.tracer is not None:
         session.tracer.obs_phases(attribution, PHASES)
     return attribution

@@ -120,12 +120,6 @@ class PowerProfile:
         return self.dynamic_power_w(voltage, f) * seconds \
             + self.leakage_power_w(voltage) * seconds
 
-    @property
-    def leak_share_1v(self) -> float:
-        """Leakage share at the profile's nominal voltage."""
-        return self.leakage_power_w(self.v_nominal) \
-            / self.total_power_w(self.v_nominal)
-
 
 def _solve_profile(name: str, frequency: FrequencyModel, p_hi: float,
                    p_lo: float, leak_hi: float,
@@ -248,12 +242,6 @@ class TwoDomainProfile:
         return self.dynamic_power_w(voltage, f) * seconds \
             + self.leakage_power_w(voltage) * seconds
 
-    @property
-    def leak_share_1v(self) -> float:
-        """Leakage share at the profile's nominal voltage."""
-        return self.leakage_power_w(self.v_nominal) \
-            / self.total_power_w(self.v_nominal)
-
 
 @dataclass(frozen=True)
 class DeviceModels:
@@ -268,14 +256,6 @@ class DeviceModels:
     frequency: FrequencyModel = field(compare=False)
     accel: PowerProfile = field(compare=False)
     cpu: TwoDomainProfile = field(compare=False)
-
-    def mode_profile(self, mode: str) -> Union[PowerProfile, TwoDomainProfile]:
-        """The fitted power model for ``mode`` (``"cpu"`` or ``"bnn"``)."""
-        if mode == "cpu":
-            return self.cpu
-        if mode == "bnn":
-            return self.accel
-        raise ConfigurationError(f"unknown core mode {mode!r}")
 
     def cpu_mep_voltage(self) -> float:
         """Model MEP of the CPU mode, searched in the profile's window."""

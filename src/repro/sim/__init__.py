@@ -2,9 +2,10 @@
 
 Every simulator stack in the reproduction — the cycle-accurate pipeline
 (:mod:`repro.cpu.pipeline`), the BNN accelerator (:mod:`repro.bnn.accelerator`)
-and the SoC discrete-event timeline (:mod:`repro.core.events`) — reports into
-one shared :class:`StatsRegistry`, and every expensive artifact (trained BNN
-models, completed experiment results) is memoized through one on-disk
+and the SoC discrete-event timeline (:mod:`repro.core.events`) — adds its
+counts to one :class:`collections.Counter` keyed by dotted name
+(``session.stats``), and every expensive artifact (trained BNN models,
+completed experiment results) is memoized through one on-disk
 :class:`ArtifactCache`.  A :class:`SimSession` bundles the two together with a
 deterministic :class:`SimConfig`; :func:`get_session` returns the process-wide
 current session.
@@ -21,7 +22,6 @@ from repro.sim.config import (
     config_hash,
     source_digest,
 )
-from repro.sim.instrument import StatsRegistry, StatsScope
 from repro.sim.session import (
     SimSession,
     get_session,
@@ -39,8 +39,6 @@ __all__ = [
     "NO_CACHE_ENV_VAR",
     "SimConfig",
     "SimSession",
-    "StatsRegistry",
-    "StatsScope",
     "config_hash",
     "get_session",
     "reset_session",

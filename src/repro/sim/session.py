@@ -1,4 +1,4 @@
-"""The simulation session: config + stats registry + artifact cache.
+"""The simulation session: config + counters + artifact cache.
 
 A process has one *current* session (:func:`get_session`); simulators look
 it up lazily at publish time, so constructing CPUs/accelerators/timelines
@@ -9,26 +9,24 @@ context manager.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 from typing import Any, Optional
 
 from repro.sim.cache import ArtifactCache
 from repro.sim.config import SimConfig
-from repro.sim.instrument import StatsRegistry
 
 
 class SimSession:
-    """One simulation context: shared stats, shared artifact cache."""
+    """One simulation context: shared counters, shared artifact cache."""
 
-    def __init__(self, config: Optional[SimConfig] = None,
-                 stats: Optional[StatsRegistry] = None,
-                 cache: Optional[ArtifactCache] = None):
+    def __init__(self, config: Optional[SimConfig] = None):
         self.config = config if config is not None else SimConfig.from_env()
-        self.stats = stats if stats is not None else StatsRegistry()
-        self.cache = cache if cache is not None else ArtifactCache(
-            root=self.config.resolved_cache_dir,
-            enabled=self.config.cache_enabled,
-        )
+        #: counts the simulators publish, keyed by dotted name
+        #: (``cpu.pipeline.cycles``, ``bnn.macs``, ...); they only grow
+        self.stats: Counter = Counter()
+        self.cache = ArtifactCache(root=self.config.resolved_cache_dir,
+                                   enabled=self.config.cache_enabled)
         #: the session's active :class:`repro.trace.Tracer` (None when
         #: tracing is off; installed by :func:`repro.trace.install_tracer`)
         self.tracer = None
@@ -47,9 +45,6 @@ class SimSession:
         if not isinstance(scenario, Scenario):
             scenario = Scenario.from_file(scenario)
         return cls(SimConfig.from_scenario(scenario, **config_overrides))
-
-    def stats_json(self, indent: Optional[int] = 2) -> str:
-        return self.stats.to_json(indent=indent)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SimSession(hash={self.config.scenario.hash}, "

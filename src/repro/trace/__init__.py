@@ -54,7 +54,6 @@ from repro.trace.tracer import (
     CYCLES,
     DEFAULT_CAPACITY,
     DMA_TRACK,
-    DROPPED_RECORDS_STAT,
     FLUSH_EVENT,
     SERVE_REQUEST_LANES,
     SERVE_TRACK,
@@ -77,7 +76,6 @@ __all__ = [
     "CpuProfile",
     "DEFAULT_CAPACITY",
     "DMA_TRACK",
-    "DROPPED_RECORDS_STAT",
     "FLUSH_EVENT",
     "HotSpot",
     "LayerStat",

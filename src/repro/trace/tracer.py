@@ -64,9 +64,6 @@ SERVE_TRACK = "serve"
 #: run stays readable in Perfetto (args carry the exact request id)
 SERVE_REQUEST_LANES = 16
 
-#: stats-registry counter that mirrors ring-buffer evictions
-DROPPED_RECORDS_STAT = "trace.dropped_records"
-
 #: default ring-buffer capacity (events); None = unbounded
 DEFAULT_CAPACITY = 1 << 20
 
@@ -123,9 +120,6 @@ class Tracer:
     def __init__(self, capacity: Optional[int] = DEFAULT_CAPACITY):
         self.capacity = capacity
         self.dropped = 0  # events evicted from the ring buffer
-        #: stats registry mirroring drops as ``trace.dropped_records``
-        #: (attached by :func:`install_tracer`; optional for bare tracers)
-        self.stats = None
         #: ``time.perf_counter()`` at the zero of the wall clock
         self.origin_s = time.perf_counter()
         self._events: deque = deque(maxlen=capacity)
@@ -149,8 +143,6 @@ class Tracer:
     def _append(self, event: TraceEvent) -> None:
         if self.capacity is not None and len(self._events) == self.capacity:
             self.dropped += 1
-            if self.stats is not None:
-                self.stats.incr(DROPPED_RECORDS_STAT)
             if not self._warned_dropped:
                 self._warned_dropped = True
                 logger.warning(
@@ -364,10 +356,6 @@ def install_tracer(session=None,
     """Create a tracer and make it the session's (replacing any other)."""
     session = session if session is not None else get_session()
     tracer = Tracer(capacity)
-    # mirror ring-buffer evictions into the session stats, so dropped
-    # records are as visible as any other counter (metrics diffs pick up
-    # ``trace.dropped_records`` with no extra wiring)
-    tracer.stats = session.stats
     session.tracer = tracer
     return tracer
 

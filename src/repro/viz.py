@@ -1,16 +1,11 @@
-"""ASCII rendering of timelines and data series (no plotting deps).
+"""ASCII rendering of SoC timelines (no plotting deps).
 
 The paper's figures are regenerated as data by :mod:`repro.experiments`;
-this module draws them in a terminal:
-
-* :func:`render_timeline` — Gantt-style core activity lanes (Figs 13/16),
-* :func:`render_series` — a scatter/line chart (Figs 9/12b/14/18),
-* :func:`render_bars` — labelled horizontal bars (Figs 10/11/12a/19b).
+:func:`render_timeline` draws an experiment's timeline as Gantt-style core
+activity lanes in a terminal (Figs 13/16, ``repro experiments --draw``).
 """
 
 from __future__ import annotations
-
-from typing import Dict, List, Optional, Sequence
 
 from repro.core.events import Timeline
 from repro.errors import ConfigurationError
@@ -40,60 +35,4 @@ def render_timeline(timeline: Timeline, width: int = 64) -> str:
         lines.append(f"{name.ljust(label_width)}|{''.join(lane)}|")
     legend = "  ".join(f"{glyph}={kind}" for kind, glyph in KIND_GLYPHS.items())
     lines.append(f"{' ' * label_width} 0 .. {end} cycles   {legend}")
-    return "\n".join(lines)
-
-
-def render_series(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    width: int = 60,
-    height: int = 12,
-    title: str = "",
-    y_label: str = "",
-) -> str:
-    """Scatter-plot a series with axis annotations."""
-    if len(xs) != len(ys):
-        raise ConfigurationError("xs and ys must align")
-    if not xs:
-        return "(empty series)"
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for x, y in zip(xs, ys):
-        col = int((x - x_lo) / x_span * (width - 1))
-        row = height - 1 - int((y - y_lo) / y_span * (height - 1))
-        grid[row][col] = "*"
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"{y_hi:>10.3g} +{''.join(grid[0])}")
-    for row in grid[1:-1]:
-        lines.append(f"{'':>10} |{''.join(row)}")
-    lines.append(f"{y_lo:>10.3g} +{''.join(grid[-1])}")
-    lines.append(f"{'':>11}{x_lo:<.3g}{'':>{max(1, width - 12)}}{x_hi:.3g}")
-    if y_label:
-        lines.append(f"y: {y_label}")
-    return "\n".join(lines)
-
-
-def render_bars(
-    values: Dict[str, float],
-    width: int = 48,
-    unit: str = "",
-    reference: Optional[Dict[str, float]] = None,
-) -> str:
-    """Horizontal bars; optional per-key reference values shown inline."""
-    if not values:
-        return "(no bars)"
-    label_width = max(len(key) for key in values)
-    peak = max(abs(v) for v in values.values()) or 1.0
-    lines: List[str] = []
-    for key, value in values.items():
-        bar = "#" * max(1, int(abs(value) / peak * width))
-        ref = ""
-        if reference and key in reference:
-            ref = f"  (paper {reference[key]:.4g}{unit})"
-        lines.append(f"{key.ljust(label_width)} |{bar} {value:.4g}{unit}{ref}")
     return "\n".join(lines)

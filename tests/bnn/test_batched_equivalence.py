@@ -141,7 +141,7 @@ class TestAcceleratorAccounting:
             with tracing(session) as tracer:
                 predictions, timing = BNNAccelerator().infer_batch(
                     model, x, engine=engine)
-            counters = session.stats.counters("bnn.")
+            counters = session.stats
         return predictions, timing, tracer.events, counters
 
     def test_identical_predictions_timing_probes_counters(self):

@@ -385,7 +385,7 @@ class TestBlockCacheAndProbes:
             with tracing(session) as tracer:
                 _, result = get_engine("fast").run_program(
                     program, memory=FlatMemory())
-            counters = session.stats.counters("cpu.fastpath.")
+            counters = session.stats
         assert result.stop_reason == "halt"
         (event,) = [e for e in tracer.events if e.name == "cpu.run"]
         assert event.track == "cpu.fastpath"

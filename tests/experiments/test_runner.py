@@ -104,11 +104,6 @@ class TestResultCache:
         assert len(counted) == 1
         assert result.experiment_id == "_cached_test"
 
-    def test_no_cache_reruns(self, session, counted):
-        runner.run_experiment("_cached_test", use_cache=False)
-        runner.run_experiment("_cached_test", use_cache=False)
-        assert len(counted) == 2
-
     def test_disabled_session_cache_reruns(self, counted, tmp_path):
         disabled = SimSession(SimConfig(cache_dir=str(tmp_path),
                                         cache_enabled=False))
@@ -119,6 +114,27 @@ class TestResultCache:
         finally:
             set_session(previous)
         assert len(counted) == 2
+
+    def test_no_cache_flag_writes_no_artifact(self, tmp_path, capsys):
+        """``repro experiments --no-cache`` disables the session's whole
+        cache, as REPRO_NO_CACHE=1 does: a model the experiment fetches
+        is neither read from nor written to the cache directory."""
+        from repro.sim import get_session
+
+        @registry.experiment("_model_cache_test")
+        def fetches_a_model():
+            get_session().cache.fetch("models", "synthetic", lambda: [1])
+            return ExperimentResult("_model_cache_test", "synthetic")
+
+        previous = set_session(None)
+        try:
+            assert main(["experiments", "--no-cache", "--cache-dir",
+                         str(tmp_path), "_model_cache_test"]) == 0
+        finally:
+            set_session(previous)
+            registry.unregister("_model_cache_test")
+        capsys.readouterr()
+        assert list(tmp_path.rglob("*")) == []
 
 
 class TestRunMeta:
@@ -143,7 +159,7 @@ class TestRunMeta:
     def test_trace_dir_writes_valid_trace(self, session, fake, tmp_path):
         from repro.trace import validate_chrome_trace_file
 
-        result = runner.run_experiment("_meta_test", use_cache=False,
+        result = runner.run_experiment("_meta_test",
                                        trace_dir=str(tmp_path / "traces"))
         meta = runner.run_meta(result)
         assert meta["trace_path"].endswith("_meta_test.trace.json")

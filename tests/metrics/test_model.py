@@ -139,13 +139,6 @@ class TestCollection:
         assert collection.get("repro_cpu_pipeline_cycles").value == 10
         assert collection.get("repro_bnn_macs").value == 5
 
-    def test_registry_gauges_skip_non_numeric(self):
-        collection = MetricsCollection(make_manifest())
-        collection.add_registry_gauges({"a.num": 2.5, "a.text": "hello",
-                                        "a.flag": True})
-        names = [series.name for series in collection.series()]
-        assert names == ["repro_a_num"]
-
 
 class TestRecorder:
     def test_diff_matches_exec_stats(self):

@@ -197,7 +197,7 @@ class TestAttributeScenarioContracts:
         assert [event.name for event in phases] == list(PHASES)
         assert [event.dur for event in phases] == \
             [attribution.cycles[phase] for phase in PHASES]
-        assert session.stats.get("obs.runs") == 1
+        assert session.stats["obs.runs"] == 1
 
     def test_chained_rejects_cpu_scenarios(self):
         with use_session(cache_enabled=False):

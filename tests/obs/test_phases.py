@@ -82,6 +82,13 @@ class TestWallCheck:
         with pytest.raises(ObservabilityError, match="wall time"):
             check_wall_attribution(buckets, 1.0 + 3 * WALL_TICK_S)
 
+    def test_five_microseconds_off_fails(self):
+        # an absolute bound, so the tick itself cannot grow unnoticed
+        buckets = empty_phases(0.0)
+        buckets[INFERENCE] = 1.0
+        with pytest.raises(ObservabilityError, match="wall time"):
+            check_wall_attribution(buckets, 1.0 + 5e-6)
+
 
 class TestPhaseRecorder:
     def test_overhead_absorbs_unmeasured_remainder(self):

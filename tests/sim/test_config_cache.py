@@ -235,11 +235,3 @@ class TestSession:
         assert session.cache.root == tmp_path
         assert not session.cache.enabled
         assert session.config.scenario.hash == SimConfig().scenario.hash
-
-    def test_stats_json_round_trips(self):
-        import json
-
-        session = SimSession()
-        session.stats.incr("demo.counter", 3)
-        payload = json.loads(session.stats_json())
-        assert payload["counters"]["demo.counter"] == 3

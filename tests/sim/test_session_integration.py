@@ -1,8 +1,8 @@
-"""All three simulator stacks publish into the shared StatsRegistry.
+"""All three simulator stacks publish into the session counters.
 
-These tests assert the registry mirrors the simulators' own statistics
-exactly — the acceptance criterion that instrumentation must not change
-any existing stat values, only re-expose them.
+These tests assert ``session.stats`` mirrors the simulators' own
+statistics exactly — the acceptance criterion that instrumentation must
+not change any existing stat values, only re-expose them.
 """
 
 import numpy as np
@@ -39,7 +39,7 @@ class TestPipelineMirror:
     def test_counters_match_exec_stats(self, session):
         cpu = PipelinedCPU(assemble(LOOP))
         result = cpu.run()
-        counters = session.stats.counters("cpu.pipeline.")
+        counters = session.stats
         assert counters["cpu.pipeline.runs"] == 1
         assert counters["cpu.pipeline.cycles"] == result.stats.cycles
         assert counters["cpu.pipeline.instructions"] == \
@@ -51,7 +51,7 @@ class TestPipelineMirror:
     def test_two_runs_accumulate_without_double_count(self, session):
         first = PipelinedCPU(assemble(LOOP)).run()
         second = PipelinedCPU(assemble(LOOP)).run()
-        counters = session.stats.counters("cpu.pipeline.")
+        counters = session.stats
         assert counters["cpu.pipeline.runs"] == 2
         assert counters["cpu.pipeline.cycles"] == \
             first.stats.cycles + second.stats.cycles
@@ -71,7 +71,7 @@ class TestPipelineMirror:
 class TestFunctionalMirror:
     def test_counters_match_exec_stats(self, session):
         result = FunctionalCPU(assemble(LOOP)).run()
-        counters = session.stats.counters("cpu.functional.")
+        counters = session.stats
         assert counters["cpu.functional.runs"] == 1
         assert counters["cpu.functional.instructions"] == \
             result.stats.instructions
@@ -82,7 +82,7 @@ class TestAcceleratorMirror:
         model = BNNModel.paper_topology(input_size=256)
         acc = BNNAccelerator()
         timing = acc.batch_timing(model, 3)
-        counters = session.stats.counters("bnn.")
+        counters = session.stats
         assert counters["bnn.batches"] == 1
         assert counters["bnn.inferences"] == 3
         assert counters["bnn.cycles"] == timing.total_cycles
@@ -92,7 +92,7 @@ class TestAcceleratorMirror:
         model = BNNModel.paper_topology(input_size=256)
         x = np.where(np.arange(256) % 2 == 0, 1, -1)
         result = BNNAccelerator().infer(model, x)
-        counters = session.stats.counters("bnn.")
+        counters = session.stats
         assert counters["bnn.inferences"] == 1
         assert counters["bnn.cycles"] == result.cycles
         assert counters["bnn.macs"] == result.macs
@@ -106,7 +106,7 @@ class TestDMAMirror:
             src.store(4 * index, index + 1, 4)
         dma = DMAEngine()
         dma.copy(src, 0, dst, 0, 8, description="weights")
-        counters = session.stats.counters("dma.")
+        counters = session.stats
         assert counters["dma.transfers"] == 1
         assert counters["dma.words"] == dma.total_words == 8
         assert counters["dma.cycles"] == dma.total_cycles
@@ -119,17 +119,8 @@ class TestTimelineMirror:
         timeline.add("ncpu", "cpu", 0, 100)
         timeline.add("ncpu", "switch", 100, 101)
         timeline.add("ncpu", "bnn", 101, 151)
-        counters = session.stats.counters("timeline.")
+        counters = session.stats
         assert counters["timeline.segments"] == 3
         assert counters["timeline.cpu_cycles"] == 100
         assert counters["timeline.switch_cycles"] == 1
         assert counters["timeline.bnn_cycles"] == 50
-
-    def test_utilization_gauges(self, session):
-        timeline = Timeline()
-        timeline.add("ncpu", "cpu", 0, 50)
-        timeline.add("ncpu", "idle", 50, 100)
-        utils = timeline.utilizations()
-        assert utils["ncpu"] == pytest.approx(0.5)
-        gauges = session.stats.gauges("timeline.utilization.")
-        assert gauges["timeline.utilization.ncpu"] == pytest.approx(0.5)

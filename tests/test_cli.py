@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -215,7 +217,7 @@ class TestRunStatsJson:
         payload = json.loads(captured.out)  # whole stream must parse
         assert payload["stop_reason"] == "halt"
         assert payload["exit_code"] == 0
-        assert "counters" in payload and "gauges" in payload
+        assert "counters" in payload
         assert "stop: halt" in captured.err  # summary moved to stderr
 
     def test_stop_reason_present_on_failure(self, tmp_path, capsys):
@@ -971,3 +973,76 @@ class TestSettingPrecedence:
         capsys.readouterr()
         config = get_session().config
         assert (config.engine, config.profile) == expected
+
+
+#: the repository's example programs and scenarios
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
+#: ``repro run examples/hotspot.s --stats-json`` counters, per CPU
+#: simulator; the single-cycle models stall and flush never, so they
+#: publish no ``stalls`` or ``flushes`` key
+HOTSPOT_COUNTERS = {
+    "pipeline": {"cycles": 230, "flushes": 60, "instructions": 150,
+                 "mem_reads": 16, "mem_writes": 16, "runs": 1, "stalls": 16},
+    "fastpath": {"cycles": 150, "instructions": 150, "mem_reads": 16,
+                 "mem_writes": 16, "runs": 1},
+    "functional": {"cycles": 150, "instructions": 150, "mem_reads": 16,
+                   "mem_writes": 16, "runs": 1},
+}
+
+#: counter series of ``repro attribute`` on image_classification.json
+#: with both engines and ``--chained``
+ATTRIBUTE_COUNTERS = {
+    "repro_bnn_batches": 2,
+    "repro_bnn_cycles": 101_280,
+    "repro_bnn_inferences": 128,
+    "repro_bnn_macs": 11_443_200,
+    "repro_bnn_weight_stream_cycles": 1_760,
+    "repro_obs_runs": 4,
+    "repro_timeline_bnn_cycles": 200_568,
+    "repro_timeline_idle_cycles": 1_816,
+    "repro_timeline_segments": 6,
+}
+
+
+class TestPinnedCounters:
+    """The session counters that ``--stats-json`` and ``--metrics-out``
+    report, pinned to exact values for fixed inputs."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_session(self, monkeypatch):
+        from repro.sim import reset_session
+
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        reset_session()
+        yield
+        reset_session()
+
+    @pytest.mark.parametrize("simulator, flags", [
+        ("pipeline", ["--engine", "accurate"]),
+        ("fastpath", ["--engine", "fast"]),
+        ("functional", ["--functional"]),
+    ], ids=["accurate", "fast", "functional"])
+    def test_run_stats_json_counters(self, simulator, flags, capsys):
+        import json
+
+        assert main(["run", str(EXAMPLES / "hotspot.s"), "--stats-json",
+                     *flags]) == 0
+        counters = json.loads(capsys.readouterr().out)["counters"]
+        assert counters == {f"cpu.{simulator}.{name}": value
+                            for name, value
+                            in HOTSPOT_COUNTERS[simulator].items()}
+
+    def test_attribute_metrics_out(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "attribute.metrics.json"
+        assert main(["attribute", "--scenario",
+                     str(EXAMPLES / "scenarios" / "image_classification.json"),
+                     "--engine", "accurate", "--engine", "fast", "--chained",
+                     "--metrics-out", str(out)]) == 0
+        capsys.readouterr()
+        metrics = json.loads(out.read_text())["metrics"]
+        counters = {series["name"]: series["value"] for series in metrics
+                    if series["kind"] == "counter"}
+        assert counters == ATTRIBUTE_COUNTERS

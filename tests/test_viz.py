@@ -1,10 +1,10 @@
-"""Tests for the ASCII visualization helpers."""
+"""Tests for the ASCII timeline renderer."""
 
 import pytest
 
 from repro.core import BNN, CPU, IDLE, SWITCH, Timeline
 from repro.errors import ConfigurationError
-from repro.viz import render_bars, render_series, render_timeline
+from repro.viz import render_timeline
 
 
 class TestTimelineRendering:
@@ -49,48 +49,6 @@ class TestTimelineRendering:
         timeline.add("a", SWITCH, 1000, 1002)  # 0.2 % of the span
         text = render_timeline(timeline, width=32)
         assert "s" in text.splitlines()[0]
-
-
-class TestSeriesRendering:
-    def test_basic_chart(self):
-        text = render_series([0, 1, 2, 3], [0, 1, 4, 9], title="squares")
-        assert "squares" in text
-        assert text.count("*") == 4
-
-    def test_extremes_on_borders(self):
-        text = render_series([0, 10], [0, 5], width=20, height=5)
-        lines = [l for l in text.splitlines() if "*" in l]
-        assert len(lines) == 2
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ConfigurationError):
-            render_series([1, 2], [1])
-
-    def test_empty(self):
-        assert "empty" in render_series([], [])
-
-    def test_constant_series(self):
-        text = render_series([1, 2, 3], [5, 5, 5])
-        assert "*" in text
-
-    def test_y_label(self):
-        assert "y: mW" in render_series([0, 1], [0, 1], y_label="mW")
-
-
-class TestBarRendering:
-    def test_bars_with_reference(self):
-        text = render_bars({"add": 17.0, "and": 35.0}, unit="x",
-                           reference={"add": 17.0})
-        assert "add" in text and "and" in text
-        assert "(paper 17x)" in text
-
-    def test_longest_bar_is_peak(self):
-        text = render_bars({"small": 1.0, "big": 10.0}, width=30)
-        lines = text.splitlines()
-        assert lines[1].count("#") > lines[0].count("#")
-
-    def test_empty(self):
-        assert "no bars" in render_bars({})
 
 
 class TestIntegrationWithScheduler:

@@ -110,7 +110,7 @@ class TestProbeTableCheck:
             "### Tracer recording methods\n\n"
             "| method | called by | draws |\n"
             "| --- | --- | --- |\n"
-            "| `cpu_run` | `cpu/functional.py`, `mem/dma.py` | - |\n"
+            "| `cpu_run` | `cpu/env.py`, `mem/dma.py` | - |\n"
             "| `ghost_event` | nowhere | - |\n")
         monkeypatch.setattr(check_docs, "ARCHITECTURE", stale)
         problems = check_docs.check_probe_table()
@@ -121,7 +121,7 @@ class TestProbeTableCheck:
         # the DMA engine records through dma_transfer, not cpu_run
         assert any("src/repro/mem/dma.py calls Tracer.cpu_run" in p
                    for p in problems)
-        assert not any("cpu/functional.py" in p for p in problems)
+        assert not any("cpu/env.py" in p for p in problems)
 
     def test_missing_table_reported(self, check_docs, tmp_path, monkeypatch):
         empty = tmp_path / "ARCHITECTURE.md"

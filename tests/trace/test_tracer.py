@@ -222,25 +222,10 @@ class TestSimulatorCallSites:
 
 
 class TestDroppedRecordsStat:
-    def test_installed_tracer_mirrors_drops_into_session_stats(self):
-        from repro.trace import DROPPED_RECORDS_STAT
-
-        with use_session() as session:
-            tracer = install_tracer(session, capacity=2)
-            try:
-                for index in range(6):
-                    tracer.instant(f"e{index}", track="t", ts=index)
-            finally:
-                uninstall_tracer(session)
-            counters = session.stats.as_dict()["counters"]
-            assert tracer.dropped == 4
-            assert counters[DROPPED_RECORDS_STAT] == tracer.dropped
-
     def test_bare_tracer_counts_drops_without_a_registry(self):
         tracer = Tracer(capacity=1)
         tracer.instant("a", track="t", ts=0)
-        tracer.instant("b", track="t", ts=1)  # must not raise: stats is None
-        assert tracer.stats is None
+        tracer.instant("b", track="t", ts=1)  # evicts "a"
         assert tracer.dropped == 1
 
     def test_eviction_warns_exactly_once(self, caplog, monkeypatch):
