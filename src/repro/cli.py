@@ -27,7 +27,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
 from typing import List, Optional
 
@@ -230,93 +230,96 @@ def _print_profile(args: argparse.Namespace, capture: _Capture,
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.engine import get_engine
     from repro.errors import ConfigurationError
-    from repro.sim import SimSession, get_session, set_session
+    from repro.sim import SimSession, get_session, use_session
 
     if args.max_cycles < 0:
         raise ConfigurationError(
             f"--max-cycles: must be >= 0, got {args.max_cycles}")
     scenario = _load_cli_scenario(args)
-    if scenario is not None:
-        # the scenario becomes the session's: its seed/engine/profile
-        # apply and its hash labels the run's manifest
-        set_session(SimSession.from_scenario(scenario))
-    session = get_session()
-    if scenario is None:
-        # the flags fold over the live session's scenario, which keeps
-        # its counters and cache
-        session.config = dataclasses.replace(
-            session.config, scenario=_with_flags(session.config.scenario,
-                                                 args))
-    engine = get_engine(session.config.engine)
+    with ExitStack() as scope:
+        if scenario is not None:
+            # the scenario's session, for this command: its seed/engine/
+            # profile apply and its hash labels the run's manifest
+            session = scope.enter_context(
+                use_session(SimSession.from_scenario(scenario)))
+        else:
+            # the flags fold over the live session's scenario for this
+            # command; the session keeps its counters and cache
+            session = get_session()
+            config = session.config
+            session.config = dataclasses.replace(
+                config, scenario=_with_flags(config.scenario, args))
+            scope.callback(setattr, session, "config", config)
+        engine = get_engine(session.config.engine)
 
-    if args.file is None:
-        if scenario is None:
-            raise ConfigurationError(
-                "repro run: provide a program file, or --scenario FILE")
-        if scenario.workload.kind == "bnn":
-            # BNN scenarios have no program to assemble: classify the
-            # scenario's seeded input batch through the accelerator's
-            # engine-dispatched path and report the summary
-            from repro.scenario.materialize import (
-                run_scenario,
-                scenario_signature,
-            )
+        if args.file is None:
+            if scenario is None:
+                raise ConfigurationError(
+                    "repro run: provide a program file, or --scenario FILE")
+            if scenario.workload.kind == "bnn":
+                # BNN scenarios have no program to assemble: classify the
+                # scenario's seeded input batch through the accelerator's
+                # engine-dispatched path and report the summary
+                from repro.scenario.materialize import (
+                    run_scenario,
+                    scenario_signature,
+                )
 
-            with _Capture(args, session) as capture:
-                summary = run_scenario(scenario, engine=session.config.engine)
-            capture.write()
-            if args.stats_json:
-                _print_profile(args, capture, sys.stderr)
-                print(json.dumps(summary, indent=2, sort_keys=True))
+                with _Capture(args, session) as capture:
+                    summary = run_scenario(scenario, engine=session.config.engine)
+                capture.write()
+                if args.stats_json:
+                    _print_profile(args, capture, sys.stderr)
+                    print(json.dumps(summary, indent=2, sort_keys=True))
+                    return 0
+                _, detail = scenario_signature(scenario)
+                print(f"scenario: {scenario.name} ({detail}) "
+                      f"engine={summary['engine']}")
+                print(f"batch={summary['batch_size']} "
+                      f"total_cycles={summary['total_cycles']} "
+                      f"macs={summary['macs']}")
+                _print_profile(args, capture, sys.stdout)
                 return 0
-            _, detail = scenario_signature(scenario)
-            print(f"scenario: {scenario.name} ({detail}) "
-                  f"engine={summary['engine']}")
-            print(f"batch={summary['batch_size']} "
-                  f"total_cycles={summary['total_cycles']} "
-                  f"macs={summary['macs']}")
-            _print_profile(args, capture, sys.stdout)
-            return 0
-        from repro.scenario.materialize import build_program
+            from repro.scenario.materialize import build_program
 
-        program = build_program(scenario)
-    else:
-        program = assemble(_read_text(args.file), base=args.base)
-    prefer_functional = args.functional or (
-        scenario is not None and scenario.engine.prefer_functional)
+            program = build_program(scenario)
+        else:
+            program = assemble(_read_text(args.file), base=args.base)
+        prefer_functional = args.functional or (
+            scenario is not None and scenario.engine.prefer_functional)
 
-    with _Capture(args, session) as capture:
-        # the engine owns CPU construction and the step/cycle limit
-        # semantics (fast engines count retired instructions, the
-        # accurate pipeline counts cycles)
-        cpu, result = engine.run_program(program, limit=args.max_cycles,
-                                         prefer_functional=prefer_functional)
-    exit_code = 0 if result.stop_reason in ("halt", "trans_bnn") else 1
+        with _Capture(args, session) as capture:
+            # the engine owns CPU construction and the step/cycle limit
+            # semantics (fast engines count retired instructions, the
+            # accurate pipeline counts cycles)
+            cpu, result = engine.run_program(program, limit=args.max_cycles,
+                                             prefer_functional=prefer_functional)
+        exit_code = 0 if result.stop_reason in ("halt", "trans_bnn") else 1
 
-    # with --stats-json, stdout carries exactly one parseable JSON document;
-    # the human-readable summary moves to stderr
-    out = sys.stderr if args.stats_json else sys.stdout
-    stats = result.stats
-    print(f"stop: {result.stop_reason} at pc={result.pc:#x}", file=out)
-    print(f"cycles={stats.cycles} instructions={stats.instructions} "
-          f"ipc={stats.ipc:.3f} stalls={stats.stalls} flushes={stats.flushes}",
-          file=out)
-    if args.regs:
-        for index in range(0, 32, 4):
-            row = "  ".join(f"x{i:<2}={cpu.regs.read(i):>10}"
-                            for i in range(index, index + 4))
-            print(row, file=out)
+        # with --stats-json, stdout carries exactly one parseable JSON document;
+        # the human-readable summary moves to stderr
+        out = sys.stderr if args.stats_json else sys.stdout
+        stats = result.stats
+        print(f"stop: {result.stop_reason} at pc={result.pc:#x}", file=out)
+        print(f"cycles={stats.cycles} instructions={stats.instructions} "
+              f"ipc={stats.ipc:.3f} stalls={stats.stalls} flushes={stats.flushes}",
+              file=out)
+        if args.regs:
+            for index in range(0, 32, 4):
+                row = "  ".join(f"x{i:<2}={cpu.regs.read(i):>10}"
+                                for i in range(index, index + 4))
+                print(row, file=out)
 
-    capture.write()
-    _print_profile(args, capture, out)
+        capture.write()
+        _print_profile(args, capture, out)
 
-    if args.stats_json:
-        # printed before the non-zero exit path, stop reason included, so
-        # scripted callers always get one parseable document on stdout
-        payload = {"stop_reason": result.stop_reason, "pc": result.pc,
-                   "exit_code": exit_code, "counters": dict(session.stats)}
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
-    return exit_code
+        if args.stats_json:
+            # printed before the non-zero exit path, stop reason included, so
+            # scripted callers always get one parseable document on stdout
+            payload = {"stop_reason": result.stop_reason, "pc": result.pc,
+                       "exit_code": exit_code, "counters": dict(session.stats)}
+            print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+        return exit_code
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
@@ -327,53 +330,56 @@ def cmd_experiments(args: argparse.Namespace) -> int:
         run_selected,
         select,
     )
-    from repro.sim import SimConfig, SimSession, set_session
+    from repro.sim import SimConfig, SimSession, use_session
     from repro.viz import render_timeline
 
     # fail fast: a bad REPRO_ENGINE or REPRO_PROFILE aborts here with the
     # registered list, before any experiment assembles programs or trains
     # models.  Parallel workers (-j) get this session's config from
     # run_selected; --no-cache disables its whole cache, trained models
-    # included, as REPRO_NO_CACHE=1 does.
+    # included, as REPRO_NO_CACHE=1 does.  The flags' session lasts for
+    # this command only.
     base = SimConfig.from_env()
     scenario = _load_cli_scenario(args)
+    session = None
     if scenario is not None or args.cache_dir or args.engine \
             or args.device_profile or args.no_cache:
-        set_session(SimSession(dataclasses.replace(
+        session = SimSession(dataclasses.replace(
             base, cache_dir=args.cache_dir or base.cache_dir,
             cache_enabled=base.cache_enabled and not args.no_cache,
-            scenario=scenario or _with_flags(base.scenario, args))))
-    if args.patterns and not select(args.patterns):
-        logger.error("no experiments match %r", " ".join(args.patterns))
-        return 1
-    results = run_selected(args.patterns or None, jobs=args.jobs,
-                           trace_dir=args.trace_dir)
-    if args.metrics_dir:
-        from repro.experiments.runner import write_experiment_metrics
+            scenario=scenario or _with_flags(base.scenario, args)))
+    with nullcontext() if session is None else use_session(session):
+        if args.patterns and not select(args.patterns):
+            logger.error("no experiments match %r", " ".join(args.patterns))
+            return 1
+        results = run_selected(args.patterns or None, jobs=args.jobs,
+                               trace_dir=args.trace_dir)
+        if args.metrics_dir:
+            from repro.experiments.runner import write_experiment_metrics
 
-        written = write_experiment_metrics(results, args.metrics_dir)
-        logger.info("metrics: %d documents -> %s", len(written),
-                    args.metrics_dir)
-    if args.json:
-        print(render_json(results))
+            written = write_experiment_metrics(results, args.metrics_dir)
+            logger.info("metrics: %d documents -> %s", len(written),
+                        args.metrics_dir)
+        if args.json:
+            print(render_json(results))
+            return 0
+        if args.markdown:
+            print(render_markdown(results))
+            return 0
+        for result in results:
+            print(result.to_table())
+            if args.draw:
+                for name, value in result.series.items():
+                    if isinstance(value, Timeline):
+                        print(f"\n{name}:")
+                        print(render_timeline(value))
+                    elif isinstance(value, dict):
+                        for sub_name, sub_value in value.items():
+                            if isinstance(sub_value, Timeline):
+                                print(f"\n{name} / {sub_name}:")
+                                print(render_timeline(sub_value))
+            print()
         return 0
-    if args.markdown:
-        print(render_markdown(results))
-        return 0
-    for result in results:
-        print(result.to_table())
-        if args.draw:
-            for name, value in result.series.items():
-                if isinstance(value, Timeline):
-                    print(f"\n{name}:")
-                    print(render_timeline(value))
-                elif isinstance(value, dict):
-                    for sub_name, sub_value in value.items():
-                        if isinstance(sub_value, Timeline):
-                            print(f"\n{name} / {sub_name}:")
-                            print(render_timeline(sub_value))
-        print()
-    return 0
 
 
 def chip_specs() -> dict:
@@ -500,7 +506,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
         render_attribution,
     )
     from repro.scenario import Scenario
-    from repro.sim import SimSession, get_session, set_session
+    from repro.sim import SimSession, use_session
 
     scenario = Scenario.from_file(args.scenario)
     # one --engine folds into the scenario, as on `run`; repeated, it
@@ -511,10 +517,9 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     if args.device_profile:
         scenario = dataclasses.replace(scenario, profile=args.device_profile)
     engines = args.engine or [scenario.engine.name]
-    set_session(SimSession.from_scenario(scenario))
-    session = get_session()
     runs = []
-    with _Capture(args, session) as capture:
+    with use_session(SimSession.from_scenario(scenario)) as session, \
+            _Capture(args, session) as capture:
         for name in engines:
             runs.append(attribute_scenario(scenario, engine=name))
             if args.chained:
@@ -608,13 +613,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         serve_scenario,
         validate_slo_report,
     )
-    from repro.sim import SimSession, get_session, set_session
+    from repro.sim import SimSession, use_session
 
     scenario = _serve_scenario_from_args(args)
-    set_session(SimSession.from_scenario(scenario))
-    session = get_session()
-
-    with _Capture(args, session) as capture:
+    with use_session(SimSession.from_scenario(scenario)) as session, \
+            _Capture(args, session) as capture:
         report, server = serve_scenario(scenario, session=session,
                                         with_server=True)
     validate_slo_report(report)

@@ -18,6 +18,7 @@ funct3 selecting the operation, so they never collide with base RV32I.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from repro.errors import DecodingError, EncodingError
@@ -233,13 +234,24 @@ class DecodedInstr:
         return format_instr(self)
 
 
+#: distinct words :func:`decode` remembers (least recently used first out)
+DECODE_CACHE_SIZE = 1 << 14
+
+
 def decode(word: int) -> DecodedInstr:
     """Decode a 32-bit word into a :class:`DecodedInstr`.
 
-    Raises :class:`~repro.errors.DecodingError` if the word does not match any
-    supported instruction.
+    Each word is decoded once per process: the same word returns the same
+    (frozen) object.  Raises :class:`~repro.errors.DecodingError` if the
+    word does not match any supported instruction; an error is not
+    remembered, so it raises on every call.
     """
-    word &= enc.WORD_MASK
+    # int() first: a numpy integer must not become a cache key
+    return _decode_word(int(word) & enc.WORD_MASK)
+
+
+@lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _decode_word(word: int) -> DecodedInstr:
     opcode = enc.bits(word, 6, 0)
     funct3 = enc.bits(word, 14, 12)
     funct7 = enc.bits(word, 31, 25)

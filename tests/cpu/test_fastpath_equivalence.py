@@ -8,6 +8,10 @@ hypothesis-generated programs with jumps and loops, step-limit boundaries
 that land mid-block, and error paths.
 """
 
+import gc
+import weakref
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from repro.cpu import (
     FunctionalCPU,
     PipelinedCPU,
 )
+from repro.cpu import fastpath as fp
 from repro.cpu.fastpath import ALU_EXPRS, TERMINATORS
 from repro.cpu.semantics import MEM_SIZES
 from repro.engine import get_engine
@@ -33,7 +38,7 @@ from repro.isa.instructions import SPECS
 from repro.isa.program import Program
 from repro.sim import use_session
 from repro.trace import tracing
-from repro.workloads.verification import PASS_VALUE, SIGNATURE_ADDR, generate_all
+from tests.workloads.verification import PASS_VALUE, SIGNATURE_ADDR, generate_all
 
 
 def _assert_identical(functional, f_result, fast, q_result,
@@ -53,6 +58,29 @@ def _assert_identical(functional, f_result, fast, q_result,
     if count:
         assert functional.memory.read_words(base, count) == \
             fast.memory.read_words(base, count)
+
+
+@contextmanager
+def compiled_tier():
+    """Every block a :class:`FastCPU` builds runs on its generated
+    function from its first execution, unless it must stay on closures."""
+    build = FastCPU._build
+
+    def build_compiled(self, pc):
+        block = build(self, pc)
+        if block.countdown:
+            block.fn, block.countdown = fp._translate(block), 0
+        return block
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FastCPU, "_build", build_compiled)
+        yield
+
+
+def _run_compiled_pair(program, max_steps=200_000):
+    """:func:`_run_pair` on the compiled tier."""
+    with compiled_tier():
+        return _run_pair(program, max_steps=max_steps)
 
 
 def _run_pair(program, max_steps=200_000, l2=False):
@@ -222,6 +250,8 @@ class TestErrorPaths:
         assert functional.stats.instr_counts == fast.stats.instr_counts
         assert functional.pc == fast.pc
         assert functional.regs.snapshot() == fast.regs.snapshot()
+        assert functional.memory.load_count == fast.memory.load_count
+        assert functional.memory.store_count == fast.memory.store_count
         return fast, q_exc.value
 
     def test_memory_fault_mid_block_commits_partial_stats(self):
@@ -356,8 +386,6 @@ class TestSuperblocks:
         assert functional.pc == fast.pc
 
     def test_body_cap_bounds_superblock_growth(self, monkeypatch):
-        import repro.cpu.fastpath as fp
-
         monkeypatch.setattr(fp, "MAX_SUPERBLOCK_BODY", 2)
         program = assemble(self.CHAIN)
         functional, f_result, fast, q_result = _run_pair(program)
@@ -393,6 +421,171 @@ class TestBlockCacheAndProbes:
         assert event.args["instructions"] == 2
         assert counters["cpu.fastpath.runs"] == 1
         assert counters["cpu.fastpath.instructions"] == 2
+
+
+class TestCompiledTier:
+    """Hot blocks run as one generated function each; nothing about the
+    run may change."""
+
+    @pytest.mark.parametrize("name", sorted(generate_all()))
+    def test_verification_suite_on_compiled_blocks(self, name):
+        program = assemble(generate_all()[name])
+        functional, f_result, fast, q_result = _run_compiled_pair(program)
+        _assert_identical(functional, f_result, fast, q_result)
+        assert fast.memory.load_word(SIGNATURE_ADDR) == PASS_VALUE
+        assert any(block.fn for block in fast._blocks.values())
+
+    # the loop's access walks off the 512-byte memory on its third pass,
+    # inside the loop block's generated function
+    FAULTS = {
+        "load": """
+            addi a0, x0, 480
+        loop:
+            addi a1, a1, 1
+            lw   a2, 0(a0)
+            addi a0, a0, 16
+            bne  a1, x0, loop
+            ebreak
+        """,
+        "store-after-folded-jal": """
+            addi a0, x0, 480
+        loop:
+            addi a1, a1, 1
+            jal  ra, far
+            addi a0, a0, 99
+        far:
+            sw   a1, 0(a0)
+            addi a0, a0, 16
+            bne  a1, x0, loop
+            ebreak
+        """,
+    }
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_fault_inside_compiled_block(self, kind):
+        with compiled_tier():
+            fast, exc = TestErrorPaths._assert_same_fault(self.FAULTS[kind])
+        assert isinstance(exc, MemoryError_)
+        loop = fast._blocks[4]
+        assert loop.fn is not None
+        # the faulting op's PC comes from the block's table: after the
+        # folded jal the store is body op 2 but sits at pc 16
+        assert fast.pc == (16 if kind == "store-after-folded-jal" else 8)
+
+    def test_step_limit_inside_compiled_block(self):
+        program = assemble(TestStepLimits.SOURCE)
+        total = FunctionalCPU(program, memory=FlatMemory()) \
+            .run(max_steps=1_000).stats.instructions
+        with compiled_tier():
+            for limit in range(total + 2):
+                functional, f_result, fast, q_result = _run_pair(
+                    program, max_steps=limit)
+                _assert_identical(functional, f_result, fast, q_result,
+                                  mem_window=(0x100, 1))
+            # a limit in the loop body stops inside a compiled block
+            fast = FastCPU(program, memory=FlatMemory())
+            fast.run(max_steps=4)
+            assert fast._blocks[program.base].fn is not None
+            assert fast.pc == 16
+
+    def test_loads_and_stores_at_every_offset_sign(self):
+        program = assemble("""
+            li   a0, 0x120
+            li   a1, -123457
+            li   s1, 4
+        loop:
+            sw   a1, -8(a0)
+            sh   a1, 0(a0)
+            sb   a1, 6(a0)
+            lw   a2, -8(a0)
+            lh   a3, 0(a0)
+            lhu  a4, -8(a0)
+            lb   a5, 6(a0)
+            lbu  a6, -5(a0)
+            add  a1, a1, a2
+            add  a1, a1, a5
+            addi a0, a0, 12
+            addi s1, s1, -1
+            bne  s1, x0, loop
+            ebreak
+        """)
+        functional, f_result, fast, q_result = _run_compiled_pair(program)
+        _assert_identical(functional, f_result, fast, q_result,
+                          mem_window=(0x100, 24))
+        assert fast._blocks[program.symbols["loop"]].fn is not None
+
+    def test_jalr_jumps_to_the_old_rs1_when_it_links_into_rs1(self):
+        # jalr ra, ra: the target is ra before the link write; jumping to
+        # the new ra would run the addi a0, a0, 100
+        program = assemble("""
+            li   s1, 3
+        loop:
+            auipc ra, 0
+            addi ra, ra, 16
+            jalr ra, ra, 0
+            addi a0, a0, 100
+            addi a0, a0, 1
+            addi s1, s1, -1
+            bne  s1, x0, loop
+            ebreak
+        """)
+        for functional, f_result, fast, q_result in (
+                _run_pair(program), _run_compiled_pair(program)):
+            _assert_identical(functional, f_result, fast, q_result)
+            assert fast.regs.read(10) == 3
+
+    def test_events_keep_their_cycles_after_hot_blocks(self):
+        source = """
+            li a1, 6
+        loop:
+            addi a0, a0, 3
+            addi a1, a1, -1
+            bne  a1, x0, loop
+            trigger_bnn 1
+            li a1, 4
+        again:
+            addi a0, a0, 1
+            trigger_bnn 2
+            addi a1, a1, -1
+            bne  a1, x0, again
+            trans_bnn 3
+            ebreak
+        """
+        program = assemble(source)
+        functional, f_result, fast, q_result = _run_compiled_pair(program)
+        _assert_identical(functional, f_result, fast, q_result)
+        assert [e.name for e in fast.env.events] == \
+            ["trigger_bnn"] * 5 + ["trans_bnn"]
+        assert fast._blocks[4].fn is not None  # the first loop is compiled
+
+    @pytest.mark.parametrize("hot_runs, compiled", [(4, True), (5, False)])
+    def test_a_block_compiles_after_hot_block_runs(self, monkeypatch,
+                                                   hot_runs, compiled):
+        # the block at `loop` runs four whole times; its first pass is
+        # part of the block at the program's start
+        monkeypatch.setattr(fp, "HOT_BLOCK_RUNS", hot_runs)
+        program = assemble(TestStepLimits.SOURCE)
+        functional, f_result, fast, q_result = _run_pair(program)
+        _assert_identical(functional, f_result, fast, q_result,
+                          mem_window=(0x100, 1))
+        loop = fast._blocks[program.symbols["loop"]]
+        assert (loop.fn is not None) is compiled
+        assert loop.countdown == hot_runs - 4
+
+    def test_finished_cpu_memory_freed_without_gc(self):
+        program = assemble(TestStepLimits.SOURCE)
+        with compiled_tier():
+            gc.disable()
+            try:
+                memory = FlatMemory()
+                fast = FastCPU(program, memory=memory)
+                fast.run()
+                assert any(block.fn for block in fast._blocks.values())
+                freed = weakref.ref(memory)
+                del fast, memory
+                assert freed() is None
+            finally:
+                gc.enable()
 
 
 # -- hypothesis: programs with loops, jumps, and custom instructions -----
@@ -478,5 +671,26 @@ def test_fastpath_matches_functional_under_step_limits(source, limit):
     program = assemble(source)
     functional, f_result, fast, q_result = _run_pair(program,
                                                      max_steps=limit)
+    _assert_identical(functional, f_result, fast, q_result,
+                      mem_window=(256, 8))
+
+
+@settings(max_examples=50, deadline=None)
+@given(source=jumpy_program())
+def test_compiled_blocks_match_functional_on_random_programs(source):
+    program = assemble(source)
+    functional, f_result, fast, q_result = _run_compiled_pair(
+        program, max_steps=50_000)
+    assert q_result.stop_reason == "halt"
+    _assert_identical(functional, f_result, fast, q_result,
+                      mem_window=(256, 8))
+
+
+@settings(max_examples=20, deadline=None)
+@given(source=jumpy_program(), limit=st.integers(0, 60))
+def test_compiled_blocks_match_functional_under_step_limits(source, limit):
+    program = assemble(source)
+    functional, f_result, fast, q_result = _run_compiled_pair(
+        program, max_steps=limit)
     _assert_identical(functional, f_result, fast, q_result,
                       mem_window=(256, 8))

@@ -126,12 +126,10 @@ class TestResultCache:
             get_session().cache.fetch("models", "synthetic", lambda: [1])
             return ExperimentResult("_model_cache_test", "synthetic")
 
-        previous = set_session(None)
         try:
             assert main(["experiments", "--no-cache", "--cache-dir",
                          str(tmp_path), "_model_cache_test"]) == 0
         finally:
-            set_session(previous)
             registry.unregister("_model_cache_test")
         capsys.readouterr()
         assert list(tmp_path.rglob("*")) == []

@@ -1,5 +1,6 @@
 """Unit + property tests for instruction encode/decode."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -95,6 +96,19 @@ class TestEncodeDecode:
         word = encode("srli", rd=1, rs1=1, imm=3) | (0b0010000 << 25)
         with pytest.raises(DecodingError):
             decode(word)
+
+    def test_decode_remembers_each_word(self):
+        word = encode("addi", rd=5, rs1=6, imm=-7)
+        assert decode(word) is decode(word)
+        # the key is the masked Python int, whatever integer type came in
+        assert decode(word | (1 << 32)) is decode(word)
+        assert decode(np.uint32(word)) is decode(word)
+        assert type(decode(np.int64(word)).word) is int
+
+    def test_decode_error_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(DecodingError, match="0xffffffff"):
+                decode(0xFFFFFFFF)
 
     @given(rd=REGS, rs1=REGS, rs2=REGS)
     def test_r_type_roundtrip(self, rd, rs1, rs2):

@@ -21,6 +21,33 @@ def source_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def config_seen(monkeypatch):
+    """The session config each command ran under, recorded while it ran:
+    when ``repro run``/``attribute``/``serve`` open their capture, and
+    when ``repro experiments`` starts its runs.  A command puts the
+    previous session and config back on return, so it cannot be read
+    afterwards."""
+    from repro import cli
+    from repro.experiments import runner
+    from repro.sim import get_session
+
+    seen = []
+    enter, run_selected = cli._Capture.__enter__, runner.run_selected
+
+    def capture_enter(capture):
+        seen.append(capture.session.config)
+        return enter(capture)
+
+    def selected(*args, **kwargs):
+        seen.append(get_session().config)
+        return run_selected(*args, **kwargs)
+
+    monkeypatch.setattr(cli._Capture, "__enter__", capture_enter)
+    monkeypatch.setattr(runner, "run_selected", selected)
+    return seen
+
+
 class TestAsm:
     def test_asm_to_stdout(self, source_file, capsys):
         assert main(["asm", source_file]) == 0
@@ -93,8 +120,8 @@ class TestRunEngine:
         from repro.sim import reset_session
 
         def run(*flags):
-            # --engine stays in the live session after main returns, so
-            # each run starts from a fresh default one
+            # each run starts from a fresh default session, so the
+            # counters it prints are its own
             reset_session()
             assert main(["run", source_file, "--regs", "--stats-json",
                          *flags]) == 0
@@ -337,7 +364,10 @@ class TestRunMetrics:
         from repro.metrics import RunManifest, validate_openmetrics_file
 
         out = tmp_path / "run.om"
-        assert main(["run", source_file, "--metrics-out", str(out)]) == 0
+        # the pipeline's series are asserted, so the run asks for it
+        # whatever REPRO_ENGINE says
+        assert main(["run", source_file, "--engine", "accurate",
+                     "--metrics-out", str(out)]) == 0
         capsys.readouterr()
         summary = validate_openmetrics_file(out)
         names = [name for _, name, _, _ in summary["parsed"]]
@@ -355,7 +385,8 @@ class TestRunMetrics:
         from repro.metrics import validate_openmetrics_file
 
         out = tmp_path / "run.om"
-        assert main(["run", source_file, "--metrics-out", str(out)]) == 0
+        assert main(["run", source_file, "--engine", "accurate",
+                     "--metrics-out", str(out)]) == 0
         text = capsys.readouterr().out
         reported = int(re.search(r"cycles=(\d+)", text).group(1))
         summary = validate_openmetrics_file(out)
@@ -518,14 +549,21 @@ class TestRunScenario:
                      "--engine", "accurate"]) == 0
         assert "engine=accurate" in capsys.readouterr().out
 
-    def test_run_scenario_installs_session_config(self, bnn_scenario_file):
+    def test_run_scenario_installs_session_config(self, bnn_scenario_file,
+                                                  config_seen):
         from repro.sim import get_session
 
+        outer = get_session()
+        outer_config = outer.config
         assert main(["run", "--scenario", bnn_scenario_file]) == 0
-        config = get_session().config
+        # the scenario's config ran the command, and the outer session
+        # is back afterwards, unchanged
+        (config,) = config_seen
         assert config.seed == 5
         assert config.engine == "fast"
-        assert config.scenario is not None
+        assert config.scenario.name == "cli-bnn"
+        assert get_session() is outer
+        assert outer.config is outer_config
 
     def test_run_without_file_or_scenario_exits_2(self, capsys):
         assert main(["run"]) == 2
@@ -940,7 +978,7 @@ class TestSettingPrecedence:
                              ids=[_precedence_id(row) for row in PRECEDENCE])
     def test_session_engine_and_profile(self, command, env, scenario, flags,
                                         expected, source_file, tmp_path,
-                                        capsys, monkeypatch):
+                                        capsys, monkeypatch, config_seen):
         from repro.scenario import Scenario
         from repro.sim import get_session
 
@@ -969,14 +1007,47 @@ class TestSettingPrecedence:
             argv += ["--engine", engine]
         if profile:
             argv += ["--device-profile", profile]
+        outer = get_session()
         assert main(argv) == 0, capsys.readouterr().err
         capsys.readouterr()
-        config = get_session().config
+        (config,) = config_seen
         assert (config.engine, config.profile) == expected
+        assert get_session() is outer
 
 
 #: the repository's example programs and scenarios
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
+#: one call of each command that takes a session or config of its own
+SESSION_COMMANDS = {
+    "run-engine-flag": ["run", str(EXAMPLES / "hotspot.s"),
+                        "--engine", "fast"],
+    "run-scenario": ["run", "--scenario",
+                     str(EXAMPLES / "scenarios" / "dhrystone.json")],
+    "experiments-no-cache": ["experiments", "--no-cache", "fig09"],
+    "attribute": ["attribute", "--scenario",
+                  str(EXAMPLES / "scenarios" / "image_classification.json")],
+    "serve": ["serve", "--requests", "8"],
+}
+
+
+class TestCommandsRestoreTheSession:
+    """A command runs under the session or config it needs, and the
+    caller's session and config are back when ``main`` returns."""
+
+    @pytest.mark.parametrize("argv", SESSION_COMMANDS.values(),
+                             ids=SESSION_COMMANDS)
+    def test_same_session_and_config_after(self, argv, tmp_path, capsys,
+                                           monkeypatch):
+        from repro.sim import get_session, use_session
+
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        with use_session(cache_dir=str(tmp_path)) as session:
+            config = session.config
+            assert main(argv) == 0, capsys.readouterr().err
+            assert get_session() is session
+            assert session.config is config
+            assert session.cache.enabled
 
 #: ``repro run examples/hotspot.s --stats-json`` counters, per CPU
 #: simulator; the single-cycle models stall and flush never, so they

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cpu import FlatMemory, FunctionalCPU, PipelinedCPU
 from repro.isa import assemble
-from repro.workloads.verification import (
+from tests.workloads.verification import (
     FAIL_BASE,
     PASS_VALUE,
     SIGNATURE_ADDR,
