@@ -25,6 +25,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.bnn import accelerator
 from repro.bnn.model import BNNModel
 from repro.bnn.training import Adam, check_training_data
 from repro.errors import ConfigurationError, TrainingError
@@ -231,18 +232,20 @@ class MultiBitTiming:
     neuron_area_scale: float
 
 
-def multibit_timing(model: QuantizedModel,
-                    layer_overhead: int = 4) -> MultiBitTiming:
+def multibit_timing(model: QuantizedModel) -> MultiBitTiming:
     """Bit-serial execution on the binary array: ``bits`` passes per layer.
 
     The neuron cell reuses the XNOR/adder datapath ``bits`` times per
     input (one per weight bit) with a widened accumulator — the paper's
-    suggested path to multi-bit support.
+    suggested path to multi-bit support.  The per-layer overhead and the
+    physical pipeline depth are the accelerator's, read at call time.
     """
-    per_layer = [layer.fan_in * model.bits + layer_overhead
+    per_layer = [layer.fan_in * model.bits + accelerator.LAYER_OVERHEAD_CYCLES
                  for layer in model.layers]
     latency = sum(per_layer)
-    interval = max(per_layer) if model.n_layers <= 4 else latency
+    # a network deeper than the physical pipeline wraps and cannot overlap
+    wraps = accelerator.BNNAccelerator().wraps(model)
+    interval = latency if wraps else max(per_layer)
     area_scale = 1.0 + 0.15 * (model.bits - 1)  # accumulator widening
     return MultiBitTiming(bits=model.bits, latency_cycles=latency,
                           interval_cycles=interval,
@@ -250,13 +253,11 @@ def multibit_timing(model: QuantizedModel,
                           neuron_area_scale=area_scale)
 
 
-def bnn_timing_equivalent(model: BNNModel,
-                          layer_overhead: int = 4) -> MultiBitTiming:
-    """The binary point of the same trade-off curve."""
-    per_layer = [layer.fan_in + layer_overhead for layer in model.layers]
-    latency = sum(per_layer)
-    interval = max(per_layer) if model.n_layers <= 4 else latency
-    return MultiBitTiming(bits=1, latency_cycles=latency,
-                          interval_cycles=interval,
+def bnn_timing_equivalent(model: BNNModel) -> MultiBitTiming:
+    """The binary point of the same trade-off curve: the accelerator's
+    own timing of ``model``."""
+    array = accelerator.BNNAccelerator()
+    return MultiBitTiming(bits=1, latency_cycles=array.latency_cycles(model),
+                          interval_cycles=array.interval_cycles(model),
                           weight_bytes=model.weight_bytes,
                           neuron_area_scale=1.0)

@@ -27,7 +27,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from pathlib import Path
 from typing import List, Optional
 
@@ -189,32 +189,33 @@ def _add_capture_flags(parser: argparse.ArgumentParser, trace: str,
                              "name OpenMetrics text")
 
 
-def _with_flags(scenario, args: argparse.Namespace):
-    """``scenario`` with ``--engine`` and ``--device-profile`` folded over
-    its fields: a flag beats the scenario file.  ``replace`` re-validates,
-    so a typo'd name aborts with the registered list (exit 2)."""
-    if args.engine:
-        scenario = scenario.with_engine(name=args.engine)
-    if args.device_profile:
-        scenario = dataclasses.replace(scenario, profile=args.device_profile)
-    return scenario
+def _cli_scenario(args: argparse.Namespace, base=None):
+    """The command's scenario: ``--scenario FILE``, else ``base`` (the
+    environment's ``session-default`` scenario when not given), with
+    ``--engine``, ``--device-profile`` and ``--functional`` folded over
+    it — a flag beats the file.  ``attribute``'s ``--engine`` folds only
+    when given once; repeated, it picks the engines of an A/B and the
+    scenario keeps the file's engine.
 
-
-def _load_cli_scenario(args: argparse.Namespace):
-    """Load ``--scenario FILE`` with CLI flags folded over file fields.
-
-    Returns ``None`` when no ``--scenario`` was given.  File problems
-    (missing path, malformed JSON, schema violations) raise
-    :class:`~repro.errors.ConfigurationError`, which :func:`main` turns
-    into a clean exit 2.
+    File problems (missing path, malformed JSON, schema violations) and
+    unknown names raise :class:`~repro.errors.ConfigurationError` (the
+    fold re-validates), which :func:`main` turns into a clean exit 2.
     """
-    if not args.scenario:
-        return None
     from repro.scenario import Scenario
+    from repro.sim import SimConfig
 
-    scenario = _with_flags(Scenario.from_file(args.scenario), args)
-    if getattr(args, "functional", False):
-        scenario = scenario.with_engine(prefer_functional=True)
+    if args.scenario:
+        scenario = Scenario.from_file(args.scenario)
+    else:
+        scenario = base if base is not None else SimConfig.from_env().scenario
+    engine = args.engine
+    if isinstance(engine, list):
+        engine = engine[0] if len(engine) == 1 else None
+    scenario = scenario.with_engine(
+        name=engine,
+        prefer_functional=getattr(args, "functional", False) or None)
+    if getattr(args, "device_profile", None):
+        scenario = dataclasses.replace(scenario, profile=args.device_profile)
     return scenario
 
 
@@ -230,44 +231,42 @@ def _print_profile(args: argparse.Namespace, capture: _Capture,
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.engine import get_engine
     from repro.errors import ConfigurationError
-    from repro.sim import SimSession, get_session, use_session
+    from repro.scenario.materialize import run_scenario, scenario_signature
+    from repro.sim import SimSession, use_session
 
     if args.max_cycles < 0:
         raise ConfigurationError(
             f"--max-cycles: must be >= 0, got {args.max_cycles}")
-    scenario = _load_cli_scenario(args)
-    with ExitStack() as scope:
-        if scenario is not None:
-            # the scenario's session, for this command: its seed/engine/
-            # profile apply and its hash labels the run's manifest
-            session = scope.enter_context(
-                use_session(SimSession.from_scenario(scenario)))
+    if args.file is None and not args.scenario:
+        raise ConfigurationError(
+            "repro run: provide a program file, or --scenario FILE")
+    scenario = _cli_scenario(args)
+    # the command's own session: the scenario's seed/engine/profile apply
+    # and its hash labels the run's manifest
+    with use_session(SimSession.from_scenario(scenario)) as session:
+        if args.file is not None:
+            program = assemble(_read_text(args.file), base=args.base)
+            with _Capture(args, session) as capture:
+                # the engine owns CPU construction and the step/cycle
+                # limit semantics (fast engines count retired
+                # instructions, the accurate pipeline counts cycles)
+                cpu, result = get_engine(scenario.engine.name).run_program(
+                    program, limit=args.max_cycles,
+                    prefer_functional=scenario.engine.prefer_functional)
         else:
-            # the flags fold over the live session's scenario for this
-            # command; the session keeps its counters and cache
-            session = get_session()
-            config = session.config
-            session.config = dataclasses.replace(
-                config, scenario=_with_flags(config.scenario, args))
-            scope.callback(setattr, session, "config", config)
-        engine = get_engine(session.config.engine)
-
-        if args.file is None:
-            if scenario is None:
-                raise ConfigurationError(
-                    "repro run: provide a program file, or --scenario FILE")
+            with _Capture(args, session) as capture:
+                run = run_scenario(scenario, limit=args.max_cycles)
+            cpu, result = run.cpu, run.result
             if scenario.workload.kind == "bnn":
-                # BNN scenarios have no program to assemble: classify the
-                # scenario's seeded input batch through the accelerator's
-                # engine-dispatched path and report the summary
-                from repro.scenario.materialize import (
-                    run_scenario,
-                    scenario_signature,
-                )
-
-                with _Capture(args, session) as capture:
-                    summary = run_scenario(scenario, engine=session.config.engine)
+                # no program: the scenario's seeded input batch went
+                # through the accelerator's engine-dispatched path
                 capture.write()
+                summary = {"scenario": scenario.to_dict(),
+                           "engine": run.engine.name, "kind": "bnn",
+                           "batch_size": len(run.inputs),
+                           "predictions": [int(p) for p in run.predictions],
+                           "total_cycles": int(run.timing.total_cycles),
+                           "macs": int(run.timing.macs)}
                 if args.stats_json:
                     _print_profile(args, capture, sys.stderr)
                     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -280,20 +279,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                       f"macs={summary['macs']}")
                 _print_profile(args, capture, sys.stdout)
                 return 0
-            from repro.scenario.materialize import build_program
-
-            program = build_program(scenario)
-        else:
-            program = assemble(_read_text(args.file), base=args.base)
-        prefer_functional = args.functional or (
-            scenario is not None and scenario.engine.prefer_functional)
-
-        with _Capture(args, session) as capture:
-            # the engine owns CPU construction and the step/cycle limit
-            # semantics (fast engines count retired instructions, the
-            # accurate pipeline counts cycles)
-            cpu, result = engine.run_program(program, limit=args.max_cycles,
-                                             prefer_functional=prefer_functional)
         exit_code = 0 if result.stop_reason in ("halt", "trans_bnn") else 1
 
         # with --stats-json, stdout carries exactly one parseable JSON document;
@@ -330,25 +315,21 @@ def cmd_experiments(args: argparse.Namespace) -> int:
         run_selected,
         select,
     )
-    from repro.sim import SimConfig, SimSession, use_session
+    from repro.sim import SimSession, use_session
     from repro.viz import render_timeline
 
     # fail fast: a bad REPRO_ENGINE or REPRO_PROFILE aborts here with the
     # registered list, before any experiment assembles programs or trains
     # models.  Parallel workers (-j) get this session's config from
     # run_selected; --no-cache disables its whole cache, trained models
-    # included, as REPRO_NO_CACHE=1 does.  The flags' session lasts for
-    # this command only.
-    base = SimConfig.from_env()
-    scenario = _load_cli_scenario(args)
-    session = None
-    if scenario is not None or args.cache_dir or args.engine \
-            or args.device_profile or args.no_cache:
-        session = SimSession(dataclasses.replace(
-            base, cache_dir=args.cache_dir or base.cache_dir,
-            cache_enabled=base.cache_enabled and not args.no_cache,
-            scenario=scenario or _with_flags(base.scenario, args)))
-    with nullcontext() if session is None else use_session(session):
+    # included, as REPRO_NO_CACHE=1 does.
+    overrides = {}
+    if args.cache_dir:
+        overrides["cache_dir"] = args.cache_dir
+    if args.no_cache:
+        overrides["cache_enabled"] = False
+    with use_session(SimSession.from_scenario(_cli_scenario(args),
+                                              **overrides)):
         if args.patterns and not select(args.patterns):
             logger.error("no experiments match %r", " ".join(args.patterns))
             return 1
@@ -505,25 +486,19 @@ def cmd_attribute(args: argparse.Namespace) -> int:
         attribution_document,
         render_attribution,
     )
-    from repro.scenario import Scenario
     from repro.sim import SimSession, use_session
 
-    scenario = Scenario.from_file(args.scenario)
-    # one --engine folds into the scenario, as on `run`; repeated, it
-    # picks the engines of an A/B, each run names its own, and the
-    # scenario keeps the file's engine
-    if args.engine and len(args.engine) == 1:
-        scenario = scenario.with_engine(name=args.engine[0])
-    if args.device_profile:
-        scenario = dataclasses.replace(scenario, profile=args.device_profile)
-    engines = args.engine or [scenario.engine.name]
+    scenario = _cli_scenario(args)
     runs = []
     with use_session(SimSession.from_scenario(scenario)) as session, \
             _Capture(args, session) as capture:
-        for name in engines:
-            runs.append(attribute_scenario(scenario, engine=name))
+        # each run names its own engine: the scenario's, or each of a
+        # repeated --engine in turn
+        for name in args.engine or [scenario.engine.name]:
+            engine_scenario = scenario.with_engine(name=name)
+            runs.append(attribute_scenario(engine_scenario))
             if args.chained:
-                runs.append(attribute_chained(scenario, engine=name))
+                runs.append(attribute_chained(engine_scenario))
     if capture.metrics is not None:
         for attribution in runs:
             capture.metrics.add_phase_attribution(attribution)
@@ -590,22 +565,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _serve_scenario_from_args(args: argparse.Namespace):
-    """The serve scenario: file (or default) with serve flags folded in."""
-    from repro.scenario import Scenario
-
-    scenario = (Scenario.from_file(args.scenario) if args.scenario
-                else Scenario(name="serve"))
-    if getattr(args, "engine", None):
-        scenario = scenario.with_engine(name=args.engine)
-    return scenario.with_serve(
-        arrival=args.arrival, rate_rps=args.rate, requests=args.requests,
-        burst_factor=args.burst_factor, batch_window_ms=args.batch_window,
-        max_batch=args.max_batch, max_queue_depth=args.max_queue_depth,
-        timeout_ms=args.timeout, latency_budget_ms=args.budget,
-        slo_target=args.slo_target)
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import (
         add_serve_metrics,
@@ -613,13 +572,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
         serve_scenario,
         validate_slo_report,
     )
+    from repro.scenario import Scenario
     from repro.sim import SimSession, use_session
 
-    scenario = _serve_scenario_from_args(args)
+    # the built-in scenario, not the environment's: REPRO_ENGINE and
+    # REPRO_PROFILE do not reach `serve`
+    scenario = _cli_scenario(args, Scenario(name="serve")).with_serve(
+        arrival=args.arrival, rate_rps=args.rate, requests=args.requests,
+        burst_factor=args.burst_factor, batch_window_ms=args.batch_window,
+        max_batch=args.max_batch, max_queue_depth=args.max_queue_depth,
+        timeout_ms=args.timeout, latency_budget_ms=args.budget,
+        slo_target=args.slo_target)
     with use_session(SimSession.from_scenario(scenario)) as session, \
             _Capture(args, session) as capture:
-        report, server = serve_scenario(scenario, session=session,
-                                        with_server=True)
+        report, server = serve_scenario(scenario, session=session)
     validate_slo_report(report)
     if capture.metrics is not None:
         spec = scenario.serve

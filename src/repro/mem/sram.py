@@ -1,30 +1,26 @@
 """SRAM bank model.
 
-Each bank is a little-endian byte-addressable array with activity counters
-(for the energy model) and a clock-gating flag: the address arbiter enables
-exactly one bank per access and the rest are gated (paper Fig 4b), which is
-where the NCPU's low-voltage energy advantage comes from.
+Each bank is a :class:`~repro.cpu.memory.FlatMemory` (little-endian,
+byte-addressable, with access counters for the energy model) plus a
+clock-gating flag: the address arbiter enables exactly one bank per
+access and the rest are gated (paper Fig 4b), which is where the NCPU's
+low-voltage energy advantage comes from.
 """
 
 from __future__ import annotations
 
-from repro.cpu.memory import check_access
+from repro.cpu.memory import FlatMemory
 from repro.errors import ConfigurationError, MemoryError_
-from repro.isa.encoding import sign_extend, to_unsigned32
 
 
-class SRAMBank:
+class SRAMBank(FlatMemory):
     """One physical SRAM macro of ``size`` bytes mapped at ``base``."""
 
     def __init__(self, name: str, size: int, base: int = 0):
         if size <= 0 or size % 4:
             raise ConfigurationError(f"bank size {size} must be a positive multiple of 4")
+        super().__init__(size=size, base=base)
         self.name = name
-        self.size = size
-        self.base = base
-        self._bytes = bytearray(size)
-        self.reads = 0
-        self.writes = 0
         self.enabled = True
 
     # ------------------------------------------------------------------
@@ -45,49 +41,42 @@ class SRAMBank:
             raise MemoryError_(f"access to clock-gated bank {self.name!r}")
 
     def load(self, addr: int, size: int, signed: bool = False) -> int:
-        check_access(addr, size)
         self._check_enabled()
-        offset = self._offset(addr, size)
-        self.reads += 1
-        value = int.from_bytes(self._bytes[offset:offset + size], "little")
-        if signed:
-            value = sign_extend(value, 8 * size)
-        return value
+        return super().load(addr, size, signed)
 
     def store(self, addr: int, value: int, size: int) -> None:
-        check_access(addr, size)
         self._check_enabled()
-        offset = self._offset(addr, size)
-        self.writes += 1
-        masked = to_unsigned32(value) & ((1 << (8 * size)) - 1)
-        self._bytes[offset:offset + size] = masked.to_bytes(size, "little")
+        super().store(addr, value, size)
 
-    # bulk operations used by the DMA / weight loader (counted as one access
-    # per word, like the hardware's sequential streaming)
     def write_words(self, addr: int, values) -> None:
-        # Bulk writes model DMA streaming, which wakes the bank regardless of
-        # the current mode's clock gating.
+        # Bulk writes model DMA streaming (one access per word, like the
+        # hardware's sequential streaming), which wakes the bank
+        # regardless of the current mode's clock gating.
         was_enabled = self.enabled
         self.enabled = True
         try:
-            for index, value in enumerate(values):
-                self.store(addr + 4 * index, value, 4)
+            super().write_words(addr, values)
         finally:
             self.enabled = was_enabled
-
-    def read_words(self, addr: int, count: int):
-        return [self.load(addr + 4 * i, 4) for i in range(count)]
 
     def clear(self) -> None:
         self._bytes = bytearray(self.size)
 
     @property
+    def reads(self) -> int:
+        return self.load_count
+
+    @property
+    def writes(self) -> int:
+        return self.store_count
+
+    @property
     def accesses(self) -> int:
-        return self.reads + self.writes
+        return self.load_count + self.store_count
 
     def reset_counters(self) -> None:
-        self.reads = 0
-        self.writes = 0
+        self.load_count = 0
+        self.store_count = 0
 
     def __repr__(self) -> str:
         state = "on" if self.enabled else "gated"

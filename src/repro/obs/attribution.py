@@ -30,9 +30,9 @@ around the real harness regions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
-from repro.engine import resolve_engine
+from repro.engine import get_engine
 from repro.errors import ObservabilityError
 from repro.obs.phases import (
     INFERENCE,
@@ -187,79 +187,53 @@ def _publish(session, attribution: RunAttribution) -> RunAttribution:
     return attribution
 
 
-def attribute_scenario(scenario, engine=None) -> RunAttribution:
+def attribute_scenario(scenario) -> RunAttribution:
     """Run ``scenario`` once and attribute it into the six phases.
 
-    ``engine`` overrides the scenario's engine spec (name or engine
-    object).  CPU scenarios run their kernel through the engine's
-    ``run_program``; BNN scenarios classify the seeded batch through the
-    accelerator's engine-dispatched path — identical work to
-    :func:`repro.scenario.materialize.run_scenario`, with every harness
-    region wall-timed and the timing model's cycles split exactly.
+    The run is :func:`repro.scenario.materialize.run_scenario`'s, on the
+    engine the scenario names, with the runner's steps wall-timed into
+    ``init``/``preprocess``/``inference``; the timing model's cycles are
+    then split exactly (``postprocess``).
     """
-    from repro.scenario.materialize import (
-        build_inputs,
-        build_model,
-        build_program,
-    )
+    from repro.scenario.materialize import run_scenario
     from repro.sim import get_session
 
     session = get_session()
     recorder = PhaseRecorder()
-    detail: Dict[str, Any] = {}
     with recorder.run():
-        with recorder.measure(INIT):
-            resolved = resolve_engine(engine or scenario.engine.name)
-        if scenario.workload.kind == "cpu":
-            with recorder.measure(PREPROCESS):
-                program = build_program(scenario)
-            with recorder.measure(INFERENCE):
-                _, result = resolved.run_program(
-                    program,
-                    prefer_functional=scenario.engine.prefer_functional)
-            with recorder.measure(POSTPROCESS):
-                cycles = cpu_phase_cycles(result.stats)
-                total_cycles = int(result.stats.cycles)
-                detail = {"stop_reason": result.stop_reason,
-                          "instructions": int(result.stats.instructions)}
-        else:
-            from repro.bnn import BNNAccelerator
-
-            with recorder.measure(INIT):
-                accelerator = BNNAccelerator()
-                model = build_model(scenario)
-            with recorder.measure(PREPROCESS):
-                inputs = build_inputs(scenario)
-            with recorder.measure(INFERENCE):
-                predictions, timing = accelerator.infer_batch(
-                    model, inputs,
-                    stream_weights=scenario.batch_policy == "stream",
-                    engine=resolved)
-            with recorder.measure(POSTPROCESS):
+        run = run_scenario(scenario, recorder=recorder)
+        with recorder.measure(POSTPROCESS):
+            if scenario.workload.kind == "cpu":
+                stats = run.result.stats
+                cycles = cpu_phase_cycles(stats)
+                total_cycles = int(stats.cycles)
+                detail = {"stop_reason": run.result.stop_reason,
+                          "instructions": int(stats.instructions)}
+            else:
+                timing = run.timing
                 cycles = bnn_phase_cycles(timing)
                 total_cycles = int(timing.total_cycles)
-                detail = {"batch_size": int(len(inputs)),
+                detail = {"batch_size": int(len(run.inputs)),
                           "macs": int(timing.macs),
                           "predictions_head": [int(p) for p in
-                                               predictions[:8]]}
+                                               run.predictions[:8]]}
     attribution = RunAttribution(
         scenario=scenario.name, kind=scenario.workload.kind,
-        engine=resolved.name, profile=scenario.profile,
+        engine=run.engine.name, profile=scenario.profile,
         total_cycles=total_cycles,
         total_wall_s=recorder.total_wall_s, cycles=cycles,
         wall_s=recorder.wall_phases(), detail=detail)
     return _publish(session, attribution)
 
 
-def attribute_chained(scenario, engine=None,
-                      split_at: Optional[int] = None) -> RunAttribution:
+def attribute_chained(scenario) -> RunAttribution:
     """Attribute a chained two-core end-to-end inference of ``scenario``.
 
     The scenario's model is split across two NCPU cores (paper section
-    VI.A); the makespan decomposes into pipeline fills (``init``), the
-    activation DMA hop (``memory_io``) and the steady-state three-stage
-    pipeline (``inference``).  Requires a ``bnn`` scenario with at least
-    two layers.
+    VI.A) on the engine the scenario names; the makespan decomposes into
+    pipeline fills (``init``), the activation DMA hop (``memory_io``)
+    and the steady-state three-stage pipeline (``inference``).  Requires
+    a ``bnn`` scenario with at least two layers.
     """
     from repro.core.soc import NCPUSoC
     from repro.scenario.materialize import build_inputs, build_model
@@ -274,20 +248,19 @@ def attribute_chained(scenario, engine=None,
     recorder = PhaseRecorder()
     with recorder.run():
         with recorder.measure(INIT):
-            resolved = resolve_engine(engine or scenario.engine.name)
+            engine = get_engine(scenario.engine.name)
             model = build_model(scenario)
             if model.n_layers < 2:
                 raise ObservabilityError(
                     "chained attribution needs a model with >= 2 layers")
-            soc = NCPUSoC(n_cores=2, engine=resolved)
+            soc = NCPUSoC(n_cores=2, engine=engine)
+            split = (model.n_layers + 1) // 2
         with recorder.measure(PREPROCESS):
             inputs = build_inputs(scenario)
         with recorder.measure(INFERENCE):
             predictions, makespan = soc.run_chained_inference(
-                model, inputs, split_at=split_at)
+                model, inputs, split_at=split)
         with recorder.measure(POSTPROCESS):
-            split = (split_at if split_at is not None
-                     else (model.n_layers + 1) // 2)
             front, back = model.split(split)
             core0, core1 = soc.cores[0], soc.cores[1]
             words_per_act = (front.n_classes + 31) // 32
@@ -305,7 +278,7 @@ def attribute_chained(scenario, engine=None,
                       "predictions_head": [int(p) for p in
                                            predictions[:8]]}
     attribution = RunAttribution(
-        scenario=scenario.name, kind="chained", engine=resolved.name,
+        scenario=scenario.name, kind="chained", engine=engine.name,
         profile=scenario.profile,
         total_cycles=int(makespan), total_wall_s=recorder.total_wall_s,
         cycles=cycles, wall_s=recorder.wall_phases(), detail=detail)

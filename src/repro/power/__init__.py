@@ -55,23 +55,12 @@ from repro.power.profiles import (
     resolve_profile,
 )
 from repro.power.technology import (
-    BNN_POWER_04V_W,
-    BNN_POWER_1V_W,
-    CPU_MEP_VOLTAGE,
-    CPU_POWER_04V_W,
-    CPU_POWER_1V_W,
     DeviceModels,
-    F_NOMINAL_MHZ,
-    F_VMIN_MHZ,
     FrequencyModel,
     PowerProfile,
-    SRAM_VMIN,
     TwoDomainProfile,
-    V_MIN,
-    V_NOMINAL,
     bnn_profile,
     cpu_profile,
-    effective_voltage_for_sram,
     frequency_model,
     models_for,
 )
@@ -94,9 +83,5 @@ __all__ = [
     "profile_names", "get_profile", "resolve_profile", "profile_table",
     "models_for",
     "FrequencyModel", "PowerProfile", "TwoDomainProfile",
-    "bnn_profile", "cpu_profile",
-    "frequency_model", "effective_voltage_for_sram",
-    "V_NOMINAL", "V_MIN", "SRAM_VMIN", "F_NOMINAL_MHZ", "F_VMIN_MHZ",
-    "BNN_POWER_1V_W", "BNN_POWER_04V_W", "CPU_POWER_1V_W", "CPU_POWER_04V_W",
-    "CPU_MEP_VOLTAGE",
+    "bnn_profile", "cpu_profile", "frequency_model",
 ]

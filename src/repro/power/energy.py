@@ -25,9 +25,8 @@ from functools import lru_cache
 from typing import Dict
 
 from repro.power import area as area_model
-from repro.power.profiles import DEFAULT_PROFILE
+from repro.power.profiles import DEFAULT_PROFILE, get_profile
 from repro.power.technology import (
-    SRAM_VMIN,
     ProfileLike,
     bnn_profile,
     cpu_profile,
@@ -56,8 +55,9 @@ def leakage_density_w_per_mm2(voltage: float) -> float:
 
 
 def design_leakage_w(breakdown: area_model.AreaBreakdown, voltage: float) -> float:
-    """Leakage of a design; its SRAM domain respects the 0.55 V Vmin."""
-    sram_voltage = max(voltage, SRAM_VMIN)
+    """Leakage of a design; its SRAM domain respects the paper chip's
+    0.55 V Vmin."""
+    sram_voltage = max(voltage, get_profile(DEFAULT_PROFILE).sram_vmin)
     return (breakdown.compute_mm2 * leakage_density_w_per_mm2(voltage)
             + breakdown.sram_mm2 * leakage_density_w_per_mm2(sram_voltage))
 
@@ -216,11 +216,10 @@ def sram_access_energy_j(bank_size_bytes: int, accesses: int,
     """Energy of ``accesses`` reads/writes to one SRAM bank.
 
     Per-access energy scales with the square root of capacity (bit-line
-    length) and quadratically with the (Vmin-floored) array voltage.
+    length) and quadratically with the array voltage, floored at the
+    paper chip's SRAM Vmin.
     """
-    from repro.power.technology import effective_voltage_for_sram
-
-    v = effective_voltage_for_sram(voltage)
+    v = max(voltage, get_profile(DEFAULT_PROFILE).sram_vmin)
     per_access = (SRAM_ACCESS_PJ_1KB_1V * 1e-12
                   * (bank_size_bytes / 1024.0) ** 0.5
                   * v ** 2)

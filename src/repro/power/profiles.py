@@ -211,10 +211,9 @@ def profile_table() -> List[Dict[str, Any]]:
 
 # -- built-in profiles ----------------------------------------------------
 
-#: the paper's 65 nm test chip (Fig 7, Fig 9, Table 2/3) — every anchor
-#: here must equal the historical module globals in
-#: :mod:`repro.power.technology` bit-for-bit: the default profile's fit
-#: is pinned bit-identical to the pre-registry model by golden tests
+#: the paper's 65 nm test chip (Fig 7, Fig 9, Table 2/3) — the one home
+#: of its measured anchors; golden tests pin the default profile's fit
+#: bit-for-bit (``tests/power/test_profiles.py``)
 NCPU_65NM = DeviceProfile(
     name=DEFAULT_PROFILE,
     title="NCPU reconfigurable neural CPU (65 nm test chip)",

@@ -25,8 +25,7 @@ models; it is memoized on the frozen profile so repeated power traces and
 experiment sweeps reuse the same solver outputs.  The historical zero-arg
 accessors (:func:`frequency_model`, :func:`bnn_profile`, :func:`cpu_profile`)
 now accept an optional profile and resolve ``None`` through the current
-session, defaulting to ``ncpu-65nm`` — their default outputs are pinned
-bit-identical to the pre-registry module-global fit.
+session, defaulting to ``ncpu-65nm``; no anchor lives outside a profile.
 """
 
 from __future__ import annotations
@@ -39,32 +38,12 @@ from typing import Union
 from repro.errors import ConfigurationError
 from repro.power.profiles import DeviceProfile, resolve_profile
 
-# The ncpu-65nm anchors, kept as module constants for backward
-# compatibility and for the NCPU-specific helpers in repro.power.energy.
-# The registry's ncpu-65nm profile carries the same values; golden tests
-# pin the two representations bit-identical.
-V_NOMINAL = 1.0
-V_MIN = 0.4
-SRAM_VMIN = 0.55
-VTH = 0.35
-
-F_NOMINAL_MHZ = 960.0
-F_VMIN_MHZ = 18.0
-
-BNN_POWER_1V_W = 0.241
-BNN_POWER_04V_W = 1.2e-3
-CPU_POWER_1V_W = 0.112
-CPU_POWER_04V_W = 0.8e-3
-CPU_MEP_VOLTAGE = 0.5
-BNN_LEAK_SHARE_1V = 0.05
-
 
 class FrequencyModel:
     """Alpha-power-law Fmax vs. supply voltage."""
 
-    def __init__(self, vth: float = VTH,
-                 v_lo: float = V_MIN, f_lo_mhz: float = F_VMIN_MHZ,
-                 v_hi: float = V_NOMINAL, f_hi_mhz: float = F_NOMINAL_MHZ):
+    def __init__(self, vth: float, v_lo: float, f_lo_mhz: float,
+                 v_hi: float, f_hi_mhz: float):
         if not vth < v_lo < v_hi:
             raise ConfigurationError("need vth < v_lo < v_hi")
         ratio = (f_hi_mhz * v_hi) / (f_lo_mhz * v_lo)
@@ -96,7 +75,7 @@ class PowerProfile:
     leak_p0: float  # W
     leak_eta: float
     frequency: FrequencyModel
-    v_nominal: float = V_NOMINAL
+    v_nominal: float
 
     def dynamic_power_w(self, voltage: float, f_hz: float | None = None) -> float:
         f = self.frequency.f_hz(voltage) if f_hz is None else f_hz
@@ -122,8 +101,8 @@ class PowerProfile:
 
 
 def _solve_profile(name: str, frequency: FrequencyModel, p_hi: float,
-                   p_lo: float, leak_hi: float,
-                   v_hi: float = V_NOMINAL, v_lo: float = V_MIN) -> PowerProfile:
+                   p_lo: float, leak_hi: float, v_hi: float,
+                   v_lo: float) -> PowerProfile:
     """Solve (c_eff, leak_p0, leak_eta) from the two anchors + nominal leakage."""
     c_eff = (p_hi - leak_hi) / (v_hi ** 2 * frequency.f_hz(v_hi))
     dyn_lo = c_eff * v_lo ** 2 * frequency.f_hz(v_lo)
@@ -172,12 +151,10 @@ class TwoDomainProfile:
     name = "cpu"
 
     def __init__(self, frequency: FrequencyModel, p_1v: float, p_04v: float,
-                 leak_share_1v_target: float = 0.05,
+                 leak_share_1v_target: float, v_nominal: float,
+                 v_min: float, sram_vmin: float,
                  sram_dynamic_share: float = 0.25,
-                 sram_leak_share: float = 0.77,
-                 v_nominal: float = V_NOMINAL,
-                 v_min: float = V_MIN,
-                 sram_vmin: float = SRAM_VMIN):
+                 sram_leak_share: float = 0.77):
         self.frequency = frequency
         self.v_nominal = v_nominal
         self.v_min = v_min
@@ -314,9 +291,3 @@ def cpu_profile(profile: ProfileLike = None) -> TwoDomainProfile:
     """CPU-mode power model (two voltage domains; MEP emerges near 0.5 V
     on the default 65 nm profile)."""
     return models_for(resolve_profile(profile)).cpu
-
-
-def effective_voltage_for_sram(voltage: float,
-                               sram_vmin: float = SRAM_VMIN) -> float:
-    """SRAM domain voltage: scaled with the core down to its Vmin."""
-    return max(voltage, sram_vmin)

@@ -29,7 +29,7 @@ import dataclasses
 import random
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.engine import engine_names, get_engine
+from repro.engine import engine_names
 from repro.scenario.schema import (
     BATCH_POLICIES,
     CPU_PROGRAMS,
@@ -170,39 +170,28 @@ def _compare_scalar(field: str, reference: Any, candidate: Any,
                                    f"{candidate!r} vs {reference!r}"))
 
 
-def _bnn_observation(scenario: Scenario, engine_name: str) -> Dict[str, Any]:
-    from repro.bnn import BNNAccelerator
-    from repro.scenario.materialize import build_inputs, build_model
+def _observe(scenario: Scenario) -> Dict[str, Any]:
+    """The fields one engine's run of ``scenario`` is compared on."""
+    from repro.scenario.materialize import run_scenario
 
-    engine = get_engine(engine_name)
-    model = build_model(scenario)
-    inputs = build_inputs(scenario)
-    predictions, timing = BNNAccelerator().infer_batch(
-        model, inputs, stream_weights=scenario.batch_policy == "stream",
-        engine=engine)
+    run = run_scenario(scenario)
+    if scenario.workload.kind == "cpu":
+        result = run.result
+        return {
+            "stop_reason": result.stop_reason,
+            "pc": result.pc,
+            "registers": [run.cpu.regs.read(index) for index in range(32)],
+            "instructions": result.stats.instructions,
+            "mem_reads": result.stats.mem_reads,
+            "mem_writes": result.stats.mem_writes,
+            "instr_counts": dict(result.stats.instr_counts),
+        }
     return {
-        "scores": engine.scores(model, inputs),
-        "predictions": predictions,
-        "hidden": engine.hidden_forward(model, inputs),
-        "total_cycles": int(timing.total_cycles),
-        "macs": int(timing.macs),
-    }
-
-
-def _cpu_observation(scenario: Scenario, engine_name: str) -> Dict[str, Any]:
-    from repro.scenario.materialize import build_program
-
-    cpu, result = get_engine(engine_name).run_program(
-        build_program(scenario),
-        prefer_functional=scenario.engine.prefer_functional)
-    return {
-        "stop_reason": result.stop_reason,
-        "pc": result.pc,
-        "registers": [cpu.regs.read(index) for index in range(32)],
-        "instructions": result.stats.instructions,
-        "mem_reads": result.stats.mem_reads,
-        "mem_writes": result.stats.mem_writes,
-        "instr_counts": dict(result.stats.instr_counts),
+        "scores": run.engine.scores(run.model, run.inputs),
+        "predictions": run.predictions,
+        "hidden": run.engine.hidden_forward(run.model, run.inputs),
+        "total_cycles": int(run.timing.total_cycles),
+        "macs": int(run.timing.macs),
     }
 
 
@@ -216,13 +205,11 @@ def run_differential(scenario: Scenario,
                      ) -> DifferentialResult:
     """Run ``scenario`` on every engine; the first engine is the oracle."""
     names = tuple(engines) if engines else default_engines()
-    observe = (_cpu_observation if scenario.workload.kind == "cpu"
-               else _bnn_observation)
     result = DifferentialResult(scenario=scenario, engines=names)
     reference_engine = names[0]
-    reference = observe(scenario, reference_engine)
+    reference = _observe(scenario.with_engine(name=reference_engine))
     for engine_name in names[1:]:
-        observed = observe(scenario, engine_name)
+        observed = _observe(scenario.with_engine(name=engine_name))
         for field, expected in reference.items():
             compare = (_compare_arrays if field in _ARRAY_FIELDS
                        else _compare_scalar)

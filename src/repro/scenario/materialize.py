@@ -4,17 +4,20 @@ The schema deliberately stays declarative — pure data, importable
 everywhere.  This module is the one place that knows how to *realize* a
 scenario: assemble its CPU kernel, build its (seeded) random BNN model
 and input batch, and execute the whole thing on the engine it names.
-The CLI (``repro run --scenario``), phase attribution, the serve layer
-and the differential fuzzer all share these builders, so a scenario
-means the same concrete workload everywhere it is consumed.
+:func:`run_scenario` is the one runner: ``repro run --scenario``, phase
+attribution and the differential fuzzer all execute a scenario through
+it, and the serve layer shares the builders, so a scenario means the
+same concrete run everywhere it is consumed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple
 
-from repro.engine import resolve_engine
+from repro.engine import get_engine
 from repro.errors import ConfigurationError
+from repro.obs.phases import INFERENCE, INIT, PREPROCESS, PhaseRecorder
 from repro.scenario.schema import Scenario
 
 #: offset added to ``Scenario.seed`` for the input-batch RNG, so model
@@ -103,43 +106,62 @@ def build_inputs(scenario: Scenario,
     return binarize_sign(rng.standard_normal((n, width)))
 
 
-def run_scenario(scenario: Scenario,
-                 engine: Optional[str] = None) -> Dict[str, Any]:
-    """Execute one scenario end-to-end; returns a JSON-ready summary.
+@dataclass
+class ScenarioRun:
+    """One run of a scenario, as :func:`run_scenario` returns it.
 
-    ``engine`` overrides the scenario's engine spec (the CLI threads
-    ``--engine`` through here).  CPU scenarios run their kernel through
-    the engine's ``run_program``; BNN scenarios classify the input batch
-    through the accelerator's engine-dispatched batch path, so cycle/MAC
-    accounting comes from the engine-independent timing model.
+    ``engine`` is the engine object that ran it.  A ``cpu`` run fills
+    ``cpu`` and ``result`` (its :class:`~repro.cpu.env.RunResult`); a
+    ``bnn`` run fills ``model``, ``inputs``, ``predictions`` and
+    ``timing`` (its :class:`~repro.bnn.accelerator.BatchTiming`).
     """
-    resolved = resolve_engine(engine or scenario.engine.name)
-    summary: Dict[str, Any] = {
-        "scenario": scenario.to_dict(),
-        "engine": resolved.name,
-    }
+
+    engine: Any
+    cpu: Any = None
+    result: Any = None
+    model: Any = None
+    inputs: Any = None
+    predictions: Any = None
+    timing: Any = None
+
+
+def run_scenario(scenario: Scenario, limit: Optional[int] = None,
+                 recorder: Optional[PhaseRecorder] = None) -> ScenarioRun:
+    """Run ``scenario`` once, on the engine it names.
+
+    CPU scenarios run their kernel through the engine's ``run_program``;
+    ``limit`` caps it (cycles on the pipeline, steps on the functional
+    engines).  BNN scenarios classify the input batch through the
+    accelerator's engine-dispatched batch path, so cycle/MAC accounting
+    comes from the engine-independent timing model.  ``recorder`` times
+    the steps: engine lookup and model build as ``init``, assembly and
+    the input batch as ``preprocess``, the run as ``inference``.
+    """
+    if recorder is None:
+        recorder = PhaseRecorder()
+    with recorder.measure(INIT):
+        engine = get_engine(scenario.engine.name)
     if scenario.workload.kind == "cpu":
-        _, result = resolved.run_program(
-            build_program(scenario),
-            prefer_functional=scenario.engine.prefer_functional)
-        summary["kind"] = "cpu"
-        summary["stop_reason"] = result.stop_reason
-        summary["cycles"] = result.stats.cycles
-        summary["instructions"] = result.stats.instructions
-        return summary
+        with recorder.measure(PREPROCESS):
+            program = build_program(scenario)
+        with recorder.measure(INFERENCE):
+            cpu, result = engine.run_program(
+                program, limit=limit,
+                prefer_functional=scenario.engine.prefer_functional)
+        return ScenarioRun(engine, cpu=cpu, result=result)
     from repro.bnn import BNNAccelerator
 
-    model = build_model(scenario)
-    inputs = build_inputs(scenario)
-    stream = scenario.batch_policy == "stream"
-    predictions, timing = BNNAccelerator().infer_batch(
-        model, inputs, stream_weights=stream, engine=resolved)
-    summary["kind"] = "bnn"
-    summary["batch_size"] = int(len(inputs))
-    summary["predictions"] = [int(p) for p in predictions]
-    summary["total_cycles"] = int(timing.total_cycles)
-    summary["macs"] = int(timing.macs)
-    return summary
+    with recorder.measure(INIT):
+        accelerator = BNNAccelerator()
+        model = build_model(scenario)
+    with recorder.measure(PREPROCESS):
+        inputs = build_inputs(scenario)
+    with recorder.measure(INFERENCE):
+        predictions, timing = accelerator.infer_batch(
+            model, inputs, stream_weights=scenario.batch_policy == "stream",
+            engine=engine)
+    return ScenarioRun(engine, model=model, inputs=inputs,
+                       predictions=predictions, timing=timing)
 
 
 def scenario_signature(scenario: Scenario) -> Tuple[str, str]:

@@ -16,14 +16,14 @@ Everything derives from ``random.Random(seed)``, so a (process, rate,
 count, seed, burst_factor) tuple replays the identical schedule on any
 host.  :func:`serve_scenario` is the one-stop entry the CLI and the
 tests share: build the scenario's seeded inputs, start a server, drive
-the schedule, and return the SLO report document.
+the schedule, and return the SLO report document with the server.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import ConfigurationError
 from repro.scenario.schema import ARRIVAL_PROCESSES, Scenario
@@ -112,16 +112,16 @@ async def drive(server, rows, offsets: List[float]) -> List[Any]:
     return list(await asyncio.gather(*submits))
 
 
-def serve_scenario(scenario: Scenario, engine: Optional[str] = None,
-                   session=None, with_server: bool = False):
-    """Run one full serve session and return the SLO report document.
+def serve_scenario(scenario: Scenario, session=None):
+    """Run one full serve session; returns ``(report, server)``.
 
-    The scenario's ``serve`` block supplies the arrival schedule and the
-    batching policy; inputs are the scenario's seeded sign-domain rows
-    (cycled if ``serve.requests`` exceeds the generated pool).  Must be
-    called without a running event loop (it owns ``asyncio.run``).
-    ``with_server=True`` returns ``(report, server)`` so callers can
-    export the recorder's histograms (the CLI's ``--metrics-out``).
+    ``report`` is the SLO report document; ``server`` carries the
+    recorder whose histograms callers export (the CLI's
+    ``--metrics-out``).  The scenario names the engine; its ``serve``
+    block supplies the arrival schedule and the batching policy; inputs
+    are the scenario's seeded sign-domain rows (cycled if
+    ``serve.requests`` exceeds the generated pool).  Must be called
+    without a running event loop (it owns ``asyncio.run``).
     """
     from repro.scenario.materialize import build_inputs
     from repro.serve.report import build_slo_report
@@ -136,13 +136,10 @@ def serve_scenario(scenario: Scenario, engine: Optional[str] = None,
                               burst_factor=spec.burst_factor)
 
     async def session_main():
-        server = NCPUServer(scenario, engine=engine, session=session)
+        server = NCPUServer(scenario, session=session)
         async with server:
             await drive(server, rows, offsets)
         return server
 
     server = asyncio.run(session_main())
-    report = build_slo_report(server, offsets)
-    if with_server:
-        return report, server
-    return report
+    return build_slo_report(server, offsets), server

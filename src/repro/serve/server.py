@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
-from repro.engine import resolve_engine
+from repro.engine import get_engine
 from repro.errors import ConfigurationError
 from repro.obs import (
     INFERENCE,
@@ -165,14 +165,15 @@ class _Pending:
 
 
 class NCPUServer:
-    """Dynamic-batching inference server over one bnn scenario.
+    """Dynamic-batching inference server over one bnn scenario, on the
+    engine the scenario names.
 
     Use as an async context manager (or :meth:`start` / :meth:`stop`);
     :meth:`submit` returns the completed :class:`Request`.  One server
     instance belongs to one event loop.
     """
 
-    def __init__(self, scenario: Scenario, engine: Optional[str] = None,
+    def __init__(self, scenario: Scenario,
                  policy: Optional[ServePolicy] = None, session=None):
         from repro.bnn import BNNAccelerator
         from repro.scenario.materialize import build_model
@@ -186,7 +187,7 @@ class NCPUServer:
         self.scenario = scenario
         self.policy = policy if policy is not None \
             else ServePolicy.from_spec(scenario.serve)
-        self.engine = resolve_engine(engine or scenario.engine.name)
+        self.engine = get_engine(scenario.engine.name)
         self.session = session if session is not None else get_session()
         self.model = build_model(scenario)
         self.accelerator = BNNAccelerator()

@@ -126,3 +126,18 @@ class TestTiming:
         binary = bnn_timing_equivalent(model)
         quantized = multibit_timing(self.make_quantized(8))
         assert binary.neuron_area_scale <= quantized.neuron_area_scale
+
+    def test_timing_reads_the_accelerator_constants(self, monkeypatch):
+        from repro.bnn import BNNAccelerator, accelerator
+
+        monkeypatch.setattr(accelerator, "LAYER_OVERHEAD_CYCLES", 5)
+        model = BNNModel.paper_topology(input_size=256)
+        binary = bnn_timing_equivalent(model)
+        array = BNNAccelerator()
+        assert (binary.latency_cycles, binary.interval_cycles) == (
+            array.latency_cycles(model), array.interval_cycles(model))
+        quantized = self.make_quantized(4)
+        timing = multibit_timing(quantized)
+        per_layer = [layer.fan_in * 4 + 5 for layer in quantized.layers]
+        assert timing.latency_cycles == sum(per_layer)
+        assert timing.interval_cycles == max(per_layer)

@@ -66,6 +66,50 @@ class TestSRAMBank:
         assert bank.load(0, 1, signed=True) == -1
 
 
+def _outcome(access, memory):
+    """``access(memory)``'s value, or the type of what it raised."""
+    try:
+        return access(memory)
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+
+
+#: one random access: (store?, offset from base, size, value, gated, signed)
+ACCESSES = st.lists(st.tuples(
+    st.booleans(), st.integers(-8, 72), st.sampled_from([1, 2, 3, 4]),
+    st.integers(-(1 << 32), (1 << 32) - 1), st.booleans(), st.booleans()),
+    max_size=40)
+
+
+class TestBankIsFlatMemory:
+    @given(base=st.sampled_from([0, 0x40]), accesses=ACCESSES)
+    def test_same_outcomes_as_flat_memory(self, base, accesses):
+        """A bank answers every access as a FlatMemory of the same base and
+        size does; a clock-gated one refuses it and changes nothing."""
+        from repro.cpu.memory import FlatMemory
+
+        bank, flat = SRAMBank("b", 64, base=base), FlatMemory(64, base=base)
+        for store, offset, size, value, gated, signed in accesses:
+            addr = base + offset
+            if store:
+                def access(memory):
+                    return memory.store(addr, value, size)
+            else:
+                def access(memory):
+                    return memory.load(addr, size, signed)
+            bank.enabled = not gated
+            if gated:
+                before = (bytes(bank._bytes), bank.reads, bank.writes)
+                assert _outcome(access, bank) is MemoryError_
+                assert (bytes(bank._bytes), bank.reads, bank.writes) == before
+            else:
+                assert _outcome(access, bank) == _outcome(access, flat)
+        assert bytes(bank._bytes) == bytes(flat._bytes)
+        assert (bank.reads, bank.writes) == (flat.load_count,
+                                             flat.store_count)
+        assert bank.accesses == flat.load_count + flat.store_count
+
+
 class TestArbiter:
     def make(self):
         return AddressArbiter([

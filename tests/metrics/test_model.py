@@ -182,7 +182,8 @@ class TestPhaseAttributionExport:
             batch_size=8)
         defaults.update(scenario_overrides)
         with use_session(cache_enabled=False):
-            return attribute_scenario(Scenario(**defaults), engine=engine)
+            return attribute_scenario(
+                Scenario(**defaults).with_engine(name=engine))
 
     def test_per_phase_gauges_labelled(self):
         from repro.obs import PHASES

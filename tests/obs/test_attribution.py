@@ -106,7 +106,7 @@ class TestCycleAttributors:
 class TestAttributeScenario:
     def test_bnn_run_attributes_both_planes(self, engine):
         with use_session(cache_enabled=False):
-            attribution = attribute_scenario(bnn_scenario(), engine=engine)
+            attribution = attribute_scenario(bnn_scenario().with_engine(name=engine))
         attribution.check()  # cycles exact, wall within one tick
         assert attribution.kind == "bnn"
         assert attribution.engine == engine
@@ -116,7 +116,7 @@ class TestAttributeScenario:
 
     def test_cpu_run_attributes_both_planes(self, engine):
         with use_session(cache_enabled=False):
-            attribution = attribute_scenario(cpu_scenario(), engine=engine)
+            attribution = attribute_scenario(cpu_scenario().with_engine(name=engine))
         attribution.check()
         assert attribution.kind == "cpu"
         assert attribution.cycles[INFERENCE] > 0
@@ -124,7 +124,7 @@ class TestAttributeScenario:
 
     def test_chained_run_matches_soc_makespan(self, engine):
         with use_session(cache_enabled=False):
-            attribution = attribute_chained(bnn_scenario(), engine=engine)
+            attribution = attribute_chained(bnn_scenario().with_engine(name=engine))
         attribution.check()
         assert attribution.kind == "chained"
         assert attribution.cycles[MEMORY_IO] > 0  # the DMA hop
@@ -172,7 +172,7 @@ class TestPinnedPhaseCycles:
     def test_phase_cycles_reproduce_exactly(self, scenario, engine,
                                             expected):
         with use_session(cache_enabled=False):
-            attribution = attribute_scenario(scenario, engine=engine)
+            attribution = attribute_scenario(scenario.with_engine(name=engine))
         assert attribution.cycles == {phase: expected.get(phase, 0)
                                       for phase in PHASES}
         assert attribution.total_cycles == sum(expected.values())
@@ -183,15 +183,15 @@ class TestAttributeScenarioContracts:
         totals = set()
         for engine in ENGINES:
             with use_session(cache_enabled=False):
-                totals.add(attribute_scenario(bnn_scenario(),
-                                              engine=engine).total_cycles)
+                totals.add(attribute_scenario(
+                    bnn_scenario().with_engine(name=engine)).total_cycles)
         assert len(totals) == 1  # accounting is engine-independent
 
     def test_phase_events_published(self):
         with use_session(cache_enabled=False) as session:
             with tracing(session) as tracer:
-                attribution = attribute_scenario(bnn_scenario(),
-                                                 engine="fast")
+                attribution = attribute_scenario(
+                    bnn_scenario().with_engine(name="fast"))
         phases = [event for event in tracer.events
                   if event.track == "obs.fast"]
         assert [event.name for event in phases] == list(PHASES)
@@ -216,7 +216,7 @@ class TestAttributeScenarioContracts:
 class TestSerialization:
     def attribution(self):
         with use_session(cache_enabled=False):
-            return attribute_scenario(bnn_scenario(), engine="fast")
+            return attribute_scenario(bnn_scenario().with_engine(name="fast"))
 
     def test_as_dict_round_trips_through_validator(self):
         validate_attribution_dict(self.attribution().as_dict())
@@ -236,7 +236,7 @@ class TestSerialization:
     def test_document_schema(self):
         scenario = bnn_scenario()
         with use_session(cache_enabled=False):
-            runs = [attribute_scenario(scenario, engine="fast")]
+            runs = [attribute_scenario(scenario.with_engine(name="fast"))]
         document = attribution_document(runs, scenario)
         assert document["schema"] == ATTRIBUTION_SCHEMA == \
             "repro-attribution/2"
@@ -248,7 +248,7 @@ class TestSerialization:
 
     def test_render_lists_phases_and_ab_summary(self):
         with use_session(cache_enabled=False):
-            runs = [attribute_scenario(bnn_scenario(), engine=engine)
+            runs = [attribute_scenario(bnn_scenario().with_engine(name=engine))
                     for engine in ("accurate", "fast")]
         text = render_attribution(runs)
         for phase in PHASES:
@@ -262,5 +262,5 @@ class TestRunScenarioAttribute:
         from repro.scenario.materialize import run_scenario
 
         with use_session(cache_enabled=False):
-            summary = run_scenario(cpu_scenario())
-        assert "phase_cycles" not in summary
+            run = run_scenario(cpu_scenario())
+        assert "phase_cycles" not in vars(run)

@@ -4,18 +4,16 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.power import (
-    BNN_POWER_04V_W,
-    BNN_POWER_1V_W,
-    CPU_POWER_04V_W,
-    CPU_POWER_1V_W,
+    DEFAULT_PROFILE,
     FrequencyModel,
     bnn_mep_voltage,
     bnn_profile,
     bnn_tops_per_watt,
     cpu_mep_voltage,
     cpu_profile,
-    effective_voltage_for_sram,
     frequency_model,
+    get_profile,
+    models_for,
 )
 
 
@@ -38,7 +36,8 @@ class TestFrequencyModel:
 
     def test_bad_anchor_order_rejected(self):
         with pytest.raises(ConfigurationError):
-            FrequencyModel(vth=0.5, v_lo=0.4)
+            FrequencyModel(vth=0.5, v_lo=0.4, f_lo_mhz=18.0, v_hi=1.0,
+                           f_hi_mhz=960.0)
 
     def test_f_hz_consistent(self):
         fm = frequency_model()
@@ -47,14 +46,16 @@ class TestFrequencyModel:
 
 class TestPowerProfiles:
     def test_bnn_power_anchors(self):
+        # paper: 241 mW at 1 V, 1.2 mW at 0.4 V in BNN mode
         profile = bnn_profile()
-        assert profile.total_power_w(1.0) == pytest.approx(BNN_POWER_1V_W, rel=1e-6)
-        assert profile.total_power_w(0.4) == pytest.approx(BNN_POWER_04V_W, rel=1e-6)
+        assert profile.total_power_w(1.0) == pytest.approx(0.241, rel=1e-6)
+        assert profile.total_power_w(0.4) == pytest.approx(1.2e-3, rel=1e-6)
 
     def test_cpu_power_anchors(self):
+        # paper: 112 mW at 1 V, 0.8 mW at 0.4 V in CPU mode
         profile = cpu_profile()
-        assert profile.total_power_w(1.0) == pytest.approx(CPU_POWER_1V_W, rel=1e-6)
-        assert profile.total_power_w(0.4) == pytest.approx(CPU_POWER_04V_W, rel=1e-6)
+        assert profile.total_power_w(1.0) == pytest.approx(0.112, rel=1e-6)
+        assert profile.total_power_w(0.4) == pytest.approx(0.8e-3, rel=1e-6)
 
     def test_power_monotone(self):
         for profile in (bnn_profile(), cpu_profile()):
@@ -108,6 +109,7 @@ class TestEfficiency:
 
 class TestSramDomain:
     def test_vmin_floor(self):
-        assert effective_voltage_for_sram(0.4) == 0.55
-        assert effective_voltage_for_sram(0.55) == 0.55
-        assert effective_voltage_for_sram(0.8) == 0.8
+        models = models_for(get_profile(DEFAULT_PROFILE))
+        assert models.effective_voltage_for_sram(0.4) == 0.55
+        assert models.effective_voltage_for_sram(0.55) == 0.55
+        assert models.effective_voltage_for_sram(0.8) == 0.8

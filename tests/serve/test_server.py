@@ -32,9 +32,8 @@ def small_scenario(engine: str = "fast", **serve_fields) -> Scenario:
         serve=ServeSpec(**serve)).with_engine(name=engine)
 
 
-def run_serve(scenario, session=None, with_server=False):
-    return serve_scenario(scenario, session=session,
-                          with_server=with_server)
+def run_serve(scenario, session=None):
+    return serve_scenario(scenario, session=session)
 
 
 class TestServeEndToEnd:
@@ -42,8 +41,7 @@ class TestServeEndToEnd:
     def test_full_session_meets_report_schema(self, engine):
         scenario = small_scenario(engine)
         with use_session(cache_enabled=False) as session:
-            report, server = run_serve(scenario, session=session,
-                                       with_server=True)
+            report, server = run_serve(scenario, session=session)
         summary = validate_slo_report(report)
         assert summary["requests"] == 24
         assert report["engine"] == engine
@@ -67,8 +65,7 @@ class TestServeEndToEnd:
 
         scenario = small_scenario("fast")
         with use_session(cache_enabled=False) as session:
-            _, server = run_serve(scenario, session=session,
-                                  with_server=True)
+            _, server = run_serve(scenario, session=session)
             model = build_model(scenario)
             pool = build_inputs(scenario, batch_size=scenario.batch_size)
             rows = np.stack([pool[index % len(pool)]
@@ -84,8 +81,7 @@ class TestServeEndToEnd:
         for engine in ("accurate", "fast"):
             scenario = small_scenario(engine)
             with use_session(cache_enabled=False) as session:
-                _, server = run_serve(scenario, session=session,
-                                      with_server=True)
+                _, server = run_serve(scenario, session=session)
             predictions[engine] = [request.prediction
                                    for request in server.requests]
         assert predictions["fast"] == predictions["accurate"]
@@ -109,8 +105,7 @@ class TestServeEndToEnd:
         scenario = small_scenario("fast", rate_rps=50000.0, requests=40,
                                   max_batch=4)
         with use_session(cache_enabled=False) as session:
-            _, server = run_serve(scenario, session=session,
-                                  with_server=True)
+            _, server = run_serve(scenario, session=session)
         assert server.recorder.batch_sizes
         assert max(server.recorder.batch_sizes) <= 4
         assert sum(server.recorder.batch_sizes) == 40
@@ -180,7 +175,8 @@ class TestSLOReport:
     def report(self):
         scenario = small_scenario("fast")
         with use_session(cache_enabled=False) as session:
-            return run_serve(scenario, session=session)
+            report, _ = run_serve(scenario, session=session)
+        return report
 
     def test_render_and_write_roundtrip(self, tmp_path, capsys):
         from repro.cli import main
@@ -259,8 +255,7 @@ class TestServeTracing:
         with use_session(cache_enabled=False) as session:
             tracer = install_tracer(session, capacity=None)
             try:
-                _, server = run_serve(scenario, session=session,
-                                      with_server=True)
+                _, server = run_serve(scenario, session=session)
             finally:
                 uninstall_tracer(session)
         processes = validate_chrome_trace(chrome_trace(tracer))["processes"]

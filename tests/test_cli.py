@@ -655,7 +655,7 @@ class TestAttributeCli:
 
         scenario = Scenario.from_file(bnn_scenario_file)
         with use_session(cache_enabled=False):
-            expected = attribute_scenario(scenario, engine="fast")
+            expected = attribute_scenario(scenario.with_engine(name="fast"))
         assert main(["attribute", "--scenario", bnn_scenario_file]) == 0
         out = capsys.readouterr().out
         assert "### cli-bnn — engine `fast` on `ncpu-65nm` (bnn)" in out
@@ -1117,3 +1117,96 @@ class TestPinnedCounters:
         counters = {series["name"]: series["value"] for series in metrics
                     if series["kind"] == "counter"}
         assert counters == ATTRIBUTE_COUNTERS
+
+
+#: SHA-256 of ``repro run --scenario image_classification.json
+#: --stats-json``'s stdout, the whole document
+IMAGE_STATS_SHA256 = (
+    "34de20bf4fe530d3489565ddd88e824c5a17436c42604c2442b29d2183a4e827")
+
+#: SHA-256 of ``repro fuzz --count 10 --seed 0 --engines accurate,fast
+#: --json``'s stdout
+FUZZ_SHA256 = (
+    "0752f836a326df770cb4551496e0549080ea90dbdfb1208feedff4ecd915e8ba")
+
+#: (engine, kind, cycles, detail) of each run of ``repro attribute`` on
+#: image_classification.json with both engines and ``--chained``
+_BNN_CYCLES = {"init": 208, "preprocess": 0, "inference": 50_432,
+               "memory_io": 0, "postprocess": 0, "overhead": 0}
+_CHAINED_CYCLES = {"init": 104, "preprocess": 0, "inference": 50_536,
+                   "memory_io": 16, "postprocess": 0, "overhead": 0}
+_HEAD = [9, 5, 4, 4, 6, 0, 6, 7]
+ATTRIBUTE_RUNS = [
+    (engine, kind, cycles, detail)
+    for engine in ("accurate", "fast")
+    for kind, cycles, detail in (
+        ("bnn", _BNN_CYCLES,
+         {"batch_size": 64, "macs": 5_721_600, "predictions_head": _HEAD}),
+        ("chained", _CHAINED_CYCLES,
+         {"batch_size": 64, "split_at": 2, "predictions_head": _HEAD}))
+]
+
+
+class TestPinnedScenarioRuns:
+    """What ``run --scenario``, ``fuzz`` and ``attribute`` print for the
+    example scenarios, pinned exactly: one scenario means one run,
+    whichever command executes it."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_session(self, monkeypatch):
+        from repro.sim import reset_session
+
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        reset_session()
+        yield
+        reset_session()
+
+    def test_bnn_stats_json_document(self, capsys):
+        import hashlib
+        import json
+
+        assert main(["run", "--scenario",
+                     str(EXAMPLES / "scenarios" / "image_classification.json"),
+                     "--stats-json"]) == 0
+        out = capsys.readouterr().out
+        document = json.loads(out)
+        assert document["engine"] == "fast"
+        assert len(document["predictions"]) == 64
+        assert document["predictions"][:8] == _HEAD
+        assert (document["total_cycles"], document["macs"]) == (50_640,
+                                                                 5_721_600)
+        assert hashlib.sha256(out.encode()).hexdigest() == IMAGE_STATS_SHA256
+
+    def test_cpu_scenario_summary(self, capsys):
+        assert main(["run", "--scenario",
+                     str(EXAMPLES / "scenarios" / "dhrystone.json")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "stop: halt at pc=0x100",
+            "cycles=13785 instructions=10159 ipc=0.737 stalls=1120 "
+            "flushes=2502"]
+
+    def test_cpu_scenario_step_limit(self, capsys):
+        assert main(["run", "--scenario",
+                     str(EXAMPLES / "scenarios" / "dhrystone.json"),
+                     "--engine", "fast", "--max-cycles", "500"]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "stop: max_cycles at pc=0x178")
+
+    def test_fuzz_json_document(self, capsys):
+        import hashlib
+
+        assert main(["fuzz", "--count", "10", "--seed", "0", "--engines",
+                     "accurate,fast", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == FUZZ_SHA256
+
+    def test_attribute_runs(self, capsys):
+        import json
+
+        assert main(["attribute", "--scenario",
+                     str(EXAMPLES / "scenarios" / "image_classification.json"),
+                     "--engine", "accurate", "--engine", "fast", "--chained",
+                     "--json"]) == 0
+        runs = json.loads(capsys.readouterr().out)["runs"]
+        assert [(run["engine"], run["kind"], run["cycles"], run["detail"])
+                for run in runs] == ATTRIBUTE_RUNS
