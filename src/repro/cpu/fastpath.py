@@ -184,8 +184,10 @@ def _body_source(instr: DecodedInstr, pc: int) -> str:
         else f"r[{instr.rs1}]"
     size = MEM_SIZES[name]
     if name[0] == "l":
-        call = f"load({address}, {size}, {name in SIGNED_LOADS})"
-        return f"r[{rd}] = {call} & 0xFFFFFFFF" if rd else call
+        signed = name in SIGNED_LOADS
+        # an unsigned load already returns a register value
+        call = f"load({address}, {size}, {signed})" + (" & 0xFFFFFFFF" if signed else "")
+        return f"r[{rd}] = {call}" if rd else call
     return f"store({address}, r[{instr.rs2}], {size})"
 
 
@@ -334,7 +336,7 @@ class FastCPU:
                 value = env.l2_memory().load((r[rs1] + imm) & _MASK, 4)
                 env.l2_reads += 1
                 if rd:
-                    r[rd] = value & _MASK
+                    r[rd] = value
             return fn
         if name == "sw_l2":
             def fn(r):
@@ -345,12 +347,15 @@ class FastCPU:
         if name[0] == "l":
             load = self.memory.load
             signed = name in SIGNED_LOADS
-            if rd:
-                def fn(r):
-                    r[rd] = load((r[rs1] + imm) & _MASK, size, signed) & _MASK
-            else:
+            if not rd:
                 def fn(r):
                     load((r[rs1] + imm) & _MASK, size, signed)
+            elif signed:
+                def fn(r):
+                    r[rd] = load((r[rs1] + imm) & _MASK, size, True) & _MASK
+            else:  # an unsigned load already returns a register value
+                def fn(r):
+                    r[rd] = load((r[rs1] + imm) & _MASK, size, False)
             return fn
         store = self.memory.store
 

@@ -67,7 +67,7 @@ class FunctionalCPU:
             size = MEM_SIZES[name]
             memory = self.env.l2_memory() if name.endswith("_l2") else self.memory
             if instr.spec.is_load:
-                value = memory.load(alu, size, signed=name in SIGNED_LOADS)
+                value = memory.load(alu, size, name in SIGNED_LOADS)
                 self.regs.write(instr.rd, value)
                 self.stats.mem_reads += 1
                 if name.endswith("_l2"):

@@ -8,10 +8,10 @@ NCPU memory system that implements the same protocol.
 
 from __future__ import annotations
 
+from struct import Struct
 from typing import Iterable, Protocol, runtime_checkable
 
 from repro.errors import MemoryError_
-from repro.isa.encoding import sign_extend, to_unsigned32
 
 
 @runtime_checkable
@@ -32,6 +32,15 @@ def check_access(addr: int, size: int) -> None:
         raise MemoryError_(f"negative address {addr:#x}")
     if addr % size:
         raise MemoryError_(f"misaligned {size}-byte access at {addr:#x}")
+
+
+#: little-endian codecs by access size (at index 1, 2 and 4), unsigned and
+#: signed; module globals, not attributes, because a ``Struct`` does not pickle
+_U8, _U16, _U32, _S8, _S16, _S32 = (Struct("<" + code) for code in "BHIbhi")
+_UNPACK = (None, _U8.unpack_from, _U16.unpack_from, None, _U32.unpack_from)
+_UNPACK_SIGNED = (None, _S8.unpack_from, _S16.unpack_from, None, _S32.unpack_from)
+_PACK = (None, _U8.pack_into, _U16.pack_into, None, _U32.pack_into)
+_WIDTH_MASK = (0, 0xFF, 0xFFFF, 0, 0xFFFFFFFF)
 
 
 class FlatMemory:
@@ -60,10 +69,7 @@ class FlatMemory:
             check_access(addr, size)
             self._offset(addr, size)
         self.load_count += 1
-        value = int.from_bytes(self._bytes[offset:offset + size], "little")
-        if signed:
-            value = sign_extend(value, 8 * size)
-        return value
+        return (_UNPACK_SIGNED if signed else _UNPACK)[size](self._bytes, offset)[0]
 
     def store(self, addr: int, value: int, size: int) -> None:
         offset = addr - self.base
@@ -71,8 +77,7 @@ class FlatMemory:
             check_access(addr, size)
             self._offset(addr, size)
         self.store_count += 1
-        self._bytes[offset:offset + size] = (to_unsigned32(value) & ((1 << (8 * size)) - 1)) \
-            .to_bytes(size, "little")
+        _PACK[size](self._bytes, offset, value & _WIDTH_MASK[size])
 
     # convenience helpers -------------------------------------------------
     def load_word(self, addr: int) -> int:

@@ -180,7 +180,7 @@ class PipelinedCPU:
                     if size:
                         target = env.l2_memory() if mem_op.l2 else memory
                         if mem_op.is_load:
-                            mem_value = target.load(mem_value, size, signed=mem_op.signed)
+                            mem_value = target.load(mem_value, size, mem_op.signed)
                             mem_reads += 1
                             if mem_op.l2:
                                 env.l2_reads += 1

@@ -43,7 +43,7 @@ class AddressArbiter:
 
     def load(self, addr: int, size: int, signed: bool = False) -> int:
         self.routed_accesses += 1
-        return self.select(addr).load(addr, size, signed=signed)
+        return self.select(addr).load(addr, size, signed)
 
     def store(self, addr: int, value: int, size: int) -> None:
         self.routed_accesses += 1

@@ -36,31 +36,22 @@ class SRAMBank(FlatMemory):
             )
         return offset
 
-    def _check_enabled(self) -> None:
+    def load(self, addr: int, size: int, signed: bool = False) -> int:
         if not self.enabled:
             raise MemoryError_(f"access to clock-gated bank {self.name!r}")
-
-    def load(self, addr: int, size: int, signed: bool = False) -> int:
-        self._check_enabled()
-        return super().load(addr, size, signed)
+        return FlatMemory.load(self, addr, size, signed)
 
     def store(self, addr: int, value: int, size: int) -> None:
-        self._check_enabled()
-        super().store(addr, value, size)
+        if not self.enabled:
+            raise MemoryError_(f"access to clock-gated bank {self.name!r}")
+        FlatMemory.store(self, addr, value, size)
 
     def write_words(self, addr: int, values) -> None:
         # Bulk writes model DMA streaming (one access per word, like the
         # hardware's sequential streaming), which wakes the bank
         # regardless of the current mode's clock gating.
-        was_enabled = self.enabled
-        self.enabled = True
-        try:
-            super().write_words(addr, values)
-        finally:
-            self.enabled = was_enabled
-
-    def clear(self) -> None:
-        self._bytes = bytearray(self.size)
+        for index, value in enumerate(values):
+            FlatMemory.store(self, addr + 4 * index, value, 4)
 
     @property
     def reads(self) -> int:

@@ -244,9 +244,6 @@ class DeviceModels:
         return _mep_voltage(self.accel, lo=self.profile.mep_search_lo,
                             hi=self.profile.mep_search_hi)
 
-    def effective_voltage_for_sram(self, voltage: float) -> float:
-        return max(voltage, self.profile.sram_vmin)
-
 
 @lru_cache(maxsize=None)
 def models_for(profile: DeviceProfile) -> DeviceModels:

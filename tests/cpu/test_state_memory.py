@@ -1,11 +1,16 @@
 """Tests for the register file and flat memory."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cpu import FlatMemory, RegisterFile
 from repro.errors import MemoryError_, SimulationError
+from repro.isa.encoding import sign_extend, to_unsigned32
+from repro.mem import SRAMBank
+from tests.mem.test_sram_arbiter import ACCESSES
 
 
 class TestRegisterFile:
@@ -173,3 +178,82 @@ class TestFlatMemoryRejections:
             else:
                 mem.store(-4, 0, 4)
         assert (mem.load_count, mem.store_count) == (0, 0)
+
+
+class ReferenceMemory:
+    """A dense little-endian memory written the plain way, to hold
+    FlatMemory's codecs to: the guard's four checks one after another,
+    and each access through a byte slice, ``int.from_bytes`` and
+    ``sign_extend`` or ``to_bytes``.  Every CPU model loads and stores
+    through FlatMemory, so comparing the models with each other cannot
+    catch a fault in it."""
+
+    def __init__(self, size, base=0):
+        self.base, self.size = base, size
+        self._bytes = bytearray(size)
+        self.load_count = self.store_count = 0
+
+    def _offset(self, addr, size):
+        if size not in (1, 2, 4):
+            raise MemoryError_(f"unsupported access size {size}")
+        if addr < 0:
+            raise MemoryError_(f"negative address {addr:#x}")
+        if addr % size:
+            raise MemoryError_(f"misaligned {size}-byte access at {addr:#x}")
+        offset = addr - self.base
+        if not 0 <= offset <= self.size - size:
+            raise MemoryError_(f"address {addr:#x} outside memory "
+                               f"[{self.base:#x}, {self.base + self.size:#x})")
+        return offset
+
+    def load(self, addr, size, signed=False):
+        offset = self._offset(addr, size)
+        self.load_count += 1
+        value = int.from_bytes(self._bytes[offset:offset + size], "little")
+        return sign_extend(value, 8 * size) if signed else value
+
+    def store(self, addr, value, size):
+        offset = self._offset(addr, size)
+        self.store_count += 1
+        self._bytes[offset:offset + size] = \
+            (to_unsigned32(value) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+
+
+def _outcome(access, memory):
+    """``access(memory)``'s value, or the type and message it raised."""
+    try:
+        return access(memory)
+    except MemoryError_ as exc:
+        return MemoryError_, str(exc)
+
+
+class TestFlatMemoryAgainstReference:
+    @given(base=st.sampled_from([0, 0x40, -32]), accesses=ACCESSES)
+    def test_same_values_errors_bytes_and_counts(self, base, accesses):
+        flat, reference = FlatMemory(64, base=base), ReferenceMemory(64, base=base)
+        for store, offset, size, value, _gated, signed in accesses:
+            addr = base + offset
+            if store:
+                def access(memory):
+                    return memory.store(addr, value, size)
+            else:
+                def access(memory):
+                    return memory.load(addr, size, signed)
+            assert _outcome(access, flat) == _outcome(access, reference)
+            assert bytes(flat._bytes) == bytes(reference._bytes)
+        assert (flat.load_count, flat.store_count) == (reference.load_count,
+                                                       reference.store_count)
+
+    @pytest.mark.parametrize("make", [lambda: FlatMemory(64, base=0x40),
+                                      lambda: SRAMBank("b", 64, base=0x40)],
+                             ids=["FlatMemory", "SRAMBank"])
+    def test_pickle_round_trip(self, make):
+        memory = make()
+        memory.store(0x44, 0xCAFEBABE, 4)
+        memory.load(0x44, 4)
+        copy = pickle.loads(pickle.dumps(memory))
+        assert type(copy) is type(memory)
+        assert vars(copy) == vars(memory)
+        assert copy.load(0x46, 2, True) == -0x3502  # 0xCAFE
+        copy.store(0x48, -1, 1)
+        assert copy.load(0x48, 4) == 0xFF

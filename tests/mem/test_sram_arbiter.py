@@ -54,12 +54,6 @@ class TestSRAMBank:
         bank.write_words(0x40, [1, 2, 3])
         assert bank.read_words(0x40, 3) == [1, 2, 3]
 
-    def test_clear(self):
-        bank = SRAMBank("b", 64)
-        bank.store(0, 99, 4)
-        bank.clear()
-        assert bank.load(0, 4) == 0
-
     def test_signed_load(self):
         bank = SRAMBank("b", 64)
         bank.store(0, 0xFF, 1)
@@ -77,7 +71,7 @@ def _outcome(access, memory):
 #: one random access: (store?, offset from base, size, value, gated, signed)
 ACCESSES = st.lists(st.tuples(
     st.booleans(), st.integers(-8, 72), st.sampled_from([1, 2, 3, 4]),
-    st.integers(-(1 << 32), (1 << 32) - 1), st.booleans(), st.booleans()),
+    st.integers(-(1 << 40), (1 << 40) - 1), st.booleans(), st.booleans()),
     max_size=40)
 
 

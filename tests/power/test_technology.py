@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.power import (
-    DEFAULT_PROFILE,
     FrequencyModel,
     bnn_mep_voltage,
     bnn_profile,
@@ -12,8 +11,7 @@ from repro.power import (
     cpu_mep_voltage,
     cpu_profile,
     frequency_model,
-    get_profile,
-    models_for,
+    sram_access_energy_j,
 )
 
 
@@ -109,7 +107,12 @@ class TestEfficiency:
 
 class TestSramDomain:
     def test_vmin_floor(self):
-        models = models_for(get_profile(DEFAULT_PROFILE))
-        assert models.effective_voltage_for_sram(0.4) == 0.55
-        assert models.effective_voltage_for_sram(0.55) == 0.55
-        assert models.effective_voltage_for_sram(0.8) == 0.8
+        """SRAM access energy goes with the square of the array voltage,
+        floored at the chip's 0.55 V SRAM Vmin."""
+        def effective_voltage(voltage):
+            return (sram_access_energy_j(1024, 1, voltage)
+                    / sram_access_energy_j(1024, 1, 1.0)) ** 0.5
+
+        assert effective_voltage(0.4) == pytest.approx(0.55)
+        assert effective_voltage(0.55) == pytest.approx(0.55)
+        assert effective_voltage(0.8) == pytest.approx(0.8)
