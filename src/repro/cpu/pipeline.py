@@ -11,7 +11,12 @@ emulates on its neural layers:
 * the NCPU custom instructions commit their side effects at WB.
 
 Architectural results match :class:`repro.cpu.functional.FunctionalCPU`
-exactly; only the cycle accounting differs.
+exactly; only the cycle accounting differs.  Within a cycle the simulator
+runs WB before EX, so EX reads the MEM/WB forward from the register file
+that WB has just written.  That is exact: the register holds the forwarded
+value mod 2**32, and every consumer reduces its operands mod 2**32 (each
+:func:`~repro.cpu.semantics.compile_ex` closure; a store writes only the
+low bytes).
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ from repro.trace.tracer import CPU_TRACK, FLUSH_EVENT, STAGES, STALL_EVENT
 
 DEFAULT_MAX_CYCLES = 100_000_000
 
-_MASK = 0xFFFFFFFF
-
 
 class _Op:
     """One instruction word, decoded once into what the stages read.
@@ -39,14 +42,16 @@ class _Op:
     ``rd`` is the register written at WB and ``rs1``/``rs2`` the registers
     EX reads, each 0 when unused (x0 never matches a hazard or forwarding
     source); ``srcs`` is their non-zero set for the ID hazard check.
-    ``wb`` names the custom instructions that act at WB instead of writing
-    a register, and ``drains`` stops fetch behind a halt or mode switch.
+    ``fwd_rd`` is ``rd`` on a forwarding CPU and ``load_rd`` is ``rd`` for a
+    load, each else 0.  ``wb`` names the custom instructions that act at WB,
+    ``drains`` stops fetch behind a halt or mode switch, and ``retired``
+    counts retirements in the current run.
     """
 
-    __slots__ = ("instr", "name", "rd", "rs1", "rs2", "srcs", "size", "signed", "l2",
-                 "is_load", "wb", "drains", "ex")
+    __slots__ = ("instr", "name", "rd", "rs1", "rs2", "srcs", "fwd_rd", "load_rd", "size",
+                 "signed", "l2", "is_load", "wb", "drains", "ex", "retired")
 
-    def __init__(self, instr: DecodedInstr):
+    def __init__(self, instr: DecodedInstr, forwarding: bool):
         spec = instr.spec
         name = self.name = spec.name
         self.instr = instr
@@ -54,13 +59,16 @@ class _Op:
         self.rs1 = instr.rs1 if spec.reads_rs1 else 0
         self.rs2 = instr.rs2 if spec.reads_rs2 else 0
         self.srcs = frozenset(reg for reg in (self.rs1, self.rs2) if reg)
+        self.fwd_rd = self.rd if forwarding else 0
         self.size = MEM_SIZES.get(name, 0)
         self.signed = name in SIGNED_LOADS
         self.l2 = name.endswith("_l2")
         self.is_load = spec.is_load
+        self.load_rd = self.rd if self.is_load else 0
         self.wb = name if name in ("mv_neu", "trigger_bnn", "ebreak", "trans_bnn") else None
         self.drains = name in ("ebreak", "trans_bnn")
         self.ex = compile_ex(instr)
+        self.retired = 0
 
 
 class PipelinedCPU:
@@ -86,16 +94,18 @@ class PipelinedCPU:
         self.forwarding = forwarding
         self.stats = ExecStats()
 
-        # latches, None = bubble: IF/ID (pc, word), ID/EX (pc, op),
-        # EX/MEM (pc, op, alu, store value), MEM/WB (pc, op, value)
-        self.if_id = self.id_ex = self.ex_mem = self.mem_wb = None
+        # latch fields, a None op (or IF/ID slot) = bubble: IF/ID pc, slot;
+        # ID/EX pc, op; EX/MEM pc, op, alu, store value; MEM/WB pc, op, value
+        self._latches = (0, None, 0, None, 0, None, 0, 0, 0, None, 0)
 
         self._fetch_enabled = True
         self._stop_reason: Optional[str] = None
         self._resume_pc = 0
-        #: instruction word -> _Op, filled at ID so that an undecodable
-        #: word fetched into a squashed slot never raises
-        self._ops = {}
+        #: program slot -> _Op, filled at ID so that an undecodable word
+        #: fetched into a squashed slot never raises; ``_ops`` maps each word
+        #: to its _Op in the order ID built them, that of their first
+        #: retirements (an op leaving ID is never squashed)
+        self._slot_ops, self._ops = [None] * len(program.words), {}
 
     def run(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> RunResult:
         """Run until halt / mode switch / cycle limit.
@@ -103,7 +113,8 @@ class PipelinedCPU:
         Each cycle runs WB, MEM, EX, the EX redirect, the ID hazard check,
         ID and IF in that order, on latches and counters held in locals that
         the ``finally`` writes back: a fault or the cycle limit leaves the
-        exact state a later ``run()`` resumes from.
+        exact state a later ``run()`` resumes from.  A faulting stage leaves
+        the latch it fills empty, so nothing retires or executes twice.
 
         With a tracer installed, each cycle's stage occupancy and each stall
         and flush are recorded on the ``cpu.pipeline`` track from its cursor:
@@ -121,154 +132,135 @@ class PipelinedCPU:
         before = stats.scalars()
         # resolved once per run; untraced, a cycle pays one None check
         tracer = get_session().tracer
-        env, memory, regs, ops = self.env, self.memory, self.regs._regs, self._ops
+        env, memory, regs = self.env, self.memory, self.regs._regs
+        slot_ops, ops, forwarding = self._slot_ops, self._ops, self.forwarding
         program = self.program
-        words, base, n_words = program.words, program.base, len(program.words)
-        forwarding = self.forwarding
+        words, base, n_words = program.words, program.base, len(slot_ops)
 
-        if_id, id_ex, ex_mem, mem_wb = self.if_id, self.id_ex, self.ex_mem, self.mem_wb
+        (id_pc, id_slot, ex_pc, ex_op, mem_pc, mem_op, mem_alu, store_value,
+         wb_pc, wb_op, wb_value) = self._latches
         pc, fetching, stop = self.pc, self._fetch_enabled, self._stop_reason
-        cycles, instructions, stalls, flushes = (stats.cycles, stats.instructions,
-                                                 stats.stalls, stats.flushes)
+        cycles, stalls, flushes = stats.cycles, stats.stalls, stats.flushes
         mem_reads, mem_writes = stats.mem_reads, stats.mem_writes
-        busy_if = busy_id = busy_ex = busy_mem = busy_wb = 0
-        retired = {}
+        busy_if = busy_id = busy_ex = busy_mem = 0
         # trace stamp of this CPU's cycle 0 (the cursor holds whole cycles)
         origin = int(tracer.cursor(CPU_TRACK)) - cycles if tracer is not None else 0
         try:
-            while stop is None and cycles < max_cycles:
-                cycles += 1
+            for cycles in range(cycles + 1, max_cycles + 1 if stop is None else 0):
                 if tracer is not None:
                     tracer.cpu_cycle(origin + cycles,
                                      IF=pc if fetching else None,
-                                     ID=if_id[0] if if_id is not None else None,
-                                     EX=id_ex[0] if id_ex is not None else None,
-                                     MEM=ex_mem[0] if ex_mem is not None else None,
-                                     WB=mem_wb[0] if mem_wb is not None else None,
-                                     wb_name=mem_wb[1].name if mem_wb is not None else None)
+                                     ID=id_pc if id_slot is not None else None,
+                                     EX=ex_pc if ex_op is not None else None,
+                                     MEM=mem_pc if mem_op is not None else None,
+                                     WB=wb_pc if wb_op is not None else None,
+                                     wb_name=wb_op.name if wb_op is not None else None)
 
                 # ---- WB ---------------------------------------------------
-                # wb_rd / mem_rd: the forwarding sources EX sees this cycle
-                wb_rd = 0
-                if mem_wb is not None:
-                    wb_pc, op, wb_value = mem_wb
-                    busy_wb += 1
-                    if op.rd:
-                        regs[op.rd] = wb_value & _MASK
-                        if forwarding:
-                            wb_rd = op.rd
-                    elif op.wb == "mv_neu":
-                        env.write_transition_neuron(op.instr.rd, wb_value)
-                    elif op.wb == "trigger_bnn":
-                        env.record("trigger_bnn", cycles, wb_pc, op.instr.imm)
-                    instructions += 1
-                    retired[op.name] = retired.get(op.name, 0) + 1
-                    if op.drains:
-                        if op.wb == "trans_bnn":
-                            env.record("trans_bnn", cycles, wb_pc, op.instr.imm)
-                        stop = "halt" if op.wb == "ebreak" else op.wb
-                        self._resume_pc = wb_pc + 4
-                        break
+                if wb_op is not None:
+                    wb_op.retired += 1
+                    if wb_op.rd:
+                        regs[wb_op.rd] = wb_value & 0xFFFFFFFF
+                    elif wb_op.wb is not None:
+                        if wb_op.wb == "mv_neu":
+                            env.write_transition_neuron(wb_op.instr.rd, wb_value)
+                        elif wb_op.wb != "ebreak":  # trigger_bnn, trans_bnn
+                            env.record(wb_op.wb, cycles, wb_pc, wb_op.instr.imm)
+                        if wb_op.drains:
+                            stop = "halt" if wb_op.wb == "ebreak" else wb_op.wb
+                            self._resume_pc = wb_pc + 4
+                            break
 
                 # ---- MEM --------------------------------------------------
-                mem_op = new_mem_wb = None
-                mem_rd = 0
-                if ex_mem is not None:
-                    mem_pc, mem_op, mem_value, store_value = ex_mem
+                if mem_op is not None:
                     busy_mem += 1
-                    size = mem_op.size
-                    if size:
+                    if mem_op.size:
+                        wb_op = None  # WB has retired it: a faulting access leaves MEM/WB empty
                         target = env.l2_memory() if mem_op.l2 else memory
                         if mem_op.is_load:
-                            mem_value = target.load(mem_value, size, mem_op.signed)
+                            mem_alu = target.load(mem_alu, mem_op.size, mem_op.signed)
                             mem_reads += 1
                             if mem_op.l2:
                                 env.l2_reads += 1
                         else:
-                            target.store(mem_value, store_value, size)
+                            target.store(mem_alu, store_value, mem_op.size)
                             mem_writes += 1
                             if mem_op.l2:
                                 env.l2_writes += 1
-                    if forwarding:
-                        mem_rd = mem_op.rd
-                    new_mem_wb = (mem_pc, mem_op, mem_value)
+                    wb_pc, wb_op, wb_value = mem_pc, mem_op, mem_alu
+                    fwd_rd = mem_op.fwd_rd
+                else:
+                    wb_op, fwd_rd = None, 0
 
                 # ---- EX ---------------------------------------------------
-                # operands forward from EX/MEM first, then MEM/WB, else come
-                # from the register file (which WB already wrote this cycle)
-                ex_op = redirect = None
-                if id_ex is not None:
-                    ex_pc, ex_op = id_ex
+                # operands forward from EX/MEM (fwd_rd), else, MEM/WB's too,
+                # come from the register file (see the module docstring)
+                mem_op = ex_op
+                if ex_op is not None:
                     busy_ex += 1
-                    if mem_rd in ex_op.srcs and mem_op.is_load:
-                        raise SimulationError("load-use hazard reached EX; interlock failed")
-                    reg = ex_op.rs1
-                    rs1_val = (0 if not reg else mem_value if reg == mem_rd
-                               else wb_value if reg == wb_rd else regs[reg])
-                    reg = ex_op.rs2
-                    rs2_val = (0 if not reg else mem_value if reg == mem_rd
-                               else wb_value if reg == wb_rd else regs[reg])
-                    alu, redirect = ex_op.ex(rs1_val, rs2_val, ex_pc)
-                    ex_mem = (ex_pc, ex_op, alu, rs2_val)
-                else:
-                    ex_mem = None
-                # latches EX and MEM produced this cycle are visible next cycle
-                mem_wb = new_mem_wb
-
-                if redirect is not None:
-                    # Squash the two younger slots (IF/ID and this cycle's
-                    # fetch) and steer the PC to the target: a 2-cycle penalty.
-                    flushes += 2
-                    if tracer is not None:
-                        tracer.instant(FLUSH_EVENT, track=CPU_TRACK, ts=origin + cycles, cat="cpu",
-                                       cause="control", pc=ex_pc, target=redirect, squashed=2)
-                    if_id = id_ex = None
-                    pc = redirect
-                    fetching = True
-                    continue
+                    rs1_val, rs2_val = regs[ex_op.rs1], regs[ex_op.rs2]
+                    if fwd_rd in ex_op.srcs:
+                        if wb_op.is_load:
+                            raise SimulationError("load-use hazard reached EX; interlock failed")
+                        if ex_op.rs1 == fwd_rd:
+                            rs1_val = wb_value
+                        if ex_op.rs2 == fwd_rd:
+                            rs2_val = wb_value
+                    mem_alu, redirect = ex_op.ex(rs1_val, rs2_val, ex_pc)
+                    mem_pc, store_value, ex_op = ex_pc, rs2_val, None
+                    if redirect is not None:
+                        # Squash the two younger slots (IF/ID, this cycle's
+                        # fetch), steer the PC to the target: 2 cycles lost.
+                        flushes += 2
+                        if tracer is not None:
+                            tracer.instant(FLUSH_EVENT, track=CPU_TRACK, ts=origin + cycles,
+                                           cat="cpu", cause="control", pc=mem_pc,
+                                           target=redirect, squashed=2)
+                        id_slot = None
+                        pc = redirect
+                        fetching = True
+                        continue
 
                 # ---- ID ---------------------------------------------------
-                if if_id is not None:
-                    id_pc, word = if_id
-                    op = ops.get(word)
+                # ID/EX is empty (as a decode error leaves it); mem_op: EX's op, wb_op: MEM's
+                if id_slot is not None:
+                    op = slot_ops[id_slot]
                     if op is None:
-                        op = ops[word] = _Op(decode(word))
+                        word = words[id_slot]
+                        op = ops.get(word)
+                        if op is None:
+                            op = ops[word] = _Op(decode(word), forwarding)
+                        slot_ops[id_slot] = op
                     # With forwarding only a load in EX/MEM stalls (its data
-                    # forwards from MEM/WB next cycle).  Without it, results
-                    # reach EX only through the register file, so the consumer
+                    # forwards from MEM/WB next cycle).  Without it, a consumer
                     # waits for every in-flight producer to write back: two
                     # bubbles for a back-to-back dependency.
                     srcs = op.srcs
                     if forwarding:
-                        hazard = ex_op is not None and ex_op.is_load and ex_op.rd in srcs
+                        hazard = mem_op is not None and mem_op.load_rd in srcs
                     else:
-                        hazard = ((ex_op is not None and ex_op.rd in srcs)
-                                  or (mem_op is not None and mem_op.rd in srcs))
+                        hazard = ((mem_op is not None and mem_op.rd in srcs)
+                                  or (wb_op is not None and wb_op.rd in srcs))
                     if hazard:
                         stalls += 1
                         if tracer is not None:
                             tracer.instant(STALL_EVENT, track=CPU_TRACK, ts=origin + cycles,
                                            cat="cpu", pc=id_pc,
                                            cause="load_use" if forwarding else "raw_interlock")
-                        id_ex = None  # bubble into EX; IF/ID and PC hold
-                        continue
+                        continue  # a bubble into EX; IF/ID and PC hold
                     busy_id += 1
-                    id_ex = (id_pc, op)
-                    if_id = None
+                    ex_pc, ex_op, id_slot = id_pc, op, None
                     if op.drains:
                         fetching = False
-                else:
-                    id_ex = None
 
                 # ---- IF ---------------------------------------------------
                 if fetching:
                     index = (pc - base) >> 2
                     if pc & 3 or not 0 <= index < n_words:
                         # Speculative fetch past the program end is fine while
-                        # an older in-flight control transfer may still
-                        # redirect the PC; it is an error only once the
-                        # pipeline has fully drained.
-                        if id_ex is None and ex_mem is None and mem_wb is None:
+                        # an older control transfer may still redirect the PC;
+                        # it is an error only once the pipeline has drained.
+                        if ex_op is None and mem_op is None and wb_op is None:
                             try:
                                 program.word_at(pc)
                             except IndexError as exc:
@@ -276,23 +268,28 @@ class PipelinedCPU:
                                     f"instruction fetch outside program: {exc}") from exc
                         continue
                     busy_if += 1
-                    if_id = (pc, words[index])
+                    id_pc, id_slot = pc, index
                     pc += 4
         finally:
             if tracer is not None:
                 tracer.advance(CPU_TRACK, cycles - stats.cycles)
-            self.if_id, self.id_ex, self.ex_mem, self.mem_wb = if_id, id_ex, ex_mem, mem_wb
+            self._latches = (id_pc, id_slot, ex_pc, ex_op, mem_pc, mem_op, mem_alu, store_value,
+                             wb_pc, wb_op, wb_value)
             self.pc, self._fetch_enabled, self._stop_reason = pc, fetching, stop
-            stats.cycles, stats.instructions = cycles, instructions
-            stats.stalls, stats.flushes = stalls, flushes
+            stats.cycles, stats.stalls, stats.flushes = cycles, stalls, flushes
             stats.mem_reads, stats.mem_writes = mem_reads, mem_writes
+            # ops in first-retirement order keep instr_counts' key order
+            for op in ops.values():
+                if op.retired:
+                    stats.instr_counts[op.name] += op.retired
+                    stats.instructions += op.retired
+                    op.retired = 0
             # a stage first fills after the one before it, so adding the
             # counts in pipeline order keeps the Counter's key order
+            busy_wb = stats.instructions - before["instructions"]
             for stage, count in zip(STAGES, (busy_if, busy_id, busy_ex, busy_mem, busy_wb)):
                 if count:
                     stats.stage_busy[stage] += count
-            for name, count in retired.items():
-                stats.instr_counts[name] += count
 
         reason = stop or "max_cycles"
         publish_run("pipeline", reason, stats.delta(before))

@@ -33,9 +33,9 @@ ExFn = Callable[[int, int, int], Tuple[int, Optional[int]]]
 def compile_ex(instr: DecodedInstr) -> ExFn:
     """Compile the EX-stage outcome of ``instr`` into one closure.
 
-    Operands may arrive raw: the pipeline forwards ``lb``/``lh`` results
-    sign-extended, so every closure reduces its operands modulo 2**32
-    itself (``x & _MASK ^ _SIGN`` orders values as signed 32-bit ints).
+    Every closure reduces its operands modulo 2**32 itself (``x & _MASK ^
+    _SIGN`` orders values as signed 32-bit ints), so the pipeline may feed
+    it the register file in place of a sign-extended ``lb``/``lh`` forward.
     """
     name = instr.name
     imm = instr.imm

@@ -9,6 +9,7 @@ banked memory and a flat memory interchangeably.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Sequence
 
 from repro.errors import ConfigurationError, MemoryError_
@@ -28,14 +29,16 @@ class AddressArbiter:
                     f"banks {left.name!r} and {right.name!r} overlap"
                 )
         self.banks: List[SRAMBank] = list(ordered)
+        self._bases = [bank.base for bank in ordered]
         self.routed_accesses = 0
 
     # ------------------------------------------------------------------
     def select(self, addr: int) -> SRAMBank:
-        """The single bank enabled for ``addr``."""
-        for bank in self.banks:
-            if bank.contains(addr):
-                return bank
+        """The single bank enabled for ``addr``: the last one based at or
+        below it (index -1, the top bank, when none is), if it holds ``addr``."""
+        bank = self.banks[bisect_right(self._bases, addr) - 1]
+        if bank.base <= addr < bank.base + bank.size:
+            return bank
         raise MemoryError_(
             f"address {addr:#x} hits no bank "
             f"(mapped: {[(b.name, hex(b.base), b.size) for b in self.banks]})"

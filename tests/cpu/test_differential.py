@@ -297,8 +297,11 @@ _BRANCH_CONSUMER = "bltu a0, a2, skip\naddi a1, a1, 1\nskip:"
     "sw a0, 4(s0)", "mv_neu 2, a0",
 ], ids=lambda consumer: consumer.split()[0])
 def test_sign_extended_load_forwards_from_mem_wb(gap, load, stored, consumer):
-    """MEM/WB forwards a ``lb``/``lh`` result raw, sign-extended; every
-    consumer must still compute what the ISS computes from the register."""
+    """The modelled MEM/WB forward carries a ``lb``/``lh`` result raw,
+    sign-extended; the simulator reads it from the register file that WB
+    has just written instead.  Every consumer must still compute what the
+    ISS computes from the register: the two agree because each consumer
+    reduces its operands mod 2**32, and this test guards that."""
     source = "\n".join([
         "li s0, 256", "li a2, 5", f"li t0, {stored}", "sw t0, 0(s0)",
         f"{load} a0, 0(s0)", *(["addi t1, t1, 1"] * gap), consumer, "ebreak"])

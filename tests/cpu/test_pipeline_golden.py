@@ -1,9 +1,11 @@
 """Golden pins of the cycle-accurate pipeline on real workloads.
 
-Every value below was recorded from the per-cycle model before its loop
-was rewritten for speed.  A change that moves one simulated cycle, stall,
-flush, stage occupancy, retired-instruction count or event stamp fails
-here, even when the architectural results still match the ISS.
+Every value below was recorded from the per-cycle model before a rewrite
+of its loop for speed: the counters, stage occupancy, events and trace
+digests before the first, the counters' key order and the first-fault
+states before the second.  A change that moves one simulated cycle,
+stall, flush, stage occupancy, retired-instruction count, key or event
+stamp fails here, even when the architectural results still match the ISS.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.bnn import BNNModel, binarize_sign
-from repro.cpu import CoreEnv, FlatMemory, PipelinedCPU
+from repro.cpu import CoreEnv, FlatMemory, FunctionalCPU, PipelinedCPU
 from repro.isa import assemble
 from repro.sim import use_session
 from repro.trace import STAGES, install_tracer, uninstall_tracer
@@ -378,3 +380,25 @@ def test_first_fault_state_matches_golden(case, forwarding):
         "regs": {index: value for index, value in enumerate(cpu.regs.snapshot()) if value},
     }
     assert got == FAULT_GOLDEN[case, forwarding]
+
+
+@pytest.mark.parametrize("forwarding", [True, False], ids=["forwarding", "no-forwarding"])
+@pytest.mark.parametrize("case", list(FAULT_SOURCES))
+def test_run_after_fault_retires_nothing_twice(case, forwarding):
+    """Every later ``run()`` raises the first fault again, retiring and
+    executing nothing twice: once the instructions older than the fault
+    have drained, the pipeline holds the ISS's state at its fault."""
+    with use_session():
+        cpu, raised = _faulted_cpu(case, forwarding)
+        for _ in range(5):
+            with pytest.raises(Exception) as again:
+                cpu.run(1_000)
+            assert [type(again.value).__name__, str(again.value)] == raised
+        iss = FunctionalCPU(cpu.program, memory=FlatMemory(size=512))
+        with pytest.raises(Exception) as iss_raised:
+            iss.run(1_000)
+    assert type(iss_raised.value).__name__ == raised[0]
+    assert cpu.stats.instructions == iss.stats.instructions
+    assert cpu.stats.instr_counts == iss.stats.instr_counts
+    assert cpu.regs.snapshot() == iss.regs.snapshot()
+    assert cpu.memory.read_words(0, 128) == iss.memory.read_words(0, 128)

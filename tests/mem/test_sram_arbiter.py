@@ -104,6 +104,31 @@ class TestBankIsFlatMemory:
         assert bank.accesses == flat.load_count + flat.store_count
 
 
+def _linear_select(banks, addr):
+    """Route ``addr`` by scanning ``banks`` (in address order), the
+    reference that ``AddressArbiter.select`` must agree with."""
+    for bank in banks:
+        if bank.contains(addr):
+            return bank
+    raise MemoryError_(
+        f"address {addr:#x} hits no bank "
+        f"(mapped: {[(b.name, hex(b.base), b.size) for b in banks]})"
+    )
+
+
+@st.composite
+def bank_layouts(draw):
+    """One to five banks in address order, each after a gap of 0-12
+    bytes, the first at a base of 0-256."""
+    banks, base = [], 4 * draw(st.integers(0, 64))
+    for index in range(draw(st.integers(1, 5))):
+        base += 4 * draw(st.integers(0, 3))
+        size = 4 * draw(st.integers(1, 8))
+        banks.append(SRAMBank(f"b{index}", size, base=base))
+        base += size
+    return banks
+
+
 class TestArbiter:
     def make(self):
         return AddressArbiter([
@@ -162,6 +187,25 @@ class TestArbiter:
         arb = self.make()
         bank = arb.select(addr)
         assert bank.contains(addr)
+
+    @given(layout=bank_layouts(), data=st.data())
+    def test_select_matches_linear_scan(self, layout, data):
+        """On maps with gaps and a non-zero first base, every address from
+        below the first bank to past the last routes as a linear scan in
+        address order does: to the bank containing it, or to the scan's
+        unmapped-address error."""
+        arb = AddressArbiter(data.draw(st.permutations(layout)))
+        last = layout[-1]
+        for addr in range(layout[0].base - 8, last.base + last.size + 8):
+            try:
+                expected = _linear_select(layout, addr)
+            except MemoryError_ as exc:
+                with pytest.raises(MemoryError_) as raised:
+                    arb.select(addr)
+                assert str(raised.value) == str(exc)
+            else:
+                assert expected.contains(addr)
+                assert arb.select(addr) is expected
 
     def test_arbiter_as_cpu_data_memory(self):
         """The CPU pipeline runs against a banked memory."""
