@@ -10,7 +10,7 @@ that land mid-block, and error paths.
 
 import gc
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,7 @@ from repro.cpu import (
     PipelinedCPU,
 )
 from repro.cpu import fastpath as fp
-from repro.cpu.fastpath import ALU_EXPRS, TERMINATORS
+from repro.cpu.fastpath import ALU_EXPRS, BRANCH_CONDS, TERMINATORS
 from repro.cpu.semantics import MEM_SIZES
 from repro.engine import get_engine
 from repro.errors import (
@@ -77,10 +77,10 @@ def compiled_tier():
         yield
 
 
-def _run_compiled_pair(program, max_steps=200_000):
+def _run_compiled_pair(program, max_steps=200_000, l2=False):
     """:func:`_run_pair` on the compiled tier."""
     with compiled_tier():
-        return _run_pair(program, max_steps=max_steps)
+        return _run_pair(program, max_steps=max_steps, l2=l2)
 
 
 def _run_pair(program, max_steps=200_000, l2=False):
@@ -586,6 +586,207 @@ class TestCompiledTier:
                 assert freed() is None
             finally:
                 gc.enable()
+
+
+# -- every op shape on both tiers ------------------------------------------
+#: registers each shape program starts from: a negative value, a small
+#: positive one and the largest signed one, s0 pointing into a data
+#: window whose words hold negative bytes and halves
+_SHAPE_SETUP = """
+    li   s0, 0x100
+    li   a1, -123457
+    li   a2, 13
+    li   a3, 0x7FFFFFFF
+    li   t0, 0x8081F2F3
+    sw   t0, 0(s0)
+    li   t0, 0x7F80FF01
+    sw   t0, -4(s0)
+    sw   a1, 4(s0)
+"""
+_SHAPE_WINDOW = (0xF0, 8)  # the data words around s0
+#: destinations, one per line, so every result survives to the end
+_SHAPE_DESTS = ["a0", "a4", "a5", "a6", "a7", "s1", "s2", "s3", "s4", "s5",
+                "s6", "s7", "s8", "s9", "s10", "s11", "t1", "t2", "t3",
+                "t4", "t5", "t6", "ra", "gp", "tp"]
+#: cuts the two block-ending ``jal`` loops; every other case halts first
+_SHAPE_STEPS = 200
+_LOAD_OFFSETS = {1: (0, 3, -1, -3), 2: (0, 2, -2, -4), 4: (0, 4, -4)}
+#: one store per word of the window, none on another's bytes
+_STORE_OFFSETS = {1: (0, 9, -5, -11), 2: (0, 10, -6, -10), 4: (0, 8, -8, -12)}
+#: the ops that reach the core environment, whose blocks stay on closures
+_ENV_OP_NAMES = {"mv_neu", "lw_l2", "sw_l2", "trans_bnn", "trigger_bnn"}
+
+
+def _shape_lines(templates):
+    """``templates`` with ``{rd}`` filled from :data:`_SHAPE_DESTS` in
+    turn; an x0 destination is written out in the template."""
+    dests = iter(_SHAPE_DESTS)
+    return "\n".join(line.format(rd=next(dests)) if "{rd}" in line else line
+                     for line in templates)
+
+
+def _branch_chain(op):
+    """``op`` on operand pairs that order differently signed and
+    unsigned, each falling through to a different bit of s2."""
+    pairs = [("a1", "a2"), ("a2", "a1"), ("a1", "a1"), ("a1", "a3"),
+             ("a3", "a1")]
+    lines = []
+    for index, (left, right) in enumerate(pairs):
+        lines += [f"{op} {left}, {right}, L{index}",
+                  f"addi s2, s2, {1 << index}", f"L{index}:"]
+    return "\n".join(lines)
+
+
+def _op_shape_cases():
+    """``{case id: program}``; each id starts with the mnemonic it
+    covers, and the cases cover every shape the op's fast-path line
+    takes: x0 and other destinations, zero and signed offsets."""
+    cases = {}
+    for op in ("add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra",
+               "or", "and", "mul"):
+        cases[op] = _shape_lines(
+            [f"{op} {{rd}}, {a}, {b}" for a, b in (
+                ("a1", "a2"), ("a2", "a1"), ("a1", "a1"), ("a3", "a1"),
+                ("a1", "a3"), ("a2", "a3"))] + [f"{op} x0, a1, a2"])
+    imm_ops = {op: (0, 1234, -1234)
+               for op in ("addi", "slti", "sltiu", "xori", "ori", "andi")}
+    imm_ops.update({op: (0, 5, 31) for op in ("slli", "srli", "srai")})
+    for op, imms in imm_ops.items():
+        cases[op] = _shape_lines(
+            [f"{op} {{rd}}, {rs}, {imm}" for rs in ("a1", "a2", "a3")
+             for imm in imms] + [f"{op} x0, a1, {imm}" for imm in imms])
+    for op in ("lui", "auipc"):
+        cases[op] = _shape_lines(
+            [f"{op} {{rd}}, {imm}" for imm in (0, 0x10, 0x12345, 0xFFFFF)]
+            + [f"{op} x0, 0x12345"])
+    for op, size in MEM_SIZES.items():
+        if op.endswith("_l2"):
+            continue
+        offsets = _LOAD_OFFSETS[size]
+        if op[0] == "l":
+            cases[op] = _shape_lines(
+                [f"{op} {{rd}}, {offset}(s0)" for offset in offsets]
+                + [f"{op} {{rd}}, 256(x0)"]
+                + [f"{op} x0, {offset}(s0)" for offset in offsets])
+        else:
+            cases[op] = "\n".join(
+                f"{op} {value}, {offset}(s0)" for value, offset in zip(
+                    ("a1", "a3", "a2", "a1"), _STORE_OFFSETS[size]))
+    for op in BRANCH_CONDS:
+        cases[op] = _branch_chain(op)
+    cases["jal-folded"] = """
+            jal  ra, A
+            addi s2, s2, 99
+        A:  jal  x0, B
+            addi s2, s2, 99
+        B:  jal  t1, C
+            addi s2, s2, 99
+        C:  addi s2, s2, 1
+    """
+    # a jal back into its own trace ends the block; these loops run
+    # until the step limit cuts them
+    cases["jal-backward-link"] = "top: addi s2, s2, 1\njal ra, top"
+    cases["jal-backward-x0"] = "top: addi s2, s2, 1\njal x0, top"
+    cases["jalr"] = """
+            la   t0, A
+            jalr ra, t0, 0
+            addi s2, s2, 99
+        A:  la   t0, B
+            addi t0, t0, -8
+            jalr x0, t0, 8
+            addi s2, s2, 99
+        B:  la   t0, C
+            addi t0, t0, 12
+            jalr t1, t0, -12
+            addi s2, s2, 99
+        C:  la   t0, D
+            jalr x0, t0, 0
+            addi s2, s2, 99
+        D:  addi s2, s2, 1
+    """
+    cases["ebreak"] = "addi a0, a1, 1"
+    cases["mv_neu"] = """
+            mv_neu 0, a1
+            mv_neu 7, a2
+            mv_neu 3, x0
+            mv_neu 5, a3
+    """
+    l2 = """
+            sw_l2 a1, 0(s0)
+            sw_l2 a3, 8(s0)
+            sw_l2 a2, -8(s0)
+            lw_l2 a0, 0(s0)
+            lw_l2 a4, 8(s0)
+            lw_l2 a5, -8(s0)
+            lw_l2 x0, 0(s0)
+            lw_l2 x0, -8(s0)
+    """
+    cases["lw_l2"] = cases["sw_l2"] = l2
+    cases["trigger_bnn"] = """
+            trigger_bnn 5
+            addi a0, a1, 1
+            trigger_bnn 6
+    """
+    cases["trans_bnn"] = "addi a0, a1, 1\ntrans_bnn 2"
+    return {case: f"{_SHAPE_SETUP}\n{body}\nebreak"
+            for case, body in cases.items()}
+
+
+OP_SHAPES = _op_shape_cases()
+
+
+class TestEveryOpShape:
+    """Each mnemonic's fast-path line in every shape it takes, on the
+    closures and on the compiled tier, against the functional model."""
+
+    def test_cases_cover_every_mnemonic(self):
+        assert {case.split("-")[0] for case in OP_SHAPES} == \
+            {spec.name for spec in SPECS}
+
+    @pytest.mark.parametrize("compiled", [False, True],
+                             ids=["closures", "compiled"])
+    @pytest.mark.parametrize("case", sorted(OP_SHAPES))
+    def test_op_shape_matches_functional(self, case, compiled):
+        program = assemble(OP_SHAPES[case])
+        run = _run_compiled_pair if compiled else _run_pair
+        functional, f_result, fast, q_result = run(
+            program, max_steps=_SHAPE_STEPS, l2=True)
+        _assert_identical(functional, f_result, fast, q_result,
+                          mem_window=_SHAPE_WINDOW)
+        assert q_result.stop_reason == (
+            "max_cycles" if "backward" in case
+            else "trans_bnn" if case == "trans_bnn" else "halt")
+        # the setup block holds the op (or its first branch), and it ran
+        # on the tier under test unless an env op keeps it on closures
+        translated = compiled and case.split("-")[0] not in _ENV_OP_NAMES
+        assert (fast._blocks[program.base].fn is not None) is translated
+
+    ODD_JALR = """
+            la   t0, target
+            jalr ra, t0, 1
+            li   a0, 99
+            ebreak
+        target:
+            li   a0, 7
+            ebreak
+    """
+
+    @pytest.mark.parametrize("model", ["functional", "pipelined",
+                                       "closures", "compiled"])
+    def test_jalr_clears_bit_zero_of_an_odd_target(self, model):
+        # the target is 20: without the clear a model fetches from 21,
+        # outside the program
+        program = assemble(self.ODD_JALR)
+        make = {"functional": FunctionalCPU,
+                "pipelined": PipelinedCPU}.get(model, FastCPU)
+        with compiled_tier() if model == "compiled" else nullcontext():
+            cpu = make(program, memory=FlatMemory())
+            result = cpu.run()
+        if model == "compiled":
+            assert cpu._blocks[program.base].fn is not None
+        assert result.stop_reason == "halt"
+        assert cpu.regs.read(10) == 7
+        assert cpu.regs.read(1) == 12  # the link, pc 8 + 4
 
 
 # -- hypothesis: programs with loops, jumps, and custom instructions -----
