@@ -6,11 +6,12 @@ It computes exactly the architectural state the golden-model
 memory, events, :class:`~repro.cpu.env.ExecStats` (single-cycle timing) and
 stop reasons — but instead of decode/execute dispatch per step it decodes
 each **superblock** once and replays it on every revisit, in one of two
-tiers:
+tiers.  Each op's semantics is written once, as one line of Python in
+:data:`ALU_EXPRS`, :data:`BRANCH_CONDS` or :data:`OP_LINES`, and both
+tiers are derived from that line:
 
-* every straight-line instruction becomes one closure over its decoded
-  fields; an ALU op's closure stores its mnemonic's :data:`ALU_EXPRS`
-  expression into the register list (x0 writes are elided),
+* on the closure tier every op is one closure running its line, with the
+  names the line uses bound as closure cells (x0 writes are elided),
 * unconditional ``jal`` jumps are *folded into the body*: decoding
   continues at the (always-taken) target, so call-heavy code compiles
   into superblocks — precomputed decode traces spanning taken jumps —
@@ -22,10 +23,10 @@ tiers:
   one closure returning the next PC and an optional stop reason,
 * a block that has run :data:`HOT_BLOCK_RUNS` times on its closures is
   translated into one generated function, ``blk(r, load, store) ->
-  (next pc, stop reason)``, built from the same expression tables and
-  kept with the block.  Blocks that reach the core environment
-  (``mv_neu``, the L2 ops, ``trans_bnn``, ``trigger_bnn``) or end in a
-  decode error stay on their closures,
+  (next pc, stop reason)``: the same lines, one per op, with the names
+  written in as literals, kept with the block.  Blocks that reach the
+  core environment (``mv_neu``, the L2 ops, ``trans_bnn``,
+  ``trigger_bnn``) or end in a decode error stay on their closures,
 * statistics of whole block executions are committed in bulk at the end
   of the run (and before an event is stamped); a per-op PC table keeps
   partial commits (step limits, faults) landing on the exact faulting
@@ -45,15 +46,16 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, List, Optional, Tuple
 
 from repro.cpu.env import CoreEnv, ExecStats, RunResult, publish_run
 from repro.cpu.functional import DEFAULT_MAX_STEPS
 from repro.cpu.memory import DataMemory, FlatMemory
-from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS
+from repro.cpu.semantics import MEM_SIZES
 from repro.cpu.state import RegisterFile
 from repro.errors import ConfigurationError, SimulationError
-from repro.isa.instructions import DecodedInstr, decode
+from repro.isa.instructions import DECODE_CACHE_SIZE, DecodedInstr, decode
 from repro.isa.program import Program
 
 _MASK = 0xFFFFFFFF
@@ -106,109 +108,161 @@ BRANCH_CONDS = {
     "bgeu": "r[rs1] >= r[rs2]",
 }
 
+#: every other op as one line of statements over the same names, the CPU
+#: memory's ``load``/``store``, the core environment ``env``, the CPU's
+#: ``stats``, and ``fall``/``taken``: the ``(pc, None)`` results of falling
+#: through and of jumping to ``pc + imm``.  A terminator's line returns
+#: the next ``(pc, stop reason)``; ``n`` is the body ops its block ran.
+OP_LINES = {
+    "lb": "r[rd] = load((r[rs1] + imm) & 0xFFFFFFFF, 1, True) & 0xFFFFFFFF",
+    "lh": "r[rd] = load((r[rs1] + imm) & 0xFFFFFFFF, 2, True) & 0xFFFFFFFF",
+    "lw": "r[rd] = load((r[rs1] + imm) & 0xFFFFFFFF, 4, False)",
+    "lbu": "r[rd] = load((r[rs1] + imm) & 0xFFFFFFFF, 1, False)",
+    "lhu": "r[rd] = load((r[rs1] + imm) & 0xFFFFFFFF, 2, False)",
+    "sb": "store((r[rs1] + imm) & 0xFFFFFFFF, r[rs2], 1)",
+    "sh": "store((r[rs1] + imm) & 0xFFFFFFFF, r[rs2], 2)",
+    "sw": "store((r[rs1] + imm) & 0xFFFFFFFF, r[rs2], 4)",
+    "lw_l2": "r[rd] = env.l2_memory().load((r[rs1] + imm) & 0xFFFFFFFF, 4); "
+             "env.l2_reads += 1",
+    "sw_l2": "env.l2_memory().store((r[rs1] + imm) & 0xFFFFFFFF, r[rs2], 4); "
+             "env.l2_writes += 1",
+    "mv_neu": "env.write_transition_neuron(rd, r[rs1])",
+    "jal": "r[rd] = fall[0]; return taken",
+    # the target comes from the old rs1, even when rd == rs1
+    "jalr": "t = (r[rs1] + imm) & 0xFFFFFFFE; r[rd] = fall[0]; return t, None",
+    "ebreak": "return fall[0], 'halt'",
+    "trans_bnn": "env.record('trans_bnn', stats.cycles + n, pc, imm); "
+                 "return fall[0], 'trans_bnn'",
+    "trigger_bnn": "env.record('trigger_bnn', stats.cycles + n, pc, imm); "
+                   "return fall",
+}
+
+#: each mnemonic's line
+_LINES = {**{name: f"r[rd] = {expr}" for name, expr in ALU_EXPRS.items()},
+          **{name: f"return taken if {cond} else fall"
+             for name, cond in BRANCH_CONDS.items()},
+          **OP_LINES}
+
+#: how the closure tier binds a line's names beyond the decoded ``rd``,
+#: ``rs1``, ``rs2`` and ``imm``, the op's ``pc`` and ``n``: the first two
+#: once per word, the rest once per op (``cpu`` is the :class:`FastCPU`)
+_BINDINGS = {
+    "uimm": "imm & 0xFFFFFFFF",
+    "sh": "imm & 0x1F",
+    "fall": "((pc + 4) & 0xFFFFFFFF, None)",
+    "taken": "((pc + imm) & 0xFFFFFFFF, None)",
+    "load": "cpu.memory.load",
+    "store": "cpu.memory.store",
+    "env": "cpu.env",
+    "stats": "cpu.stats",
+}
+_PER_WORD = ("uimm", "sh")
+
+#: a name a line uses (an attribute such as ``env.l2_memory().load`` is not)
+_NAME = re.compile(r"(?<![\w.])(rd|rs1|rs2|imm|pc|n|"
+                   + "|".join(_BINDINGS) + r")\b")
+
 #: mnemonics that end a basic block (control transfer or environment call
-#: that must observe an exact cycle count)
-TERMINATORS = frozenset(BRANCH_CONDS) | {
-    "jal", "jalr", "ebreak", "trans_bnn", "trigger_bnn"}
+#: that must observe an exact cycle count): those whose line returns
+TERMINATORS = frozenset(name for name, line in _LINES.items()
+                        if "return" in line)
 
 #: ops that reach the core environment; a block holding one is never
 #: translated
-_ENV_OPS = frozenset({"mv_neu", "lw_l2", "sw_l2", "trans_bnn", "trigger_bnn"})
+_ENV_OPS = frozenset(name for name, line in _LINES.items()
+                     if "env" in _NAME.findall(line))
 
 _BodyFn = Callable[[List[int]], None]
 _TermFn = Callable[[List[int]], Tuple[int, Optional[str]]]
 
-_ALU_FACTORY = """
-def make(rd, rs1, rs2, imm, pc):
-    uimm = imm & 0xFFFFFFFF
-    sh = imm & 0x1F
-    def fn(r):
-        r[rd] = {}
-    return fn
-"""
 
-_BRANCH_FACTORY = """
-def make(rs1, rs2, taken, fall):
-    def term(r):
-        return taken if {} else fall
-    return term
-"""
-
-
-def _factories(template: str, exprs: Dict[str, str]) -> Dict[str, Callable]:
-    """One closure factory per mnemonic, ``template`` with its expression
-    spliced in; compiled once, at import."""
-    factories = {}
-    for name, expr in exprs.items():
-        namespace: dict = {}
-        exec(template.format(expr), namespace)
-        factories[name] = namespace["make"]
-    return factories
+@lru_cache(maxsize=None)  # a few shapes per mnemonic
+def _line(name: str, rd: bool, imm: bool, in_body: bool) -> str:
+    """The line of ``name`` in one shape: ``rd`` and ``imm`` say whether
+    those fields are non-zero.  A zero offset addresses ``r[rs1]`` (a
+    memory op's address is ``addi``'s value, and registers hold unsigned
+    32-bit values); a write to x0 keeps only a load, which can still
+    fault; in a body (a folded ``jal``) the return goes, and control
+    falls into the jump target."""
+    statements = []
+    for statement in _LINES[name].split("; "):
+        if in_body and statement.startswith("return "):
+            continue
+        if not imm:
+            statement = statement.replace(ALU_EXPRS["addi"], "r[rs1]")
+        if not rd and statement.startswith("r[rd] = "):
+            statement = statement[len("r[rd] = "):]
+            if "load(" not in statement:
+                continue
+        statements.append(statement)
+    return "; ".join(statements) or "pass"
 
 
-_ALU = _factories(_ALU_FACTORY, ALU_EXPRS)
-_BRANCH = _factories(_BRANCH_FACTORY, BRANCH_CONDS)
+def _shape(instr: DecodedInstr, in_body: bool = False) -> str:
+    """``instr``'s line in the shape its fields give it."""
+    return _line(instr.name, instr.rd != 0, instr.imm != 0, in_body)
 
 
-def _nop(r: List[int]) -> None:
-    """An ALU op or folded ``jal`` writing x0: it only retires."""
+@lru_cache(maxsize=None)  # one per line shape, a few per mnemonic
+def _factory(line: str) -> Callable:
+    """The closure factory of ``line``: ``shape(rd, rs1, rs2, imm)``
+    returns ``make(pc, cpu, n)``, which returns the op's closure
+    ``fn(r)``.  Each level binds, as closure cells, only the names the
+    line uses; a line that uses no per-op name gets one closure per
+    word, which ``make`` returns to every block."""
+    used = set(_NAME.findall(line))
+    binds = {name: f"{name} = {expr}" for name, expr in _BINDINGS.items()
+             if name in used}
+    source = ["def shape(rd, rs1, rs2, imm):"] + [
+        "    " + binds.pop(name) for name in _PER_WORD if name in binds]
+    if binds or used & {"pc", "n"}:
+        source += ["    def make(pc, cpu, n):",
+                   *("        " + bind for bind in binds.values()),
+                   "        def fn(r):", "            " + line,
+                   "        return fn"]
+    else:
+        source += ["    def fn(r):", "        " + line,
+                   "    def make(pc, cpu, n):", "        return fn"]
+    namespace: dict = {}
+    exec("\n".join(source + ["    return make"]), namespace)
+    return namespace.pop("shape")
+
+
+@lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _op(word: int) -> Tuple[str, int, Callable, Optional[Callable]]:
+    """``(name, imm, make, fold)`` of the instruction ``word``: ``make``
+    builds its closure, and ``fold`` (``jal`` only) its closure folded
+    into a body.  Remembered per word, as :func:`decode` is; a decoding
+    error is not."""
+    instr = decode(word)
+    fields = instr.rd, instr.rs1, instr.rs2, instr.imm
+    make = _factory(_shape(instr))(*fields)
+    fold = _factory(_shape(instr, True))(*fields) \
+        if instr.name == "jal" else None
+    return instr.name, instr.imm, make, fold
 
 
 # -- translation: one generated function per hot superblock ---------------
-#: the decoded constants as ``str.format`` fields of the two tables
-_FIELDS = re.compile(r"\b(rs1|rs2|imm|uimm|sh|pc)\b")
-_ALU_SOURCE = {name: _FIELDS.sub(r"{\1}", expr)
-               for name, expr in ALU_EXPRS.items()}
-_BRANCH_SOURCE = {name: _FIELDS.sub(r"{\1}", cond)
-                  for name, cond in BRANCH_CONDS.items()}
+@lru_cache(maxsize=None)  # one per line shape
+def _template(line: str) -> str:
+    """``line`` as a ``str.format`` template over the decoded fields and
+    ``pc``, with the names ``_BINDINGS`` derives from them spelled out
+    (the compiler folds them into constants); ``load`` and ``store`` stay
+    the generated function's arguments."""
+    def field(match: re.Match) -> str:
+        name = match[1]
+        if name in ("load", "store"):
+            return name
+        if name in _BINDINGS:
+            return "(" + _NAME.sub(field, _BINDINGS[name]) + ")"
+        return "{" + name + "}"
+    return _NAME.sub(field, line)
 
 
-def _alu_source(name: str, rd: int, rs1: int, rs2: int, imm: int,
-                pc: int) -> str:
-    if not rd:
-        return "pass"
-    return f"r[{rd}] = " + _ALU_SOURCE[name].format(
-        rs1=rs1, rs2=rs2, imm=imm, uimm=imm & _MASK, sh=imm & 0x1F, pc=pc)
-
-
-def _body_source(instr: DecodedInstr, pc: int) -> str:
-    """One body op as one statement; loads and stores call ``load`` and
-    ``store`` with the arguments the closures pass."""
-    name, rd = instr.name, instr.rd
-    if name == "jal":  # folded: the link write only
-        return _alu_source("auipc", rd, 0, 0, 4, pc)
-    if name in ALU_EXPRS:
-        return _alu_source(name, rd, instr.rs1, instr.rs2, instr.imm, pc)
-    # registers hold unsigned 32-bit values, so a zero offset is r[rs1]
-    address = f"(r[{instr.rs1}] + {instr.imm}) & 0xFFFFFFFF" if instr.imm \
-        else f"r[{instr.rs1}]"
-    size = MEM_SIZES[name]
-    if name[0] == "l":
-        signed = name in SIGNED_LOADS
-        # an unsigned load already returns a register value
-        call = f"load({address}, {size}, {signed})" + (" & 0xFFFFFFFF" if signed else "")
-        return f"r[{rd}] = {call}" if rd else call
-    return f"store({address}, r[{instr.rs2}], {size})"
-
-
-def _terminator_source(instr: DecodedInstr, pc: int) -> List[str]:
-    """The terminator as the block's ``return``."""
-    name, rd, imm = instr.name, instr.rd, instr.imm
-    fall = (pc + 4) & _MASK
-    if name in BRANCH_CONDS:
-        cond = _BRANCH_SOURCE[name].format(rs1=instr.rs1, rs2=instr.rs2)
-        return [f"return ({(pc + imm) & _MASK}, None) if {cond} "
-                f"else ({fall}, None)"]
-    if name == "jal":
-        link = [f"r[{rd}] = {fall}"] if rd else []
-        return link + [f"return ({(pc + imm) & _MASK}, None)"]
-    if name == "jalr":
-        target = f"(r[{instr.rs1}] + {imm}) & 0xFFFFFFFE"
-        if not rd:
-            return [f"return {target}, None"]
-        # target from the *old* rs1 even when rd == rs1
-        return [f"t = {target}", f"r[{rd}] = {fall}", "return t, None"]
-    return [f"return ({fall}, 'halt')"]  # ebreak
+def _inline(instr: DecodedInstr, pc: int, in_body: bool) -> str:
+    """``instr``'s line with its names written in as literals."""
+    return _template(_shape(instr, in_body)).format(
+        rd=instr.rd, rs1=instr.rs1, rs2=instr.rs2, imm=instr.imm, pc=pc)
 
 
 def _translate(block: "_Block") -> Callable:
@@ -217,8 +271,8 @@ def _translate(block: "_Block") -> Callable:
     (:func:`_retired_before`)."""
     lines = ["def blk(r, load, store):"]
     *body, (term_pc, term_word) = zip(block.pcs, block.words)
-    lines += [_body_source(decode(word), pc) for pc, word in body]
-    lines += _terminator_source(decode(term_word), term_pc)
+    lines += [_inline(decode(word), pc, True) for pc, word in body]
+    lines.append(_inline(decode(term_word), term_pc, False))
     namespace: dict = {}
     exec(compile("\n    ".join(lines), f"<superblock {block.start_pc:#x}>",
                  "exec"), namespace)
@@ -303,118 +357,6 @@ class FastCPU:
         """Number of basic blocks compiled so far (decode-cache size)."""
         return len(self._blocks)
 
-    def _compile_body(self, instr: DecodedInstr, name: str,
-                      pc: int) -> _BodyFn:
-        """One straight-line instruction as a closure over the register list.
-
-        Every write keeps the register-file invariant (unsigned 32-bit
-        values), matching :class:`~repro.cpu.state.RegisterFile.write`.
-        ALU ops, nearly every body op, take this path, which creates no
-        closure cells of its own (each costs an allocation per call).
-        """
-        make = _ALU.get(name)
-        if make is None:
-            return self._compile_effect(instr, name)
-        return make(instr.rd, instr.rs1, instr.rs2, instr.imm, pc) if instr.rd else _nop
-
-    def _compile_effect(self, instr: DecodedInstr, name: str) -> _BodyFn:
-        """A body op that reaches past the register list: a load, a store
-        or ``mv_neu``."""
-        rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-        env = self.env
-
-        if name == "mv_neu":
-            write = env.write_transition_neuron
-
-            def fn(r):
-                write(rd, r[rs1])
-            return fn
-        if name not in MEM_SIZES:
-            raise SimulationError(f"no fast-path semantics for {name!r}")
-        if name == "lw_l2":
-            def fn(r):
-                value = env.l2_memory().load((r[rs1] + imm) & _MASK, 4)
-                env.l2_reads += 1
-                if rd:
-                    r[rd] = value
-            return fn
-        if name == "sw_l2":
-            def fn(r):
-                env.l2_memory().store((r[rs1] + imm) & _MASK, r[rs2], 4)
-                env.l2_writes += 1
-            return fn
-        size = MEM_SIZES[name]
-        if name[0] == "l":
-            load = self.memory.load
-            signed = name in SIGNED_LOADS
-            if not rd:
-                def fn(r):
-                    load((r[rs1] + imm) & _MASK, size, signed)
-            elif signed:
-                def fn(r):
-                    r[rd] = load((r[rs1] + imm) & _MASK, size, True) & _MASK
-            else:  # an unsigned load already returns a register value
-                def fn(r):
-                    r[rd] = load((r[rs1] + imm) & _MASK, size, False)
-            return fn
-        store = self.memory.store
-
-        def fn(r):
-            store((r[rs1] + imm) & _MASK, r[rs2], size)
-        return fn
-
-    def _compile_terminator(self, instr: DecodedInstr, name: str, pc: int,
-                            n_body: int) -> _TermFn:
-        """The block's last instruction as a closure returning ``(next pc,
-        stop reason or None)``; branches, most terminators, take a path
-        with no closure cells of its own."""
-        make = _BRANCH.get(name)
-        if make is None:
-            return self._compile_jump(instr, name, pc, n_body)
-        return make(instr.rs1, instr.rs2, ((pc + instr.imm) & _MASK, None),
-                    ((pc + 4) & _MASK, None))
-
-    def _compile_jump(self, instr: DecodedInstr, name: str, pc: int,
-                      n_body: int) -> _TermFn:
-        """A terminator that is not a conditional branch."""
-        rd, rs1, imm = instr.rd, instr.rs1, instr.imm
-        fall = (pc + 4) & _MASK
-
-        if name == "jal":
-            target = ((pc + imm) & _MASK, None)
-            if rd:
-                def term(r):
-                    r[rd] = fall
-                    return target
-            else:
-                def term(r):
-                    return target
-        elif name == "jalr":
-            if rd:
-                def term(r):
-                    # target from the *old* rs1 even when rd == rs1
-                    tgt = (r[rs1] + imm) & 0xFFFFFFFE
-                    r[rd] = fall
-                    return tgt, None
-            else:
-                def term(r):
-                    return (r[rs1] + imm) & 0xFFFFFFFE, None
-        elif name == "ebreak":
-            def term(r):
-                return fall, "halt"
-        else:  # trans_bnn / trigger_bnn
-            # env.record must see the cycle count *before* this instruction:
-            # the run loop commits every earlier execution before calling
-            # this, and this block's own body is the n_body still pending
-            env = self.env
-            stats = self.stats
-            stop = "trans_bnn" if name == "trans_bnn" else None
-
-            def term(r):
-                env.record(name, stats.cycles + n_body, pc, imm)
-                return fall, stop
-        return term
-
     def _build(self, start_pc: int) -> _Block:
         """Decode forward from ``start_pc`` until a terminator and compile.
 
@@ -434,44 +376,37 @@ class FastCPU:
         visited = {start_pc}
         while True:
             try:
-                instr = decode(self.program.word_at(pc))
-            except IndexError as exc:
-                # fetching off the program raises exactly like the
-                # functional model (SimulationError wrapping the message)
-                message = str(exc)
-
-                def term(r, _msg=message):
-                    raise SimulationError(_msg)
-                term_name = words = None
-                break
+                word = self.program.word_at(pc)
+                name, imm, make, fold = _op(word)
             except Exception as exc:
-                exc_type, exc_args = type(exc), exc.args
+                # the op raises when it runs, as in the functional model:
+                # fetching off the program as a SimulationError with the
+                # message, a decoding error as itself
+                error, args = (SimulationError, (str(exc),)) \
+                    if isinstance(exc, IndexError) else (type(exc), exc.args)
 
-                def term(r, _t=exc_type, _a=exc_args):
-                    raise _t(*_a)
+                def term(r, _error=error, _args=args):
+                    raise _error(*_args)
                 term_name = words = None
                 break
-            name = instr.name
             if name in _ENV_OPS:
                 words = None
             elif words is not None:
-                words.append(instr.word)
-            if name == "jal":
-                tgt = (pc + instr.imm) & _MASK
+                words.append(word)
+            if fold is not None:
+                tgt = (pc + imm) & _MASK
                 if tgt not in visited and len(body) < MAX_SUPERBLOCK_BODY:
-                    # the link write, pc + 4, is auipc's value at imm 4
-                    rd = instr.rd
-                    body.append(_ALU["auipc"](rd, 0, 0, 4, pc) if rd else _nop)
+                    body.append(fold(pc, self, 0))
                     names.append(name)
                     pcs.append(pc)
                     pc = tgt
                     visited.add(pc)
                     continue
             if name in TERMINATORS:
-                term = self._compile_terminator(instr, name, pc, len(body))
+                term = make(pc, self, len(body))
                 term_name = name
                 break
-            body.append(self._compile_body(instr, name, pc))
+            body.append(make(pc, self, 0))
             names.append(name)
             pcs.append(pc)
             if name in MEM_SIZES:

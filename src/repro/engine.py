@@ -62,17 +62,16 @@ class AccurateEngine:
     capabilities = EngineCapabilities(timing_accurate=True)
 
     def run_program(self, program, *, limit: Optional[int] = None,
-                    memory=None, env=None,
                     prefer_functional: bool = False) -> Tuple[Any, Any]:
         """Run ``program`` to completion; ``(cpu, RunResult)``.  ``limit``
         caps steps on the ISS and cycles on the pipeline."""
         from repro.cpu import FunctionalCPU, PipelinedCPU
 
         if prefer_functional:
-            cpu = FunctionalCPU(program, memory=memory, env=env)
+            cpu = FunctionalCPU(program)
             result = cpu.run() if limit is None else cpu.run(max_steps=limit)
         else:
-            cpu = PipelinedCPU(program, memory=memory, env=env)
+            cpu = PipelinedCPU(program)
             result = cpu.run() if limit is None else cpu.run(max_cycles=limit)
         return cpu, result
 
@@ -106,13 +105,12 @@ class FastEngine:
     capabilities = EngineCapabilities(timing_accurate=False)
 
     def run_program(self, program, *, limit: Optional[int] = None,
-                    memory=None, env=None,
                     prefer_functional: bool = False) -> Tuple[Any, Any]:
         """Run ``program`` to completion; ``(cpu, RunResult)``.
         ``prefer_functional`` is moot: FastCPU *is* functional."""
         from repro.cpu.fastpath import FastCPU
 
-        cpu = FastCPU(program, memory=memory, env=env)
+        cpu = FastCPU(program)
         result = cpu.run() if limit is None else cpu.run(max_steps=limit)
         return cpu, result
 

@@ -79,8 +79,7 @@ def profile_breakdown(name: str) -> Dict[str, Any]:
     }
 
 
-@experiment("device_zoo",
-            title="Cross-device energy/inference and end-to-end latency")
+@experiment("device_zoo")
 def run() -> ExperimentResult:
     names = profile_names()
     breakdowns = {name: profile_breakdown(name) for name in names}

@@ -30,10 +30,6 @@ class ExperimentSpec:
 
     name: str
     func: Callable[..., ExperimentResult]
-    title: str = ""
-
-    def run(self, **kwargs) -> ExperimentResult:
-        return self.func(**kwargs)
 
     def cache_key(self) -> str:
         """Result-cache key: the experiment's name, the session's device
@@ -50,7 +46,7 @@ _REGISTRY: Dict[str, ExperimentSpec] = {}
 _discovered = False
 
 
-def experiment(name: str, *, title: str = ""):
+def experiment(name: str):
     """Class the decorated ``run()`` function as the experiment ``name``."""
 
     def decorator(func: Callable[..., ExperimentResult]):
@@ -59,7 +55,7 @@ def experiment(name: str, *, title: str = ""):
             raise ValueError(f"experiment {name!r} registered twice "
                              f"({existing.func.__module__} and "
                              f"{func.__module__})")
-        _REGISTRY[name] = ExperimentSpec(name=name, func=func, title=title)
+        _REGISTRY[name] = ExperimentSpec(name=name, func=func)
         return func
 
     return decorator

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.power.technology import (
-    PowerProfile,
     ProfileLike,
     cpu_profile,
     frequency_model,
@@ -57,17 +56,12 @@ class DhrystoneResult:
         return self.dmips / self.power_mw
 
 
-def score_dhrystone(cycles_per_iteration: float, voltage: float = 1.0,
-                    profile: PowerProfile | None = None,
-                    device: ProfileLike = None) -> DhrystoneResult:
-    """Score a measured Dhrystone iteration cost at a supply voltage.
-
-    ``profile`` overrides the fitted CPU-mode power model; ``device``
-    selects the device profile both it and the frequency model default to.
-    """
-    profile = profile if profile is not None else cpu_profile(device)
-    f_mhz = frequency_model(device).f_mhz(voltage)
-    power_mw = profile.total_power_w(voltage) * 1e3
+def score_dhrystone(cycles_per_iteration: float,
+                    voltage: float = 1.0) -> DhrystoneResult:
+    """Score a measured Dhrystone iteration cost at a supply voltage, on
+    the session's device profile."""
+    f_mhz = frequency_model().f_mhz(voltage)
+    power_mw = cpu_profile().total_power_w(voltage) * 1e3
     return DhrystoneResult(cycles_per_iteration=cycles_per_iteration,
                            frequency_mhz=f_mhz, power_mw=power_mw)
 

@@ -24,7 +24,7 @@ from repro.cpu import (
     PipelinedCPU,
 )
 from repro.cpu import fastpath as fp
-from repro.cpu.fastpath import ALU_EXPRS, BRANCH_CONDS, TERMINATORS
+from repro.cpu.fastpath import ALU_EXPRS, BRANCH_CONDS, OP_LINES
 from repro.cpu.semantics import MEM_SIZES
 from repro.engine import get_engine
 from repro.errors import (
@@ -300,8 +300,8 @@ class TestSemanticsCoverage:
     def test_every_mnemonic_has_exactly_one_fast_path_rule(self):
         # an ISA addition without fast-path semantics fails here rather
         # than at its first execution
-        groups = {"ALU_EXPRS": set(ALU_EXPRS), "MEM_SIZES": set(MEM_SIZES),
-                  "TERMINATORS": set(TERMINATORS), "mv_neu": {"mv_neu"}}
+        groups = {"ALU_EXPRS": set(ALU_EXPRS),
+                  "BRANCH_CONDS": set(BRANCH_CONDS), "OP_LINES": set(OP_LINES)}
         for spec in SPECS:
             homes = [group for group, names in groups.items()
                      if spec.name in names]
@@ -411,8 +411,7 @@ class TestBlockCacheAndProbes:
         program = assemble("addi a0, x0, 1\nebreak")
         with use_session(cache_enabled=False) as session:
             with tracing(session) as tracer:
-                _, result = get_engine("fast").run_program(
-                    program, memory=FlatMemory())
+                _, result = get_engine("fast").run_program(program)
             counters = session.stats
         assert result.stop_reason == "halt"
         (event,) = [e for e in tracer.events if e.name == "cpu.run"]

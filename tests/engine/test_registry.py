@@ -139,7 +139,7 @@ class TestProtocols:
             engine = get_engine(name)
             run = inspect.signature(engine.run_program)
             assert list(run.parameters) == [
-                "program", "limit", "memory", "env", "prefer_functional"]
+                "program", "limit", "prefer_functional"]
             assert all(parameter.kind is parameter.KEYWORD_ONLY
                        for parameter in list(run.parameters.values())[1:])
             for method in ("scores", "predict", "hidden_forward"):

@@ -88,6 +88,23 @@ def markdown_files() -> List[Path]:
     return files
 
 
+def table_rows(text: str, anchor: str,
+               row_re: "re.Pattern[str]") -> List["re.Match[str]"]:
+    """The rows ``row_re`` matches in the table after ``anchor`` in
+    ``text``; the scan stops at the first non-table line once a row has
+    matched.  Every docs-table reader below parses its table with it."""
+    rows: List["re.Match[str]"] = []
+    if anchor not in text:
+        return rows
+    for line in text.split(anchor, 1)[1].splitlines():
+        match = row_re.match(line.strip())
+        if match:
+            rows.append(match)
+        elif rows and not line.strip().startswith("|"):
+            break
+    return rows
+
+
 # -- check 1: relative links ---------------------------------------------
 def check_links(files: List[Path]) -> List[str]:
     problems = []
@@ -248,17 +265,9 @@ def recording_methods() -> Set[str]:
 
 def documented_recorders(text: str) -> Dict[str, List[str]]:
     """``{method: [caller paths under src/repro]}`` from the docs table."""
-    if RECORDER_TABLE_ANCHOR not in text:
-        return {}
-    rows: Dict[str, List[str]] = {}
-    for line in text.split(RECORDER_TABLE_ANCHOR, 1)[1].splitlines():
-        match = _RECORDER_ROW_RE.match(line.strip())
-        if match:
-            rows[match.group(1)] = re.findall(r"`([\w/]+\.py)`",
-                                              match.group(2))
-        elif rows and not line.strip().startswith("|"):
-            break
-    return rows
+    return {match.group(1): re.findall(r"`([\w/]+\.py)`", match.group(2))
+            for match in table_rows(text, RECORDER_TABLE_ANCHOR,
+                                    _RECORDER_ROW_RE)}
 
 
 def check_probe_table() -> List[str]:
@@ -297,19 +306,10 @@ _ENGINE_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_-]+)`\s*\|(.+)\|\s*$")
 
 def documented_engine_table(text: str) -> Dict[str, Dict[str, bool]]:
     """``{engine name: {flag: bool}}`` parsed from the docs table."""
-    if ENGINE_TABLE_ANCHOR not in text:
-        return {}
-    rows: Dict[str, Dict[str, bool]] = {}
-    for line in text.split(ENGINE_TABLE_ANCHOR, 1)[1].splitlines():
-        match = _ENGINE_ROW_RE.match(line.strip())
-        if match:
-            cells = [cell.strip() for cell in match.group(2).split("|")]
-            rows[match.group(1)] = {
-                flag: cell == "yes"
-                for flag, cell in zip(ENGINE_FLAG_COLUMNS, cells)}
-        elif rows and not line.strip().startswith("|"):
-            break
-    return rows
+    return {match.group(1): {
+        flag: cell.strip() == "yes"
+        for flag, cell in zip(ENGINE_FLAG_COLUMNS, match.group(2).split("|"))}
+        for match in table_rows(text, ENGINE_TABLE_ANCHOR, _ENGINE_ROW_RE)}
 
 
 def check_engine_table() -> List[str]:
@@ -361,16 +361,8 @@ _FIELD_ROW_RE = re.compile(r"^\|\s*`([a-z_]+)`\s*\|")
 
 def documented_scenario_fields(text: str, anchor: str) -> Set[str]:
     """Field names listed in the table right after ``anchor``."""
-    if anchor not in text:
-        return set()
-    names = set()
-    for line in text.split(anchor, 1)[1].splitlines():
-        match = _FIELD_ROW_RE.match(line.strip())
-        if match:
-            names.add(match.group(1))
-        elif names and not line.strip().startswith("|"):
-            break
-    return names
+    return {match.group(1)
+            for match in table_rows(text, anchor, _FIELD_ROW_RE)}
 
 
 def check_scenario_tables() -> List[str]:
@@ -415,16 +407,8 @@ _PHASE_ROW_RE = re.compile(r"^\|\s*`([a-z_]+)`\s*\|")
 
 def documented_phases(text: str) -> List[str]:
     """Phase names (in table order) listed after the phase anchor."""
-    if PHASE_TABLE_ANCHOR not in text:
-        return []
-    names: List[str] = []
-    for line in text.split(PHASE_TABLE_ANCHOR, 1)[1].splitlines():
-        match = _PHASE_ROW_RE.match(line.strip())
-        if match:
-            names.append(match.group(1))
-        elif names and not line.strip().startswith("|"):
-            break
-    return names
+    return [match.group(1)
+            for match in table_rows(text, PHASE_TABLE_ANCHOR, _PHASE_ROW_RE)]
 
 
 def check_phase_table() -> List[str]:
@@ -466,16 +450,8 @@ _METRIC_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_]+)`\s*\|")
 
 def documented_serve_metrics(text: str) -> Set[str]:
     """Metric family names listed after the serve metric anchor."""
-    if SERVE_METRIC_TABLE_ANCHOR not in text:
-        return set()
-    names = set()
-    for line in text.split(SERVE_METRIC_TABLE_ANCHOR, 1)[1].splitlines():
-        match = _METRIC_ROW_RE.match(line.strip())
-        if match:
-            names.add(match.group(1))
-        elif names and not line.strip().startswith("|"):
-            break
-    return names
+    return {match.group(1) for match in table_rows(
+        text, SERVE_METRIC_TABLE_ANCHOR, _METRIC_ROW_RE)}
 
 
 def check_serve_metric_table() -> List[str]:
@@ -510,36 +486,20 @@ KERNEL_DECISION_ANCHOR = "## Engine decision table"
 
 _CONSTANT_ROW_RE = re.compile(
     r"^\|\s*`([a-z_][\w.]*)\.([A-Z][A-Z0-9_]*)`\s*\|\s*(\d+)\s*\|")
-_DECISION_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_-]+)`\s*\|")
+_DECISION_ROW_RE = re.compile(r"^\|\s*`(?!engine`)([a-z0-9_-]+)`\s*\|")
 
 
 def documented_kernel_constants(text: str) -> List[Tuple[str, str, int]]:
     """``(module, constant, value)`` rows after the constants anchor."""
-    if KERNEL_CONSTANTS_ANCHOR not in text:
-        return []
-    rows: List[Tuple[str, str, int]] = []
-    for line in text.split(KERNEL_CONSTANTS_ANCHOR, 1)[1].splitlines():
-        match = _CONSTANT_ROW_RE.match(line.strip())
-        if match:
-            rows.append((match.group(1), match.group(2),
-                         int(match.group(3))))
-        elif rows and not line.strip().startswith("|"):
-            break
-    return rows
+    return [(match.group(1), match.group(2), int(match.group(3)))
+            for match in table_rows(text, KERNEL_CONSTANTS_ANCHOR,
+                                    _CONSTANT_ROW_RE)]
 
 
 def documented_decision_engines(text: str) -> Set[str]:
     """Engine names listed in the decision table."""
-    if KERNEL_DECISION_ANCHOR not in text:
-        return set()
-    names = set()
-    for line in text.split(KERNEL_DECISION_ANCHOR, 1)[1].splitlines():
-        match = _DECISION_ROW_RE.match(line.strip())
-        if match and match.group(1) != "engine":
-            names.add(match.group(1))
-        elif names and not line.strip().startswith("|"):
-            break
-    return names
+    return {match.group(1) for match in table_rows(
+        text, KERNEL_DECISION_ANCHOR, _DECISION_ROW_RE)}
 
 
 def check_kernel_handbook() -> List[str]:
@@ -613,22 +573,12 @@ _PROFILE_ROW_RE = re.compile(
 
 def documented_profile_table(text: str) -> Dict[str, Dict[str, object]]:
     """``{profile name: row values}`` parsed from the docs table."""
-    if PROFILE_TABLE_ANCHOR not in text:
-        return {}
-    rows: Dict[str, Dict[str, object]] = {}
-    for line in text.split(PROFILE_TABLE_ANCHOR, 1)[1].splitlines():
-        match = _PROFILE_ROW_RE.match(line.strip())
-        if match:
-            rows[match.group(1)] = {
-                "technology_nm": int(match.group(2)),
-                "vdd_range_v": [float(match.group(3)),
-                                float(match.group(4))],
-                "f_nominal_mhz": float(match.group(5)),
-                "accel_ops_per_cycle": int(match.group(6)),
-            }
-        elif rows and not line.strip().startswith("|"):
-            break
-    return rows
+    return {match.group(1): {
+        "technology_nm": int(match.group(2)),
+        "vdd_range_v": [float(match.group(3)), float(match.group(4))],
+        "f_nominal_mhz": float(match.group(5)),
+        "accel_ops_per_cycle": int(match.group(6)),
+    } for match in table_rows(text, PROFILE_TABLE_ANCHOR, _PROFILE_ROW_RE)}
 
 
 def check_profile_table() -> List[str]:
