@@ -39,13 +39,14 @@ registers, events with their exact pre-instruction cycle counts, and
 the ``stats`` and ``pc`` an exception leaves, against both the
 functional model and the cycle-accurate pipeline.  The pipeline remains
 the timing oracle; this engine only changes how fast the *simulation*
-runs.
+runs.  The pipeline's block-timed runs execute on these superblocks too
+(:meth:`FastCPU._run_timed`), timed from tallies each build takes
+(:class:`_Block`).
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
@@ -229,17 +230,23 @@ def _factory(line: str) -> Callable:
 
 
 @lru_cache(maxsize=DECODE_CACHE_SIZE)
-def _op(word: int) -> Tuple[str, int, Callable, Optional[Callable]]:
-    """``(name, imm, make, fold)`` of the instruction ``word``: ``make``
-    builds its closure, and ``fold`` (``jal`` only) its closure folded
-    into a body.  Remembered per word, as :func:`decode` is; a decoding
-    error is not."""
+def _op(word: int) -> Tuple[str, int, Callable, Optional[Callable], int, int]:
+    """``(name, imm, make, fold, loads, reads)`` of the instruction
+    ``word``: ``make`` builds its closure, and ``fold`` (``jal`` only) its
+    closure folded into a body; ``loads`` has bit ``rd`` set for a load
+    into a register other than x0, and ``reads`` the bits of the registers
+    it reads (the block-timed pipeline's load-use test).  Remembered per
+    word, as :func:`decode` is; a decoding error is not."""
     instr = decode(word)
+    spec = instr.spec
     fields = instr.rd, instr.rs1, instr.rs2, instr.imm
     make = _factory(_shape(instr))(*fields)
     fold = _factory(_shape(instr, True))(*fields) \
         if instr.name == "jal" else None
-    return instr.name, instr.imm, make, fold
+    loads = 1 << instr.rd if spec.is_load and instr.rd else 0
+    reads = ((1 << instr.rs1 if spec.reads_rs1 else 0)
+             | (1 << instr.rs2 if spec.reads_rs2 else 0))
+    return instr.name, instr.imm, make, fold, loads, reads
 
 
 # -- translation: one generated function per hot superblock ---------------
@@ -293,17 +300,31 @@ def _retired_before(block: "_Block", exc: BaseException) -> int:
 
 class _Block:
     """One superblock: jump-folded body + one terminator, as closures,
-    and its generated function once it is hot."""
+    and its generated function once it is hot.
+
+    The pipeline's block-timed path (:mod:`repro.cpu.pipeline`) derives
+    its cycle counts from each block's ``runs`` and ``redirects`` and from
+    tallies the build takes once: ``hazards`` (load-use pairs in one
+    run), ``jumps`` (folded ``jal`` ops, each a redirect), ``squashed``
+    (those whose next slot is a program word, which the pipeline fetches
+    and squashes) and ``fall``, the PC the terminator returns when it
+    does not redirect: ``pc + 4`` after a conditional branch or
+    ``ebreak``, -1 after a jump (always a redirect), None after an error.
+    That path takes no program holding an environment op or a branch to
+    its own fall-through, which these tallies cannot time.
+    """
 
     __slots__ = ("start_pc", "term_pc", "pcs", "body", "body_names",
-                 "n_body", "n_reads", "n_writes", "terminator", "counts",
-                 "records", "words", "fn", "countdown", "runs")
+                 "n_body", "n_reads", "n_writes", "terminator", "term_name",
+                 "records", "words", "fn", "countdown", "runs", "hazards",
+                 "jumps", "squashed", "fall", "redirects")
 
     def __init__(self, start_pc: int, term_pc: int, pcs: List[int],
                  body: List[_BodyFn], body_names: List[str], n_reads: int,
                  n_writes: int, terminator: _TermFn,
                  term_name: Optional[str],
-                 words: Optional[List[int]]):
+                 words: Optional[List[int]], hazards: int, jumps: int,
+                 squashed: int, fall: Optional[int]):
         self.start_pc = start_pc
         self.term_pc = term_pc
         # pcs[k] is the PC of body op k; pcs[n_body] is the terminator's
@@ -316,11 +337,8 @@ class _Block:
         self.n_reads = n_reads
         self.n_writes = n_writes
         self.terminator = terminator
-        # mnemonic histogram of one full execution (body + terminator),
-        # committed per (block, repeat count)
-        self.counts = Counter(body_names)
-        if term_name is not None:
-            self.counts[term_name] += 1
+        # None when the terminator raises (it never completes a run)
+        self.term_name = term_name
         # the terminator stamps an event with the cycle count, so every
         # execution before it must be committed first
         self.records = term_name in ("trans_bnn", "trigger_bnn")
@@ -330,6 +348,11 @@ class _Block:
         self.countdown = HOT_BLOCK_RUNS if words is not None else 0
         # whole executions not yet committed to the CPU's stats
         self.runs = 0
+        self.hazards = hazards
+        self.jumps = jumps
+        self.squashed = squashed
+        self.fall = fall
+        self.redirects = 0
 
 
 class FastCPU:
@@ -367,17 +390,26 @@ class FastCPU:
         target was already decoded into this trace (a jump cycle), or
         when the body reaches :data:`MAX_SUPERBLOCK_BODY`.
         """
+        program = self.program
+        program_words, base = program.words, program.base
+        n_words = len(program_words)
         body: List[_BodyFn] = []
         names: List[str] = []
         pcs: List[int] = []
         words: Optional[List[int]] = []  # None once the block is untranslatable
         n_reads = n_writes = 0
+        # the block-timed pipeline's tallies (see _Block); ``loaded`` is
+        # the register bit the previous op loads
+        hazards = jumps = squashed = loaded = 0
         pc = start_pc
         visited = {start_pc}
         while True:
+            index = (pc - base) >> 2
             try:
-                word = self.program.word_at(pc)
-                name, imm, make, fold = _op(word)
+                if pc & 3 or not 0 <= index < n_words:
+                    program.word_at(pc)  # raises its IndexError
+                word = program_words[index]
+                name, imm, make, fold, loads, reads = _op(word)
             except Exception as exc:
                 # the op raises when it runs, as in the functional model:
                 # fetching off the program as a SimulationError with the
@@ -387,8 +419,11 @@ class FastCPU:
 
                 def term(r, _error=error, _args=args):
                     raise _error(*_args)
-                term_name = words = None
+                term_name = words = fall = None
                 break
+            if loaded & reads:
+                hazards += 1
+            loaded = loads
             if name in _ENV_OPS:
                 words = None
             elif words is not None:
@@ -399,12 +434,15 @@ class FastCPU:
                     body.append(fold(pc, self, 0))
                     names.append(name)
                     pcs.append(pc)
+                    jumps += 1
+                    squashed += index + 1 < n_words
                     pc = tgt
                     visited.add(pc)
                     continue
             if name in TERMINATORS:
                 term = make(pc, self, len(body))
                 term_name = name
+                fall = -1 if name in ("jal", "jalr") else (pc + 4) & _MASK
                 break
             body.append(make(pc, self, 0))
             names.append(name)
@@ -417,7 +455,7 @@ class FastCPU:
             pc += 4
             visited.add(pc)
         block = _Block(start_pc, pc, pcs, body, names, n_reads, n_writes,
-                       term, term_name, words)
+                       term, term_name, words, hazards, jumps, squashed, fall)
         self._blocks[start_pc] = block
         return block
 
@@ -452,8 +490,9 @@ class FastCPU:
             stats.cycles += retired
             stats.mem_reads += times * block.n_reads
             stats.mem_writes += times * block.n_writes
-            for name, count in block.counts.items():
-                counts[name] += count * times
+            for name in block.body_names:
+                counts[name] += times
+            counts[block.term_name] += times
 
     def run(self, max_steps: int = DEFAULT_MAX_STEPS) -> RunResult:
         """Run until halt / mode switch / step limit.
@@ -528,3 +567,42 @@ class FastCPU:
         publish_run("fastpath", reason, self.stats.delta(before))
         return RunResult(stats=self.stats, stop_reason=reason, pc=self.pc,
                          env=self.env)
+
+    def _run_timed(self, budget: int) -> Optional[_Block]:
+        """Run whole blocks from ``self.pc`` for the pipeline's
+        block-timed path, counting each block's ``runs`` and terminator
+        ``redirects`` (see :class:`_Block`); return the block that halted.
+
+        Return None, with the blocks' state partial, at the first block
+        that would take the run past ``budget`` instructions; a block's
+        exception propagates the same way.  Like :meth:`run`, it
+        translates hot blocks, but it commits no stats and publishes
+        nothing.
+        """
+        regs = self.regs._regs
+        blocks = self._blocks
+        load, store = self.memory.load, self.memory.store
+        pc = self.pc
+        while True:
+            block = blocks.get(pc)
+            if block is None:
+                block = self._build(pc)
+            budget -= block.n_body + 1
+            if budget < 0:
+                return None
+            fn = block.fn
+            if fn is not None:
+                pc, stop = fn(regs, load, store)
+            else:
+                for op in block.body:
+                    op(regs)
+                pc, stop = block.terminator(regs)
+                if block.countdown:
+                    block.countdown -= 1
+                    if not block.countdown:
+                        block.fn = _translate(block)
+            block.runs += 1
+            if pc != block.fall:
+                block.redirects += 1
+            if stop is not None:
+                return block

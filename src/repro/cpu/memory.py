@@ -95,3 +95,47 @@ class FlatMemory:
         if offset + len(data) > self.size:
             raise MemoryError_("byte write runs off the end of memory")
         self._bytes[offset:offset + len(data)] = data
+
+
+#: log2 of the bytes per page a :class:`StoreJournal` copies out
+JOURNAL_PAGE_BITS = 12
+
+
+class StoreJournal:
+    """A :class:`FlatMemory` whose stores can be undone.
+
+    ``load`` is the memory's own.  ``store`` first copies out the page of
+    addresses it writes into (``2**JOURNAL_PAGE_BITS`` bytes, aligned),
+    once per page, and ``undo()`` writes those copies and both access
+    counters back.  An aligned access never straddles a page, and the
+    copies never hold more than the memory's bytes, however many stores
+    run.
+    """
+
+    __slots__ = ("load", "store", "pages", "_memory", "_counts")
+
+    def __init__(self, memory: FlatMemory):
+        self.load = memory.load
+        self._memory = memory
+        self._counts = memory.load_count, memory.store_count
+        #: page number -> (buffer offset, the page's bytes before its
+        #: first store); empty for a page outside the buffer, where the
+        #: store raises before it writes
+        self.pages: dict = {}
+        pages, buffer, base, store = self.pages, memory._bytes, memory.base, memory.store
+
+        def journaled(addr: int, value: int, size: int) -> None:
+            page = addr >> JOURNAL_PAGE_BITS
+            if page not in pages:
+                start = max((page << JOURNAL_PAGE_BITS) - base, 0)
+                end = ((page + 1) << JOURNAL_PAGE_BITS) - base
+                pages[page] = start, buffer[start:max(end, start)]
+            store(addr, value, size)
+
+        self.store = journaled
+
+    def undo(self) -> None:
+        buffer = self._memory._bytes
+        for start, old in self.pages.values():
+            buffer[start:start + len(old)] = old
+        self._memory.load_count, self._memory.store_count = self._counts

@@ -17,6 +17,24 @@ that WB has just written.  That is exact: the register holds the forwarded
 value mod 2**32, and every consumer reduces its operands mod 2**32 (each
 :func:`~repro.cpu.semantics.compile_ex` closure; a store writes only the
 low bytes).
+
+With forwarding on, the timing is a function of the dynamic instruction
+stream alone: from an empty pipeline to the halting ``ebreak``,
+``cycles = instructions + 4 + stalls + flushes``, with one stall per
+load followed by an instruction reading its (non-x0) ``rd``, two
+flushed cycles per redirect (a taken branch, any ``jal`` or ``jalr``),
+and IF busy once per instruction plus once per redirect whose next slot
+is a program word.  So a run that starts on a fresh CPU, with forwarding
+on, no tracer installed, a :class:`~repro.cpu.memory.FlatMemory` and a
+program with no environment op and no branch to its own ``pc + 4``, is
+first **block-timed**: it executes on
+:class:`~repro.cpu.fastpath.FastCPU`'s superblocks, counts each block's
+runs and redirects, and derives every statistic from per-block tallies
+(:meth:`PipelinedCPU._run_blocks`).  If that run raises or would pass
+``max_cycles``, its memory writes are undone
+(:class:`~repro.cpu.memory.StoreJournal`) and the cycle loop runs from
+the start, so faults, partial state and resume points are the cycle
+loop's.
 """
 
 from __future__ import annotations
@@ -24,11 +42,13 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cpu.env import CoreEnv, ExecStats, RunResult, publish_run
-from repro.cpu.memory import DataMemory, FlatMemory
+from repro.cpu.fastpath import FastCPU
+from repro.cpu.memory import DataMemory, FlatMemory, StoreJournal
 from repro.cpu.semantics import MEM_SIZES, SIGNED_LOADS, compile_ex
 from repro.cpu.state import RegisterFile
 from repro.errors import ConfigurationError, SimulationError
-from repro.isa.instructions import DecodedInstr, decode
+from repro.isa.encoding import encode_imm_b
+from repro.isa.instructions import OPCODE_BRANCH, OPCODE_NCPU, DecodedInstr, decode
 from repro.isa.program import Program
 from repro.sim import get_session
 from repro.trace.tracer import CPU_TRACK, FLUSH_EVENT, STAGES, STALL_EVENT
@@ -71,6 +91,25 @@ class _Op:
         self.retired = 0
 
 
+#: the opcode and immediate bits of a B-type word (``encode_imm_b(-2)``
+#: sets every immediate bit), and their value in a conditional branch to
+#: its own ``pc + 4``
+_BRANCH_BITS = 0x7F | encode_imm_b(-2)
+_BRANCH_TO_NEXT = OPCODE_BRANCH | encode_imm_b(4)
+
+
+def _block_timeable(words) -> bool:
+    """Whether the block tallies can time a program of ``words``: none is
+    an NCPU environment op (the custom-0 opcode), which stamps events with
+    the cycle count, or a conditional branch to its own ``pc + 4``, which
+    returns the same PC taken or not.  A data word that looks like one
+    only costs the block-timed path."""
+    for word in words:
+        if word & 0x7F == OPCODE_NCPU or word & _BRANCH_BITS == _BRANCH_TO_NEXT:
+            return False
+    return True
+
+
 class PipelinedCPU:
     """The cycle-accurate 5-stage pipeline simulator."""
 
@@ -110,6 +149,82 @@ class PipelinedCPU:
     def run(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> RunResult:
         """Run until halt / mode switch / cycle limit.
 
+        A CPU that has run no cycle yet, with forwarding on, a memory of
+        type :class:`FlatMemory` (no subclass), no tracer installed and a
+        program the block tallies can time (:func:`_block_timeable`), is
+        block-timed first (see the module docstring); every other run, and
+        a run the block-timed path gives up, goes through the cycle loop,
+        :meth:`_run_cycles`.  Both return and publish the same results.
+        """
+        if max_cycles < 0:
+            raise ConfigurationError(f"max_cycles: must be >= 0, got {max_cycles}")
+        if (self.forwarding and not self.stats.cycles
+                and type(self.memory) is FlatMemory and get_session().tracer is None
+                and _block_timeable(self.program.words)):
+            result = self._run_blocks(max_cycles)
+            if result is not None:
+                return result
+        return self._run_cycles(max_cycles)
+
+    def _run_blocks(self, max_cycles: int) -> Optional[RunResult]:
+        """The block-timed run: execute on :class:`FastCPU` superblocks
+        and derive :class:`ExecStats` from their tallies.
+
+        Returns None, with the CPU, its memory and the session as they
+        were, if the run raises or would pass ``max_cycles``.  Its
+        instruction budget, ``max_cycles - 4``, is the most a run within
+        ``max_cycles`` retires.
+        """
+        program = self.program
+        journal = StoreJournal(self.memory)
+        fast = FastCPU(program, memory=journal, env=self.env, pc=self.pc)
+        regs = fast.regs._regs = list(self.regs._regs)
+        halt = None
+        try:
+            halt = fast._run_timed(max_cycles - 4)
+        except Exception:
+            pass  # the cycle loop raises it again, from the start
+        finally:
+            if halt is None:
+                journal.undo()
+        if halt is None:
+            return None
+        instructions = stalls = redirects = squashed = 0
+        last = program.end - 4  # a redirect below it squashes a fetched word
+        for block in fast._blocks.values():
+            runs, taken = block.runs, block.redirects
+            instructions += runs * (block.n_body + 1)
+            stalls += runs * block.hazards
+            redirects += runs * block.jumps + taken
+            squashed += runs * block.squashed + (taken if block.term_pc < last else 0)
+        cycles = instructions + 4 + stalls + 2 * redirects
+        if cycles > max_cycles:
+            journal.undo()
+            return None
+
+        # each block ran whole right after its build, so FastCPU's commit
+        # order (blocks as built, ops in order) is first-retirement order
+        fast._commit()
+        stats, done = self.stats, fast.stats
+        before = stats.scalars()
+        stats.cycles += cycles
+        stats.instructions += instructions
+        stats.stalls += stalls
+        stats.flushes += 2 * redirects
+        stats.mem_reads += done.mem_reads
+        stats.mem_writes += done.mem_writes
+        stats.instr_counts.update(done.instr_counts)
+        for stage, count in zip(STAGES, (instructions + squashed,) + (instructions,) * 4):
+            stats.stage_busy[stage] += count
+        self.regs._regs[:] = regs
+        self.pc = self._resume_pc = halt.term_pc + 4
+        self._fetch_enabled, self._stop_reason = False, "halt"
+        publish_run("pipeline", "halt", stats.delta(before))
+        return RunResult(stats=stats, stop_reason="halt", pc=self._resume_pc, env=self.env)
+
+    def _run_cycles(self, max_cycles: int) -> RunResult:
+        """The cycle loop.
+
         Each cycle runs WB, MEM, EX, the EX redirect, the ID hazard check,
         ID and IF in that order, on latches and counters held in locals that
         the ``finally`` writes back: a fault or the cycle limit leaves the
@@ -126,8 +241,6 @@ class PipelinedCPU:
         counters under ``cpu.pipeline.*``
         (:func:`~repro.cpu.env.publish_run`).
         """
-        if max_cycles < 0:
-            raise ConfigurationError(f"max_cycles: must be >= 0, got {max_cycles}")
         stats = self.stats
         before = stats.scalars()
         # resolved once per run; untraced, a cycle pays one None check

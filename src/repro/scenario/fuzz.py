@@ -16,7 +16,12 @@ the outputs bit for bit:
   registers, retired-instruction counts, memory traffic and the
   per-mnemonic histogram must match.  Cycle counts are deliberately
   *not* compared: engines without ``timing_accurate`` report functional
-  single-cycle timing (the pipeline stays the timing oracle).
+  single-cycle timing (the pipeline stays the timing oracle).  Every
+  engine is also compared with the ``accurate`` engine's functional
+  ISS, which executes :func:`~repro.cpu.semantics.compile_ex`: a
+  block-timed pipeline run executes ``FastCPU``'s op table, so without
+  the ISS ``accurate`` against ``fast`` would compare that table with
+  itself.
 
 ``repro fuzz --count N --seed S`` drives this from the CLI; a fresh
 engine becomes trustworthy by surviving a fuzz run, not by hand-writing
@@ -200,20 +205,31 @@ def _observe(scenario: Scenario) -> Dict[str, Any]:
 _ARRAY_FIELDS = ("scores", "predictions", "hidden", "registers")
 
 
+#: how a mismatch names the ``accurate`` engine's functional ISS, which
+#: every CPU scenario is also run on
+ISS_LABEL = "accurate/functional"
+
+
 def run_differential(scenario: Scenario,
                      engines: Optional[Sequence[str]] = None
                      ) -> DifferentialResult:
-    """Run ``scenario`` on every engine; the first engine is the oracle."""
+    """Run ``scenario`` on every engine, and a CPU scenario on the
+    functional ISS too; the first engine is the oracle."""
     names = tuple(engines) if engines else default_engines()
     result = DifferentialResult(scenario=scenario, engines=names)
     reference_engine = names[0]
     reference = _observe(scenario.with_engine(name=reference_engine))
-    for engine_name in names[1:]:
-        observed = _observe(scenario.with_engine(name=engine_name))
+    candidates = [(name, scenario.with_engine(name=name))
+                  for name in names[1:]]
+    if scenario.workload.kind == "cpu":
+        candidates.append((ISS_LABEL, scenario.with_engine(
+            name="accurate", prefer_functional=True)))
+    for label, candidate in candidates:
+        observed = _observe(candidate)
         for field, expected in reference.items():
             compare = (_compare_arrays if field in _ARRAY_FIELDS
                        else _compare_scalar)
-            compare(field, expected, observed[field], engine_name,
+            compare(field, expected, observed[field], label,
                     reference_engine, result.mismatches)
     return result
 

@@ -175,13 +175,20 @@ def test_squashed_undecodable_word_never_raises(slot):
         assert cpu.regs.read(10) == 2
 
 
+#: ``PipelinedCPU``'s two ways in: ``run()``, which block-times a fresh,
+#: forwarding, untraced ``FlatMemory`` run, and the cycle loop alone
+PIPELINE_ENTRIES = ["run", "_run_cycles"]
+
+
+@pytest.mark.parametrize("entry", PIPELINE_ENTRIES)
 @settings(max_examples=30, deadline=None)
 @given(source=random_program())
-def test_pipeline_cycles_bounded_by_hazard_model(source):
-    """cycles == instructions + fill + stalls + flushes exactly."""
+def test_pipeline_cycles_bounded_by_hazard_model(entry, source):
+    """cycles == instructions + fill + stalls + flushes exactly, on both
+    paths: the block-timed one derives its counts from this."""
     program = assemble(source)
     pipelined = PipelinedCPU(program, memory=FlatMemory(size=512))
-    result = pipelined.run(max_cycles=100_000)
+    result = getattr(pipelined, entry)(max_cycles=100_000)
     stats = result.stats
     assert stats.cycles == stats.instructions + 4 + stats.stalls + stats.flushes
 
@@ -289,6 +296,7 @@ def test_resuming_in_chunks_matches_one_run(source, chunk, forwarding):
 _BRANCH_CONSUMER = "bltu a0, a2, skip\naddi a1, a1, 1\nskip:"
 
 
+@pytest.mark.parametrize("entry", PIPELINE_ENTRIES)
 @pytest.mark.parametrize("gap", [0, 1])
 @pytest.mark.parametrize("load, stored", [("lb", 0x80), ("lh", 0x8001)])
 @pytest.mark.parametrize("consumer", [
@@ -296,12 +304,14 @@ _BRANCH_CONSUMER = "bltu a0, a2, skip\naddi a1, a1, 1\nskip:"
     "sltu a1, a0, a2", "slt a1, a0, a2", "sltiu a1, a0, 5", _BRANCH_CONSUMER,
     "sw a0, 4(s0)", "mv_neu 2, a0",
 ], ids=lambda consumer: consumer.split()[0])
-def test_sign_extended_load_forwards_from_mem_wb(gap, load, stored, consumer):
+def test_sign_extended_load_forwards_from_mem_wb(gap, load, stored, consumer, entry):
     """The modelled MEM/WB forward carries a ``lb``/``lh`` result raw,
     sign-extended; the simulator reads it from the register file that WB
     has just written instead.  Every consumer must still compute what the
     ISS computes from the register: the two agree because each consumer
-    reduces its operands mod 2**32, and this test guards that."""
+    reduces its operands mod 2**32, and this test guards that in the
+    cycle loop, the only path that forwards.  ``run()`` block-times most
+    of these programs, and must leave the same stalls and state."""
     source = "\n".join([
         "li s0, 256", "li a2, 5", f"li t0, {stored}", "sw t0, 0(s0)",
         f"{load} a0, 0(s0)", *(["addi t1, t1, 1"] * gap), consumer, "ebreak"])
@@ -309,7 +319,7 @@ def test_sign_extended_load_forwards_from_mem_wb(gap, load, stored, consumer):
     golden = FunctionalCPU(program, memory=FlatMemory(size=512))
     pipelined = PipelinedCPU(program, memory=FlatMemory(size=512))
     assert golden.run(1_000).stop_reason == "halt"
-    result = pipelined.run(1_000)
+    result = getattr(pipelined, entry)(1_000)
     assert result.stop_reason == "halt"
     # back to back, the consumer stalls once and then reads MEM/WB
     assert result.stats.stalls == (1 if gap == 0 else 0)

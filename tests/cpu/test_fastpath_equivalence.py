@@ -333,7 +333,7 @@ class TestSuperblocks:
         _assert_identical(functional, f_result, fast, q_result)
         assert fast.cached_blocks == 1
         block = fast._blocks[program.base]
-        assert block.counts["jal"] == 2  # both jumps folded into the body
+        assert block.body_names.count("jal") == 2  # both jumps folded into the body
         assert len(block.pcs) == block.n_body + 1
 
     def test_link_register_written_by_folded_jal(self):

@@ -1,4 +1,4 @@
-"""Tests for the register file and flat memory."""
+"""Tests for the register file, flat memory and its store journal."""
 
 import pickle
 
@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cpu import FlatMemory, RegisterFile
+from repro.cpu.memory import JOURNAL_PAGE_BITS, StoreJournal
 from repro.errors import MemoryError_, SimulationError
 from repro.isa.encoding import sign_extend, to_unsigned32
 from repro.mem import SRAMBank
@@ -257,3 +258,55 @@ class TestFlatMemoryAgainstReference:
         assert copy.load(0x46, 2, True) == -0x3502  # 0xCAFE
         copy.store(0x48, -1, 1)
         assert copy.load(0x48, 4) == 0xFF
+
+
+#: three pages and a bit, so a memory of it spans five pages at most
+_JOURNALED = 3 * (1 << JOURNAL_PAGE_BITS) + 12
+
+
+def _journaled_memory(base):
+    """A memory of patterned bytes with both access counters moved."""
+    memory = FlatMemory(_JOURNALED, base=base)
+    memory._bytes[:] = bytes(range(251)) * (_JOURNALED // 251) + bytes(_JOURNALED % 251)
+    memory.load_count, memory.store_count = 3, 5
+    return memory
+
+
+def _copied(journal):
+    return sum(len(old) for _, old in journal.pages.values())
+
+
+class TestStoreJournal:
+    """Undoing a journal puts back every byte and both access counters,
+    and its page copies never outgrow the memory."""
+
+    @given(base=st.sampled_from([0, 0xFF4, 0x2002]),
+           stores=st.lists(st.tuples(st.integers(-8, _JOURNALED + 8),
+                                     st.sampled_from([1, 2, 3, 4]),
+                                     st.integers(0, (1 << 32) - 1)), max_size=40))
+    def test_undo_restores_bytes_and_counters(self, base, stores):
+        memory = _journaled_memory(base)
+        before = bytes(memory._bytes), memory.load_count, memory.store_count
+        journal = StoreJournal(memory)
+        for offset, size, value in stores:
+            # a rejected store writes nothing, as the guard is first
+            _outcome(lambda m: m.store(base + offset, value, size), journal)
+            _outcome(lambda m: m.load(base + offset, size), journal)
+        assert _copied(journal) <= memory.size
+        journal.undo()
+        assert (bytes(memory._bytes), memory.load_count, memory.store_count) == before
+
+    def test_copies_each_page_once(self):
+        """Twelve thousand stores over every word copy out each page the
+        memory spans once: exactly its bytes, whatever the store count."""
+        base = 0xFF8  # spans the tail of one page, three whole, one head
+        memory = _journaled_memory(base)
+        before = bytes(memory._bytes)
+        journal = StoreJournal(memory)
+        for sweep in range(4):
+            for offset in range(0, _JOURNALED, 4):
+                journal.store(base + offset, sweep + offset, 4)
+        assert len(journal.pages) == 5
+        assert _copied(journal) == memory.size
+        journal.undo()
+        assert bytes(memory._bytes) == before

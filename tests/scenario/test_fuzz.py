@@ -81,6 +81,32 @@ class TestDifferential:
         result = run_differential(scenario)
         assert result.ok, [str(m) for m in result.mismatches]
 
+    def test_fault_in_one_fast_op_line_is_a_mismatch(self, monkeypatch):
+        """A wrong line in ``FastCPU``'s op table (``sub`` computing
+        ``add``) runs on the ``fast`` engine and in block-timed pipeline
+        runs alike, so only the functional ISS's ``compile_ex`` sees it."""
+        from repro.cpu import fastpath
+
+        def clear():
+            for cache in (fastpath._line, fastpath._op):
+                cache.cache_clear()
+
+        scenario = Scenario(
+            name="diff-cpu-fault",
+            workload=WorkloadSpec(kind="cpu", name="dhrystone",
+                                  layer_sizes=(), iterations=2),
+            batch_size=1)
+        monkeypatch.setitem(fastpath._LINES, "sub",
+                            "r[rd] = (r[rs1] + r[rs2]) & 0xFFFFFFFF")
+        clear()
+        try:
+            result = run_differential(scenario, engines=("accurate", "fast"))
+        finally:
+            monkeypatch.undo()
+            clear()
+        assert not result.ok
+        assert any(m.field == "registers" for m in result.mismatches)
+
     def test_block_crossing_scenario_agrees(self):
         scenario = next(s for s in ScenarioFuzzer(seed=0).scenarios(10)
                         if s.batch_size > GEMM_ROW_BLOCK)
