@@ -22,15 +22,18 @@ and ``MKL_NUM_THREADS`` to ``1`` where the caller left them unset.  A
 multi-threaded BLAS pool can stall a small float32 GEMM for tens of
 milliseconds, and the ``fast`` engine's BNN kernel is a chain of small
 float32 GEMMs.  The variables only take effect if numpy has not loaded
-yet, and ``import repro`` loads no numpy.  A value the caller sets
-still wins.
+yet, and ``import repro`` loads no numpy; for a process that loaded
+numpy first, :mod:`repro.bnn.vectorized` sets numpy's bundled OpenBLAS
+to one thread when it loads.  A value the caller sets still wins.
 """
 
 import os
 
 __version__ = "1.0.0"
 
-for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                  "MKL_NUM_THREADS"):
-    os.environ.setdefault(_variable, "1")
-del _variable
+#: the BLAS thread variables this import set, because the caller had not
+_BLAS_DEFAULTED = tuple(name for name in ("OPENBLAS_NUM_THREADS",
+                                          "OMP_NUM_THREADS",
+                                          "MKL_NUM_THREADS")
+                        if name not in os.environ)
+os.environ.update(dict.fromkeys(_BLAS_DEFAULTED, "1"))

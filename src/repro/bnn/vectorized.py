@@ -28,15 +28,22 @@ kernel and decision tables (lint-checked by ``tools/check_docs.py``).
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import logging
+import os
 import weakref
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 
+import repro
 from repro.bnn import quantize as q
 from repro.bnn.model import BNNModel
 from repro.errors import ConfigurationError
+
+logger = logging.getLogger(__name__)
 
 #: largest fan-in for which the float32 GEMM kernel is exact: every
 #: partial sum is an integer of magnitude < 2**24 (float32's exact
@@ -48,6 +55,34 @@ GEMM_MAX_FAN_IN = 1 << 23
 #: cache-sized (a block's float32 input is 3 MiB at 784 inputs) instead
 #: of growing with the batch
 GEMM_ROW_BLOCK = 1024
+
+
+def _one_blas_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread, unless the caller set
+    ``OPENBLAS_NUM_THREADS``.
+
+    ``import repro`` sets that variable, but OpenBLAS reads it only when
+    numpy loads, so a script that imported numpy first keeps OpenBLAS's
+    thread pool, which can stall each small float32 GEMM of this kernel
+    for ~24 ms.
+    """
+    if "OPENBLAS_NUM_THREADS" not in repro._BLAS_DEFAULTED:
+        return
+    libraries = glob.glob(os.path.join(os.path.dirname(np.__file__),
+                                       os.pardir, "numpy.libs",
+                                       "libscipy_openblas64_*.so"))
+    try:
+        set_threads = ctypes.CDLL(
+            libraries[0]).scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        logger.debug("numpy has no bundled scipy-openblas; its BLAS keeps "
+                     "its own thread count")
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+
+
+_one_blas_thread()
 
 
 @dataclass(frozen=True)

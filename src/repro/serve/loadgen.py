@@ -95,7 +95,11 @@ async def drive(server, rows, offsets: List[float]) -> List[Any]:
     (open loop), and the call returns once all futures resolved.  One
     dispatcher starts each ``submit`` when it is due, so submissions
     keep schedule order even when the loop runs late (request ``k``
-    carries ``rows[k]``).
+    carries ``rows[k]``).  The submits are then awaited one at a time,
+    in schedule order: one ``gather`` over the whole run would hook
+    every task in one synchronous burst (about 4 µs a task) while the
+    last requests are still in flight.  If one raises, the rest are
+    cancelled and their outcomes taken, so the error surfaces once.
     """
     if len(rows) < len(offsets):
         raise ConfigurationError(
@@ -109,7 +113,13 @@ async def drive(server, rows, offsets: List[float]) -> List[Any]:
         if delay > 0:
             await asyncio.sleep(delay)
         submits.append(asyncio.ensure_future(server.submit(rows[index])))
-    return list(await asyncio.gather(*submits))
+    try:
+        return [await submit for submit in submits]
+    except BaseException:
+        for submit in submits:
+            if not submit.cancel() and not submit.cancelled():
+                submit.exception()
+        raise
 
 
 def serve_scenario(scenario: Scenario, session=None):

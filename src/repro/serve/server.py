@@ -8,8 +8,12 @@ and dispatches each batch to the configured execution engine through the
 accelerator's engine-dispatched batch path.  The batch runs inline on
 the event loop: a 32-row batch scores in about 0.1 ms, far less than a
 thread-pool hop costs, so arrivals wait out the compute instead of a
-hand-off.  An engine fault resolves its batch's requests with the
-``error`` status (logged once per fault) and the batcher keeps serving.
+hand-off.  The window is a deadline: the batcher waits out what is
+left of it on an OS-timed wait in the loop's default executor
+(:meth:`NCPUServer._sleep_until`), because the loop's own timers wake
+up to a millisecond late.  An engine fault resolves its batch's
+requests with the ``error`` status (logged once per fault) and the
+batcher keeps serving.
 If the batcher itself stops — cancelled or crashed — every request it
 left queued or half-assembled resolves with ``error`` too, and later
 submits raise instead of queueing behind a batcher that is gone.
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
@@ -59,6 +64,20 @@ ERROR = "error"
 
 #: queue sentinel that tells the batcher to drain and exit
 _CLOSE = object()
+
+#: how long past a window's deadline the loop's own timer closes the
+#: batch if the executor's OS-timed wait has not returned (a stalled
+#: executor then costs the loop timer's overshoot, never a hang)
+_BACKSTOP_S = 0.001
+
+
+def _block_until(stop: threading.Event, clock, deadline: float) -> None:
+    """Block the calling thread until ``clock()`` reads ``deadline`` or
+    ``stop`` is set.  Each timed-out wait re-checks ``clock``, so a wait
+    that wakes before the deadline waits again."""
+    remaining = deadline - clock()
+    while remaining > 0 and not stop.wait(remaining):
+        remaining = deadline - clock()
 
 
 @dataclass(frozen=True)
@@ -294,15 +313,11 @@ class NCPUServer:
                 closing = self._take_queued(batch)
                 # the window opened when the first row arrived, which may
                 # be before the batcher got to it
-                window_s = self.policy.batch_window_s \
-                    - (self._now() - first.request.t_enqueue)
-                if not closing and window_s > 0 \
+                deadline = first.request.t_enqueue \
+                    + self.policy.batch_window_s
+                if not closing and deadline > self._now() \
                         and len(batch) < self.policy.max_batch:
-                    try:
-                        closing = await asyncio.wait_for(self._fill(batch),
-                                                         window_s)
-                    except asyncio.TimeoutError:
-                        pass
+                    closing = await self._fill_until(batch, deadline)
             self._dispatch(batch)
         # drain anything still queued after the close sentinel
         while not self._queue.empty():
@@ -346,8 +361,8 @@ class NCPUServer:
     async def _fill(self, batch: List[_Pending]) -> bool:
         """Add arriving rows to ``batch`` until it holds ``max_batch``.
 
-        Runs under the batch's one window deadline.  Returns True when
-        the close sentinel arrived, like :meth:`_take_queued`.
+        Returns True when the close sentinel arrived, like
+        :meth:`_take_queued`.
         """
         while len(batch) < self.policy.max_batch:
             item = await self._queue.get()
@@ -355,6 +370,42 @@ class NCPUServer:
                 return True
             batch.append(item)
         return False
+
+    async def _fill_until(self, batch: List[_Pending],
+                          deadline: float) -> bool:
+        """Run :meth:`_fill` until it returns or the server clock reads
+        ``deadline``, the batch's one window deadline.  Returns what
+        :meth:`_fill` returned, or False when the deadline came first."""
+        fill = asyncio.ensure_future(self._fill(batch))
+        try:
+            await self._sleep_until(deadline, fill)
+        finally:
+            fill.cancel()
+        return fill.done() and fill.result()
+
+    async def _sleep_until(self, deadline: float,
+                           wake: asyncio.Future) -> None:
+        """Return once the server clock reads ``deadline``, or earlier
+        once ``wake`` is done.
+
+        The loop's own timers wake late: CPython's epoll selector rounds
+        every timeout up to a whole millisecond.  So the wait is an
+        OS-timed ``threading.Event.wait`` (:func:`_block_until`) on the
+        loop's default executor.  Its event is set when this coroutine
+        returns or is cancelled, so no executor job outlives the wait,
+        and a loop timer :data:`_BACKSTOP_S` past the deadline returns
+        if the executor does not.
+        """
+        loop = asyncio.get_running_loop()
+        stop = threading.Event()
+        timer = loop.run_in_executor(None, _block_until, stop, self._now,
+                                     deadline)
+        try:
+            await asyncio.wait((timer, wake),
+                               timeout=deadline - self._now() + _BACKSTOP_S,
+                               return_when=asyncio.FIRST_COMPLETED)
+        finally:
+            stop.set()
 
     def _dispatch(self, batch: List[_Pending]) -> None:
         import numpy as np

@@ -70,26 +70,93 @@ class TestSummarizeOffsets:
         assert summary["max_gap_s"] == pytest.approx(0.2)
 
 
+def drive_scenario(requests: int):
+    from repro.scenario import Scenario, ServeSpec, WorkloadSpec
+
+    return Scenario(
+        name="drive-order",
+        workload=WorkloadSpec(kind="bnn", name="random",
+                              layer_sizes=(24, 16, 10)),
+        batch_size=8, serve=ServeSpec(requests=requests)).with_engine(
+            name="fast")
+
+
 class TestDrive:
+    def test_awaits_submits_without_one_gather_over_the_run(
+            self, monkeypatch):
+        """One gather over every task of the run hooks them all in one
+        synchronous burst, which stalls the loop while the last requests
+        are in flight; drive awaits them one at a time instead."""
+        import asyncio
+
+        from repro.serve import NCPUServer, drive
+        from repro.sim import use_session
+
+        gathered = []
+        gather = asyncio.gather
+
+        def spy(*awaitables, **kwargs):
+            gathered.append(len(awaitables))
+            return gather(*awaitables, **kwargs)
+
+        monkeypatch.setattr(asyncio, "gather", spy)
+        count = 64
+        rows = [[1.0 if index % 2 else -1.0] * 24 for index in range(count)]
+
+        async def main(session):
+            server = NCPUServer(drive_scenario(count), session=session)
+            async with server:
+                return await drive(server, rows,
+                                   arrival_offsets("uniform", 20000.0,
+                                                   count))
+
+        with use_session(cache_enabled=False) as session:
+            results = asyncio.run(main(session))
+        assert max(gathered, default=0) <= 1
+        assert [request.index for request in results] == list(range(count))
+        assert all(request.status == "ok" for request in results)
+
+    def test_a_failing_submit_raises_once(self):
+        """Against a stopped batcher every submit raises: drive raises
+        the first, and no other task's error is reported as lost."""
+        import asyncio
+        import gc
+
+        from repro.serve import NCPUServer, drive
+        from repro.sim import use_session
+
+        async def main(session):
+            loop = asyncio.get_running_loop()
+            lost = []
+            loop.set_exception_handler(
+                lambda loop, context: lost.append(context))
+            server = NCPUServer(drive_scenario(3), session=session)
+            async with server:
+                server._batcher.cancel()
+                await asyncio.sleep(0)
+                try:
+                    await drive(server, [[1.0] * 24] * 3, [0.0] * 3)
+                except RuntimeError as exc:
+                    message = str(exc)
+            gc.collect()
+            return message, lost
+
+        with use_session(cache_enabled=False) as session:
+            message, lost = asyncio.run(main(session))
+        assert "batcher has stopped" in message
+        assert lost == []
+
     def test_request_k_carries_row_k_when_the_loop_runs_late(self):
         """Row 1 is already due when row 0 is not (a loop that fell
         behind looks the same); submissions must still keep schedule
         order, so results[k] is the request for rows[k]."""
         import asyncio
 
-        from repro.scenario import Scenario, ServeSpec, WorkloadSpec
         from repro.serve import NCPUServer, drive
         from repro.sim import use_session
 
-        scenario = Scenario(
-            name="drive-order",
-            workload=WorkloadSpec(kind="bnn", name="random",
-                                  layer_sizes=(24, 16, 10)),
-            batch_size=8, serve=ServeSpec(requests=2)).with_engine(
-                name="fast")
-
         async def main(session):
-            server = NCPUServer(scenario, session=session)
+            server = NCPUServer(drive_scenario(2), session=session)
             async with server:
                 return await drive(server, [[1.0] * 24, [-1.0] * 24],
                                    [0.002, 0.0])

@@ -413,6 +413,110 @@ class TestBatchWindow:
         assert last.t_assembled - last.t_enqueue >= 0.3
         assert last.t_assembled - last.t_enqueue < 0.45
 
+    def test_no_window_closes_before_its_deadline(self):
+        """Every batch that closed on its window assembled no earlier
+        than its first row's enqueue plus the window, exactly."""
+        scenario = small_scenario("fast", rate_rps=1000.0, requests=200,
+                                  batch_window_ms=2.0, max_batch=32)
+        with use_session(cache_enabled=False) as session:
+            _, server = run_serve(scenario, session=session)
+        window_s = server.policy.batch_window_s
+        batches = {}
+        for request in server.requests:
+            assert request.status == "ok"
+            batches.setdefault(request.batch_index, []).append(request)
+        on_window = [rows for rows in batches.values()
+                     if len(rows) < server.policy.max_batch]
+        assert len(on_window) >= 10
+        for rows in on_window:
+            first = min(request.t_enqueue for request in rows)
+            assert rows[0].t_assembled >= first + window_s
+
+    def test_stop_ends_a_long_window_promptly(self):
+        """A row inside a 60 s window: ``stop()`` closes the batch at
+        once, and the window's executor wait ends with it, so
+        ``asyncio.run`` does not wait on it when it shuts the executor
+        down."""
+        import threading
+        import time
+
+        async def body(server):
+            pending = asyncio.ensure_future(server.submit([1.0] * 24))
+            await asyncio.sleep(0.05)  # the batcher is inside the window
+            stopping = time.perf_counter()
+            await server.stop()
+            return await pending, time.perf_counter() - stopping
+
+        threads = threading.active_count()
+        started = time.perf_counter()
+        _, (request, stop_s) = _run_server(
+            small_scenario("fast"),
+            ServePolicy(batch_window_s=60.0, max_batch=8), body)
+        assert time.perf_counter() - started < 0.5
+        assert stop_s < 0.1
+        assert request.status == "ok"
+        assert threading.active_count() == threads
+
+    def test_a_stalled_executor_wait_falls_back_to_the_loop_timer(
+            self, monkeypatch):
+        """If the executor's wait never returns by itself, the loop's
+        timer closes the window just past its deadline: no hang."""
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "_block_until",
+                            lambda stop, clock, deadline: stop.wait())
+        window_s = 0.01
+        server, results = _run_server(
+            small_scenario("fast"),
+            ServePolicy(batch_window_s=window_s, max_batch=8),
+            lambda server: _submit_all(server, 3))
+        assert server.recorder.batch_sizes == [3]
+        first = min(request.t_enqueue for request in results)
+        waited = results[0].t_assembled - first
+        assert window_s + server_module._BACKSTOP_S - 1e-6 <= waited < 0.5
+
+    def test_sleep_until_never_returns_before_its_deadline(self):
+        async def body(server):
+            never = asyncio.get_running_loop().create_future()
+            early = []
+            for step in range(40):
+                deadline = server._now() + 0.0001 * step
+                await server._sleep_until(deadline, never)
+                early.append(server._now() < deadline)
+            return early
+
+        _, early = _run_server(small_scenario("fast"), ServePolicy(), body)
+        assert early == [False] * 40
+
+    def test_sleep_until_returns_promptly_once_woken_or_cancelled(self):
+        import threading
+        import time
+
+        async def body(server):
+            loop = asyncio.get_running_loop()
+            wake = loop.create_future()
+            loop.call_later(0.01, wake.set_result, None)
+            started = time.perf_counter()
+            await server._sleep_until(server._now() + 60.0, wake)
+            woken_s = time.perf_counter() - started
+            sleeper = asyncio.ensure_future(server._sleep_until(
+                server._now() + 60.0, loop.create_future()))
+            await asyncio.sleep(0.01)
+            started = time.perf_counter()
+            sleeper.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await sleeper
+            return woken_s, time.perf_counter() - started
+
+        threads = threading.active_count()
+        started = time.perf_counter()
+        _, (woken_s, cancelled_s) = _run_server(small_scenario("fast"),
+                                                ServePolicy(), body)
+        assert woken_s < 0.5 and cancelled_s < 0.1
+        # neither 60 s wait held up the executor's shutdown
+        assert time.perf_counter() - started < 1.0
+        assert threading.active_count() == threads
+
     def test_zero_window_gives_one_row_batches(self):
         server, results = _run_server(
             small_scenario("fast"),
